@@ -16,8 +16,6 @@ shared freely between threads.
 
 from __future__ import annotations
 
-from collections import deque
-
 
 class NotInvolution(ValueError):
     """The dart pairing is not a fixed-point-free involution."""
@@ -71,6 +69,7 @@ class EmbeddedGraph:
         "_face_of",
         "_edge_darts",
         "_edge_of",
+        "_degrees",
         "_canon",
     )
 
@@ -90,6 +89,7 @@ class EmbeddedGraph:
         self._face_of = None
         self._edge_darts = None
         self._edge_of = None
+        self._degrees = None
         self._canon = {}
         if check:
             self._check()
@@ -361,57 +361,54 @@ class EmbeddedGraph:
 
     # -- canonical forms -------------------------------------------------
 
+    def _degree_table(self):
+        if self._degrees is None:
+            self._degrees = tuple(len(r) for r in self.rotations())
+        return self._degrees
+
     def _code_from(self, start, sigma, best):
-        """BFS code from a start dart; None as soon as it exceeds ``best``.
+        """BFS code (a list) from a start dart and the darts in numbering
+        order; None as soon as the code exceeds the list ``best``.
 
         The code lists, per vertex in discovery order, its degree and
         label followed by one entry per dart in rotation order from the
         entry dart: the number of the paired dart if already numbered,
-        else -1.  Equal codes characterise isomorphic labelled maps.
+        else -1.  Darts are numbered in that same order.  Equal codes
+        characterise isomorphic labelled maps, and two starts with equal
+        codes are mapped onto each other by the automorphism that sends
+        the i-th numbered dart of one to the i-th of the other.
         """
         inv = self.inv
         vertex_of = self.vertex_of
         labels = self.labels
-        rotlen = [len(r) for r in self.rotations()]
-        dartnum = {}
-        entry = {vertex_of[start]: start}
-        queue = deque([vertex_of[start]])
-        out = []
-        idx = 0
+        deg = self._degree_table()
+        num = [-1] * len(sigma)
+        entry = [-1] * len(deg)
+        entry[vertex_of[start]] = start
+        queue = [vertex_of[start]]
+        darts = []
+        code = []
         better = best is None
-        counter = 0
-        while queue:
-            v = queue.popleft()
-            lab = -2 if labels is None else labels[v]
-            for elem in (rotlen[v], lab):
-                if not better:
-                    b = best[idx]
-                    if elem > b:
-                        return None
-                    if elem < b:
-                        better = True
-                out.append(elem)
-                idx += 1
+        for v in queue:  # grows while it is walked: the BFS queue
             d = entry[v]
-            for _ in range(rotlen[v]):
+            block = [deg[v], -2 if labels is None else labels[v]]
+            for _ in range(deg[v]):
                 e = inv[d]
-                elem = dartnum.get(e, -1)
-                if not better:
-                    b = best[idx]
-                    if elem > b:
-                        return None
-                    if elem < b:
-                        better = True
-                out.append(elem)
-                idx += 1
-                dartnum[d] = counter
-                counter += 1
+                block.append(num[e])
+                num[d] = len(darts)
+                darts.append(d)
                 w = vertex_of[e]
-                if w not in entry:
+                if entry[w] < 0:
                     entry[w] = e
                     queue.append(w)
                 d = sigma[d]
-        return tuple(out)
+            if not better:
+                ref = best[len(code) : len(code) + len(block)]
+                if block > ref:
+                    return None
+                better = block < ref
+            code += block
+        return code, darts
 
     def _start_darts(self):
         rot = self.rotations()
@@ -422,28 +419,59 @@ class EmbeddedGraph:
     def canonical_code(self, allow_reflection=False):
         """Lexicographically minimal BFS code over all start darts.
 
-        With ``allow_reflection`` the minimum also ranges over the
-        mirrored rotation system, so the code identifies maps up to
-        orientation-reversing isomorphism as well.
+        Only darts at vertices of minimal (degree, label) can start a
+        minimal code, so only those are tried.  With ``allow_reflection``
+        the minimum also ranges over the mirrored rotation system, so the
+        code identifies maps up to orientation-reversing isomorphism as
+        well.
+
+        Cost: one code per automorphism orbit of start darts, each cut
+        off as soon as it exceeds the best code so far.  A start that
+        ties the best code reveals an automorphism; its dart cycles are
+        merged in a union-find, and a start dart that is not the smallest
+        of its merged set is skipped, since its code equals that of the
+        smallest, which is always coded.
         """
         flag = bool(allow_reflection)
-        if flag in self._canon:
-            return self._canon[flag]
+        if flag not in self._canon:
+            self._canon[flag] = self._canonical_search(flag)
+        return self._canon[flag][0]
+
+    def _canonical_search(self, allow_reflection):
+        """(minimal code, the darts in the numbering of a start that
+        realises it under ``sigma``, or None if only the mirrored rotation
+        system does)."""
+        n = self.dart_count
         sigmas = [self.sigma]
-        if flag:
-            n = self.dart_count
+        if allow_reflection:
             sigma_inv = [None] * n
             for d in range(n):
                 sigma_inv[self.sigma[d]] = d
             sigmas.append(tuple(sigma_inv))
-        best = None
+        starts = self._start_darts()
+        # Ties within one pass give orientation-preserving automorphisms,
+        # which commute with sigma and its inverse alike, so the orbits
+        # found in the first pass also prune the mirrored one.
+        parent = list(range(n))
+        best = best_darts = None
         for sig in sigmas:
-            for start in self._start_darts():
-                code = self._code_from(start, sig, best)
-                if code is not None:
-                    best = code
-        self._canon[flag] = best
-        return best
+            ref = None  # numbering of a start of this pass whose code is best
+            for s in starts:
+                if _find(parent, s) != s:
+                    continue
+                res = self._code_from(s, sig, best)
+                if res is None:
+                    continue
+                code, darts = res
+                if code != best:
+                    best, ref = code, darts
+                    best_darts = darts if sig is self.sigma else None
+                elif ref is None:
+                    ref = darts
+                else:
+                    for a, b in zip(ref, darts):
+                        _union(parent, a, b)
+        return tuple(best), best_darts
 
     def iso(self, other, allow_reflection=False):
         """Embedded-graph isomorphism (label-aware) via canonical codes."""
@@ -458,25 +486,33 @@ class EmbeddedGraph:
         old vertex ids in discovery order of the winning BFS.  Used to
         emit graphs in canonical vertex order.
         """
-        target = self.canonical_code(False)
-        for start in self._start_darts():
-            if self._code_from(start, self.sigma, None) == target:
-                inv = self.inv
-                entry = {self.vertex_of[start]: start}
-                order = [self.vertex_of[start]]
-                queue = deque(order)
-                while queue:
-                    v = queue.popleft()
-                    d = entry[v]
-                    for _ in range(self.degree(v)):
-                        w = self.vertex_of[inv[d]]
-                        if w not in entry:
-                            entry[w] = inv[d]
-                            order.append(w)
-                            queue.append(w)
-                        d = self.sigma[d]
-                return order, entry
-        raise AssertionError("canonical traversal not found")
+        self.canonical_code(False)
+        # the winning numbering lists each vertex's darts from its entry
+        # dart, vertices in discovery order
+        entry = {}
+        order = []
+        for d in self._canon[False][1]:
+            v = self.vertex_of[d]
+            if v not in entry:
+                entry[v] = d
+                order.append(v)
+        return order, entry
+
+
+def _find(parent, x):
+    """Root of ``x`` in a union-find forest whose roots are set minima."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
+def _union(parent, a, b):
+    ra, rb = _find(parent, a), _find(parent, b)
+    if ra < rb:
+        parent[rb] = ra
+    elif rb < ra:
+        parent[ra] = rb
 
 
 class SubgraphComponent:

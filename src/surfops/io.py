@@ -240,6 +240,8 @@ def parse_op(text):
         raise ParseError("missing `special: v0 v1 v2` line", "line 2")
     types = [int(t) for t in fields["types"]]
     v0, v1, v2 = (int(v) - 1 for v in fields["special"])
+    if not all(0 <= v < nv for v in (v0, v1, v2)):
+        raise ParseError("special vertex ids must lie in 1..%d" % nv, "special line")
     rotations, pairing = _parse_signed_rotations(rot_lines, nv, ne, rot_start or 2)
     graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=types)
     if kind == "lopsp":

@@ -498,8 +498,11 @@ def shortest_noncontractible_cycle(g, allowed=None):
     for cyc in _simple_cycles_upto(g, len(best) - 1, allowed):
         if test(cyc) and len(cyc) < len(best):
             best = cyc
-    if fast:
-        assert not is_contractible(g, best)
+    if fast and is_contractible(g, best):
+        raise AssertionError(
+            "shortest_noncontractible_cycle: homology test accepted the "
+            "contractible cycle %r" % (best,)
+        )
     return best
 
 

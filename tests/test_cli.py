@@ -7,6 +7,7 @@ import pytest
 from surfops import io as sio
 from surfops import polyhedra
 from surfops.cli import main
+from surfops.operations import catalog
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -45,6 +46,19 @@ def test_validate_invalid_file(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(path))
     assert code == 1
     assert "same-type-edge" in err
+
+
+@pytest.mark.parametrize("special", ["1 2 9", "0 2 3"])
+def test_validate_special_out_of_range(tmp_path, capsys, special):
+    text = sio.write_op(catalog("gyro"))
+    assert "special: 1 2 3\n" in text
+    path = tmp_path / "bad.lopsp"
+    path.write_text(text.replace("special: 1 2 3", "special: " + special), encoding="ascii")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "special vertex" in err
 
 
 def test_classify_gyro(capsys):
