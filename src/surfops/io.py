@@ -46,8 +46,11 @@ def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no):
             raise ParseError("vertex %d out of range" % v, "line %d" % line_no)
         if rotations[v - 1] is not None:
             raise ParseError("vertex %d listed twice" % v, "line %d" % line_no)
+        toks = rest.split()
+        if not toks:
+            raise ParseError("vertex %d has an empty rotation" % v, "line %d" % line_no)
         rot = []
-        for tok in rest.split():
+        for tok in toks:
             if tok[0] not in "+-":
                 raise ParseError("edge token %r needs a sign" % tok, "line %d" % line_no)
             try:
@@ -224,6 +227,7 @@ def parse_op(text):
     except ValueError:
         raise ParseError("bad counts in header", "line 1")
     fields = {}
+    field_line = {}
     rot_lines = []
     rot_start = None
     for i, ln in enumerate(lines[1:], start=2):
@@ -231,15 +235,23 @@ def parse_op(text):
         key = key.strip()
         if key in ("types", "special", "outer"):
             fields[key] = rest.split()
+            field_line[key] = "line %d" % i
         else:
             rot_lines.append(ln)
             rot_start = rot_start or i
+
+    def integer(key, tok):
+        try:
+            return int(tok)
+        except ValueError:
+            raise ParseError("`%s:` needs integers, got %r" % (key, tok), field_line[key])
+
     if "types" not in fields or len(fields["types"]) != nv:
         raise ParseError("missing or short `types:` line", "line 2")
     if "special" not in fields or len(fields["special"]) != 3:
         raise ParseError("missing `special: v0 v1 v2` line", "line 2")
-    types = [int(t) for t in fields["types"]]
-    v0, v1, v2 = (int(v) - 1 for v in fields["special"])
+    types = [integer("types", t) for t in fields["types"]]
+    v0, v1, v2 = (integer("special", v) - 1 for v in fields["special"])
     if not all(0 <= v < nv for v in (v0, v1, v2)):
         raise ParseError("special vertex ids must lie in 1..%d" % nv, "special line")
     rotations, pairing = _parse_signed_rotations(rot_lines, nv, ne, rot_start or 2)
@@ -253,7 +265,7 @@ def parse_op(text):
     tok = fields["outer"][0]
     if tok[0] not in "+-":
         raise ParseError("outer dart %r needs a sign" % tok, "outer line")
-    e = int(tok[1:])
+    e = integer("outer", tok[1:])
     if not 1 <= e <= ne:
         raise ParseError("outer edge %d out of range" % e, "outer line")
     outer_dart = 2 * (e - 1) + (0 if tok[0] == "+" else 1)

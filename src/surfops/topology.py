@@ -548,41 +548,69 @@ class CkReport:
     method: str = "direct"
 
 
+def _articulation_points(adjacency, skip=None):
+    """Cut vertices of the graph minus the vertex ``skip``, by one
+    iterative Tarjan DFS; the graph minus ``skip`` must be connected."""
+    nv = len(adjacency)
+    disc = [0] * nv  # DFS discovery time, 0 while unvisited
+    low = [0] * nv
+    root = 0 if skip != 0 else 1
+    disc[root] = low[root] = 1
+    time = 1
+    root_children = 0
+    cuts = set()
+    stack = [(root, iter(adjacency[root]))]
+    while stack:
+        v, todo = stack[-1]
+        for w in todo:
+            if w == skip:
+                continue
+            if not disc[w]:
+                time += 1
+                disc[w] = low[w] = time
+                stack.append((w, iter(adjacency[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            parent = stack[-1][0]
+            if low[v] < low[parent]:
+                low[parent] = low[v]
+            if parent == root:
+                root_children += 1
+            elif low[v] >= disc[parent]:
+                cuts.add(parent)
+    if root_children > 1:
+        cuts.add(root)
+    return cuts
+
+
 def _smallest_cut(g, max_size=2):
-    """Smallest vertex cut of size <= max_size, or None."""
+    """Smallest vertex cut of size <= max_size (1 or 2), or None.
+
+    Among the cuts of the smallest size the lexicographically first is
+    returned.  1-cuts are the cut vertices of G; once there are none,
+    {a, b} is a cut exactly when b is a cut vertex of G - a.  Each size
+    costs at most V depth-first searches, O(V (V + E)) in all.
+    """
+    if max_size not in (1, 2):
+        raise ValueError("max_size must be 1 or 2")
     nv = g.vertex_count
-    adjacency = [{g.head(d) for d in g.rotations()[v]} - {v} for v in range(nv)]
-
-    def connected_without(removed):
-        rest = [v for v in range(nv) if v not in removed]
-        if len(rest) <= 1:
-            return True
-        seen = {rest[0]}
-        todo = [rest[0]]
-        while todo:
-            v = todo.pop()
-            for w in adjacency[v]:
-                if w not in removed and w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return len(seen) == len(rest)
-
-    for size in range(1, max_size + 1):
-        if nv <= size:
-            return None
-
-        def rec(chosen, start):
-            if len(chosen) == size:
-                return tuple(chosen) if not connected_without(set(chosen)) else None
-            for v in range(start, nv):
-                got = rec(chosen + [v], v + 1)
-                if got:
-                    return got
-            return None
-
-        cut = rec([], 0)
-        if cut:
-            return cut
+    adjacency = [sorted({g.head(d) for d in g.rotations()[v]} - {v}) for v in range(nv)]
+    if nv <= 1:
+        return None
+    cuts = _articulation_points(adjacency)
+    if cuts:
+        return (min(cuts),)
+    if max_size < 2 or nv <= 2:
+        return None
+    for a in range(nv):
+        later = [b for b in _articulation_points(adjacency, skip=a) if b > a]
+        if later:
+            return (a, min(later))
     return None
 
 
@@ -644,31 +672,87 @@ def _two_cycle(b):
 
 
 def four_cycles(b):
-    """All simple 4-cycles of a simple graph, as dart quadruples."""
+    """All simple 4-cycles u-x-w-y of a graph, as dart quadruples.
+
+    The cycles come from two-hop walks u -> x -> w with w > u: for each u
+    the walks are grouped by w, and every pair of middle vertices x, y of
+    one group closes a cycle.  Groups are visited in increasing w and
+    keep the x values in ``adj[u]`` order, so the list is ordered by the
+    diagonal (u, w) and then by x and y.  A cycle is met from both of its
+    diagonals.  Without loops or parallel edges both meetings give the
+    same edges, and the first is the one where u is the smallest vertex,
+    so walks through an x < u are skipped.  Otherwise the edge sets met
+    so far tell repeats apart.  O(sum of squared degrees).
+    """
     nv = b.vertex_count
     adj = [dict() for _ in range(nv)]
     for d in range(b.dart_count):
         adj[b.vertex_of[d]][b.head(d)] = d
+    simple = all(len(adj[v]) == b.degree(v) for v in range(nv))
     out = []
     seen = set()
     for u in range(nv):
-        for w in range(u + 1, nv):
-            common = [x for x in adj[u] if x in adj[w] and x not in (u, w)]
-            for i in range(len(common)):
-                for j in range(i + 1, len(common)):
-                    x, y = common[i], common[j]
-                    key = frozenset((b.edge_of(adj[u][x]), b.edge_of(adj[x][w]),
-                                     b.edge_of(adj[w][y]), b.edge_of(adj[y][u])))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    out.append((adj[u][x], adj[x][w], adj[w][y], adj[y][u]))
+        groups = {}
+        for x in adj[u]:
+            if x == u or (simple and x < u):
+                continue
+            for w in adj[x]:
+                if w > u and w != x:
+                    groups.setdefault(w, []).append(x)
+        for w in sorted(groups):
+            common = groups[w]
+            for i, x in enumerate(common):
+                for y in common[i + 1:]:
+                    cyc = (adj[u][x], adj[x][w], adj[w][y], adj[y][u])
+                    if not simple:
+                        key = frozenset(b.edge_of(d) for d in cyc)
+                        if key in seen:
+                            continue
+                        seen.add(key)
+                    out.append(cyc)
     return out
+
+
+def _trivial_side(b, cyc):
+    """Whether the faces of b along the 4-cycle ``cyc``, on the side that
+    ``phi = sigma o inv`` turns to, are two triangles sharing a diagonal
+    or the four triangles around a type-1 vertex of degree 4.  That side
+    then holds no vertex, or that one vertex, and no other bridge."""
+    sigma, inv = b.sigma, b.inv
+
+    def phi(d):
+        return sigma[inv[d]]
+
+    for i in (0, 1):
+        # triangles (d, e, c) and (f, h, inv c) with the diagonal c
+        d, e, f, h = cyc[i], cyc[i + 1], cyc[i + 2], cyc[(i + 3) % 4]
+        c = phi(e)
+        if phi(d) == e and phi(c) == d and phi(f) == h and phi(h) == inv[c] and phi(inv[c]) == f:
+            return True
+    # triangles (cyc[i], spoke[i], inv spoke[i-1]); sigma then maps each
+    # inv spoke to the one before, so the spokes meet at an apex whose
+    # rotation is exactly the four of them
+    spokes = [phi(d) for d in cyc]
+    if not all(
+        phi(spokes[i]) == inv[spokes[i - 1]] and phi(inv[spokes[i - 1]]) == cyc[i]
+        for i in range(4)
+    ):
+        return False
+    return b.labels[b.head(spokes[0])] == 1
 
 
 def four_cycle_is_trivial(b, cyc):
     """Trivial 4-cycles have a face whose interior holds no vertex, or a
-    single type-1 vertex only."""
+    single type-1 vertex only.
+
+    ``cyc`` is a simple 4-cycle as ``four_cycles`` gives it.  An O(1)
+    look at the faces of b on either side of the cycle accepts the two
+    trivial shapes a triangulation has; only cycles it rejects go
+    through ``bridges``, which walks the whole graph.
+    """
+    back = tuple(b.inv[d] for d in reversed(cyc))
+    if _trivial_side(b, cyc) or _trivial_side(b, back):
+        return True
     s = set(cyc) | {b.inv[d] for d in cyc}
     sf = subgraph_faces(b, s)
     brs, simple = bridges(b, s, sf)

@@ -1,0 +1,275 @@
+"""The near-linear ck checks against the definitional code they replaced.
+
+The oracles are the former production paths: the brute-force search for
+a vertex cut over all vertex subsets, the 4-cycle search over all vertex
+pairs, and the triviality test that reads every 4-cycle's bridges.  The
+production code must give the same cuts, the same 4-cycle lists in the
+same order and the same triviality answers, so ck reports and their
+witnesses stay identical.
+"""
+
+import random
+
+import networkx as nx
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfops import polyhedra
+from surfops import operations as ops
+from surfops import topology as tp
+from surfops.chambers import barycentric
+from surfops.embedded import EmbeddedGraph
+
+from conftest import named_seeds, relabeled
+
+
+def oracle_smallest_cut(g, max_size=2):
+    nv = g.vertex_count
+    adjacency = [{g.head(d) for d in g.rotations()[v]} - {v} for v in range(nv)]
+
+    def connected_without(removed):
+        rest = [v for v in range(nv) if v not in removed]
+        if len(rest) <= 1:
+            return True
+        seen = {rest[0]}
+        todo = [rest[0]]
+        while todo:
+            v = todo.pop()
+            for w in adjacency[v]:
+                if w not in removed and w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+        return len(seen) == len(rest)
+
+    for size in range(1, max_size + 1):
+        if nv <= size:
+            return None
+
+        def rec(chosen, start):
+            if len(chosen) == size:
+                return tuple(chosen) if not connected_without(set(chosen)) else None
+            for v in range(start, nv):
+                got = rec(chosen + [v], v + 1)
+                if got:
+                    return got
+            return None
+
+        cut = rec([], 0)
+        if cut:
+            return cut
+    return None
+
+
+def oracle_four_cycles(b):
+    nv = b.vertex_count
+    adj = [dict() for _ in range(nv)]
+    for d in range(b.dart_count):
+        adj[b.vertex_of[d]][b.head(d)] = d
+    out = []
+    seen = set()
+    for u in range(nv):
+        for w in range(u + 1, nv):
+            common = [x for x in adj[u] if x in adj[w] and x not in (u, w)]
+            for i in range(len(common)):
+                for j in range(i + 1, len(common)):
+                    x, y = common[i], common[j]
+                    key = frozenset((b.edge_of(adj[u][x]), b.edge_of(adj[x][w]),
+                                     b.edge_of(adj[w][y]), b.edge_of(adj[y][u])))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    out.append((adj[u][x], adj[x][w], adj[w][y], adj[y][u]))
+    return out
+
+
+def oracle_is_trivial(b, cyc):
+    s = set(cyc) | {b.inv[d] for d in cyc}
+    sf = tp.subgraph_faces(b, s)
+    brs, simple = tp.bridges(b, s, sf)
+    cyc_vertices = {b.vertex_of[d] for d in s}
+    for f in range(len(sf.walks)):
+        inside = set()
+        for br in brs:
+            if f in br.faces:
+                inside.update(v for v in br.interior_vertices if v not in cyc_vertices)
+        if not inside:
+            return True
+        if len(inside) == 1 and b.labels[next(iter(inside))] == 1:
+            return True
+    return False
+
+
+def locally_trivial(b, cyc):
+    back = tuple(b.inv[d] for d in reversed(cyc))
+    return tp._trivial_side(b, cyc) or tp._trivial_side(b, back)
+
+
+def assert_matches_oracle(g, sample=None):
+    """Cuts and 4-cycle lists of g and B_G, and the triviality of every
+    4-cycle of B_G (of ``sample`` evenly spaced ones, when given)."""
+    for size in (1, 2):
+        assert tp._smallest_cut(g, size) == oracle_smallest_cut(g, size)
+    assert tp.four_cycles(g) == oracle_four_cycles(g)
+    b = barycentric(g).graph
+    cycles = tp.four_cycles(b)
+    assert cycles == oracle_four_cycles(b)
+    if sample is not None:
+        cycles = cycles[::max(1, len(cycles) // sample)]
+    for cyc in cycles:
+        want = oracle_is_trivial(b, cyc)
+        assert tp.four_cycle_is_trivial(b, cyc) == want, cyc
+        assert want or not locally_trivial(b, cyc), cyc
+
+
+def power(op_name, g, k):
+    for _ in range(k):
+        g = ops.apply(ops.catalog(op_name), g).result
+    return g
+
+
+def random_graphs(count=300, seed=8128):
+    rng = random.Random(seed)
+    return [polyhedra.random_embedded(rng, rng.randint(3, 60)) for _ in range(count)]
+
+
+def test_corpus_matches_oracle(corpus):
+    for g in corpus.values():
+        assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("op_name", ops.catalog_names())
+def test_catalog_images_match_oracle(op_name):
+    for name in ("tetrahedron", "cube", "k7"):
+        assert_matches_oracle(ops.apply(ops.catalog(op_name), named_seeds()[name]).result)
+
+
+def test_second_gyro_of_tetrahedron_matches_oracle():
+    assert_matches_oracle(power("gyro", polyhedra.tetrahedron(), 2))
+
+
+def test_random_graphs_match_oracle():
+    # the bridge oracle walks all of B_G for each 4-cycle; on every
+    # 4-cycle of these graphs (about 150k) it takes minutes
+    for g in random_graphs():
+        assert_matches_oracle(g, sample=8)
+
+
+def with_pendant(g, d):
+    """g with a new degree-1 vertex whose edge follows the dart d."""
+    n = g.dart_count
+    rotations = [list(rot) for rot in g.rotations()]
+    rot = rotations[g.vertex_of[d]]
+    rot.insert(rot.index(d) + 1, n)
+    rotations.append([n + 1])
+    pairing = list(g.inv) + [n + 1, n]
+    return EmbeddedGraph.from_rotations(rotations, pairing, labels=list(g.labels) + [0])
+
+
+@pytest.mark.parametrize(
+    "neighbours, labels",
+    [
+        # the chord 0-2
+        ([[1, 2, 3, 4], [2, 0, 4], [4, 3, 0, 1], [2, 4, 0], [0, 3, 2, 1]], [0] * 5),
+        # a type-1 apex 4 joined to all corners
+        ([[1, 4, 3, 5], [2, 4, 0, 5], [5, 3, 4, 1], [2, 5, 0, 4], [2, 3, 0, 1], [0, 3, 2, 1]],
+         [0, 0, 0, 0, 1, 0]),
+    ],
+    ids=["chord", "apex"],
+)
+def test_pendant_in_any_angle_near_a_trivial_shape(neighbours, labels):
+    # a plane map on the square 0-1-2-3 with a type-0 vertex outside
+    # joined to all corners, and one side of the square split into a
+    # trivial shape; a pendant vertex in an angle of that side makes the
+    # square nontrivial, though the faces along it still look the same
+    base = EmbeddedGraph.from_adjacency(neighbours, labels=labels)
+    dart = {(base.vertex_of[d], base.head(d)): d for d in range(base.dart_count)}
+    cyc = tuple(dart[e] for e in ((0, 1), (1, 2), (2, 3), (3, 0)))
+    back = tuple(base.inv[d] for d in reversed(cyc))
+    answers = set()
+    for d in range(base.dart_count):
+        g = with_pendant(base, d)
+        assert g.genus() == 0
+        assert cyc in tp.four_cycles(g)
+        for c in (cyc, back):
+            want = oracle_is_trivial(g, c)
+            answers.add(want)
+            assert tp.four_cycle_is_trivial(g, c) == want, (d, c)
+    assert answers == {False, True}
+
+
+def simple_underlying(g):
+    h = nx.Graph()
+    h.add_nodes_from(range(g.vertex_count))
+    h.add_edges_from((g.vertex_of[d], g.head(d)) for d in range(g.dart_count)
+                     if g.vertex_of[d] != g.head(d))
+    return h
+
+
+def adjacency(g):
+    return [sorted({g.head(d) for d in g.rotations()[v]} - {v})
+            for v in range(g.vertex_count)]
+
+
+def test_cuts_match_networkx(corpus):
+    graphs = list(corpus.values()) + random_graphs(100)
+    graphs += [ops.apply(ops.catalog(name), polyhedra.cube()).result
+               for name in ops.catalog_names()]
+    for g in graphs:
+        h = simple_underlying(g)
+        adj = adjacency(g)
+        nv = g.vertex_count
+        cut_vertices = set(nx.articulation_points(h))
+        if nv > 1:
+            assert tp._articulation_points(adj) == cut_vertices
+        if nv > 2 and not cut_vertices:
+            for a in range(nv):
+                rest = h.copy()
+                rest.remove_node(a)
+                assert tp._articulation_points(adj, skip=a) == set(
+                    nx.articulation_points(rest))
+        cut = tp._smallest_cut(g)
+        if nv == 1 or h.number_of_edges() == nv * (nv - 1) // 2:
+            assert cut is None  # complete graphs have no vertex cut
+            continue
+        connectivity = nx.node_connectivity(h)
+        if connectivity > 2:
+            assert cut is None
+        else:
+            assert len(cut) == connectivity
+            rest = h.copy()
+            rest.remove_nodes_from(cut)
+            assert not nx.is_connected(rest)
+
+
+def test_cycle_check_on_c3_map_reads_no_bridges(monkeypatch):
+    g = power("gyro", polyhedra.tetrahedron(), 2)
+    calls = []
+    bridges = tp.bridges
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return bridges(*args, **kwargs)
+
+    monkeypatch.setattr(tp, "bridges", counting)
+    report = tp.ck_via_cycles(g, 3)
+    assert report.passed and report.k_max == 3
+    assert calls == []
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    graph_seed=st.integers(0, 2**32 - 1),
+    edges=st.integers(3, 30),
+    relabel_seed=st.integers(0, 2**32 - 1),
+)
+def test_ck_reports_survive_relabelling(graph_seed, edges, relabel_seed):
+    g = polyhedra.random_embedded(random.Random(graph_seed), edges)
+    h = relabeled(g, relabel_seed)
+    for check in (tp.is_ck_embedded, tp.ck_via_cycles):
+        a, b = check(g, 3), check(h, 3)
+        assert (a.k_max, a.passed, a.min_degree, a.min_face_size) == (
+            b.k_max, b.passed, b.min_degree, b.min_face_size)
+    cut_g, cut_h = tp._smallest_cut(g), tp._smallest_cut(h)
+    assert (cut_g is None) == (cut_h is None)
+    assert cut_g is None or len(cut_g) == len(cut_h)

@@ -61,6 +61,37 @@ def test_validate_special_out_of_range(tmp_path, capsys, special):
     assert err.startswith("error:") and "special vertex" in err
 
 
+def test_canon_empty_rotation_line(tmp_path, capsys):
+    path = tmp_path / "bad.rot"
+    path.write_text("rot 3 1\n1: +1\n2: -1\n3:\n", encoding="ascii")
+    code, out, err = run(capsys, "canon", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "empty rotation" in err and "line 4" in err
+
+
+@pytest.mark.parametrize(
+    "field, old, new",
+    [
+        ("types", "types: 2 0 2 1", "types: 2 0 x 1"),
+        ("special", "special: 1 2 3", "special: 1 two 3"),
+        ("outer", "outer: -1", "outer: -x"),
+    ],
+)
+def test_validate_non_integer_field(tmp_path, capsys, field, old, new):
+    text = sio.write_op(catalog("ambo"))
+    assert old + "\n" in text
+    path = tmp_path / "bad.lsp"
+    path.write_text(text.replace(old, new), encoding="ascii")
+    code, out, err = run(capsys, "validate", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "`%s:`" % field in err
+    assert "invalid literal" not in err
+
+
 def test_classify_gyro(capsys):
     code, out, err = run(capsys, "classify", "gyro")
     assert code == 0
