@@ -244,8 +244,12 @@ class EmbeddedGraph:
         return self._faces
 
     def face_of(self, d):
-        self.faces()
-        return self._face_of[d]
+        """Face index of a dart; the table is built by the first lookup."""
+        table = self._face_of
+        if table is None:
+            self.faces()
+            table = self._face_of
+        return table[d]
 
     def euler_characteristic(self):
         return self.vertex_count - self.edge_count + len(self.faces())
@@ -274,8 +278,12 @@ class EmbeddedGraph:
         return self._edge_darts
 
     def edge_of(self, d):
-        self.edge_darts()
-        return self._edge_of[d]
+        """Edge id of a dart; the table is built by the first lookup."""
+        table = self._edge_of
+        if table is None:
+            self.edge_darts()
+            table = self._edge_of
+        return table[d]
 
     def label(self, v):
         return None if self.labels is None else self.labels[v]

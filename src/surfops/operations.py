@@ -1037,7 +1037,7 @@ def classify_ck(op, witness=None):
 
         witness = tetrahedron()
     res = apply(lop, witness)
-    report = is_ck_embedded(res.result, 3)
+    report = is_ck_embedded(res.result, 3, bary_graph=res.subdivision)
     k = report.k_max
     cycle_report = ck_via_cycles(res.result, 3, bary_graph=res.subdivision)
     if cycle_report.k_max != k:

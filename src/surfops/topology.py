@@ -14,7 +14,6 @@ a non-contractible cycle in the barycentric subdivision.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 from .chambers import barycentric
@@ -288,7 +287,7 @@ def is_contractible(g, cycle_darts):
 
 
 # ---------------------------------------------------------------------------
-# homology shortcut for contractibility tests inside face-width searches
+# homology classes and face-width searches
 
 
 class _HomologyTester:
@@ -298,182 +297,183 @@ class _HomologyTester:
     its class vanishes (it then separates, and one side is plane).  On
     higher genus this is only a necessary condition, so callers fall back
     to the bridge-based definition there.
+
+    ``edge_class[e]`` is an int of 2g bits, set by a tree-cotree
+    decomposition in O(V + E).  Edges of a spanning tree T get 0.  The
+    other edges span the dual graph; a spanning tree of the dual on them
+    leaves 2g edges over, and each gets one unit bit.  A dual tree edge
+    gets the XOR of the other edges of its child face, children before
+    parents, so every face boundary has class 0.  The fundamental cycle
+    of the i-th left-over edge has class bit i, so the class of a cycle,
+    the XOR over its edges, is 0 exactly when the cycle bounds.
     """
 
     def __init__(self, g):
         self.g = g
-        n = g.dart_count
-        parent = list(range(g.vertex_count))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        g.edge_darts()
-        tree = set()
-        for e, (d, dp) in enumerate(g.edge_darts()):
-            a, b = find(g.vertex_of[d]), find(g.vertex_of[dp])
-            if a != b:
-                parent[a] = b
-                tree.add(e)
-        sig = [0] * g.edge_count
-        bit = 0
+        vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_of
+        spanned = [False] * g.edge_count  # in T or in the dual tree
+        reached = [False] * g.vertex_count
+        reached[0] = True
+        todo = [0]
+        while todo:
+            for d in g.rotations()[todo.pop()]:
+                w = vertex_of[inv[d]]
+                if not reached[w]:
+                    reached[w] = True
+                    spanned[edge_of(d)] = True
+                    todo.append(w)
+        faces = g.faces()
+        up = [None] * len(faces)  # dart of a face on the edge to its dual parent
+        reached = [False] * len(faces)
+        reached[0] = True
+        order = [0]
+        for f in order:
+            for d in faces[f]:
+                e = edge_of(d)
+                child = g.face_of(inv[d])
+                if not spanned[e] and not reached[child]:
+                    reached[child] = True
+                    spanned[e] = True
+                    up[child] = inv[d]
+                    order.append(child)
+        cls = [0] * g.edge_count
+        bit = 1
         for e in range(g.edge_count):
-            if e not in tree:
-                sig[e] = 1 << bit
-                bit += 1
-        # reduce by the boundary space spanned by face vectors
-        basis = {}
-        for walk in g.faces():
+            if not spanned[e]:
+                cls[e] = bit
+                bit <<= 1
+        for f in reversed(order[1:]):
             vec = 0
-            for d in walk:
-                vec ^= sig[g.edge_of(d)]
-            vec = self._reduce(basis, vec)
-            if vec:
-                basis[vec.bit_length() - 1] = vec
-        self._basis = basis
-        self._sig = sig
-
-    @staticmethod
-    def _reduce(basis, vec):
-        while vec:
-            b = basis.get(vec.bit_length() - 1)
-            if b is None:
-                return vec
-            vec ^= b
-        return 0
+            for d in faces[f]:
+                if d != up[f]:
+                    vec ^= cls[edge_of(d)]
+            cls[edge_of(up[f])] = vec
+        self.edge_class = cls
 
     def cycle_class(self, cycle_darts):
         vec = 0
         for d in cycle_darts:
-            vec ^= self._sig[self.g.edge_of(d)]
-        return self._reduce(self._basis, vec)
+            vec ^= self.edge_class[self.g.edge_of(d)]
+        return vec
 
 
-def _noncontractible_test(g, use_fast):
-    if use_fast:
-        tester = _HomologyTester(g)
-        return lambda cyc: tester.cycle_class(cyc) != 0
-    return lambda cyc: not is_contractible(g, cyc)
-
-
-def _bfs_candidate_cycles(g, allowed=None):
-    """Simple cycles from BFS-tree fundamental cycles, all roots.
-
-    By the three-path condition a shortest non-contractible cycle occurs
-    among these; an exhaustive bounded search below the best candidate
-    guards the result regardless.  ``allowed`` restricts the search to a
-    vertex subset.
-    """
-    seen_keys = set()
+def _neighbours(g, allowed):
+    """(head, edge, dart) for every dart of a vertex, in rotation order,
+    keeping only darts between vertices of ``allowed`` (all if None)."""
     out = []
-    g.edge_darts()
-    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
-    for root in roots:
-        parent_dart = [None] * g.vertex_count
-        depth = [None] * g.vertex_count
-        depth[root] = 0
-        order = deque([root])
-        while order:
-            v = order.popleft()
-            for d in g.rotations()[v]:
-                w = g.head(d)
-                if allowed is not None and w not in allowed:
-                    continue
-                if depth[w] is None:
-                    depth[w] = depth[v] + 1
-                    parent_dart[w] = d
-                    order.append(w)
-        tree_edges = {g.edge_of(d) for d in parent_dart if d is not None}
-        for e, (d, dp) in enumerate(g.edge_darts()):
-            if e in tree_edges:
-                continue
-            if depth[g.vertex_of[d]] is None or depth[g.vertex_of[dp]] is None:
-                continue
-            u, w = g.vertex_of[d], g.vertex_of[dp]
-            pu, pw = [], []
-            a, b = u, w
-            while depth[a] > depth[b]:
-                pu.append(parent_dart[a])
-                a = g.vertex_of[parent_dart[a]]
-            while depth[b] > depth[a]:
-                pw.append(parent_dart[b])
-                b = g.vertex_of[parent_dart[b]]
-            while a != b:
-                pu.append(parent_dart[a])
-                a = g.vertex_of[parent_dart[a]]
-                pw.append(parent_dart[b])
-                b = g.vertex_of[parent_dart[b]]
-            # cycle: u->w by the edge, w up to lca, then lca down to u
-            cyc = [d] + [g.inv[x] for x in pw] + list(reversed(pu))
-            verts = [g.vertex_of[x] for x in cyc]
-            if len(set(verts)) != len(verts):
-                continue
-            key = frozenset(g.edge_of(x) for x in cyc)
-            if len(key) != len(cyc) or key in seen_keys:
-                continue
-            seen_keys.add(key)
-            out.append(cyc)
+    for v, rot in enumerate(g.rotations()):
+        if allowed is not None and v not in allowed:
+            out.append(())
+            continue
+        row = []
+        for d in rot:
+            w = g.head(d)
+            if allowed is None or w in allowed:
+                row.append((w, g.edge_of(d), d))
+        out.append(row)
     return out
 
 
-def _simple_cycles_upto(g, max_len, allowed=None):
-    """All simple cycles of length <= max_len, each once (by edge set).
+def _bfs_tree(nbrs, root, max_depth=None):
+    """BFS order, depths and parent darts of a BFS tree; vertices further
+    than ``max_depth`` from the root stay unreached (depth None)."""
+    depth = [None] * len(nbrs)
+    parent_dart = [None] * len(nbrs)
+    depth[root] = 0
+    order = [root]
+    for v in order:
+        if depth[v] == max_depth:
+            continue
+        for w, _, d in nbrs[v]:
+            if depth[w] is None:
+                depth[w] = depth[v] + 1
+                parent_dart[w] = d
+                order.append(w)
+    return order, depth, parent_dart
 
-    ``allowed`` restricts the cycles to a vertex subset.
+
+def _fundamental_cycle(g, depth, parent_dart, d):
+    """The cycle the non-tree dart d closes in a BFS tree: d, then up
+    from its head to the lowest common ancestor, then down to its tail."""
+    up, down = [], []
+    a, b = g.vertex_of[d], g.head(d)
+    while depth[a] > depth[b]:
+        down.append(parent_dart[a])
+        a = g.vertex_of[parent_dart[a]]
+    while depth[b] > depth[a]:
+        up.append(parent_dart[b])
+        b = g.vertex_of[parent_dart[b]]
+    while a != b:
+        down.append(parent_dart[a])
+        a = g.vertex_of[parent_dart[a]]
+        up.append(parent_dart[b])
+        b = g.vertex_of[parent_dart[b]]
+    return [d] + [g.inv[x] for x in up] + down[::-1]
+
+
+def _bfs_candidate_cycles(g, allowed=None, max_len=None):
+    """Simple cycles from BFS-tree fundamental cycles, all roots, each
+    edge set once.
+
+    By the three-path condition a shortest non-contractible cycle occurs
+    among these.  ``allowed`` restricts the search to a vertex subset.
+    With ``max_len`` only cycles of at most that many edges are listed,
+    and each BFS stops at depth ``max_len // 2``, which keeps every
+    fundamental cycle through its root of that length.
     """
-    if max_len < 1:
-        return
-    adj = g.rotations()
-    seen = set()
-    nv = g.vertex_count
-    anchors = range(nv) if allowed is None else sorted(allowed)
-    # BFS distances for pruning, computed per anchor
-    for s in anchors:
-        dist = [None] * nv
-        dist[s] = 0
-        q = deque([s])
-        while q:
-            v = q.popleft()
-            if dist[v] >= max_len:
+    seen_keys = set()
+    out = []
+    nbrs = _neighbours(g, allowed)
+    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
+    for root in roots:
+        order, depth, parent_dart = _bfs_tree(nbrs, root, None if max_len is None else max_len // 2)
+        tree_edges = {g.edge_of(parent_dart[v]) for v in order[1:]}
+        closing = {e for v in order for w, e, _ in nbrs[v] if depth[w] is not None}
+        for e in sorted(closing - tree_edges):
+            cyc = _fundamental_cycle(g, depth, parent_dart, g.edge_darts()[e][0])
+            if max_len is not None and len(cyc) > max_len:
                 continue
-            for d in adj[v]:
-                w = g.head(d)
-                if allowed is not None and w not in allowed:
-                    continue
-                if dist[w] is None:
-                    dist[w] = dist[v] + 1
-                    q.append(w)
-        for d in adj[s]:
-            if g.head(d) == s and d < g.inv[d]:
-                key = frozenset((g.edge_of(d),))
-                if key not in seen:
-                    seen.add(key)
-                    yield [d]
-        stack = [(s, [], {s})]
-        while stack:
-            v, path, used = stack.pop()
-            for d in adj[v]:
-                w = g.head(d)
-                if w < s or (allowed is not None and w not in allowed):
-                    continue
-                if w == s and path:
-                    if len(path) + 1 >= 2:
-                        cyc = path + [d]
-                        key = frozenset(g.edge_of(x) for x in cyc)
-                        if len(key) == len(cyc) and key not in seen:
-                            seen.add(key)
-                            yield cyc
-                    continue
-                if w == s or w in used:
-                    continue
-                if len(path) + 2 > max_len:
-                    continue
-                if dist[w] is None or len(path) + 1 + dist[w] > max_len:
-                    continue
-                stack.append((w, path + [d], used | {w}))
+            key = frozenset(g.edge_of(x) for x in cyc)
+            if key not in seen_keys:
+                seen_keys.add(key)
+                out.append(cyc)
+    return out
+
+
+def _shortest_nonnull_walk(nbrs, edge_class, roots):
+    """(length, root, dart) of a shortest closed walk with non-zero class
+    that a BFS from one of ``roots`` closes with one non-tree edge, or
+    (inf, None, None).
+
+    ``prefix[w]`` is the class of the tree path from the root to w; the
+    non-tree edge e from u to w closes a walk of length depth u +
+    depth w + 1 and class prefix[u] ^ prefix[w] ^ edge_class[e].  An
+    edge is read from its end nearer the root (from both ends when they
+    are level), so a BFS stops at the first level whose walks cannot be
+    shorter than the best.
+    """
+    best, best_root, best_dart = math.inf, None, None
+    nv = len(nbrs)
+    for root in roots:
+        depth = [-1] * nv
+        prefix = [0] * nv
+        depth[root] = 0
+        level, frontier = 0, [root]
+        while frontier and 2 * level + 1 < best:
+            reached = []
+            for u in frontier:
+                hu = prefix[u]
+                for w, e, d in nbrs[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = level + 1
+                        prefix[w] = hu ^ edge_class[e]
+                        reached.append(w)
+                    elif dw >= level and level + dw + 1 < best and hu ^ prefix[w] ^ edge_class[e]:
+                        best, best_root, best_dart = level + dw + 1, root, d
+            frontier = reached
+            level += 1
+    return best, best_root, best_dart
 
 
 def shortest_noncontractible_cycle(g, allowed=None):
@@ -481,27 +481,36 @@ def shortest_noncontractible_cycle(g, allowed=None):
 
     ``allowed`` restricts the searched cycles to a vertex subset; the
     caller must know that the restriction preserves the minimum.
+
+    Take a BFS tree rooted on a shortest non-null cycle C.  The walks
+    root -> u -> w -> root that the edges uw of C close are at most as
+    long as C, and their classes add up to the class of C, so one of
+    them is non-null.  The shortest non-null walk over all roots is
+    therefore as long as C, and its fundamental cycle is a witness:
+    O(V (V + E)), with early stops.  Up to genus 1 a simple cycle is
+    non-contractible exactly when it is non-null.  Beyond, a separating
+    cycle can be non-contractible too; by the three-path condition the
+    shortest one is a BFS fundamental cycle, so those shorter than the
+    homology minimum go through ``is_contractible``, shortest first.
     """
-    if g.genus() == 0:
+    genus = g.genus()
+    if genus == 0:
         return None
-    fast = g.genus() <= 1
-    test = _noncontractible_test(g, fast)
-    best = None
-    for cyc in sorted(_bfs_candidate_cycles(g, allowed), key=len):
-        if best is not None and len(cyc) >= len(best):
-            break
-        if test(cyc):
-            best = cyc
-    if best is None:
-        raise AssertionError("positive genus but no non-contractible candidate")
-    # exhaustive guard below the candidate length
-    for cyc in _simple_cycles_upto(g, len(best) - 1, allowed):
-        if test(cyc) and len(cyc) < len(best):
-            best = cyc
-    if fast and is_contractible(g, best):
+    nbrs = _neighbours(g, allowed)
+    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
+    length, root, dart = _shortest_nonnull_walk(nbrs, _HomologyTester(g).edge_class, roots)
+    if root is None:
+        raise AssertionError("positive genus but no closed walk of non-zero class")
+    if genus >= 2:
+        for cyc in sorted(_bfs_candidate_cycles(g, allowed, max_len=length - 1), key=len):
+            if not is_contractible(g, cyc):
+                return cyc
+    _, depth, parent_dart = _bfs_tree(nbrs, root)
+    best = _fundamental_cycle(g, depth, parent_dart, dart)
+    if len(best) != length or is_contractible(g, best):
         raise AssertionError(
-            "shortest_noncontractible_cycle: homology test accepted the "
-            "contractible cycle %r" % (best,)
+            "shortest_noncontractible_cycle: the shortest non-null walk of "
+            "length %d gave the contractible or shorter cycle %r" % (length, best)
         )
     return best
 

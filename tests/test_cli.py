@@ -7,7 +7,7 @@ import pytest
 from surfops import io as sio
 from surfops import polyhedra
 from surfops.cli import main
-from surfops.operations import catalog
+from surfops.operations import apply, catalog
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -161,6 +161,13 @@ def test_facewidth(cube_file, capsys, tmp_path):
     k7.write_text(sio.write_rot(polyhedra.k7_torus()), encoding="ascii")
     code, out, _ = run(capsys, "facewidth", str(k7))
     assert code == 0 and out.strip() == "3"
+    g = polyhedra.k7_torus()
+    for _ in range(2):
+        g = apply(catalog("gyro"), g).result
+    gyro2 = tmp_path / "gyro2_k7.rot"
+    gyro2.write_text(sio.write_rot(g), encoding="ascii")
+    code, out, _ = run(capsys, "facewidth", str(gyro2))
+    assert code == 0 and out.strip() == "12"
 
 
 def test_ckcheck_both_methods(cube_file, capsys):

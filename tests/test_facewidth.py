@@ -1,0 +1,375 @@
+"""Face-width by the per-root homology scan against the guarded search it
+replaced.
+
+The oracles are the former production paths: the BFS candidate list
+sorted by length and tested one cycle at a time, with homology classes
+reduced by a basis of face vectors on genus <= 1 and the bridge-based
+contractibility test above, followed by an exhaustive search over every
+simple cycle shorter than the best candidate.  The production code must
+give the same face-widths, and its witnesses must be shortest
+non-contractible cycles.
+"""
+
+import random
+from collections import deque
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from surfops import operations as ops
+from surfops import polyhedra
+from surfops import topology as tp
+from surfops.chambers import barycentric
+from surfops.embedded import EmbeddedGraph
+
+from conftest import relabeled
+
+
+class OracleHomologyTester:
+    """Classes over the non-tree edges of a spanning forest, reduced by a
+    basis of the face vectors."""
+
+    def __init__(self, g):
+        self.g = g
+        parent = list(range(g.vertex_count))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        tree = set()
+        for e, (d, dp) in enumerate(g.edge_darts()):
+            a, b = find(g.vertex_of[d]), find(g.vertex_of[dp])
+            if a != b:
+                parent[a] = b
+                tree.add(e)
+        sig = [0] * g.edge_count
+        bit = 0
+        for e in range(g.edge_count):
+            if e not in tree:
+                sig[e] = 1 << bit
+                bit += 1
+        basis = {}
+        for walk in g.faces():
+            vec = 0
+            for d in walk:
+                vec ^= sig[g.edge_of(d)]
+            vec = self._reduce(basis, vec)
+            if vec:
+                basis[vec.bit_length() - 1] = vec
+        self._basis = basis
+        self._sig = sig
+
+    @staticmethod
+    def _reduce(basis, vec):
+        while vec:
+            b = basis.get(vec.bit_length() - 1)
+            if b is None:
+                return vec
+            vec ^= b
+        return 0
+
+    def cycle_class(self, cycle_darts):
+        vec = 0
+        for d in cycle_darts:
+            vec ^= self._sig[self.g.edge_of(d)]
+        return self._reduce(self._basis, vec)
+
+
+def oracle_bfs_candidate_cycles(g, allowed=None):
+    seen_keys = set()
+    out = []
+    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
+    for root in roots:
+        parent_dart = [None] * g.vertex_count
+        depth = [None] * g.vertex_count
+        depth[root] = 0
+        order = deque([root])
+        while order:
+            v = order.popleft()
+            for d in g.rotations()[v]:
+                w = g.head(d)
+                if allowed is not None and w not in allowed:
+                    continue
+                if depth[w] is None:
+                    depth[w] = depth[v] + 1
+                    parent_dart[w] = d
+                    order.append(w)
+        tree_edges = {g.edge_of(d) for d in parent_dart if d is not None}
+        for e, (d, dp) in enumerate(g.edge_darts()):
+            if e in tree_edges:
+                continue
+            if depth[g.vertex_of[d]] is None or depth[g.vertex_of[dp]] is None:
+                continue
+            u, w = g.vertex_of[d], g.vertex_of[dp]
+            pu, pw = [], []
+            a, b = u, w
+            while depth[a] > depth[b]:
+                pu.append(parent_dart[a])
+                a = g.vertex_of[parent_dart[a]]
+            while depth[b] > depth[a]:
+                pw.append(parent_dart[b])
+                b = g.vertex_of[parent_dart[b]]
+            while a != b:
+                pu.append(parent_dart[a])
+                a = g.vertex_of[parent_dart[a]]
+                pw.append(parent_dart[b])
+                b = g.vertex_of[parent_dart[b]]
+            cyc = [d] + [g.inv[x] for x in pw] + list(reversed(pu))
+            verts = [g.vertex_of[x] for x in cyc]
+            if len(set(verts)) != len(verts):
+                continue
+            key = frozenset(g.edge_of(x) for x in cyc)
+            if len(key) != len(cyc) or key in seen_keys:
+                continue
+            seen_keys.add(key)
+            out.append(cyc)
+    return out
+
+
+def oracle_simple_cycles_upto(g, max_len, allowed=None):
+    """All simple cycles of length <= max_len, each once (by edge set)."""
+    if max_len < 1:
+        return
+    adj = g.rotations()
+    seen = set()
+    nv = g.vertex_count
+    anchors = range(nv) if allowed is None else sorted(allowed)
+    for s in anchors:
+        dist = [None] * nv
+        dist[s] = 0
+        q = deque([s])
+        while q:
+            v = q.popleft()
+            if dist[v] >= max_len:
+                continue
+            for d in adj[v]:
+                w = g.head(d)
+                if allowed is not None and w not in allowed:
+                    continue
+                if dist[w] is None:
+                    dist[w] = dist[v] + 1
+                    q.append(w)
+        for d in adj[s]:
+            if g.head(d) == s and d < g.inv[d]:
+                key = frozenset((g.edge_of(d),))
+                if key not in seen:
+                    seen.add(key)
+                    yield [d]
+        stack = [(s, [], {s})]
+        while stack:
+            v, path, used = stack.pop()
+            for d in adj[v]:
+                w = g.head(d)
+                if w < s or (allowed is not None and w not in allowed):
+                    continue
+                if w == s and path:
+                    cyc = path + [d]
+                    key = frozenset(g.edge_of(x) for x in cyc)
+                    if len(key) == len(cyc) and key not in seen:
+                        seen.add(key)
+                        yield cyc
+                    continue
+                if w == s or w in used:
+                    continue
+                if len(path) + 2 > max_len:
+                    continue
+                if dist[w] is None or len(path) + 1 + dist[w] > max_len:
+                    continue
+                stack.append((w, path + [d], used | {w}))
+
+
+def oracle_shortest_noncontractible_cycle(g, allowed=None):
+    if g.genus() == 0:
+        return None
+    if g.genus() <= 1:
+        tester = OracleHomologyTester(g)
+
+        def test(cyc):
+            return tester.cycle_class(cyc) != 0
+    else:
+        def test(cyc):
+            return not tp.is_contractible(g, cyc)
+    best = None
+    for cyc in sorted(oracle_bfs_candidate_cycles(g, allowed), key=len):
+        if best is not None and len(cyc) >= len(best):
+            break
+        if test(cyc):
+            best = cyc
+    assert best is not None
+    for cyc in oracle_simple_cycles_upto(g, len(best) - 1, allowed):
+        if test(cyc) and len(cyc) < len(best):
+            best = cyc
+    return best
+
+
+def allowed_of(b):
+    return {v for v in range(b.vertex_count) if b.labels[v] != 1}
+
+
+def oracle_face_width(g):
+    if g.genus() == 0:
+        return None
+    b = barycentric(g).graph
+    return len(oracle_shortest_noncontractible_cycle(b, allowed_of(b))) // 2
+
+
+def assert_witness(b, fw, cyc):
+    """``cyc`` is a simple non-contractible cycle of 2 fw edges of B_G
+    through type-0 and type-2 vertices only."""
+    assert len(cyc) == 2 * fw
+    for i, d in enumerate(cyc):
+        assert b.head(d) == b.vertex_of[cyc[(i + 1) % len(cyc)]]
+    verts = [b.vertex_of[d] for d in cyc]
+    assert len(set(verts)) == len(verts)
+    assert len({b.edge_of(d) for d in cyc}) == len(cyc)
+    assert set(verts) <= allowed_of(b)
+    assert not tp.is_contractible(b, cyc)
+
+
+def assert_matches_oracle(g):
+    """Face-width and its witness, and the shortest non-contractible
+    cycle of g itself, where odd lengths occur too."""
+    fw, cyc = tp.face_width_witness(g)
+    want = oracle_face_width(g)
+    if want is None:
+        assert cyc is None
+        assert tp.shortest_noncontractible_cycle(g) is None
+        return
+    assert fw == want
+    assert_witness(barycentric(g).graph, fw, cyc)
+    cyc = tp.shortest_noncontractible_cycle(g)
+    assert len(cyc) == len(oracle_shortest_noncontractible_cycle(g))
+    verts = [g.vertex_of[d] for d in cyc]
+    assert len(set(verts)) == len(verts)
+    assert not tp.is_contractible(g, cyc)
+
+
+def power(op_name, g, k):
+    for _ in range(k):
+        g = ops.apply(ops.catalog(op_name), g).result
+    return g
+
+
+def random_graphs(count=300, seed=6174):
+    rng = random.Random(seed)
+    return [polyhedra.random_embedded(rng, rng.randint(3, 60)) for _ in range(count)]
+
+
+def test_corpus_matches_oracle(corpus):
+    for g in corpus.values():
+        assert_matches_oracle(g)
+
+
+@pytest.mark.parametrize("op_name", ops.catalog_names())
+def test_catalog_images_of_k7_match_oracle(op_name):
+    assert_matches_oracle(ops.apply(ops.catalog(op_name), polyhedra.k7_torus()).result)
+
+
+def test_random_graphs_match_oracle():
+    graphs = random_graphs()
+    assert sum(g.genus() >= 2 for g in graphs) >= 100
+    for g in graphs:
+        assert_matches_oracle(g)
+
+
+def test_candidate_cycles_match_oracle(corpus):
+    graphs = list(corpus.values()) + random_graphs(40)
+    for g in graphs:
+        b = barycentric(g).graph
+        assert tp._bfs_candidate_cycles(g) == oracle_bfs_candidate_cycles(g)
+        allowed = allowed_of(b)
+        full = tp._bfs_candidate_cycles(b, allowed)
+        assert full == oracle_bfs_candidate_cycles(b, allowed)
+        keys = {frozenset(b.edge_of(d) for d in cyc) for cyc in full}
+        for max_len in (2, 4, 6):
+            short = tp._bfs_candidate_cycles(b, allowed, max_len=max_len)
+            assert all(len(cyc) <= max_len for cyc in short)
+            assert {frozenset(b.edge_of(d) for d in cyc) for cyc in short} <= keys
+
+
+def test_edge_classes():
+    k7 = barycentric(polyhedra.k7_torus()).graph
+    graphs = [k7] + [barycentric(g).graph for g in random_graphs(60) if g.genus() >= 2]
+    for b in graphs:
+        tester = tp._HomologyTester(b)
+        for walk in b.faces():
+            assert tester.cycle_class(walk) == 0
+        used = 0
+        for cls in tester.edge_class:
+            used |= cls
+        assert used == (1 << 2 * b.genus()) - 1
+        oracle = OracleHomologyTester(b)
+        cycles = oracle_bfs_candidate_cycles(b, allowed_of(b))
+        if b is not k7:
+            cycles = cycles[::max(1, len(cycles) // 200)]
+        for cyc in cycles:
+            assert (tester.cycle_class(cyc) == 0) == (oracle.cycle_class(cyc) == 0)
+
+
+@pytest.mark.parametrize("seed_name", ["tetrahedron", "k7"])
+def test_face_width_reads_given_subdivision(seed_name):
+    g = polyhedra.tetrahedron() if seed_name == "tetrahedron" else polyhedra.k7_torus()
+    for op_name in ops.catalog_names():
+        res = ops.apply(ops.catalog(op_name), g)
+        assert tp.face_width(res.result, bary_graph=res.subdivision) == tp.face_width(res.result)
+
+
+def tube_sum(g, h, k):
+    """The connected sum of g and h through a tube of k edges from the
+    first k corners of face 0 of g to those of face 0 of h, in reverse."""
+    rotations = [list(r) for r in g.rotations()]
+    rotations += [[d + g.dart_count for d in r] for r in h.rotations()]
+    pairing = list(g.inv) + [d + g.dart_count for d in h.inv]
+    ends = []
+    for graph, dart_offset, vertex_offset in ((g, 0, 0), (h, g.dart_count, g.vertex_count)):
+        row = []
+        for d in graph.faces()[0][:k]:
+            rot = rotations[graph.head(d) + vertex_offset]
+            rot.insert(rot.index(graph.inv[d] + dart_offset) + 1, len(pairing) + len(row))
+            row.append(len(pairing) + len(row))
+        pairing += [None] * k
+        ends.append(row)
+    for x, y in zip(ends[0], reversed(ends[1])):
+        pairing[x], pairing[y] = y, x
+    return EmbeddedGraph.from_rotations(rotations, pairing)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_separating_cycles_of_tube_sums(k):
+    """Two K7 tori joined by a tube of k edges: a curve around the tube
+    meets k vertices, separates and is non-contractible.  Below k = 3 it
+    is shorter than every non-separating cycle, so only the fallback for
+    null-homologous cycles finds it."""
+    k7 = polyhedra.k7_torus()
+    two = tube_sum(k7, k7, k)
+    for genus, g in ((2, two), (3, tube_sum(two, k7, k))):
+        assert g.genus() == genus
+        fw, cyc = tp.face_width_witness(g)
+        assert fw == k == oracle_face_width(g)
+        b = barycentric(g).graph
+        assert_witness(b, fw, cyc)
+        assert (tp._HomologyTester(b).cycle_class(cyc) == 0) == (k < 3)
+
+
+def test_face_width_of_second_gyro_of_k7():
+    g = power("gyro", polyhedra.k7_torus(), 2)
+    assert g.edge_count == 525
+    fw, cyc = tp.face_width_witness(g)
+    assert fw == 12
+    assert_witness(barycentric(g).graph, fw, cyc)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    graph_seed=st.integers(0, 2**32 - 1),
+    edges=st.integers(3, 40),
+    relabel_seed=st.integers(0, 2**32 - 1),
+)
+def test_face_width_survives_relabelling(graph_seed, edges, relabel_seed):
+    g = polyhedra.random_embedded(random.Random(graph_seed), edges)
+    assume(g.genus() >= 1)
+    assert tp.face_width(relabeled(g, relabel_seed)) == tp.face_width(g)
