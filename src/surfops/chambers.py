@@ -24,17 +24,24 @@ class BarycentricSubdivision:
     ("vertex", v), ("edge", e) or ("face", f).
     """
 
-    __slots__ = ("base", "graph", "origin", "_chambers")
+    __slots__ = ("base", "_graph", "origin", "_chambers")
 
     def __init__(self, base):
         self.base = base
-        self.graph = _build_bary(base)
+        self._graph = None
         nv, ne, nf = base.vertex_count, base.edge_count, len(base.faces())
         origin = [("vertex", v) for v in range(nv)]
         origin += [("edge", e) for e in range(ne)]
         origin += [("face", f) for f in range(nf)]
         self.origin = tuple(origin)
         self._chambers = None
+
+    @property
+    def graph(self):
+        """``B_G`` itself, built on first use."""
+        if self._graph is None:
+            self._graph = _build_bary(self.base)
+        return self._graph
 
     def vertex_node(self, v):
         return v
@@ -91,7 +98,7 @@ def _build_bary(g):
     for b in range(3 * n):
         pairing[2 * b] = 2 * b + 1
         pairing[2 * b + 1] = 2 * b
-    return EmbeddedGraph.from_rotations(rotations, pairing, labels=labels)
+    return EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
 
 
 def barycentric(g):
@@ -168,23 +175,39 @@ class DoubleChamberSystem:
     Every face is a quadrilateral with two type-0 corners (equal exactly
     when the underlying edge of G is a loop), one of type 1 and one of
     type 2.  ``to_bary`` maps the vertices of ``graph`` back to ``B_G``.
+
+    The graph is read off G in one pass, without building ``B_G``: it
+    keeps the B-darts 0..4n-1 of ``_build_bary`` (n darts in G), so B-dart
+    2b+1 is the reverse of 2b, and numbers its vertices by their
+    smallest dart, as the embedded subgraph of ``B_G`` on those darts
+    would.
     """
 
     __slots__ = ("bary", "graph", "to_bary", "dart_to_bary")
 
     def __init__(self, bary):
         self.bary = bary
-        b = bary.graph
-        # B-edge ids below base.dart_count are vertex-edge (type 2), the next
-        # block vertex-face (type 1); edge-face edges (type 0) are dropped.
-        keep = [d for d in range(b.dart_count) if (d // 2) < 2 * bary.base.dart_count]
-        comps = b.embedded_subgraph(keep)
-        if len(comps) != 1:
-            raise AssertionError("double chamber system came out disconnected")
-        comp = comps[0]
-        self.graph = comp.graph
-        self.to_bary = comp.vertex_map
-        self.dart_to_bary = comp.dart_map
+        g = bary.base
+        n, nv, ne = g.dart_count, g.vertex_count, g.edge_count
+        # smallest dart -> (B vertex, type, rotation)
+        nodes = [None] * (4 * n)
+        for v, rot in enumerate(g.rotations()):
+            seq = []
+            for d in rot:
+                seq += (2 * d, 2 * (n + g.sigma[d]))
+            nodes[seq[0]] = (v, 0, seq)
+        for e, (d, dp) in enumerate(g.edge_darts()):
+            nodes[2 * d + 1] = (nv + e, 1, (2 * d + 1, 2 * dp + 1))
+        for f, walk in enumerate(g.faces()):
+            seq = [2 * (n + walk[0]) + 1] + [2 * (n + d) + 1 for d in reversed(walk[1:])]
+            nodes[seq[0]] = (nv + ne + f, 2, seq)
+        nodes = [x for x in nodes if x is not None]
+        self.graph = EmbeddedGraph.from_rotations(
+            [x[2] for x in nodes], [d ^ 1 for d in range(4 * n)],
+            labels=[x[1] for x in nodes], check=False,
+        )
+        self.to_bary = tuple(x[0] for x in nodes)
+        self.dart_to_bary = tuple(range(4 * n))
 
     def double_chambers(self):
         return self.graph.faces()

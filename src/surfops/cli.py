@@ -1,8 +1,9 @@
 """Command line interface: every pipeline stage as a subcommand.
 
 Results go to stdout, machine-readable diagnostics to stderr.  Exit codes:
-0 success, 1 validation failure, 2 usage or parse errors.  All commands
-are deterministic for a fixed ``--seed``.
+0 success, 1 validation failure, 2 usage or parse errors, 3 a broken
+internal invariant (a bug in surfops, reported with its stage).  All
+commands are deterministic for a fixed ``--seed``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import sys
 from . import delaney, io, operations, topology
 from .operations import (
     CATALOG_NAMES,
+    InternalInvariant,
     InvalidLopsp,
     InvalidLsp,
     LopspOperation,
@@ -297,6 +299,9 @@ def main(argv=None):
     except UnknownOperation as exc:
         print("error: unknown-operation %s" % exc, file=sys.stderr)
         return 2
+    except InternalInvariant as exc:
+        print("error: internal-invariant %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -16,6 +16,8 @@ shared freely between threads.
 
 from __future__ import annotations
 
+from operator import ne
+
 
 class NotInvolution(ValueError):
     """The dart pairing is not a fixed-point-free involution."""
@@ -31,6 +33,16 @@ class Disconnected(ValueError):
 
 class EmptySelection(ValueError):
     """An embedded subgraph was requested for an empty dart set."""
+
+
+class InternalInvariant(AssertionError):
+    """A broken internal invariant: a bug, not bad input.  Names the
+    stage, and the cell and dart where they are known."""
+
+    def __init__(self, stage, message, cell=None, dart=None):
+        where = "".join(" %s %s" % kv for kv in (("cell", cell), ("dart", dart)) if kv[1] is not None)
+        super().__init__("%s: %s%s" % (stage, message, where))
+        self.stage, self.cell, self.dart = stage, cell, dart
 
 
 def _orbits(perm):
@@ -79,7 +91,7 @@ class EmbeddedGraph:
         n = len(self.sigma)
         if vertex_of is None:
             vertex_of = [None] * n
-            for v, cyc in enumerate(_orbits(list(self.sigma))):
+            for v, cyc in enumerate(_orbits(self.sigma)):
                 for d in cyc:
                     vertex_of[d] = v
         self.vertex_of = tuple(vertex_of)
@@ -97,35 +109,36 @@ class EmbeddedGraph:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_rotations(cls, rotations, pairing, labels=None):
+    def from_rotations(cls, rotations, pairing, labels=None, check=True):
         """Build a graph from per-vertex clockwise dart sequences.
 
         ``rotations`` is one dart sequence per vertex; ``pairing`` maps
         every dart to its reverse.  Raises ``NotInvolution``,
         ``DartMissingOrDuplicated`` or ``Disconnected`` on bad input.
+        ``check=False`` trusts the input: it is for graphs the package
+        derives from a validated graph by a proven construction.
         """
         n = sum(len(r) for r in rotations)
-        seen = [False] * n
-        for rot in rotations:
-            for d in rot:
-                if not isinstance(d, int) or d < 0 or d >= n:
-                    raise DartMissingOrDuplicated("dart %r out of range" % (d,))
-                if seen[d]:
-                    raise DartMissingOrDuplicated("dart %d listed twice" % d)
-                seen[d] = True
-        if not all(seen):
-            raise DartMissingOrDuplicated("some darts missing from rotations")
-        inv = [None] * n
-        for d in range(n):
-            e = pairing[d]
-            if not isinstance(e, int) or e < 0 or e >= n:
-                raise NotInvolution("pairing image %r out of range" % (e,))
-            inv[d] = e
-        for d in range(n):
-            if inv[d] == d:
-                raise NotInvolution("pairing fixes dart %d" % d)
-            if inv[inv[d]] != d:
-                raise NotInvolution("pairing is not an involution at dart %d" % d)
+        if check:
+            seen = [False] * n
+            for rot in rotations:
+                for d in rot:
+                    if not isinstance(d, int) or d < 0 or d >= n:
+                        raise DartMissingOrDuplicated("dart %r out of range" % (d,))
+                    if seen[d]:
+                        raise DartMissingOrDuplicated("dart %d listed twice" % d)
+                    seen[d] = True
+            if not all(seen):
+                raise DartMissingOrDuplicated("some darts missing from rotations")
+            for d in range(n):
+                e = pairing[d]
+                if not isinstance(e, int) or e < 0 or e >= n:
+                    raise NotInvolution("pairing image %r out of range" % (e,))
+                if e == d:
+                    raise NotInvolution("pairing fixes dart %d" % d)
+            for d in range(n):
+                if pairing[pairing[d]] != d:
+                    raise NotInvolution("pairing is not an involution at dart %d" % d)
         sigma = [None] * n
         vertex_of = [None] * n
         for v, rot in enumerate(rotations):
@@ -133,7 +146,13 @@ class EmbeddedGraph:
             for i, d in enumerate(rot):
                 sigma[d] = rot[(i + 1) % k]
                 vertex_of[d] = v
-        return cls(sigma, inv, vertex_of, labels=labels)
+        g = cls(sigma, pairing, vertex_of, labels=labels, check=check)
+        if not check:
+            # the sigma orbits, each from its smallest dart, as _orbits gives them
+            g._rotations = tuple(
+                tuple(r[i:]) + tuple(r[:i]) for r in rotations for i in (r.index(min(r)),)
+            )
+        return g
 
     @classmethod
     def from_adjacency(cls, neighbours, labels=None):
@@ -162,40 +181,48 @@ class EmbeddedGraph:
         return cls.from_rotations(rotations, pairing, labels=labels)
 
     def _check(self):
-        n = len(self.sigma)
+        """Validate the rotation system; its sigma orbits become the
+        rotation table."""
+        sigma, inv, vertex_of = self.sigma, self.inv, self.vertex_of
+        n = len(sigma)
         if n == 0:
             raise Disconnected("graph needs at least one edge")
         if n % 2:
             raise DartMissingOrDuplicated("odd number of darts")
-        if sorted(self.sigma) != list(range(n)):
+        if len(set(sigma)) != n or min(sigma) < 0 or max(sigma) >= n:
             raise DartMissingOrDuplicated("sigma is not a permutation")
-        for d in range(n):
-            if self.inv[d] == d or self.inv[self.inv[d]] != d:
+        if len(inv) != n:
+            raise NotInvolution("pairing covers %d of %d darts" % (len(inv), n))
+        for d, e in enumerate(inv):
+            if e == d or inv[e] != d:
                 raise NotInvolution("bad pairing at dart %d" % d)
-            if self.vertex_of[self.sigma[d]] != self.vertex_of[d]:
-                raise DartMissingOrDuplicated(
-                    "sigma orbit of dart %d leaves its vertex" % d
-                )
-        nv = max(self.vertex_of) + 1
-        if sorted(set(self.vertex_of)) != list(range(nv)):
+        if min(vertex_of) < 0:
+            raise DartMissingOrDuplicated("negative vertex identifier")
+        if any(map(ne, map(vertex_of.__getitem__, sigma), vertex_of)):
+            raise DartMissingOrDuplicated("a sigma orbit leaves its vertex")
+        rot = [None] * (max(vertex_of) + 1)
+        for cyc in _orbits(sigma):
+            v = vertex_of[cyc[0]]
+            if rot[v] is not None:
+                raise DartMissingOrDuplicated("a vertex id covers several rotations")
+            rot[v] = cyc
+        if None in rot:
             raise DartMissingOrDuplicated("vertex identifiers are not dense")
-        # one sigma orbit per vertex id
-        if len(_orbits(list(self.sigma))) != nv:
-            raise DartMissingOrDuplicated("a vertex id covers several rotations")
-        if self.labels is not None and len(self.labels) != nv:
+        if self.labels is not None and len(self.labels) != len(rot):
             raise ValueError("label table does not match vertex count")
-        # connectivity over sigma and inv
-        seen = [False] * n
-        todo = [0]
+        # connectivity over the vertices
+        seen = [False] * len(rot)
         seen[0] = True
+        todo = [0]
         while todo:
-            d = todo.pop()
-            for e in (self.sigma[d], self.inv[d]):
-                if not seen[e]:
-                    seen[e] = True
-                    todo.append(e)
+            for d in rot[todo.pop()]:
+                w = vertex_of[inv[d]]
+                if not seen[w]:
+                    seen[w] = True
+                    todo.append(w)
         if not all(seen):
             raise Disconnected("graph is not connected")
+        self._rotations = tuple(rot)
 
     # -- basic queries -------------------------------------------------
 
@@ -216,7 +243,7 @@ class EmbeddedGraph:
         if self._rotations is None:
             nv = max(self.vertex_of) + 1
             rot = [None] * nv
-            for cyc in _orbits(list(self.sigma)):
+            for cyc in _orbits(self.sigma):
                 rot[self.vertex_of[cyc[0]]] = cyc
             self._rotations = tuple(rot)
         return self._rotations
@@ -363,7 +390,7 @@ class EmbeddedGraph:
             labels = None
             if self.labels is not None:
                 labels = [self.labels[v] for v in vmap]
-            g = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels)
+            g = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
             out.append(SubgraphComponent(g, tuple(members), tuple(vmap)))
         return out
 

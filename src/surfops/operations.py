@@ -17,9 +17,10 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from operator import eq
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
-from .embedded import EmbeddedGraph
+from .embedded import EmbeddedGraph, InternalInvariant
 from .topology import internal_component, is_ck_embedded, ck_via_cycles, subgraph_faces
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
@@ -95,6 +96,7 @@ class LopspOperation:
         self.v2 = v2
         self._diag = None
         self._cs = None
+        self._templates = {}  # cut-path (None: minimal) -> cell templates
         # face -> inner face of the source operation, for doubled lsp-operations
         self.face_origin = None
 
@@ -134,6 +136,8 @@ class LspOperation:
         self.outer_dart = outer_dart
         self._diag = None
         self._cs = None
+        self._lopsp = None  # the doubled lopsp-operation
+        self._templates = {}  # None -> plain and mirrored cell templates
 
     @property
     def specials(self):
@@ -357,7 +361,7 @@ def _disjoint_shortest_pair(g, v0, v1, v2, weight):
                     node = w
                     break
             else:
-                raise AssertionError("flow decomposition failed")
+                raise InternalInvariant("cut-path", "flow decomposition failed")
         paths.append(darts)
     p1, p2 = paths
     if g.head(p1[-1]) == v2:
@@ -394,7 +398,7 @@ def double_chamber_patch(op, path):
     s = set(path.darts) | {g.inv[d] for d in path.darts}
     sf = subgraph_faces(g, s)
     if len(sf.walks) != 1:
-        raise AssertionError("a cut-path must have a single face")
+        raise InternalInvariant("patch", "a cut-path must have a single face")
     ic = internal_component(g, s, 0, sf=sf)
     copy_of = ic.copy_of
     pg = ic.graph
@@ -402,7 +406,7 @@ def double_chamber_patch(op, path):
     (v1c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v1]
     (v2c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v2]
     if len(corners_v0) != 2:
-        raise AssertionError("expected exactly two copies of v0 on the patch")
+        raise InternalInvariant("patch", "expected exactly two copies of v0 on the patch")
     lift_edge = [None] * pg.edge_count
     lift_dart = ic.dart_origin
     for d in range(pg.dart_count):
@@ -415,7 +419,7 @@ def double_chamber_patch(op, path):
             lift_face.append(g.face_of(lift_dart[walk[0]]))
     inner = sorted(f for f in lift_face if f is not None)
     if inner != sorted(range(len(g.faces()))):
-        raise AssertionError("patch chambers do not cover the operation once each")
+        raise InternalInvariant("patch", "patch chambers do not cover the operation once each")
     walk = pg.faces()[ic.outer_face]
     tails = [pg.vertex_of[d] for d in walk]
     i1 = tails.index(v1c)
@@ -439,90 +443,71 @@ def double_chamber_patch(op, path):
 # gluing machinery shared by both application routes
 
 
-def _assemble(face_cycles, edge_ends, vertex_labels):
-    """Build the glued triangulation from oriented face cycles.
-
-    ``face_cycles`` lists (cycle, lifted_face) pairs, a cycle being
-    (edge, direction) pairs; dart 2e+dir starts at ends[e][dir].  Every
-    directed edge must be traversed exactly once, which pins down the
-    rotation system.
+def _assemble(src, dst, vertex_of, labels, src_lift):
+    """Build a glued surface from its face successor: a face runs from
+    dart ``src[i]`` to ``dst[i]``, and dart 2e+dir of edge e starts at
+    ``vertex_of[2e+dir]``.  Every dart must be listed exactly once in
+    ``src``, which pins down the rotation system.  Returns the surface and
+    the lift of each of its faces, read at the face's first dart.
     """
-    ne = len(edge_ends)
-    n = 2 * ne
-    phi = [None] * n
-    for cycle, _ in face_cycles:
-        k = len(cycle)
-        for i in range(k):
-            e, direction = cycle[i]
-            e2, dir2 = cycle[(i + 1) % k]
-            d = 2 * e + direction
-            if phi[d] is not None:
-                raise AssertionError("dart traversed twice while gluing")
-            phi[d] = 2 * e2 + dir2
-    if any(x is None for x in phi):
-        raise AssertionError("some dart not traversed while gluing")
-    inv = [None] * n
-    vertex_of = [None] * n
-    for e, (u, w) in enumerate(edge_ends):
-        inv[2 * e] = 2 * e + 1
-        inv[2 * e + 1] = 2 * e
-        vertex_of[2 * e] = u
-        vertex_of[2 * e + 1] = w
-    sigma = [phi[inv[d]] for d in range(n)]
-    t = EmbeddedGraph(sigma, inv, vertex_of, labels=vertex_labels)
-    face_lift = [None] * len(t.faces())
-    for cycle, lifted in face_cycles:
-        e, direction = cycle[0]
-        face_lift[t.face_of(2 * e + direction)] = lifted
-    return t, tuple(face_lift)
+    n = len(vertex_of)
+    phi = [-1] * n
+    lift = [None] * n
+    for d, e, f in zip(src, dst, src_lift):
+        phi[d] = e
+        lift[d] = f
+    if len(src) != n or -1 in phi:
+        raise InternalInvariant("assemble", "a dart is traversed twice or not at all")
+    t = EmbeddedGraph([phi[d ^ 1] for d in range(n)], [d ^ 1 for d in range(n)],
+                      vertex_of, labels=labels)
+    return t, tuple(lift[walk[0]] for walk in t.faces())
 
 
 def _verify_subdivision(t):
+    labels = t.labels
     for walk in t.faces():
         if len(walk) != 3:
-            raise AssertionError("glued face of size %d" % len(walk))
-    for d, dp in t.edge_darts():
-        if t.labels[t.vertex_of[d]] == t.labels[t.vertex_of[dp]]:
-            raise AssertionError("glued edge between equal types")
-    for v in range(t.vertex_count):
-        if t.labels[v] == 1 and t.degree(v) != 4:
-            raise AssertionError("type-1 vertex of degree %d" % t.degree(v))
+            raise InternalInvariant("verify", "glued face of size %d" % len(walk), dart=walk[0])
+    dart_label = [labels[v] for v in t.vertex_of]
+    if any(map(eq, dart_label[0::2], dart_label[1::2])):  # the darts 2e, 2e+1 of _assemble
+        raise InternalInvariant("verify", "glued edge between equal types")
+    for v, rot in enumerate(t.rotations()):
+        if labels[v] == 1 and len(rot) != 4:
+            raise InternalInvariant("verify", "type-1 vertex of degree %d" % len(rot), dart=rot[0])
 
 
 def _extract_base(t):
     """The embedded graph whose barycentric subdivision the labelled
     triangulation is: vertices are its type-0 vertices, edges its type-1
     vertices, faces its type-2 vertices."""
-    type0 = [v for v in range(t.vertex_count) if t.labels[v] == 0]
+    labels, vertex_of, inv = t.labels, t.vertex_of, t.inv
+    head_label = [labels[vertex_of[e]] for e in inv]
+    type0 = []
     r_darts = []
-    dart_index = {}
     rotations = []
-    for v in type0:
-        rot = []
-        for d in t.rotations()[v]:
-            if t.labels[t.head(d)] == 1:
-                dart_index[d] = len(r_darts)
-                rot.append(len(r_darts))
-                r_darts.append(d)
-        rotations.append(rot)
+    for v, rot in enumerate(t.rotations()):
+        if labels[v] == 0:
+            type0.append(v)
+            first = len(r_darts)
+            r_darts += [d for d in rot if head_label[d] == 1]
+            rotations.append(list(range(first, len(r_darts))))
+    index = [-1] * t.dart_count
+    for i, d in enumerate(r_darts):
+        index[d] = i
     pairing = [None] * len(r_darts)
-    for m in range(t.vertex_count):
-        if t.labels[m] != 1:
+    for m, rot in enumerate(t.rotations()):
+        if labels[m] != 1:
             continue
-        outs = [d for d in t.rotations()[m] if t.labels[t.head(d)] == 0]
+        outs = [d for d in rot if head_label[d] == 0]
         if len(outs) != 2:
-            raise AssertionError("edge vertex with %d endpoints" % len(outs))
-        a, b = t.inv[outs[0]], t.inv[outs[1]]
-        pairing[dart_index[a]] = dart_index[b]
-        pairing[dart_index[b]] = dart_index[a]
-    result = EmbeddedGraph.from_rotations(rotations, pairing)
-    n_type2 = sum(1 for v in range(t.vertex_count) if t.labels[v] == 2)
-    if len(result.faces()) != n_type2:
-        raise AssertionError("face count does not match type-2 vertices")
-    edge_node = []
-    for d, dp in result.edge_darts():
-        edge_node.append(t.head(r_darts[d]))
-    return result, tuple(type0), tuple(edge_node)
+            raise InternalInvariant("extract", "edge vertex with %d endpoints" % len(outs), dart=rot[0])
+        a, b = index[inv[outs[0]]], index[inv[outs[1]]]
+        pairing[a], pairing[b] = b, a
+    result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
+    if len(result.faces()) != labels.count(2):
+        raise InternalInvariant("extract", "face count does not match type-2 vertices")
+    edge_node = tuple(vertex_of[inv[r_darts[d]]] for d, _ in result.edge_darts())
+    return result, tuple(type0), edge_node
 
 
 @dataclass
@@ -541,193 +526,152 @@ class ApplicationResult:
     operation: object = None
 
 
-class _Segment:
-    """One corner-to-corner stretch of a boundary walk."""
+@dataclass
+class _CellTemplate:
+    """One copy of a patch, compiled for gluing by offset arithmetic.
 
-    __slots__ = ("corner_from", "corner_to", "darts")
-
-    def __init__(self, corner_from, corner_to, darts):
-        self.corner_from = corner_from
-        self.corner_to = corner_to
-        self.darts = darts
-
-
-def _parse_boundary(graph, walk, corner_set, start_corner):
-    """Split a face walk at corner vertices, starting at ``start_corner``."""
-    tails = [graph.vertex_of[d] for d in walk]
-    start = tails.index(start_corner)
-    walk = list(walk[start:]) + list(walk[:start])
-    tails = tails[start:] + tails[:start]
-    marks = [i for i, v in enumerate(tails) if v in corner_set]
-    segments = []
-    for idx, i in enumerate(marks):
-        if idx + 1 < len(marks):
-            j = marks[idx + 1]
-            segments.append(_Segment(tails[i], tails[j], walk[i:j]))
-        else:
-            segments.append(_Segment(tails[i], tails[0], walk[i:]))
-    return segments
-
-
-class _FrameEdge:
-    """A subdivided edge of the gluing frame.
-
-    ``vertices`` chains the result vertices from the canonical end,
-    ``edges`` the result edge ids along the chain, ``lifts`` the operation
-    vertices the chain projects to.
+    The boundary walk of the patch splits at its corners into segments;
+    segment k lies on the k-th side of a cell, which the gluing frame
+    subdivides by a chain of vertices and edges.  Every id is a base
+    chosen per cell plus a constant: ``src``/``dst`` hold (base, const)
+    pairs for darts and ``ends`` for the two end vertices of each
+    interior edge.  Dart base 0 is 2 * the cell's first interior edge,
+    base 1+k is 2 * the first edge of the chain under segment k.  Vertex
+    base 0 is the cell's first interior vertex, 1+k the first interior
+    vertex of chain k, 1+S+k the cell's k-th corner (S segments).
     """
 
-    __slots__ = ("vertices", "edges", "lifts")
-
-    def __init__(self, vertices, edges, lifts):
-        self.vertices = vertices
-        self.edges = edges
-        self.lifts = lifts
-
-
-class _Gluer:
-    """Accumulates vertices, edges and oriented faces of a glued surface."""
-
-    def __init__(self, op_graph):
-        self.op_graph = op_graph
-        self.vertex_labels = []
-        self.vertex_lift = []
-        self.edge_ends = []
-        self.edge_lift = []
-        self.edge_cells = []
-        self.face_cycles = []
-
-    def new_vertex(self, olift):
-        self.vertex_labels.append(self.op_graph.labels[olift])
-        self.vertex_lift.append(olift)
-        return len(self.vertex_labels) - 1
-
-    def new_edge(self, u, w, olift, cell=None):
-        self.edge_ends.append((u, w))
-        self.edge_lift.append(olift)
-        self.edge_cells.append(set() if cell is None else {cell})
-        return len(self.edge_ends) - 1
-
-    def add_face(self, cycle, lifted_face):
-        self.face_cycles.append((cycle, lifted_face))
-
-    def dart_for(self, eid, u, w):
-        if self.edge_ends[eid] == (u, w):
-            return (eid, 0)
-        if self.edge_ends[eid] == (w, u):
-            return (eid, 1)
-        raise AssertionError("edge endpoints drifted while gluing")
-
-    def finish(self, base_genus, operation, cell_adjacency):
-        t, face_lift = _assemble(self.face_cycles, self.edge_ends, self.vertex_labels)
-        _verify_subdivision(t)
-        result, vertex_node, edge_node = _extract_base(t)
-        if result.genus() != base_genus:
-            raise AssertionError("genus changed under a local operation")
-        return ApplicationResult(
-            result=result,
-            subdivision=t,
-            pi_vertex=tuple(self.vertex_lift),
-            pi_edge=tuple(self.edge_lift),
-            pi_face=face_lift,
-            result_vertex_node=vertex_node,
-            result_edge_node=edge_node,
-            edge_cells=tuple(frozenset(c) for c in self.edge_cells),
-            cell_adjacency=cell_adjacency,
-            operation=operation,
-        )
+    types: tuple  # corner types along the boundary walk
+    chains: dict  # (type, type) -> (vertex lifts, edge lifts) of a chain, from the higher type
+    src: list
+    dst: list
+    ends: list
+    face_lift: list  # per src slot
+    vertex_lift: list
+    edge_lift: list
 
 
-def _subdivide_frame(gluer, frame_graph, type_of_end, interior_data):
-    """Subdivide every edge of the frame graph.
-
-    ``type_of_end(label_pair)`` names the canonical start label of a
-    chain; ``interior_data[pair]`` gives (vertex lifts, edge lifts) of the
-    subdividing path, oriented away from the canonical end.
-    """
-    frame = []
-    labels = frame_graph.labels
-    for d, dp in frame_graph.edge_darts():
-        u, w = frame_graph.vertex_of[d], frame_graph.vertex_of[dp]
-        pair = frozenset((labels[u], labels[w]))
-        start_label = type_of_end(pair)
-        start, end = (u, w) if labels[u] == start_label else (w, u)
-        vlifts, elifts = interior_data[pair]
-        chain = [start]
-        lifts = [gluer.vertex_lift[start]]
-        for ol in vlifts:
-            chain.append(gluer.new_vertex(ol))
-            lifts.append(ol)
-        chain.append(end)
-        lifts.append(gluer.vertex_lift[end])
-        edges = [
-            gluer.new_edge(chain[i], chain[i + 1], elifts[i])
-            for i in range(len(chain) - 1)
-        ]
-        frame.append(_FrameEdge(chain, edges, lifts))
-    return frame
-
-
-def _glue_cell(gluer, cell_id, patch_graph, patch_faces, outer_face_index,
-               boundary_match, lift_vertex, lift_edge, lift_face):
-    """Glue one patch copy into a cell.
-
-    ``boundary_match`` maps boundary patch vertices and edges to result
-    ids; interior elements get fresh copies keyed to this cell.
-    """
-    vmap, emap = boundary_match
-    pg = patch_graph
-    for face_index, walk in patch_faces:
-        if face_index == outer_face_index:
-            continue
-        for d in walk:
-            pv = pg.vertex_of[d]
-            if pv not in vmap:
-                vmap[pv] = gluer.new_vertex(lift_vertex[pv])
-        cycle = []
-        for d in walk:
+def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edge):
+    """The template of a patch whose boundary ``walk`` is split at the
+    corners in ``corner_type`` (patch vertex -> 0, 1, 2), starting at
+    corner ``start``.  ``faces`` lists (lift, dart walk) for the inner
+    faces in gluing order; new ids follow first sight in that order.
+    A chain runs from its higher-type end, so segment k runs along it
+    when its first corner has the higher type."""
+    tails = [pg.vertex_of[d] for d in walk]
+    first = tails.index(start)
+    walk, tails = list(walk[first:]) + list(walk[:first]), tails[first:] + tails[:first]
+    marks = [i for i, v in enumerate(tails) if v in corner_type] + [len(walk)]
+    nseg = len(marks) - 1
+    types = tuple(corner_type[tails[i]] for i in marks[:-1])
+    vref = {}  # patch vertex -> (vertex base, const)
+    eref = {}  # patch edge -> (dart base, const, the patch dart it gives)
+    chains = {}
+    for k in range(nseg):
+        darts = walk[marks[k]:marks[k + 1]]
+        seg = tails[marks[k]:marks[k + 1]] + [tails[marks[k + 1] % len(walk)]]
+        a, b = types[k], types[(k + 1) % nseg]
+        n = len(darts)
+        pos = range(n + 1) if a > b else range(n, -1, -1)  # chain position of seg[t]
+        chain = ([lift_vertex[v] for v in seg[1:-1]], [lift_edge[pg.edge_of(d)] for d in darts])
+        if a < b:
+            chain = (chain[0][::-1], chain[1][::-1])
+        if chains.setdefault((max(a, b), min(a, b)), chain) != chain:
+            raise InternalInvariant("template", "copies of a cut-path half lift differently",
+                                    dart=darts[0])
+        for t, v in enumerate(seg):
+            ref = ((1 + nseg + k, 0) if t == 0 else (1 + nseg + (k + 1) % nseg, 0) if t == n
+                   else (1 + k, pos[t] - 1))
+            if vref.setdefault(v, ref) != ref:
+                raise InternalInvariant("template", "boundary vertex met twice", dart=darts[0])
+        for t, d in enumerate(darts):
+            eref[pg.edge_of(d)] = (1 + k, 2 * min(pos[t], pos[t + 1]) + (a < b), d)
+    tm = _CellTemplate(types, chains, [], [], [], [], [], [])
+    for lifted, fwalk in faces:
+        for d in fwalk:
+            if pg.vertex_of[d] not in vref:
+                vref[pg.vertex_of[d]] = (0, len(tm.vertex_lift))
+                tm.vertex_lift.append(lift_vertex[pg.vertex_of[d]])
+        slots = []
+        for d in fwalk:
             pe = pg.edge_of(d)
-            if pe not in emap:
-                u, w = vmap[pg.vertex_of[d]], vmap[pg.head(d)]
-                emap[pe] = gluer.new_edge(u, w, lift_edge[pe], cell=cell_id)
-            u, w = vmap[pg.vertex_of[d]], vmap[pg.head(d)]
-            cycle.append(gluer.dart_for(emap[pe], u, w))
-        gluer.add_face(cycle, lift_face[face_index])
+            if pe not in eref:
+                eref[pe] = (0, 2 * len(tm.edge_lift), d)
+                tm.edge_lift.append(lift_edge[pe])
+                tm.ends += (vref[pg.vertex_of[d]], vref[pg.head(d)])
+            base, const, d0 = eref[pe]
+            slots.append((base, const if d == d0 else const ^ 1))
+        tm.src += slots
+        tm.dst += slots[1:] + slots[:1]
+        tm.face_lift += [lifted] * len(slots)
+    return tm
 
 
-def _match_segments(gluer, pg, segments, frame, frame_graph, cell_walk,
-                    lift_vertex, cell_id):
-    """Match the boundary segments of a patch copy onto the subdivided
-    sides of a cell, in walk order.  Returns (vmap, emap)."""
-    vmap = {}
-    emap = {}
-    for k, wdart in enumerate(cell_walk):
-        seg = segments[k]
-        fe = frame[frame_graph.edge_of(wdart)]
-        tail, head = frame_graph.vertex_of[wdart], frame_graph.head(wdart)
-        if fe.vertices[0] == tail and fe.vertices[-1] == head:
-            forward = True
-        elif fe.vertices[-1] == tail and fe.vertices[0] == head:
-            forward = False
-        else:
-            raise AssertionError("frame chain does not join the walk dart ends")
-        chain = fe.vertices if forward else fe.vertices[::-1]
-        edges = fe.edges if forward else fe.edges[::-1]
-        lifts = fe.lifts if forward else fe.lifts[::-1]
-        seg_tails = [pg.vertex_of[d] for d in seg.darts] + [seg.corner_to]
-        if len(seg_tails) != len(chain):
-            raise AssertionError("boundary segment length mismatch")
-        for t in range(len(chain)):
-            pv = seg_tails[t]
-            if pv in vmap and vmap[pv] != chain[t]:
-                raise AssertionError("inconsistent corner identification")
-            vmap[pv] = chain[t]
-            if lifts[t] != lift_vertex[pv]:
-                raise AssertionError("boundary lift mismatch while gluing")
-        for t, d in enumerate(seg.darts):
-            emap[pg.edge_of(d)] = edges[t]
-            gluer.edge_cells[edges[t]].add(cell_id)
-    return vmap, emap
+def _glue(frame, templates, base_genus, op):
+    """Glue a template copy into every face (cell) of the labelled frame
+    graph, after subdividing each frame edge by the chain of its types.
+
+    A cell is read from its type-2 corner against its facial walk, so the
+    glued copies keep the orientation of G, and gets the template whose
+    corner types match.  Frame vertices come first, then the chains in
+    frame edge order, then each cell's interior, cell by cell.
+    """
+    labels, fv, inv = frame.labels, frame.vertex_of, frame.inv
+    by_types = {tm.types: tm for tm in templates}
+    chains = templates[0].chains
+    vertex_lift = [op.specials[x] for x in labels]
+    vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
+    edge_lift = []
+    edge_cells = []
+    vbase = []
+    ebase = []
+    for d, dp in frame.edge_darts():
+        u, w = fv[d], fv[dp]
+        if labels[u] < labels[w]:
+            u, w = w, u
+        vl, el = chains[labels[u], labels[w]]
+        chain = [u, *range(len(vertex_lift), len(vertex_lift) + len(vl)), w]
+        vbase.append(len(vertex_lift))
+        ebase.append(len(edge_lift))
+        for i in range(len(el)):
+            vertex_of += chain[i:i + 2]
+        vertex_lift += vl
+        edge_lift += el
+        edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
+    src, dst, src_lift = [], [], []
+    for qi, face in enumerate(frame.faces()):
+        i = [labels[fv[d]] for d in face].index(2)
+        walk = [inv[d] for d in reversed(face[i:] + face[:i])]
+        tm = by_types.get(tuple(labels[fv[d]] for d in walk))
+        if tm is None:
+            raise InternalInvariant("glue", "cell corners match no template", cell=qi, dart=walk[0])
+        sides = [frame.edge_of(d) for d in walk]
+        db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
+        vb = [len(vertex_lift)] + [vbase[x] for x in sides] + [fv[d] for d in walk]
+        src += [db[b] + c for b, c in tm.src]
+        dst += [db[b] + c for b, c in tm.dst]
+        vertex_of += [vb[b] + c for b, c in tm.ends]
+        src_lift += tm.face_lift
+        vertex_lift += tm.vertex_lift
+        edge_lift += tm.edge_lift
+        edge_cells += [frozenset((qi,))] * len(tm.edge_lift)
+    t, face_lift = _assemble(src, dst, vertex_of, [op.graph.labels[x] for x in vertex_lift], src_lift)
+    _verify_subdivision(t)
+    result, vertex_node, edge_node = _extract_base(t)
+    if result.genus() != base_genus:
+        raise InternalInvariant("extract", "genus changed under a local operation")
+    return ApplicationResult(
+        result=result,
+        subdivision=t,
+        pi_vertex=tuple(vertex_lift),
+        pi_edge=tuple(edge_lift),
+        pi_face=face_lift,
+        result_vertex_node=vertex_node,
+        result_edge_node=edge_node,
+        edge_cells=tuple(edge_cells),
+        cell_adjacency=_quad_adjacency(frame),
+        operation=op,
+    )
 
 
 def _quad_adjacency(dg):
@@ -741,129 +685,77 @@ def _quad_adjacency(dg):
     return adj
 
 
+def _patch_template(op, cut_path):
+    """The cell template of the patch of a lopsp-operation."""
+    patch = double_chamber_patch(op, cut_path)
+    pg = patch.graph
+    corner_type = {patch.v0_left: 0, patch.v0_right: 0, patch.v1: 1, patch.v2: 2}
+    faces = [(patch.lift_face[fi], walk) for fi, walk in enumerate(pg.faces())
+             if fi != patch.outer_face]
+    return _compile_template(pg, pg.faces()[patch.outer_face], patch.v2, corner_type,
+                             faces, patch.lift_vertex, patch.lift_edge)
+
+
 def apply(op, g, cut_path=None):
     """Apply a lopsp-operation to an embedded graph.
 
     One patch copy is glued into every double chamber of G, with the
     patch boundary aligned to the facial walk of the double chamber; by
     path invariance the result graph does not depend on the cut-path.
+    The patch is compiled once per operation and cut-path into a cell
+    template; gluing a cell is then offset arithmetic.
     """
     if isinstance(op, LspOperation):
         op = lsp_to_lopsp(op)
     op.require_valid()
-    if cut_path is None:
-        cut_path = find_cut_path(op, "minimal")
-    patch = double_chamber_patch(op, cut_path)
-    pg = patch.graph
+    if cut_path not in op._templates:
+        path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
+        op._templates[cut_path] = (_patch_template(op, path),)
     dc = DoubleChamberSystem(barycentric(g))
-    dg = dc.graph
-
-    corner_set = {patch.v1, patch.v2, patch.v0_left, patch.v0_right}
-    segments = _parse_boundary(
-        pg, pg.faces()[patch.outer_face], corner_set, patch.v2
-    )
-    if len(segments) != 4 or segments[2].corner_from != patch.v1:
-        raise AssertionError("patch boundary does not split into two path copies")
-
-    gluer = _Gluer(op.graph)
-    for v in range(dg.vertex_count):
-        lift = {0: op.v0, 1: op.v1, 2: op.v2}[dg.labels[v]]
-        gluer.new_vertex(lift)
-
-    seg_c, seg_m = segments[0], segments[2]  # v2 -> v0 copy, v1 -> v0 copy
-    interior_data = {
-        frozenset((0, 2)): (
-            [patch.lift_vertex[pg.vertex_of[d]] for d in seg_c.darts[1:]],
-            [patch.lift_edge[pg.edge_of(d)] for d in seg_c.darts],
-        ),
-        frozenset((0, 1)): (
-            [patch.lift_vertex[pg.vertex_of[d]] for d in seg_m.darts[1:]],
-            [patch.lift_edge[pg.edge_of(d)] for d in seg_m.darts],
-        ),
-    }
-    frame = _subdivide_frame(
-        gluer, dg, lambda pair: 2 if 2 in pair else 1, interior_data
-    )
-
-    patch_faces = list(enumerate(pg.faces()))
-    for qi, quad in enumerate(dg.faces()):
-        if len(quad) != 4:
-            raise AssertionError("double chamber of size %d" % len(quad))
-        start = next(i for i, d in enumerate(quad) if dg.labels[dg.vertex_of[d]] == 2)
-        walk = list(quad[start:]) + list(quad[:start])
-        # the patch boundary runs against the facial walk of the double
-        # chamber, so the glued copy keeps the orientation of G
-        walk = [dg.inv[d] for d in reversed(walk)]
-        match = _match_segments(
-            gluer, pg, segments, frame, dg, walk, patch.lift_vertex, qi
-        )
-        _glue_cell(
-            gluer,
-            qi,
-            pg,
-            patch_faces,
-            patch.outer_face,
-            match,
-            patch.lift_vertex,
-            patch.lift_edge,
-            patch.lift_face,
-        )
-    return gluer.finish(g.genus(), op, _quad_adjacency(dg))
+    return _glue(dc.graph, op._templates[cut_path], g.genus(), op)
 
 
 def lsp_to_lopsp(op):
     """Double an lsp-operation by gluing a mirrored copy into its outer
-    face; records which inner face every doubled face came from."""
+    face; records which inner face every doubled face came from.  The
+    double is made once per operation."""
+    if op._lopsp is not None:
+        return op._lopsp
     op.require_valid()
     g = op.graph
     outer = op.outer_face
     boundary_vertices = op.outer_vertices()
     boundary_edges = {g.edge_of(d) for d in op.outer_walk()}
-    gluer = _Gluer(g)
-    vmap_plain = {}
-    vmap_mirror = {}
+    vplain, vmirror, lift = [], [], []
     for v in range(g.vertex_count):
-        vmap_plain[v] = gluer.new_vertex(v)
-        if v in boundary_vertices:
-            vmap_mirror[v] = vmap_plain[v]
-        else:
-            vmap_mirror[v] = gluer.new_vertex(v)
-    emap_plain = {}
-    emap_mirror = {}
+        vplain.append(len(lift))
+        lift += [v] if v in boundary_vertices else [v, v]
+        vmirror.append(len(lift) - 1)
+    eplain, emirror, vertex_of = [], [], []
     for e, (d, dp) in enumerate(g.edge_darts()):
         u, w = g.vertex_of[d], g.vertex_of[dp]
-        emap_plain[e] = gluer.new_edge(vmap_plain[u], vmap_plain[w], e)
-        if e in boundary_edges:
-            emap_mirror[e] = emap_plain[e]
-        else:
-            emap_mirror[e] = gluer.new_edge(vmap_mirror[u], vmap_mirror[w], e)
-    face_origin = []
-    for fi, walk in enumerate(g.faces()):
-        if fi == outer:
-            continue
-        cycle = []
-        for d in walk:
-            u, w = vmap_plain[g.vertex_of[d]], vmap_plain[g.head(d)]
-            cycle.append(gluer.dart_for(emap_plain[g.edge_of(d)], u, w))
-        gluer.add_face(cycle, fi)
-        face_origin.append(fi)
-    for fi, walk in enumerate(g.faces()):
-        if fi == outer:
-            continue
-        cycle = []
-        for d in reversed(walk):
-            u, w = vmap_mirror[g.head(d)], vmap_mirror[g.vertex_of[d]]
-            cycle.append(gluer.dart_for(emap_mirror[g.edge_of(d)], u, w))
-        gluer.add_face(cycle, fi)
-        face_origin.append(fi)
-    t, face_lift = _assemble(gluer.face_cycles, gluer.edge_ends, gluer.vertex_labels)
-    doubled = LopspOperation(
-        t, vmap_plain[op.v0], vmap_plain[op.v1], vmap_plain[op.v2]
-    )
+        eplain.append(len(vertex_of) // 2)
+        vertex_of += (vplain[u], vplain[w])
+        if e not in boundary_edges:
+            vertex_of += (vmirror[u], vmirror[w])
+        emirror.append(len(vertex_of) // 2 - 1)
+    src, dst, src_lift = [], [], []
+    for emap, mirrored in ((eplain, False), (emirror, True)):
+        for fi, walk in enumerate(g.faces()):
+            if fi == outer:
+                continue
+            cycle = [2 * emap[g.edge_of(d)] + ((d > g.inv[d]) != mirrored)
+                     for d in (walk[::-1] if mirrored else walk)]
+            src += cycle
+            dst += cycle[1:] + cycle[:1]
+            src_lift += [fi] * len(cycle)
+    t, face_lift = _assemble(src, dst, vertex_of, [g.labels[v] for v in lift], src_lift)
+    doubled = LopspOperation(t, vplain[op.v0], vplain[op.v1], vplain[op.v2])
     doubled.face_origin = face_lift
     diag = doubled.validate()
     if diag:
         raise InvalidLsp(diag)
+    op._lopsp = doubled
     return doubled
 
 
@@ -880,84 +772,21 @@ def apply_lsp_direct(op, g):
     """Apply an lsp-operation by gluing plain and mirrored copies into the
     chambers of B_G, as the chamber orientation dictates."""
     op.require_valid()
-    og = op.graph
-    b = barycentric(g).graph
-
-    plain_walk = op.outer_walk()
-    corner_set = set(op.specials)
-    plain_segments = _parse_boundary(og, plain_walk, corner_set, op.v2)
-    if len(plain_segments) != 3:
-        raise AssertionError("lsp outer walk does not split at the specials")
-    mirror_walk = [og.inv[d] for d in reversed(plain_walk)]
-    mirror_segments = _parse_boundary(og, mirror_walk, corner_set, op.v2)
-    plain_order = (plain_segments[1].corner_from, plain_segments[2].corner_from)
-    mirror_order = (mirror_segments[1].corner_from, mirror_segments[2].corner_from)
-
-    special_index = {op.v0: 0, op.v1: 1, op.v2: 2}
-    inner_faces = [
-        (fi, walk) for fi, walk in enumerate(og.faces()) if fi != op.outer_face
-    ]
-    mirror_faces = [
-        (fi, tuple(og.inv[d] for d in reversed(walk))) for fi, walk in inner_faces
-    ]
-
-    gluer = _Gluer(og)
-    specials = {0: op.v0, 1: op.v1, 2: op.v2}
-    for v in range(b.vertex_count):
-        gluer.new_vertex(specials[b.labels[v]])
-
-    # segment between the two corners missing type tau subdivides tau-edges
-    seg_by_pair = {}
-    for seg in plain_segments:
-        pair = frozenset(
-            (special_index[seg.corner_from], special_index[seg.corner_to])
+    if None not in op._templates:
+        og = op.graph
+        walk = op.outer_walk()
+        corner_type = {op.v0: 0, op.v1: 1, op.v2: 2}
+        inner = [(fi, w) for fi, w in enumerate(og.faces()) if fi != op.outer_face]
+        op._templates[None] = tuple(
+            _compile_template(og, boundary, op.v2, corner_type, faces,
+                              range(og.vertex_count), range(og.edge_count))
+            for boundary, faces in (
+                (walk, inner),
+                ([og.inv[d] for d in reversed(walk)],
+                 [(fi, tuple(og.inv[d] for d in reversed(w))) for fi, w in inner]),
+            )
         )
-        seg_by_pair[pair] = seg
-    interior_data = {}
-    for pair, seg in seg_by_pair.items():
-        # orient from the type-2 corner when present, else from type 1
-        want = 2 if 2 in pair else 1
-        darts = seg.darts
-        if special_index[seg.corner_from] != want:
-            darts = [og.inv[d] for d in reversed(darts)]
-        interior_data[pair] = (
-            [og.vertex_of[d] for d in darts[1:]],
-            [og.edge_of(d) for d in darts],
-        )
-    frame = _subdivide_frame(
-        gluer, b, lambda pair: 2 if 2 in pair else 1, interior_data
-    )
-
-    identity_lift = tuple(range(og.vertex_count))
-    edge_identity = tuple(range(og.edge_count))
-    face_identity = tuple(range(len(og.faces())))
-    for ci, tri in enumerate(b.faces()):
-        start = next(i for i, d in enumerate(tri) if b.labels[b.vertex_of[d]] == 2)
-        walk = list(tri[start:]) + list(tri[:start])
-        walk = [b.inv[d] for d in reversed(walk)]
-        types = tuple(b.labels[b.vertex_of[d]] for d in walk[1:])
-        if types == tuple(special_index[c] for c in plain_order):
-            segments, faces = plain_segments, inner_faces
-        elif types == tuple(special_index[c] for c in mirror_order):
-            segments, faces = mirror_segments, mirror_faces
-        else:
-            raise AssertionError("chamber corners match neither orientation")
-        match = _match_segments(
-            gluer, og, segments, frame, b, walk, identity_lift, ci
-        )
-        _glue_cell(
-            gluer,
-            ci,
-            og,
-            faces,
-            op.outer_face,
-            match,
-            identity_lift,
-            edge_identity,
-            face_identity,
-        )
-    adjacency = _quad_adjacency(b)
-    return gluer.finish(g.genus(), op, adjacency)
+    return _glue(barycentric(g).graph, op._templates[None], g.genus(), op)
 
 
 def inflation_factor(op):
@@ -1041,9 +870,7 @@ def classify_ck(op, witness=None):
     k = report.k_max
     cycle_report = ck_via_cycles(res.result, 3, bary_graph=res.subdivision)
     if cycle_report.k_max != k:
-        raise AssertionError(
-            "cycle characterisation disagrees with the direct ck test"
-        )
+        raise InternalInvariant("classify", "cycle characterisation disagrees with the direct ck test")
     localization = {}
     if k < 3:
         wit = cycle_report.witness.get("two_cycle") or cycle_report.witness.get(

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .chambers import barycentric
-from .embedded import EmbeddedGraph
+from .embedded import EmbeddedGraph, InternalInvariant
 
 
 class FaceIsBridged(ValueError):
@@ -50,19 +50,22 @@ def subgraph_faces(g, sub_darts):
     for d in s:
         if g.inv[d] not in s:
             raise ValueError("subgraph darts not closed under inv")
-    vertices = {g.vertex_of[d] for d in s}
-    # next_s[x] for x in S: first S-dart after x clockwise
+    # one backward walk per rotation: next_s[x] is the first S-dart after
+    # x clockwise, for x in S and, in gap_end, for the darts outside S
     next_s = {}
-    for v in vertices:
+    gap_end = {}
+    for v in {g.vertex_of[d] for d in s}:
         rot = g.rotations()[v]
         k = len(rot)
-        for i, d in enumerate(rot):
-            if d not in s:
-                continue
-            pos = (i + 1) % k
-            while rot[pos] not in s:
-                pos = (pos + 1) % k
-            next_s[d] = rot[pos]
+        last = next(i for i in range(k - 1, -1, -1) if rot[i] in s)
+        nxt = rot[last]
+        for i in range(last - 1, last - 1 - k, -1):
+            d = rot[i]
+            if d in s:
+                next_s[d] = nxt
+                nxt = d
+            else:
+                gap_end[d] = nxt
     walks = []
     face_of = {}
     seen = set()
@@ -80,20 +83,11 @@ def subgraph_faces(g, sub_darts):
         for d in walk:
             face_of[d] = fi
     # every dart in a gap belongs to the angle whose leaving dart closes it
-    angle_of = {}
     position_of_leaving = {}
     for fi, walk in enumerate(walks):
         for pos, d in enumerate(walk):
             position_of_leaving[d] = (fi, pos)
-    for v in vertices:
-        rot = g.rotations()[v]
-        for d in rot:
-            if d in s:
-                continue
-            nxt = d
-            while nxt not in s:
-                nxt = g.sigma[nxt]
-            angle_of[d] = position_of_leaving[nxt]
+    angle_of = {d: position_of_leaving[x] for d, x in gap_end.items()}
     return SubgraphFaces(s, tuple(walks), face_of, angle_of)
 
 
@@ -250,7 +244,7 @@ def internal_component(g, sub_darts, face_index, sf=None, brs=None):
     labels = None
     if g.labels is not None:
         labels = [g.labels[copy_of[vid[o]]] for o in owners]
-    graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels)
+    graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
     boundary = tuple(dart_id[("w", j)] for j in range(L))
     outer = graph.face_of(dart_id[("wb", 0)])
     edge_origin = [None] * graph.edge_count
@@ -500,7 +494,7 @@ def shortest_noncontractible_cycle(g, allowed=None):
     roots = range(g.vertex_count) if allowed is None else sorted(allowed)
     length, root, dart = _shortest_nonnull_walk(nbrs, _HomologyTester(g).edge_class, roots)
     if root is None:
-        raise AssertionError("positive genus but no closed walk of non-zero class")
+        raise InternalInvariant("face-width", "positive genus but no closed walk of non-zero class")
     if genus >= 2:
         for cyc in sorted(_bfs_candidate_cycles(g, allowed, max_len=length - 1), key=len):
             if not is_contractible(g, cyc):
@@ -508,9 +502,9 @@ def shortest_noncontractible_cycle(g, allowed=None):
     _, depth, parent_dart = _bfs_tree(nbrs, root)
     best = _fundamental_cycle(g, depth, parent_dart, dart)
     if len(best) != length or is_contractible(g, best):
-        raise AssertionError(
-            "shortest_noncontractible_cycle: the shortest non-null walk of "
-            "length %d gave the contractible or shorter cycle %r" % (length, best)
+        raise InternalInvariant(
+            "face-width", "the shortest non-null walk of length %d gave the "
+            "contractible or shorter cycle %r" % (length, best), dart=dart,
         )
     return best
 
@@ -536,7 +530,7 @@ def face_width_witness(g, bary_graph=None):
     allowed = {v for v in range(b.vertex_count) if b.labels[v] != 1}
     cyc = shortest_noncontractible_cycle(b, allowed)
     if len(cyc) % 2:
-        raise AssertionError("odd shortest non-contractible cycle in B_G")
+        raise InternalInvariant("face-width", "odd shortest non-contractible cycle in B_G")
     return len(cyc) // 2, tuple(cyc)
 
 

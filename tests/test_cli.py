@@ -224,3 +224,18 @@ def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(op_mod, "_catalog_cache", {})
     code, out, err = run(capsys, "validate", "gyro")
     assert code == 2  # not found in the overridden directory
+
+
+def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
+    from surfops import operations
+    from surfops.embedded import InternalInvariant
+
+    def broken(t):
+        raise InternalInvariant("verify", "glued face of size 4", cell=5, dart=17)
+
+    monkeypatch.setattr(operations, "_verify_subdivision", broken)
+    code, out, err = run(capsys, "apply", "gyro", cube_file)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: internal-invariant verify: glued face of size 4 cell 5 dart 17"]

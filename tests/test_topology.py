@@ -209,3 +209,62 @@ def test_cut_witnesses():
     assert rep.smallest_cut == (0,)
     rep = tp.is_ck_embedded(polyhedra.k4_minus_edge(), 3)
     assert rep.smallest_cut is not None and len(rep.smallest_cut) == 2
+
+
+def oracle_subgraph_faces(g, sub_darts):
+    """The former subgraph_faces: every angle and every next S-dart found
+    by rescanning the rotation, O(deg^2) per vertex."""
+    s = frozenset(sub_darts)
+    vertices = {g.vertex_of[d] for d in s}
+    next_s = {}
+    for v in vertices:
+        rot = g.rotations()[v]
+        k = len(rot)
+        for i, d in enumerate(rot):
+            if d in s:
+                pos = (i + 1) % k
+                while rot[pos] not in s:
+                    pos = (pos + 1) % k
+                next_s[d] = rot[pos]
+    walks, face_of, seen = [], {}, set()
+    for start in sorted(s):
+        if start in seen:
+            continue
+        walk, d = [], start
+        while d not in seen:
+            seen.add(d)
+            walk.append(d)
+            d = next_s[g.inv[d]]
+        for d in walk:
+            face_of[d] = len(walks)
+        walks.append(tuple(walk))
+    leaving = {d: (fi, pos) for fi, walk in enumerate(walks) for pos, d in enumerate(walk)}
+    angle_of = {}
+    for v in vertices:
+        for d in g.rotations()[v]:
+            if d not in s:
+                nxt = d
+                while nxt not in s:
+                    nxt = g.sigma[nxt]
+                angle_of[d] = leaving[nxt]
+    return walks, face_of, angle_of
+
+
+def test_subgraph_faces_matches_rescanning_oracle(corpus):
+    rng = random.Random(3)
+    graphs = list(corpus.values())
+    graphs += [barycentric(g).graph for g in list(corpus.values())[:20]]
+    for g in graphs:
+        edges = g.edge_darts()
+        subsets = [set(range(g.dart_count))]
+        subsets += [{x for e in rng.sample(edges, rng.randint(1, len(edges))) for x in e}
+                    for _ in range(6)]
+        if g.genus() > 0 and g.labels is not None:
+            cyc = tp.shortest_noncontractible_cycle(g)
+            subsets.append(set(cyc) | {g.inv[d] for d in cyc})
+        for s in subsets:
+            sf = tp.subgraph_faces(g, s)
+            walks, face_of, angle_of = oracle_subgraph_faces(g, s)
+            assert list(sf.walks) == walks
+            assert sf.face_of == face_of
+            assert sf.angle_of == angle_of
