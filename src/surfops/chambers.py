@@ -43,15 +43,6 @@ class BarycentricSubdivision:
             self._graph = _build_bary(self.base)
         return self._graph
 
-    def vertex_node(self, v):
-        return v
-
-    def edge_node(self, e):
-        return self.base.vertex_count + e
-
-    def face_node(self, f):
-        return self.base.vertex_count + self.base.edge_count + f
-
     def chamber_system(self):
         if self._chambers is None:
             self._chambers = ChamberSystem(self.graph)
@@ -174,7 +165,7 @@ class DoubleChamberSystem:
 
     Every face is a quadrilateral with two type-0 corners (equal exactly
     when the underlying edge of G is a loop), one of type 1 and one of
-    type 2.  ``to_bary`` maps the vertices of ``graph`` back to ``B_G``.
+    type 2.
 
     The graph is read off G in one pass, without building ``B_G``: it
     keeps the B-darts 0..4n-1 of ``_build_bary`` (n darts in G), so B-dart
@@ -183,31 +174,29 @@ class DoubleChamberSystem:
     would.
     """
 
-    __slots__ = ("bary", "graph", "to_bary", "dart_to_bary")
+    __slots__ = ("bary", "graph")
 
     def __init__(self, bary):
         self.bary = bary
         g = bary.base
-        n, nv, ne = g.dart_count, g.vertex_count, g.edge_count
-        # smallest dart -> (B vertex, type, rotation)
+        n = g.dart_count
+        # smallest dart -> (type, rotation)
         nodes = [None] * (4 * n)
-        for v, rot in enumerate(g.rotations()):
+        for rot in g.rotations():
             seq = []
             for d in rot:
                 seq += (2 * d, 2 * (n + g.sigma[d]))
-            nodes[seq[0]] = (v, 0, seq)
-        for e, (d, dp) in enumerate(g.edge_darts()):
-            nodes[2 * d + 1] = (nv + e, 1, (2 * d + 1, 2 * dp + 1))
-        for f, walk in enumerate(g.faces()):
+            nodes[seq[0]] = (0, seq)
+        for d, dp in g.edge_darts():
+            nodes[2 * d + 1] = (1, (2 * d + 1, 2 * dp + 1))
+        for walk in g.faces():
             seq = [2 * (n + walk[0]) + 1] + [2 * (n + d) + 1 for d in reversed(walk[1:])]
-            nodes[seq[0]] = (nv + ne + f, 2, seq)
+            nodes[seq[0]] = (2, seq)
         nodes = [x for x in nodes if x is not None]
         self.graph = EmbeddedGraph.from_rotations(
-            [x[2] for x in nodes], [d ^ 1 for d in range(4 * n)],
-            labels=[x[1] for x in nodes], check=False,
+            [x[1] for x in nodes], [d ^ 1 for d in range(4 * n)],
+            labels=[x[0] for x in nodes], check=False,
         )
-        self.to_bary = tuple(x[0] for x in nodes)
-        self.dart_to_bary = tuple(range(4 * n))
 
     def double_chambers(self):
         return self.graph.faces()

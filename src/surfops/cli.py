@@ -1,8 +1,9 @@
 """Command line interface: every pipeline stage as a subcommand.
 
 Results go to stdout, machine-readable diagnostics to stderr.  Exit codes:
-0 success, 1 validation failure, 2 usage or parse errors, 3 a broken
-internal invariant (a bug in surfops, reported with its stage).  All
+0 success, 1 validation failure, 2 usage or parse errors or a file that
+cannot be read or written, 3 a broken internal invariant (a bug in
+surfops, reported with its stage).  All
 commands are deterministic for a fixed ``--seed``.
 """
 
@@ -142,8 +143,11 @@ def _cmd_apply(args):
         chunks.append(io.write_rot(res.result))
     text = "".join(chunks)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as handle:
-            handle.write(text)
+        try:
+            with open(args.output, "w", encoding="ascii") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise CliError("cannot write %s: %s" % (args.output, exc), 2)
     else:
         sys.stdout.write(text)
     return 0

@@ -34,9 +34,6 @@ class DelaneySymbol:
     def apply(self, c, i):
         return self.action[i][c]
 
-    def m_value(self, i, j, c):
-        return self.m[(i, j)][c]
-
     def orbit(self, c, gens):
         """Orbit of c under a set of generator indices."""
         seen = {c}
@@ -183,8 +180,26 @@ def is_dd_morphism(d1, d2, mapping):
 # -- extraction from operations --------------------------------------------
 
 
-def _v_missing(types_of_corner, i, j):
-    return types_of_corner[3 - i - j]
+def _dd_from_chambers(op, outer_vertices):
+    """Symbol on the chambers of an operation.  m is the orbit size at a
+    corner on the outer boundary of an lsp-operation and half of it
+    elsewhere, times 2, 3 or 6 at v1, v0 or v2 respectively."""
+    cs = op.chamber_system()
+    shape = DelaneySymbol(cs.s, {})  # for its orbits
+    m = {p: [0] * len(cs) for p in _PAIRS}
+    factor = {op.v1: 2, op.v0: 3, op.v2: 6}
+    for (i, j) in _PAIRS:
+        row = m[(i, j)]
+        for orb in shape.orbits((i, j)):
+            corner = cs.corner[next(iter(orb))][3 - i - j]
+            size = len(orb)
+            if corner not in outer_vertices:
+                if size % 2:
+                    raise ValueError("odd <s%d,s%d>-orbit at an inner corner" % (i, j))
+                size //= 2
+            for c in orb:
+                row[c] = size * factor.get(corner, 1)
+    return DelaneySymbol(cs.s, m)
 
 
 def dd_from_lopsp(op):
@@ -195,63 +210,14 @@ def dd_from_lopsp(op):
     v1, v0, v2 respectively.
     """
     op.require_valid()
-    cs = op.chamber_system()
-    n = len(cs)
-    action = tuple(cs.s)
-    sym = DelaneySymbol(action, {p: [0] * n for p in _PAIRS})
-    m = {p: [0] * n for p in _PAIRS}
-    v0, v1, v2 = op.v0, op.v1, op.v2
-    for (i, j) in _PAIRS:
-        for orb in sym.orbits((i, j)):
-            c0 = next(iter(orb))
-            corner = cs.corner[c0][3 - i - j]
-            half = len(orb) // 2
-            if len(orb) % 2:
-                raise ValueError("odd <s%d,s%d>-orbit in a lopsp symbol" % (i, j))
-            if corner == v1:
-                val = half * 2
-            elif corner == v0:
-                val = half * 3
-            elif corner == v2:
-                val = half * 6
-            else:
-                val = half
-            for c in orb:
-                m[(i, j)][c] = val
-    return DelaneySymbol(action, m)
+    return _dd_from_chambers(op, ())
 
 
 def dd_from_lsp(op):
     """Symbol of a lsp-operation: elements are the inner chambers, the
     action fixes chambers whose i-edge lies on the outer face."""
     op.require_valid()
-    cs = op.chamber_system()
-    n = len(cs)
-    action = tuple(cs.s)
-    sym = DelaneySymbol(action, {p: [0] * n for p in _PAIRS})
-    m = {p: [0] * n for p in _PAIRS}
-    v0, v1, v2 = op.v0, op.v1, op.v2
-    outer_vertices = op.outer_vertices()
-    for (i, j) in _PAIRS:
-        for orb in sym.orbits((i, j)):
-            c0 = next(iter(orb))
-            corner = cs.corner[c0][3 - i - j]
-            size = len(orb)
-            if corner == v1:
-                val = size * 2
-            elif corner == v0:
-                val = size * 3
-            elif corner == v2:
-                val = size * 6
-            elif corner in outer_vertices:
-                val = size
-            else:
-                if size % 2:
-                    raise ValueError("odd inner-vertex orbit in a lsp symbol")
-                val = size // 2
-            for c in orb:
-                m[(i, j)][c] = val
-    return DelaneySymbol(action, m)
+    return _dd_from_chambers(op, op.outer_vertices())
 
 
 # -- serialization ----------------------------------------------------------

@@ -248,9 +248,6 @@ class EmbeddedGraph:
             self._rotations = tuple(rot)
         return self._rotations
 
-    def rotation_at(self, v):
-        return self.rotations()[v]
-
     def degree(self, v):
         return len(self.rotations()[v])
 
@@ -563,32 +560,3 @@ class SubgraphComponent:
         self.graph = graph
         self.dart_map = dart_map
         self.vertex_map = vertex_map
-
-
-def build_embedded_graph(rotations, pairing, labels=None):
-    """Functional alias for ``EmbeddedGraph.from_rotations``."""
-    return EmbeddedGraph.from_rotations(rotations, pairing, labels=labels)
-
-
-def faces(graph):
-    return graph.faces()
-
-
-def euler_characteristic(graph):
-    return graph.euler_characteristic()
-
-
-def genus(graph):
-    return graph.genus()
-
-
-def embedded_subgraph(graph, keep_darts):
-    return graph.embedded_subgraph(keep_darts)
-
-
-def canonical_code(graph, allow_reflection=False):
-    return graph.canonical_code(allow_reflection)
-
-
-def iso(g, h, allow_reflection=False):
-    return g.iso(h, allow_reflection)

@@ -21,7 +21,7 @@ from operator import eq
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
 from .embedded import EmbeddedGraph, InternalInvariant
-from .topology import internal_component, is_ck_embedded, ck_via_cycles, subgraph_faces
+from .topology import _smallest_cut, ck_via_cycles, internal_component, subgraph_faces
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -61,27 +61,6 @@ class Diagnostic:
         if self.detail:
             parts.append(self.detail)
         return " ".join(parts)
-
-
-def _cutvertices(g):
-    out = []
-    nv = g.vertex_count
-    if nv < 3:
-        return out
-    nbrs = [sorted({g.head(d) for d in g.rotations()[v]} - {v}) for v in range(nv)]
-    for v in range(nv):
-        rest = [u for u in range(nv) if u != v]
-        seen = {rest[0]}
-        todo = [rest[0]]
-        while todo:
-            u = todo.pop()
-            for w in nbrs[u]:
-                if w != v and w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        if len(seen) != len(rest):
-            out.append(v)
-    return out
 
 
 class LopspOperation:
@@ -196,9 +175,9 @@ def _common_diagnostics(g, v0, v1, v2, skip_faces=()):
         out.append(Diagnostic("special-types", v2, "t(v2) must differ from 1"))
     if types[v1] == 1 and g.degree(v1) != 2:
         out.append(Diagnostic("v1-degree", v1, "deg %d" % g.degree(v1)))
-    cuts = _cutvertices(g)
-    if cuts:
-        out.append(Diagnostic("two-connected", cuts[0]))
+    cut = _smallest_cut(g, max_size=1)
+    if cut:
+        out.append(Diagnostic("two-connected", cut[0]))
     return out
 
 
@@ -287,7 +266,7 @@ def find_cut_path(op, strategy="minimal", seed=None):
     g = op.graph
     if strategy == "minimal":
         weight = lambda d: 1
-    elif strategy in ("seeded-random", "random"):
+    elif strategy == "seeded-random":
         rng = random.Random(seed)
         wedges = [1 + rng.randrange(16) for _ in range(g.edge_count)]
         weight = lambda d: wedges[g.edge_of(d)]
@@ -843,55 +822,39 @@ def catalog(name):
 @dataclass
 class ClassifyReport:
     k: int
-    witness_report: object  # CkReport of O(witness) for k = 3
     cycle_report: object  # CkReport from the cycle characterisation on the subdivision
     localization: dict
 
 
 def classify_ck(op, witness=None):
-    """Largest k in {0,1,2,3} such that the operation maps ck-embedded
+    """Largest k in {1,2,3} such that the operation maps ck-embedded
     graphs to ck-embedded graphs, decided on a single ck-embedded witness
     (the tetrahedron by default).
 
-    When k < 3 the short offending cycle of the subdivision is reported
-    together with the double chambers it touches.
+    k is read off O(witness) by the short-cycle characterisation of ck
+    on its subdivision.  The paper proves that characterisation equal to
+    the definition; the tests check it, and the independence of the
+    witness, on random polyhedral maps.  When k < 3 the short offending
+    cycle is reported together with the double chambers it touches.
     """
-    if isinstance(op, LspOperation):
-        lop = lsp_to_lopsp(op)
-    else:
-        lop = op
+    lop = lsp_to_lopsp(op) if isinstance(op, LspOperation) else op
     lop.require_valid()
     if witness is None:
         from .polyhedra import tetrahedron
 
         witness = tetrahedron()
     res = apply(lop, witness)
-    report = is_ck_embedded(res.result, 3, bary_graph=res.subdivision)
-    k = report.k_max
-    cycle_report = ck_via_cycles(res.result, 3, bary_graph=res.subdivision)
-    if cycle_report.k_max != k:
-        raise InternalInvariant("classify", "cycle characterisation disagrees with the direct ck test")
+    report = ck_via_cycles(res.result, 3, bary_graph=res.subdivision)
     localization = {}
-    if k < 3:
-        wit = cycle_report.witness.get("two_cycle") or cycle_report.witness.get(
-            "four_cycle"
+    wit = report.witness.get("two_cycle") or report.witness.get("four_cycle")
+    if wit is not None:
+        cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
+        common = frozenset.intersection(*cells)
+        localization["cells"] = cells
+        localization["single_cell"] = bool(common)
+        localization["within_two_adjacent"] = bool(common) or any(
+            all(c & {q1, q2} for c in cells)
+            for q1 in frozenset.union(*cells)
+            for q2 in res.cell_adjacency.get(q1, ())  # adjacent copies
         )
-        if wit is not None:
-            cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
-            localization["cells"] = cells
-            common = set.intersection(*(set(c) for c in cells)) if cells else set()
-            localization["single_cell"] = bool(common)
-            pair_found = bool(common)
-            if not pair_found:
-                candidates = set().union(*(set(c) for c in cells))
-                for q1 in candidates:
-                    for q2 in res.cell_adjacency.get(q1, ()):  # adjacent copies
-                        if all(c & {q1, q2} for c in cells):
-                            pair_found = True
-                            break
-                    if pair_found:
-                        break
-            localization["within_two_adjacent"] = pair_found
-    return ClassifyReport(
-        k=k, witness_report=report, cycle_report=cycle_report, localization=localization
-    )
+    return ClassifyReport(k=report.k_max, cycle_report=report, localization=localization)

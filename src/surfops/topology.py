@@ -480,12 +480,14 @@ def shortest_noncontractible_cycle(g, allowed=None):
     root -> u -> w -> root that the edges uw of C close are at most as
     long as C, and their classes add up to the class of C, so one of
     them is non-null.  The shortest non-null walk over all roots is
-    therefore as long as C, and its fundamental cycle is a witness:
-    O(V (V + E)), with early stops.  Up to genus 1 a simple cycle is
-    non-contractible exactly when it is non-null.  Beyond, a separating
-    cycle can be non-contractible too; by the three-path condition the
-    shortest one is a BFS fundamental cycle, so those shorter than the
-    homology minimum go through ``is_contractible``, shortest first.
+    therefore as long as C, and its fundamental cycle is a witness.  It
+    has the walk's non-zero class, so it bounds nothing and needs no
+    contractibility test: O(V (V + E)), with early stops.  Up to genus 1
+    a simple cycle is non-contractible exactly when it is non-null.
+    Beyond, a separating cycle can be non-contractible too; by the
+    three-path condition the shortest one is a BFS fundamental cycle, so
+    those shorter than the homology minimum go through
+    ``is_contractible``, shortest first.
     """
     genus = g.genus()
     if genus == 0:
@@ -501,10 +503,10 @@ def shortest_noncontractible_cycle(g, allowed=None):
                 return cyc
     _, depth, parent_dart = _bfs_tree(nbrs, root)
     best = _fundamental_cycle(g, depth, parent_dart, dart)
-    if len(best) != length or is_contractible(g, best):
+    if len(best) != length:  # its class is that of the walk, so non-zero
         raise InternalInvariant(
             "face-width", "the shortest non-null walk of length %d gave the "
-            "contractible or shorter cycle %r" % (length, best), dart=dart,
+            "shorter cycle %r" % (length, best), dart=dart,
         )
     return best
 

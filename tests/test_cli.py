@@ -239,3 +239,13 @@ def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
     assert out == ""
     assert err.splitlines() == [
         "error: internal-invariant verify: glued face of size 4 cell 5 dart 17"]
+
+
+def test_apply_output_to_missing_directory(cube_file, capsys, tmp_path):
+    target = tmp_path / "missing" / "out.rot"
+    code, out, err = run(capsys, "apply", "gyro", cube_file, "-o", str(target))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: cannot write %s: " % target)
+    assert not target.exists()

@@ -6,7 +6,6 @@ from surfops.embedded import (
     EmbeddedGraph,
     EmptySelection,
     NotInvolution,
-    build_embedded_graph,
 )
 
 from conftest import relabeled
@@ -27,18 +26,18 @@ def test_single_loop_vertex():
 
 def test_pairing_fixed_point_rejected():
     with pytest.raises(NotInvolution):
-        build_embedded_graph([[0, 1]], [0, 1])
+        EmbeddedGraph.from_rotations([[0, 1]], [0, 1])
 
 
 def test_duplicate_dart_rejected():
     with pytest.raises(Exception):
-        build_embedded_graph([[0, 0]], [1, 0])
+        EmbeddedGraph.from_rotations([[0, 0]], [1, 0])
 
 
 def test_disconnected_rejected():
     # two separate single-edge components
     with pytest.raises(Disconnected):
-        build_embedded_graph([[0], [1], [2], [3]], [1, 0, 3, 2])
+        EmbeddedGraph.from_rotations([[0], [1], [2], [3]], [1, 0, 3, 2])
 
 
 def test_k7_is_torus_triangulation():

@@ -8,6 +8,8 @@ from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_op
 
+from test_ck import oracle_smallest_cut
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -311,3 +313,16 @@ def test_subdividing_operation_reproduces_barycentric(seeds):
         b = barycentric(g).graph
         unlabeled = EmbeddedGraph(b.sigma, b.inv, b.vertex_of)
         assert res.result.iso(unlabeled), name
+
+
+def test_cut_vertex_diagnostic():
+    # three triangles in a chain; vertices 2 and 4 are cut vertices
+    g = EmbeddedGraph.from_adjacency(
+        [[1, 2], [2, 0], [0, 1, 3, 4], [4, 2], [2, 3, 5, 6], [6, 4], [4, 5]],
+        labels=[0, 1, 2, 0, 1, 0, 2],
+    )
+    assert oracle_smallest_cut(g, max_size=1) == (2,)
+    outer = max(g.faces(), key=len)[0]
+    for op in (ops.LopspOperation(g, 0, 1, 6), ops.LspOperation(g, 0, 1, 6, outer)):
+        cuts = [d for d in op.validate() if d.clause == "two-connected"]
+        assert cuts == [ops.Diagnostic("two-connected", 2)]
