@@ -142,9 +142,6 @@ class ChamberSystem:
     def __len__(self):
         return len(self.chambers)
 
-    def sigma(self, i, c):
-        return self.s[i][c]
-
     def is_transitive(self):
         if not self.chambers:
             return False

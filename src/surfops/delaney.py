@@ -31,9 +31,6 @@ class DelaneySymbol:
     def size(self):
         return len(self.action[0])
 
-    def apply(self, c, i):
-        return self.action[i][c]
-
     def orbit(self, c, gens):
         """Orbit of c under a set of generator indices."""
         seen = {c}

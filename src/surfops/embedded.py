@@ -309,9 +309,6 @@ class EmbeddedGraph:
             table = self._edge_of
         return table[d]
 
-    def label(self, v):
-        return None if self.labels is None else self.labels[v]
-
     # -- derived graphs -------------------------------------------------
 
     def dual(self):

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
-from operator import eq
+from dataclasses import dataclass
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
 from .embedded import EmbeddedGraph, InternalInvariant
@@ -83,9 +82,6 @@ class LopspOperation:
     def specials(self):
         return (self.v0, self.v1, self.v2)
 
-    def types(self):
-        return self.graph.labels
-
     def validate(self):
         if self._diag is None:
             self._diag = validate_lopsp(self)
@@ -131,9 +127,6 @@ class LspOperation:
 
     def outer_vertices(self):
         return {self.graph.vertex_of[d] for d in self.outer_walk()}
-
-    def types(self):
-        return self.graph.labels
 
     def validate(self):
         if self._diag is None:
@@ -422,37 +415,36 @@ def double_chamber_patch(op, path):
 # gluing machinery shared by both application routes
 
 
-def _assemble(src, dst, vertex_of, labels, src_lift):
-    """Build a glued surface from its face successor: a face runs from
-    dart ``src[i]`` to ``dst[i]``, and dart 2e+dir of edge e starts at
-    ``vertex_of[2e+dir]``.  Every dart must be listed exactly once in
-    ``src``, which pins down the rotation system.  Returns the surface and
-    the lift of each of its faces, read at the face's first dart.
+def _assemble(src, vertex_of, labels, lifts):
+    """Build a glued triangulation from its faces: each run of three
+    darts in ``src`` is one face, in facial order, with its lift in
+    ``lifts``, and dart 2e+dir of edge e starts at ``vertex_of[2e+dir]``.
+    Every dart must be listed exactly once in ``src``, which pins down
+    the rotation system.  Returns the surface and the lift of each of its
+    faces.
+
+    The face table is the runs, each turned to start at its smallest dart
+    and sorted: the faces in the order ``faces()`` would find them.  The
+    surface is built unchecked; the tests re-derive it from scratch.
     """
     n = len(vertex_of)
     phi = [-1] * n
-    lift = [None] * n
-    for d, e, f in zip(src, dst, src_lift):
-        phi[d] = e
-        lift[d] = f
+    runs = []
+    for a, b, c, f in zip(src[0::3], src[1::3], src[2::3], lifts):
+        phi[a], phi[b], phi[c] = b, c, a
+        m = min(a, b, c)
+        runs.append(((a, b, c) if m == a else (b, c, a) if m == b else (c, a, b), f))
     if len(src) != n or -1 in phi:
         raise InternalInvariant("assemble", "a dart is traversed twice or not at all")
+    runs.sort()
+    face_of = [0] * n
+    for i, ((a, b, c), _) in enumerate(runs):
+        face_of[a] = face_of[b] = face_of[c] = i
     t = EmbeddedGraph([phi[d ^ 1] for d in range(n)], [d ^ 1 for d in range(n)],
-                      vertex_of, labels=labels)
-    return t, tuple(lift[walk[0]] for walk in t.faces())
-
-
-def _verify_subdivision(t):
-    labels = t.labels
-    for walk in t.faces():
-        if len(walk) != 3:
-            raise InternalInvariant("verify", "glued face of size %d" % len(walk), dart=walk[0])
-    dart_label = [labels[v] for v in t.vertex_of]
-    if any(map(eq, dart_label[0::2], dart_label[1::2])):  # the darts 2e, 2e+1 of _assemble
-        raise InternalInvariant("verify", "glued edge between equal types")
-    for v, rot in enumerate(t.rotations()):
-        if labels[v] == 1 and len(rot) != 4:
-            raise InternalInvariant("verify", "type-1 vertex of degree %d" % len(rot), dart=rot[0])
+                      vertex_of, labels=labels, check=False)
+    t._faces = tuple(walk for walk, _ in runs)
+    t._face_of = tuple(face_of)
+    return t, tuple(f for _, f in runs)
 
 
 def _extract_base(t):
@@ -483,8 +475,6 @@ def _extract_base(t):
         a, b = index[inv[outs[0]]], index[inv[outs[1]]]
         pairing[a], pairing[b] = b, a
     result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
-    if len(result.faces()) != labels.count(2):
-        raise InternalInvariant("extract", "face count does not match type-2 vertices")
     edge_node = tuple(vertex_of[inv[r_darts[d]]] for d, _ in result.edge_darts())
     return result, tuple(type0), edge_node
 
@@ -501,7 +491,6 @@ class ApplicationResult:
     result_vertex_node: tuple  # result vertex -> subdivision vertex
     result_edge_node: tuple  # result edge -> subdivision (type-1) vertex
     edge_cells: tuple = ()  # subdivision edge -> cells (double chambers) using it
-    cell_adjacency: dict = field(default_factory=dict)
     operation: object = None
 
 
@@ -512,20 +501,19 @@ class _CellTemplate:
     The boundary walk of the patch splits at its corners into segments;
     segment k lies on the k-th side of a cell, which the gluing frame
     subdivides by a chain of vertices and edges.  Every id is a base
-    chosen per cell plus a constant: ``src``/``dst`` hold (base, const)
-    pairs for darts and ``ends`` for the two end vertices of each
-    interior edge.  Dart base 0 is 2 * the cell's first interior edge,
-    base 1+k is 2 * the first edge of the chain under segment k.  Vertex
-    base 0 is the cell's first interior vertex, 1+k the first interior
-    vertex of chain k, 1+S+k the cell's k-th corner (S segments).
+    chosen per cell plus a constant: ``src`` holds (base, const) pairs
+    for darts, three per triangle, and ``ends`` for the two end vertices
+    of each interior edge.  Dart base 0 is 2 * the cell's first interior
+    edge, base 1+k is 2 * the first edge of the chain under segment k.
+    Vertex base 0 is the cell's first interior vertex, 1+k the first
+    interior vertex of chain k, 1+S+k the cell's k-th corner (S segments).
     """
 
     types: tuple  # corner types along the boundary walk
     chains: dict  # (type, type) -> (vertex lifts, edge lifts) of a chain, from the higher type
     src: list
-    dst: list
     ends: list
-    face_lift: list  # per src slot
+    face_lift: list
     vertex_lift: list
     edge_lift: list
 
@@ -536,7 +524,9 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
     corner ``start``.  ``faces`` lists (lift, dart walk) for the inner
     faces in gluing order; new ids follow first sight in that order.
     A chain runs from its higher-type end, so segment k runs along it
-    when its first corner has the higher type."""
+    when its first corner has the higher type.  Every inner face must be
+    a triangle and every interior edge must join two types; that is
+    checked here, once per template, not on every glued graph."""
     tails = [pg.vertex_of[d] for d in walk]
     first = tails.index(start)
     walk, tails = list(walk[first:]) + list(walk[:first]), tails[first:] + tails[:first]
@@ -565,8 +555,10 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
                 raise InternalInvariant("template", "boundary vertex met twice", dart=darts[0])
         for t, d in enumerate(darts):
             eref[pg.edge_of(d)] = (1 + k, 2 * min(pos[t], pos[t + 1]) + (a < b), d)
-    tm = _CellTemplate(types, chains, [], [], [], [], [], [])
+    tm = _CellTemplate(types, chains, [], [], [], [], [])
     for lifted, fwalk in faces:
+        if len(fwalk) != 3:
+            raise InternalInvariant("template", "face of size %d" % len(fwalk), dart=fwalk[0])
         for d in fwalk:
             if pg.vertex_of[d] not in vref:
                 vref[pg.vertex_of[d]] = (0, len(tm.vertex_lift))
@@ -575,14 +567,15 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
         for d in fwalk:
             pe = pg.edge_of(d)
             if pe not in eref:
+                if pg.labels[pg.vertex_of[d]] == pg.labels[pg.head(d)]:
+                    raise InternalInvariant("template", "edge between equal types", dart=d)
                 eref[pe] = (0, 2 * len(tm.edge_lift), d)
                 tm.edge_lift.append(lift_edge[pe])
                 tm.ends += (vref[pg.vertex_of[d]], vref[pg.head(d)])
             base, const, d0 = eref[pe]
             slots.append((base, const if d == d0 else const ^ 1))
         tm.src += slots
-        tm.dst += slots[1:] + slots[:1]
-        tm.face_lift += [lifted] * len(slots)
+        tm.face_lift.append(lifted)
     return tm
 
 
@@ -593,7 +586,9 @@ def _glue(frame, templates, base_genus, op):
     A cell is read from its type-2 corner against its facial walk, so the
     glued copies keep the orientation of G, and gets the template whose
     corner types match.  Frame vertices come first, then the chains in
-    frame edge order, then each cell's interior, cell by cell.
+    frame edge order, then each cell's interior, cell by cell.  The
+    Euler characteristic of the glued surface, from its counts, must be
+    that of G.
     """
     labels, fv, inv = frame.labels, frame.vertex_of, frame.inv
     by_types = {tm.types: tm for tm in templates}
@@ -617,7 +612,7 @@ def _glue(frame, templates, base_genus, op):
         vertex_lift += vl
         edge_lift += el
         edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
-    src, dst, src_lift = [], [], []
+    src, lifts = [], []
     for qi, face in enumerate(frame.faces()):
         i = [labels[fv[d]] for d in face].index(2)
         walk = [inv[d] for d in reversed(face[i:] + face[:i])]
@@ -628,17 +623,15 @@ def _glue(frame, templates, base_genus, op):
         db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
         vb = [len(vertex_lift)] + [vbase[x] for x in sides] + [fv[d] for d in walk]
         src += [db[b] + c for b, c in tm.src]
-        dst += [db[b] + c for b, c in tm.dst]
         vertex_of += [vb[b] + c for b, c in tm.ends]
-        src_lift += tm.face_lift
+        lifts += tm.face_lift
         vertex_lift += tm.vertex_lift
         edge_lift += tm.edge_lift
         edge_cells += [frozenset((qi,))] * len(tm.edge_lift)
-    t, face_lift = _assemble(src, dst, vertex_of, [op.graph.labels[x] for x in vertex_lift], src_lift)
-    _verify_subdivision(t)
+    t, face_lift = _assemble(src, vertex_of, [op.graph.labels[x] for x in vertex_lift], lifts)
+    if len(vertex_lift) - len(edge_lift) + len(face_lift) != 2 - 2 * base_genus:
+        raise InternalInvariant("glue", "Euler characteristic differs from the base graph's")
     result, vertex_node, edge_node = _extract_base(t)
-    if result.genus() != base_genus:
-        raise InternalInvariant("extract", "genus changed under a local operation")
     return ApplicationResult(
         result=result,
         subdivision=t,
@@ -648,20 +641,8 @@ def _glue(frame, templates, base_genus, op):
         result_vertex_node=vertex_node,
         result_edge_node=edge_node,
         edge_cells=tuple(edge_cells),
-        cell_adjacency=_quad_adjacency(frame),
         operation=op,
     )
-
-
-def _quad_adjacency(dg):
-    adj = {}
-    for d, dp in dg.edge_darts():
-        f1, f2 = dg.face_of(d), dg.face_of(dp)
-        adj.setdefault(f1, set()).add(f2)
-        adj.setdefault(f2, set()).add(f1)
-    for f in adj:
-        adj[f].discard(f)
-    return adj
 
 
 def _patch_template(op, cut_path):
@@ -718,7 +699,7 @@ def lsp_to_lopsp(op):
         if e not in boundary_edges:
             vertex_of += (vmirror[u], vmirror[w])
         emirror.append(len(vertex_of) // 2 - 1)
-    src, dst, src_lift = [], [], []
+    src, lifts = [], []
     for emap, mirrored in ((eplain, False), (emirror, True)):
         for fi, walk in enumerate(g.faces()):
             if fi == outer:
@@ -726,9 +707,8 @@ def lsp_to_lopsp(op):
             cycle = [2 * emap[g.edge_of(d)] + ((d > g.inv[d]) != mirrored)
                      for d in (walk[::-1] if mirrored else walk)]
             src += cycle
-            dst += cycle[1:] + cycle[:1]
-            src_lift += [fi] * len(cycle)
-    t, face_lift = _assemble(src, dst, vertex_of, [g.labels[v] for v in lift], src_lift)
+            lifts.append(fi)
+    t, face_lift = _assemble(src, vertex_of, [g.labels[v] for v in lift], lifts)
     doubled = LopspOperation(t, vplain[op.v0], vplain[op.v1], vplain[op.v2])
     doubled.face_origin = face_lift
     diag = doubled.validate()
@@ -853,8 +833,7 @@ def classify_ck(op, witness=None):
         localization["cells"] = cells
         localization["single_cell"] = bool(common)
         localization["within_two_adjacent"] = bool(common) or any(
-            all(c & {q1, q2} for c in cells)
-            for q1 in frozenset.union(*cells)
-            for q2 in res.cell_adjacency.get(q1, ())  # adjacent copies
+            all(c & pair for c in cells)
+            for pair in set(res.edge_cells)  # a chain edge lies on two adjacent cells
         )
     return ClassifyReport(k=report.k_max, cycle_report=report, localization=localization)

@@ -166,16 +166,13 @@ class InternalComponent:
     """The interior of a simple face re-embedded as a standalone graph.
 
     ``copy_of`` maps every vertex back to G; boundary position j carries
-    the vertex at walk position j.  ``boundary_darts[j]`` is the dart of
-    the component that copies walk dart j, and ``outer_face`` the face of
-    the component corresponding to the original face.
+    the vertex at walk position j.  ``outer_face`` is the face of the
+    component corresponding to the original face.
     """
 
     graph: EmbeddedGraph
     copy_of: tuple
-    boundary_darts: tuple
     outer_face: int
-    edge_origin: tuple  # component edge -> ("walk", j) | ("bridge", G-edge)
     dart_origin: tuple  # component dart -> G-dart it copies
 
 
@@ -245,23 +242,16 @@ def internal_component(g, sub_darts, face_index, sf=None, brs=None):
     if g.labels is not None:
         labels = [g.labels[copy_of[vid[o]]] for o in owners]
     graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
-    boundary = tuple(dart_id[("w", j)] for j in range(L))
     outer = graph.face_of(dart_id[("wb", 0)])
-    edge_origin = [None] * graph.edge_count
     dart_origin = [None] * graph.dart_count
     for key, i in dart_id.items():
-        e = graph.edge_of(i)
         if key[0] == "w":
-            edge_origin[e] = ("walk", key[1])
             dart_origin[i] = walk[key[1]]
         elif key[0] == "wb":
             dart_origin[i] = g.inv[walk[key[1]]]
         else:
-            edge_origin[e] = ("bridge", g.edge_of(key[1]))
             dart_origin[i] = key[1]
-    return InternalComponent(
-        graph, tuple(copy_of), boundary, outer, tuple(edge_origin), tuple(dart_origin)
-    )
+    return InternalComponent(graph, tuple(copy_of), outer, tuple(dart_origin))
 
 
 def is_contractible(g, cycle_darts):

@@ -231,14 +231,14 @@ def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
     from surfops.embedded import InternalInvariant
 
     def broken(t):
-        raise InternalInvariant("verify", "glued face of size 4", cell=5, dart=17)
+        raise InternalInvariant("extract", "edge vertex with 3 endpoints", cell=5, dart=17)
 
-    monkeypatch.setattr(operations, "_verify_subdivision", broken)
+    monkeypatch.setattr(operations, "_extract_base", broken)
     code, out, err = run(capsys, "apply", "gyro", cube_file)
     assert code == 3
     assert out == ""
     assert err.splitlines() == [
-        "error: internal-invariant verify: glued face of size 4 cell 5 dart 17"]
+        "error: internal-invariant extract: edge vertex with 3 endpoints cell 5 dart 17"]
 
 
 def test_apply_output_to_missing_directory(cube_file, capsys, tmp_path):

@@ -1,0 +1,172 @@
+"""The input contract: properties over random multigraphs, a seeded
+fuzz of the command line, and the rule that ``src/`` is stdlib-only.
+
+The properties draw graphs from ``polyhedra.random_embedded``, which
+gives loops, parallel edges and any genus.  The fuzz mutates tokens and
+bytes of valid inputs (the catalog files, the cube and K7 as rot and
+planar code) and runs each through ``cli.main``: every call must end in
+exit 0, 1 or 2, never in an exception, and every stderr line must be an
+``error:`` line, a single one on exit 2.
+"""
+
+import ast
+import os
+import random
+import re
+import sys
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import surfops
+from surfops import io, polyhedra
+from surfops import operations as ops
+from surfops.cli import main
+
+from conftest import relabeled
+
+SRC = os.path.dirname(surfops.__file__)
+
+
+# ---------------------------------------------------------------------------
+# properties over random multigraphs
+
+random_graphs = st.builds(
+    lambda seed, edges: polyhedra.random_embedded(random.Random(seed), edges),
+    st.integers(0, 2**32 - 1),
+    st.integers(1, 24),
+)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=random_graphs)
+def test_rot_text_is_a_fixed_point(g):
+    text = io.write_rot(g)
+    h = io.parse_rot(text)
+    assert io.write_rot(h) == text
+    assert h.canonical_code() == g.canonical_code()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=random_graphs, seed=st.integers(0, 2**32 - 1))
+def test_canonical_code_ignores_labelling(g, seed):
+    assert relabeled(g, seed).canonical_code() == g.canonical_code()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(g=random_graphs)
+def test_dual_of_dual_is_isomorphic(g):
+    assert g.dual().dual().canonical_code() == g.canonical_code()
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(g=random_graphs)
+def test_identity_operation_is_isomorphic(g):
+    assert ops.apply(ops.catalog("identity"), g).result.canonical_code() == g.canonical_code()
+
+
+# ---------------------------------------------------------------------------
+# command-line fuzz
+
+FUZZ_CASES = 400
+TOKENS = (b"0", b"1", b"2", b"-1", b"+1", b"-2", b"+7", b"99", b"x", b"", b":", b"1:",
+          b"+0", b"rot", b"lsp", b"lopsp", b"types:", b"outer:", b"special:")
+COMMANDS = {  # INPUT is the mutated file, CUBE an intact graph
+    "graph": (("canon", "INPUT"), ("facewidth", "INPUT"), ("ckcheck", "INPUT", "-k", "3"),
+              ("ckcheck", "INPUT", "-k", "2", "--method", "cycles"), ("apply", "gyro", "INPUT")),
+    "op": (("validate", "INPUT"), ("classify", "INPUT"), ("apply", "INPUT", "CUBE")),
+}
+
+
+def mutate(rng, data, binary):
+    """Swap two edge tokens (bytes of planar code), replace a token, or
+    make one to three byte edits.  A swap keeps every token, so the
+    permuted rotation system often still parses and reaches the later
+    stages.  Planar code keeps its header most of the time, so that its
+    body gets parsed."""
+    head = len(io.PLANAR_CODE_HEADER) if binary and rng.random() < 0.9 else 0
+    if binary:
+        parts = [data[:head]] + [data[k:k + 1] for k in range(head, len(data))]
+        spots = range(1, len(parts))
+    else:
+        parts = re.split(rb"(\s+)", data)
+        spots = [k for k, tok in enumerate(parts) if tok and not tok.isspace()]
+    i, j = rng.choice(spots), rng.choice(spots)
+    kind = rng.randrange(3)
+    if kind == 0:
+        if not binary:  # swap two edge tokens: a permuted rotation system
+            i, j = rng.sample([k for k in spots if parts[k][:1] in (b"+", b"-")], 2)
+        parts[i], parts[j] = parts[j], parts[i]
+    elif kind == 1:
+        parts[i] = (bytes([rng.randrange(256)]) if binary
+                    else rng.choice(TOKENS + (parts[i] + parts[j],)))
+    else:
+        data = bytearray(data)
+        alphabet = bytes(range(256)) if binary else b"0123456789+-: \nrotlsp\x80"
+        for _ in range(rng.randint(1, 3)):
+            pos = rng.randrange(head, len(data) + 1)
+            edit = rng.randrange(4)
+            if edit == 0:
+                data[pos:pos] = bytes([rng.choice(alphabet)])
+            elif edit == 1:
+                del data[pos:pos + 1]
+            elif edit == 2:
+                data[pos:pos + 1] = bytes([rng.choice(alphabet)])
+            else:
+                del data[pos:]
+        return bytes(data)
+    return b"".join(parts)
+
+
+def fuzz_inputs():
+    graphs = [polyhedra.cube(), polyhedra.k7_torus()]
+    out = [("graph", io.write_rot(g).encode("ascii"), False) for g in graphs]
+    out += [("graph", io.write_planar_code([g]), True) for g in graphs]
+    for name in ops.catalog_names():
+        for ext in (".lsp", ".lopsp"):
+            path = os.path.join(ops.catalog_dir(), name + ext)
+            if os.path.exists(path):
+                with open(path, "rb") as handle:
+                    out.append(("op", handle.read(), False))
+    return out
+
+
+def test_cli_fuzz(tmp_path, capsys):
+    rng = random.Random(20261018)
+    inputs = fuzz_inputs()
+    assert len(inputs) == 4 + len(ops.catalog_names())
+    cube = tmp_path / "cube.rot"
+    cube.write_text(io.write_rot(polyhedra.cube()), encoding="ascii")
+    path = tmp_path / "input"
+    for case in range(FUZZ_CASES):
+        kind, data, binary = rng.choice(inputs)
+        path.write_bytes(mutate(rng, data, binary))
+        files = {"INPUT": str(path), "CUBE": str(cube)}
+        argv = [files.get(arg, arg) for arg in rng.choice(COMMANDS[kind])]
+        code = main(argv)
+        err = capsys.readouterr().err
+        where = "case %d: %s on %r" % (case, argv[0], path.read_bytes())
+        assert code in (0, 1, 2), where
+        assert all(line.startswith("error:") for line in err.splitlines()), where
+        assert code != 2 or len(err.splitlines()) == 1, where
+
+
+# ---------------------------------------------------------------------------
+# the package imports nothing outside the standard library
+
+
+def test_src_is_stdlib_only():
+    modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
+    assert "operations.py" in modules
+    for name in modules:
+        with open(os.path.join(SRC, name), encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [] if node.level else [node.module.split(".")[0]]
+            else:
+                continue
+            for root in roots:
+                assert root in sys.stdlib_module_names or root == "surfops", (name, root)

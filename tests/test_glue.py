@@ -5,8 +5,14 @@ The oracle is the previous implementation of ``apply``,
 every cell, maps patch vertices and edges through dictionaries, finds
 each dart's direction by comparing edge ends, and builds the double
 chamber graph as an embedded subgraph of B_G.  The production code must
-give the same ``ApplicationResult`` in every field, dart numbering
-included, and the same ``write_rot`` bytes.
+give the same ``ApplicationResult`` in every field, dart numbering and
+face table included, and the same ``write_rot`` bytes.
+
+The production code builds the glued triangulation T unchecked, with
+its face table read off the template.  ``check_glued`` re-derives, on
+every T it is given, what the production code no longer checks per
+graph: the face table from the orbits of phi, the full rotation-system
+validation, the subdivision properties and the genus.
 """
 
 import os
@@ -19,7 +25,7 @@ from hypothesis import strategies as st
 from surfops import io, polyhedra, topology
 from surfops import operations as ops
 from surfops.chambers import DoubleChamberSystem, barycentric
-from surfops.embedded import EmbeddedGraph
+from surfops.embedded import EmbeddedGraph, InternalInvariant, _orbits
 
 from conftest import named_seeds, relabeled
 
@@ -79,6 +85,35 @@ def oracle_extract_base(t):
     return result, tuple(type0), tuple(edge_node)
 
 
+def verify_subdivision(t):
+    """T is the barycentric subdivision of a map: triangles only, no edge
+    between equal types, and type-1 vertices of degree 4."""
+    for walk in t.faces():
+        assert len(walk) == 3, walk
+    for d, dp in t.edge_darts():
+        assert t.labels[t.vertex_of[d]] != t.labels[t.vertex_of[dp]], d
+    for v, rot in enumerate(t.rotations()):
+        assert t.labels[v] != 1 or len(rot) == 4, v
+
+
+def assert_faces_are_phi_orbits(h):
+    """The stored face table is the one ``faces()`` derives from phi."""
+    phi = [h.sigma[h.inv[d]] for d in range(h.dart_count)]
+    assert h.faces() == tuple(_orbits(phi))
+    assert all(h.face_of(d) == i for i, walk in enumerate(h.faces()) for d in walk)
+
+
+def check_glued(res, g):
+    """What the production code no longer checks on every glued T."""
+    t = res.subdivision
+    assert_faces_are_phi_orbits(t)
+    assert_valid(t)
+    verify_subdivision(t)
+    assert t.genus() == res.result.genus() == g.genus()
+    assert len(res.result.faces()) == t.labels.count(2)
+    assert_valid(res.result)
+
+
 class Segment:
     def __init__(self, corner_from, corner_to, darts):
         self.corner_from, self.corner_to, self.darts = corner_from, corner_to, darts
@@ -124,17 +159,16 @@ class Gluer:
         assert self.edge_ends[eid] == (w, u)
         return (eid, 1)
 
-    def finish(self, base_genus, operation, cell_adjacency):
+    def finish(self, base_genus, operation):
         t, face_lift = oracle_assemble(self.face_cycles, self.edge_ends, self.vertex_labels)
-        ops._verify_subdivision(t)
+        verify_subdivision(t)
         result, vertex_node, edge_node = oracle_extract_base(t)
         assert result.genus() == base_genus
         return ops.ApplicationResult(
             result=result, subdivision=t, pi_vertex=tuple(self.vertex_lift),
             pi_edge=tuple(self.edge_lift), pi_face=face_lift,
             result_vertex_node=vertex_node, result_edge_node=edge_node,
-            edge_cells=tuple(frozenset(c) for c in self.edge_cells),
-            cell_adjacency=cell_adjacency, operation=operation,
+            edge_cells=tuple(frozenset(c) for c in self.edge_cells), operation=operation,
         )
 
 
@@ -269,7 +303,7 @@ def oracle_apply(op, g, cut_path=None):
         match = oracle_match_segments(gluer, pg, segments, frame, dg, walk, patch.lift_vertex, qi)
         oracle_glue_cell(gluer, qi, pg, patch_faces, patch.outer_face, match,
                          patch.lift_vertex, patch.lift_edge, patch.lift_face)
-    return gluer.finish(g.genus(), op, ops._quad_adjacency(dg))
+    return gluer.finish(g.genus(), op)
 
 
 def oracle_apply_lsp_direct(op, g):
@@ -309,7 +343,7 @@ def oracle_apply_lsp_direct(op, g):
         match = oracle_match_segments(gluer, og, segments, frame, b, walk, identity_lift, ci)
         oracle_glue_cell(gluer, ci, og, faces, op.outer_face, match, identity_lift,
                          tuple(range(og.edge_count)), tuple(range(len(og.faces()))))
-    return gluer.finish(g.genus(), op, ops._quad_adjacency(b))
+    return gluer.finish(g.genus(), op)
 
 
 # ---------------------------------------------------------------------------
@@ -321,25 +355,31 @@ def graph_data(h):
 
 
 FIELDS = ("pi_vertex", "pi_edge", "pi_face", "result_vertex_node", "result_edge_node",
-          "edge_cells", "cell_adjacency")
+          "edge_cells")
 
 
 def assert_same(res, want):
     assert graph_data(res.result) == graph_data(want.result)
     assert graph_data(res.subdivision) == graph_data(want.subdivision)
+    assert res.subdivision.faces() == want.subdivision.faces()
     for name in FIELDS:
         assert getattr(res, name) == getattr(want, name), name
     if res.operation is not want.operation:  # an lsp-operation doubled by each side
         assert graph_data(res.operation.graph) == graph_data(want.operation.graph)
+        assert res.operation.graph.faces() == want.operation.graph.faces()
         assert res.operation.specials == want.operation.specials
         assert res.operation.face_origin == want.operation.face_origin
     assert io.write_rot(res.result) == io.write_rot(want.result)
 
 
 def check_both_routes(op, g):
-    assert_same(ops.apply(op, g), oracle_apply(op, g))
+    res = ops.apply(op, g)
+    check_glued(res, g)
+    assert_same(res, oracle_apply(op, g))
     if isinstance(op, ops.LspOperation):
-        assert_same(ops.apply_lsp_direct(op, g), oracle_apply_lsp_direct(op, g))
+        res = ops.apply_lsp_direct(op, g)
+        check_glued(res, g)
+        assert_same(res, oracle_apply_lsp_direct(op, g))
 
 
 def data_ops():
@@ -377,7 +417,9 @@ def test_random_cut_paths():
     for seed in range(4):
         path = ops.find_cut_path(op, "seeded-random", seed=seed)
         for g in (polyhedra.cube(), polyhedra.k7_torus()):
-            assert_same(ops.apply(op, g, cut_path=path), oracle_apply(op, g, cut_path=path))
+            res = ops.apply(op, g, cut_path=path)
+            check_glued(res, g)
+            assert_same(res, oracle_apply(op, g, cut_path=path))
 
 
 def test_random_graphs():
@@ -404,6 +446,9 @@ def assert_valid(h):
 def test_unchecked_graphs_are_valid(name):
     op = data_ops()[name + ".lopsp"] if name in ("sprout", "pendant") else ops.catalog(name)
     lop = ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+    if lop is not op:  # the doubled operation is glued like a result
+        assert_faces_are_phi_orbits(lop.graph)
+        assert_valid(lop.graph)
     assert_valid(ops.double_chamber_patch(lop, ops.find_cut_path(lop)).graph)
     rng = random.Random(11)
     graphs = list(named_seeds().values()) + [
@@ -416,8 +461,7 @@ def test_unchecked_graphs_are_valid(name):
             assert_valid(comp.graph)
         for res in [ops.apply(op, g)] + (
                 [ops.apply_lsp_direct(op, g)] if isinstance(op, ops.LspOperation) else []):
-            assert_valid(res.result)
-            assert_valid(res.subdivision)
+            check_glued(res, g)
 
 
 def test_unchecked_from_rotations_matches_checked():
@@ -475,6 +519,52 @@ def test_templates_compile_once_per_operation(monkeypatch):
     assert len(compiled) == 2 + 1 + 2  # the double once, plain and mirrored once
 
 
+def test_apply_validates_no_graph(monkeypatch):
+    """Both routes build every graph they derive unchecked: G is
+    validated once, where it is parsed."""
+    ambo = io.parse_op(io.write_op(ops.catalog("ambo")))
+    gyro = io.parse_op(io.write_op(ops.catalog("gyro")))
+    g = io.parse_rot(io.write_rot(polyhedra.k7_torus()))
+    checks = []
+    check = EmbeddedGraph._check
+
+    def counting(self):
+        checks.append(self)
+        return check(self)
+
+    monkeypatch.setattr(EmbeddedGraph, "_check", counting)
+    for res in (ops.apply(gyro, g), ops.apply(ambo, g), ops.apply_lsp_direct(ambo, g)):
+        res.result.faces()
+    assert checks == []
+
+
+def test_broken_gluing_is_caught():
+    gyro = ops.catalog("gyro")
+    patch = ops.double_chamber_patch(gyro, ops.find_cut_path(gyro))
+    pg = patch.graph
+    boundary = (pg.faces()[patch.outer_face], patch.v2,
+                {patch.v0_left: 0, patch.v0_right: 0, patch.v1: 1, patch.v2: 2})
+    faces = [(patch.lift_face[fi], walk) for fi, walk in enumerate(pg.faces())
+             if fi != patch.outer_face]
+    lifts = (patch.lift_vertex, patch.lift_edge)
+    assert ops._compile_template(pg, *boundary, faces, *lifts).src
+    square = [(faces[0][0], faces[0][1] + faces[0][1][:1])] + faces[1:]
+    with pytest.raises(InternalInvariant, match="^template: face of size 4"):
+        ops._compile_template(pg, *boundary, square, *lifts)
+    flat = EmbeddedGraph(pg.sigma, pg.inv, pg.vertex_of, labels=[0] * pg.vertex_count)
+    with pytest.raises(InternalInvariant, match="^template: edge between equal types"):
+        ops._compile_template(flat, *boundary, faces, *lifts)
+
+    with pytest.raises(InternalInvariant, match="^assemble: "):
+        ops._assemble([0, 2, 4, 0, 3, 5], [0, 1] * 3, [0, 1], [0, 0])
+
+    g = polyhedra.cube()
+    ops.apply(gyro, g)
+    frame = DoubleChamberSystem(barycentric(g)).graph
+    with pytest.raises(InternalInvariant, match="^glue: Euler characteristic"):
+        ops._glue(frame, gyro._templates[None], g.genus() + 1, gyro)
+
+
 # ---------------------------------------------------------------------------
 # properties
 
@@ -490,7 +580,7 @@ def test_apply_keeps_genus_and_ignores_labelling(graph_seed, edges, name, relabe
     g = polyhedra.random_embedded(random.Random(graph_seed), edges)
     op = ops.catalog(name)
     res = ops.apply(op, g)
-    assert res.result.genus() == g.genus()
+    check_glued(res, g)
     assert res.result.edge_count == ops.inflation_factor(op) * g.edge_count
     other = ops.apply(op, relabeled(g, relabel_seed)).result
     assert other.canonical_code() == res.result.canonical_code()
