@@ -447,51 +447,26 @@ def _assemble(src, vertex_of, labels, lifts):
     return t, tuple(f for _, f in runs)
 
 
-def _extract_base(t):
-    """The embedded graph whose barycentric subdivision the labelled
-    triangulation is: vertices are its type-0 vertices, edges its type-1
-    vertices, faces its type-2 vertices."""
-    labels, vertex_of, inv = t.labels, t.vertex_of, t.inv
-    head_label = [labels[vertex_of[e]] for e in inv]
-    type0 = []
-    r_darts = []
-    rotations = []
-    for v, rot in enumerate(t.rotations()):
-        if labels[v] == 0:
-            type0.append(v)
-            first = len(r_darts)
-            r_darts += [d for d in rot if head_label[d] == 1]
-            rotations.append(list(range(first, len(r_darts))))
-    index = [-1] * t.dart_count
-    for i, d in enumerate(r_darts):
-        index[d] = i
-    pairing = [None] * len(r_darts)
-    for m, rot in enumerate(t.rotations()):
-        if labels[m] != 1:
-            continue
-        outs = [d for d in rot if head_label[d] == 0]
-        if len(outs) != 2:
-            raise InternalInvariant("extract", "edge vertex with %d endpoints" % len(outs), dart=rot[0])
-        a, b = index[inv[outs[0]]], index[inv[outs[1]]]
-        pairing[a], pairing[b] = b, a
-    result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
-    edge_node = tuple(vertex_of[inv[r_darts[d]]] for d, _ in result.edge_darts())
-    return result, tuple(type0), edge_node
+_LAZY_FIELDS = (
+    "subdivision", "edge_cells",  # the glued T; T-edge -> the cells (double chambers) using it
+    "pi_vertex", "pi_edge", "pi_face",  # T-vertex, T-edge, T-face -> the operation's
+    "result_vertex_node", "result_edge_node",  # result vertex, result edge -> T-vertex
+)
 
 
-@dataclass
 class ApplicationResult:
-    """Result graph, its labelled subdivision, and the projection pi."""
+    """Result graph, its labelled subdivision, and the projection pi.
+    Gluing makes ``result``; ``build`` makes the ``_LAZY_FIELDS`` on
+    first read, once, and they are cached."""
 
-    result: EmbeddedGraph
-    subdivision: EmbeddedGraph
-    pi_vertex: tuple  # subdivision vertex -> operation vertex
-    pi_edge: tuple  # subdivision edge -> operation edge
-    pi_face: tuple  # subdivision face -> operation face
-    result_vertex_node: tuple  # result vertex -> subdivision vertex
-    result_edge_node: tuple  # result edge -> subdivision (type-1) vertex
-    edge_cells: tuple = ()  # subdivision edge -> cells (double chambers) using it
-    operation: object = None
+    def __init__(self, result, operation=None, build=None, **fields):
+        self.__dict__.update(fields, result=result, operation=operation, _build=build)
+
+    def __getattr__(self, name):
+        if name not in _LAZY_FIELDS or self.__dict__.get("_build") is None:
+            raise AttributeError(name)
+        self.__dict__.update(self._build(), _build=None)
+        return self.__dict__[name]
 
 
 @dataclass
@@ -507,6 +482,11 @@ class _CellTemplate:
     edge, base 1+k is 2 * the first edge of the chain under segment k.
     Vertex base 0 is the cell's first interior vertex, 1+k the first
     interior vertex of chain k, 1+S+k the cell's k-th corner (S segments).
+
+    ``fans`` gives each type-0 vertex its darts inside the cell, in
+    rotation order, as (vertex, first dart, next dart, type-1 heads):
+    ``next`` starts the next cell's fan around it, or is ``first`` for an
+    interior vertex, whose fan starts at its smallest dart.
     """
 
     types: tuple  # corner types along the boundary walk
@@ -516,6 +496,7 @@ class _CellTemplate:
     face_lift: list
     vertex_lift: list
     edge_lift: list
+    fans: list
 
 
 def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edge):
@@ -555,7 +536,12 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
                 raise InternalInvariant("template", "boundary vertex met twice", dart=darts[0])
         for t, d in enumerate(darts):
             eref[pg.edge_of(d)] = (1 + k, 2 * min(pos[t], pos[t + 1]) + (a < b), d)
-    tm = _CellTemplate(types, chains, [], [], [], [], [])
+    tm = _CellTemplate(types, chains, [], [], [], [], [], [])
+
+    def ref(d):  # (base, const) of a patch dart
+        base, const, d0 = eref[pg.edge_of(d)]
+        return base, const if d == d0 else const ^ 1
+
     for lifted, fwalk in faces:
         if len(fwalk) != 3:
             raise InternalInvariant("template", "face of size %d" % len(fwalk), dart=fwalk[0])
@@ -563,7 +549,6 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
             if pg.vertex_of[d] not in vref:
                 vref[pg.vertex_of[d]] = (0, len(tm.vertex_lift))
                 tm.vertex_lift.append(lift_vertex[pg.vertex_of[d]])
-        slots = []
         for d in fwalk:
             pe = pg.edge_of(d)
             if pe not in eref:
@@ -572,54 +557,121 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
                 eref[pe] = (0, 2 * len(tm.edge_lift), d)
                 tm.edge_lift.append(lift_edge[pe])
                 tm.ends += (vref[pg.vertex_of[d]], vref[pg.head(d)])
-            base, const, d0 = eref[pe]
-            slots.append((base, const if d == d0 else const ^ 1))
-        tm.src += slots
+        tm.src += map(ref, fwalk)
         tm.face_lift.append(lifted)
+    phi = {d: fwalk[(i + 1) % 3] for _, fwalk in faces for i, d in enumerate(fwalk)}
+    for v in [v for v, t in enumerate(pg.labels) if t == 0]:  # fans, by sigma of T in the cell
+        succ = {d: phi[pg.inv[d]] for d in pg.rotations()[v] if pg.inv[d] in phi}
+        starts = set(succ) - set(succ.values())  # an interior vertex has none
+        fan = [starts.pop() if starts else min(succ, key=ref)]
+        while succ[fan[-1]] in succ and succ[fan[-1]] != fan[0]:
+            fan.append(succ[fan[-1]])
+        heads = [vref[pg.head(d)] for d in fan if pg.labels[pg.head(d)] == 1]
+        tm.fans.append((vref[v], ref(fan[0]), ref(succ[fan[-1]]), heads))
     return tm
 
 
-def _glue(frame, templates, base_genus, op):
-    """Glue a template copy into every face (cell) of the labelled frame
-    graph, after subdividing each frame edge by the chain of its types.
-
-    A cell is read from its type-2 corner against its facial walk, so the
-    glued copies keep the orientation of G, and gets the template whose
-    corner types match.  Frame vertices come first, then the chains in
-    frame edge order, then each cell's interior, cell by cell.  The
-    Euler characteristic of the glued surface, from its counts, must be
-    that of G.
-    """
-    labels, fv, inv = frame.labels, frame.vertex_of, frame.inv
-    by_types = {tm.types: tm for tm in templates}
-    chains = templates[0].chains
-    vertex_lift = [op.specials[x] for x in labels]
-    vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
-    edge_lift = []
-    edge_cells = []
-    vbase = []
-    ebase = []
+def _frame_chains(frame, chains):
+    """Each frame edge as its two darts, from its higher-type end, with
+    the vertex and edge lifts of the chain that subdivides it."""
+    labels, fv = frame.labels, frame.vertex_of
     for d, dp in frame.edge_darts():
-        u, w = fv[d], fv[dp]
-        if labels[u] < labels[w]:
-            u, w = w, u
-        vl, el = chains[labels[u], labels[w]]
-        chain = [u, *range(len(vertex_lift), len(vertex_lift) + len(vl)), w]
-        vbase.append(len(vertex_lift))
-        ebase.append(len(edge_lift))
-        for i in range(len(el)):
-            vertex_of += chain[i:i + 2]
-        vertex_lift += vl
-        edge_lift += el
-        edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
-    src, lifts = [], []
+        if labels[fv[d]] < labels[fv[dp]]:
+            d, dp = dp, d
+        yield d, dp, chains[labels[fv[d]], labels[fv[dp]]]
+
+
+def _cells(frame, templates):
+    """Each face (cell) of the frame with the template whose corner types
+    match, its walk and the frame edges of its sides.  A cell is read
+    from its type-2 corner against its facial walk, so the glued copies
+    keep the orientation of G."""
+    labels, fv, inv, edge_of = frame.labels, frame.vertex_of, frame.inv, frame.edge_of
+    by_types = {tm.types: tm for tm in templates}
     for qi, face in enumerate(frame.faces()):
         i = [labels[fv[d]] for d in face].index(2)
         walk = [inv[d] for d in reversed(face[i:] + face[:i])]
         tm = by_types.get(tuple(labels[fv[d]] for d in walk))
         if tm is None:
             raise InternalInvariant("glue", "cell corners match no template", cell=qi, dart=walk[0])
-        sides = [frame.edge_of(d) for d in walk]
+        yield qi, tm, walk, [edge_of(d) for d in walk]
+
+
+def _glue(frame, templates, base_genus, op):
+    """Glue a template copy into every face (cell) of the labelled frame
+    graph, after subdividing each frame edge by the chain of its types.
+
+    Only the result graph is made, from the templates' fans; T and the
+    fields indexed by it wait for ``_glue_slots``.  The result's vertices
+    are T's type-0 vertices in T's order, each with its cells' fans from
+    its smallest T-dart.  T's counts must give G's Euler characteristic,
+    and every result dart must be listed once.
+    """
+    fv = frame.vertex_of
+    nvt, net, nf = len(frame.rotations()), 0, 0
+    vbase, ebase = [], []
+    for _, _, (vl, el) in _frame_chains(frame, templates[0].chains):
+        vbase.append(nvt)
+        ebase.append(net)
+        nvt += len(vl)
+        net += len(el)
+    fan_at = {}  # first dart of a fan -> (its heads, the first dart of the next fan)
+    start = {}  # type-0 vertex -> its smallest dart
+    cells = list(_cells(frame, templates))
+    for _, tm, walk, sides in cells:
+        db = [2 * net] + [2 * ebase[x] for x in sides]
+        vb = [nvt] + [vbase[x] for x in sides] + [fv[d] for d in walk]
+        for (b, c), (fb, fc), (nb, nc), heads in tm.fans:
+            v, first = vb[b] + c, db[fb] + fc
+            fan_at[first] = ([vb[x] + y for x, y in heads], db[nb] + nc)
+            if first < start.get(v, first + 1):
+                start[v] = first
+        nvt += len(tm.vertex_lift)
+        net += len(tm.edge_lift)
+        nf += len(tm.face_lift)
+    if nvt - net + nf != 2 - 2 * base_genus:
+        raise InternalInvariant("glue", "Euler characteristic differs from the base graph's")
+    heads, rotations, type0 = [], [], sorted(start)
+    for v in type0:
+        lo, d = len(heads), start[v]
+        while True:
+            fan, d = fan_at[d]
+            heads += fan
+            if d == start[v]:
+                break
+        rotations.append(range(lo, len(heads)))
+    # the two result darts into each type-1 vertex of T are reverses
+    order = sorted(range(len(heads)), key=heads.__getitem__)
+    ends = [heads[d] for d in order]
+    if ends[0::2] != ends[1::2] or 2 * len(set(ends)) != len(ends):
+        raise InternalInvariant("glue", "a result dart is listed twice or not at all")
+    pairing = [0] * len(heads)
+    for a, b in zip(order[0::2], order[1::2]):
+        pairing[a], pairing[b] = b, a
+    result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
+    return ApplicationResult(result, op, lambda: dict(
+        _glue_slots(frame, cells, op), result_vertex_node=tuple(type0),
+        result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
+
+
+def _glue_slots(frame, cells, op):
+    """T itself, glued slot by slot into the frame's ``_cells``, with the
+    fields indexed by it.  T's vertices are the frame vertices, then the
+    chains in frame edge order, then each cell's interior, cell by cell."""
+    fv = frame.vertex_of
+    vertex_lift = [op.specials[x] for x in frame.labels]
+    vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
+    edge_lift, edge_cells, vbase, ebase = [], [], [], []
+    for d, dp, (vl, el) in _frame_chains(frame, cells[0][1].chains):
+        chain = [fv[d], *range(len(vertex_lift), len(vertex_lift) + len(vl)), fv[dp]]
+        vbase.append(len(vertex_lift))
+        ebase.append(len(edge_lift))
+        vertex_of += [x for pair in zip(chain, chain[1:]) for x in pair]
+        vertex_lift += vl
+        edge_lift += el
+        edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
+    src, lifts = [], []
+    for qi, tm, walk, sides in cells:
         db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
         vb = [len(vertex_lift)] + [vbase[x] for x in sides] + [fv[d] for d in walk]
         src += [db[b] + c for b, c in tm.src]
@@ -629,20 +681,8 @@ def _glue(frame, templates, base_genus, op):
         edge_lift += tm.edge_lift
         edge_cells += [frozenset((qi,))] * len(tm.edge_lift)
     t, face_lift = _assemble(src, vertex_of, [op.graph.labels[x] for x in vertex_lift], lifts)
-    if len(vertex_lift) - len(edge_lift) + len(face_lift) != 2 - 2 * base_genus:
-        raise InternalInvariant("glue", "Euler characteristic differs from the base graph's")
-    result, vertex_node, edge_node = _extract_base(t)
-    return ApplicationResult(
-        result=result,
-        subdivision=t,
-        pi_vertex=tuple(vertex_lift),
-        pi_edge=tuple(edge_lift),
-        pi_face=face_lift,
-        result_vertex_node=vertex_node,
-        result_edge_node=edge_node,
-        edge_cells=tuple(edge_cells),
-        operation=op,
-    )
+    return dict(subdivision=t, pi_vertex=tuple(vertex_lift), pi_edge=tuple(edge_lift),
+                pi_face=face_lift, edge_cells=tuple(edge_cells))
 
 
 def _patch_template(op, cut_path):

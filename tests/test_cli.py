@@ -227,18 +227,67 @@ def test_catalog_env_override(tmp_path, capsys, monkeypatch):
 
 
 def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
-    from surfops import operations
-    from surfops.embedded import InternalInvariant
-
-    def broken(t):
-        raise InternalInvariant("extract", "edge vertex with 3 endpoints", cell=5, dart=17)
-
-    monkeypatch.setattr(operations, "_extract_base", broken)
+    """A broken invariant of the eager glue path: a compiled template
+    whose fan lists a result dart twice."""
+    gyro = catalog("gyro")
+    apply(gyro, polyhedra.cube())  # compiles the template
+    (tm,) = gyro._templates[None]
+    i = next(i for i, fan in enumerate(tm.fans) if fan[3])
+    vertex, first, nxt, heads = tm.fans[i]
+    fans = tm.fans[:i] + [(vertex, first, nxt, heads + heads[:1])] + tm.fans[i + 1:]
+    monkeypatch.setattr(tm, "fans", fans)
     code, out, err = run(capsys, "apply", "gyro", cube_file)
     assert code == 3
     assert out == ""
     assert err.splitlines() == [
-        "error: internal-invariant extract: edge vertex with 3 endpoints cell 5 dart 17"]
+        "error: internal-invariant glue: a result dart is listed twice or not at all"]
+
+
+@pytest.mark.parametrize("name", ["gyro", "ambo"])
+def test_apply_writes_without_subdivision(name, tmp_path, capsys, monkeypatch):
+    """``apply`` on the command line glues no triangulation once the
+    operation is compiled (ambo takes the direct lsp route).  T is built
+    on its first read, once."""
+    from surfops import operations
+
+    paths = []
+    for g in (polyhedra.cube(), polyhedra.k7_torus()):
+        paths.append(tmp_path / ("%d.rot" % len(paths)))
+        paths[-1].write_text(sio.write_rot(g), encoding="ascii")
+    assert run(capsys, "apply", name, str(paths[0]))[0] == 0  # compiles the operation
+    calls = []
+    assemble = operations._assemble
+    monkeypatch.setattr(operations, "_assemble", lambda *args: calls.append(args) or assemble(*args))
+    for path in paths:
+        code, out, err = run(capsys, "apply", name, str(path))
+        assert code == 0 and out.startswith("rot ")
+    assert calls == []
+    glue = operations.apply_lsp_direct if name == "ambo" else operations.apply
+    res = glue(catalog(name), polyhedra.k7_torus())
+    assert calls == []
+    t = res.subdivision
+    assert len(calls) == 1
+    assert res.subdivision is t
+    assert res.pi_face and res.edge_cells and res.result_edge_node
+    assert len(calls) == 1
+
+
+# ``classify`` reads the lazily built triangulation: its witness darts
+# must keep their numbering
+CLASSIFY_STDOUT = {
+    **{name: "3\n" for name in ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")},
+    "meta.lsp": "3\n",
+    "pendant.lopsp": "2\nwitness four_cycle darts 49 56 55 50\n"
+                     "witness cells single=False two-adjacent=True\n",
+    "sprout.lopsp": "1\nwitness two_cycle darts 48 32\n"
+                    "witness cells single=True two-adjacent=True\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLASSIFY_STDOUT))
+def test_classify_stdout(name, capsys):
+    code, out, err = run(capsys, "classify", os.path.join(DATA, name) if "." in name else name)
+    assert (code, out, err) == (0, CLASSIFY_STDOUT[name], "")
 
 
 def test_apply_output_to_missing_directory(cube_file, capsys, tmp_path):

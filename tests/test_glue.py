@@ -8,13 +8,17 @@ chamber graph as an embedded subgraph of B_G.  The production code must
 give the same ``ApplicationResult`` in every field, dart numbering and
 face table included, and the same ``write_rot`` bytes.
 
-The production code builds the glued triangulation T unchecked, with
-its face table read off the template.  ``check_glued`` re-derives, on
-every T it is given, what the production code no longer checks per
-graph: the face table from the orbits of phi, the full rotation-system
-validation, the subdivision properties and the genus.
+The production code glues the result graph from the templates' fans,
+without T, and builds T unchecked on first read, with its face table
+read off the template.  ``check_glued`` re-derives, on every T it is
+given, what the production code no longer checks per graph: the face
+table from the orbits of phi, the full rotation-system validation, the
+subdivision properties and the genus.  It also extracts the result from
+T by walking its rotations (``oracle_extract_base``), which must give
+the fan path's result, vertex nodes and edge nodes exactly.
 """
 
+import dataclasses
 import os
 import random
 
@@ -104,8 +108,13 @@ def assert_faces_are_phi_orbits(h):
 
 
 def check_glued(res, g):
-    """What the production code no longer checks on every glued T."""
+    """What the production code no longer checks on every glued T, and
+    the result glued from fans against the one extracted from T."""
     t = res.subdivision
+    result, vertex_node, edge_node = oracle_extract_base(t)
+    assert graph_data(res.result) == graph_data(result)
+    assert res.result_vertex_node == vertex_node
+    assert res.result_edge_node == edge_node
     assert_faces_are_phi_orbits(t)
     assert_valid(t)
     verify_subdivision(t)
@@ -422,6 +431,30 @@ def test_random_cut_paths():
             assert_same(res, oracle_apply(op, g, cut_path=path))
 
 
+def composite(outer, inner):
+    """The lopsp-operation of outer(inner(G)): copies of the lsp-operation
+    ``outer`` glued into every chamber of ``inner``'s triangulation.  Its
+    patch has interior type-0 vertices, which no catalog patch has."""
+    ops.apply_lsp_direct(outer, polyhedra.tetrahedron())  # compiles the templates
+    lop = ops.lsp_to_lopsp(inner) if isinstance(inner, ops.LspOperation) else inner
+    cells = list(ops._cells(lop.graph, outer._templates[None]))
+    t = ops._glue_slots(lop.graph, cells, outer)["subdivision"]
+    return ops.LopspOperation(t, lop.v0, lop.v1, lop.v2)
+
+
+@pytest.mark.parametrize("outer, inner", [("truncation", "gyro"), ("truncation", "snub"),
+                                          ("truncation", "ambo"), ("ambo", "gyro")])
+def test_composite_operations(outer, inner):
+    op = composite(ops.catalog(outer), ops.catalog(inner))
+    assert not op.validate()
+    for g in (polyhedra.cube(), polyhedra.k7_torus()):
+        check_both_routes(op, g)
+        want = ops.apply(ops.catalog(outer), ops.apply(ops.catalog(inner), g).result).result
+        assert ops.apply(op, g).result.canonical_code() == want.canonical_code()
+    (tm,) = op._templates[None]
+    assert any(vertex[0] == 0 and len(heads) > 1 for vertex, _, _, heads in tm.fans)
+
+
 def test_random_graphs():
     rng = random.Random(7)
     names = ops.catalog_names()
@@ -535,6 +568,7 @@ def test_apply_validates_no_graph(monkeypatch):
     monkeypatch.setattr(EmbeddedGraph, "_check", counting)
     for res in (ops.apply(gyro, g), ops.apply(ambo, g), ops.apply_lsp_direct(ambo, g)):
         res.result.faces()
+        res.subdivision.faces()
     assert checks == []
 
 
@@ -563,6 +597,15 @@ def test_broken_gluing_is_caught():
     frame = DoubleChamberSystem(barycentric(g)).graph
     with pytest.raises(InternalInvariant, match="^glue: Euler characteristic"):
         ops._glue(frame, gyro._templates[None], g.genus() + 1, gyro)
+
+    # a fan that lists a result dart twice, or leaves one out
+    (tm,) = gyro._templates[None]
+    i = next(i for i, fan in enumerate(tm.fans) if fan[3])
+    vertex, first, nxt, heads = tm.fans[i]
+    for broken in (heads + heads[:1], heads[1:]):
+        fans = tm.fans[:i] + [(vertex, first, nxt, broken)] + tm.fans[i + 1:]
+        with pytest.raises(InternalInvariant, match="^glue: a result dart is listed twice or not"):
+            ops._glue(frame, (dataclasses.replace(tm, fans=fans),), g.genus(), gyro)
 
 
 # ---------------------------------------------------------------------------
