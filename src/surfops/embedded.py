@@ -31,10 +31,6 @@ class Disconnected(ValueError):
     """The rotation system describes a disconnected graph."""
 
 
-class EmptySelection(ValueError):
-    """An embedded subgraph was requested for an empty dart set."""
-
-
 class InternalInvariant(AssertionError):
     """A broken internal invariant: a bug, not bad input.  Names the
     stage, and the cell and dart where they are known."""
@@ -121,7 +117,9 @@ class EmbeddedGraph:
         n = sum(len(r) for r in rotations)
         if check:
             seen = [False] * n
-            for rot in rotations:
+            for v, rot in enumerate(rotations):
+                if not rot:
+                    raise Disconnected("vertex %d has no darts" % v)
                 for d in rot:
                     if not isinstance(d, int) or d < 0 or d >= n:
                         raise DartMissingOrDuplicated("dart %r out of range" % (d,))
@@ -330,64 +328,6 @@ class EmbeddedGraph:
             sigma_inv[self.sigma[d]] = d
         return EmbeddedGraph(sigma_inv, self.inv, self.vertex_of, labels=self.labels)
 
-    def embedded_subgraph(self, keep_darts):
-        """Embedded subgraph induced by a dart set closed under ``inv``.
-
-        Returns one ``SubgraphComponent`` per connected component; the
-        rotation of every surviving vertex is the rotation of the parent
-        restricted to surviving darts.
-        """
-        keep = frozenset(keep_darts)
-        if not keep:
-            raise EmptySelection("no darts selected")
-        for d in keep:
-            if self.inv[d] not in keep:
-                raise ValueError("dart set not closed under inv")
-        # split into components over sigma-restriction and inv
-        nxt = {}
-        for v in set(self.vertex_of[d] for d in keep):
-            rot = [d for d in self.rotations()[v] if d in keep]
-            for i, d in enumerate(rot):
-                nxt[d] = rot[(i + 1) % len(rot)]
-        comp = {}
-        comps = []
-        for start in sorted(keep):
-            if start in comp:
-                continue
-            cid = len(comps)
-            todo = [start]
-            comp[start] = cid
-            members = [start]
-            while todo:
-                d = todo.pop()
-                for e in (nxt[d], self.inv[d]):
-                    if e not in comp:
-                        comp[e] = cid
-                        members.append(e)
-                        todo.append(e)
-            comps.append(sorted(members))
-        out = []
-        for members in comps:
-            newid = {d: i for i, d in enumerate(members)}
-            vs = []
-            vmap = []
-            vseen = {}
-            rotations = []
-            for d in members:
-                v = self.vertex_of[d]
-                if v not in vseen:
-                    vseen[v] = len(rotations)
-                    vmap.append(v)
-                    rot = [x for x in self.rotations()[v] if x in newid]
-                    rotations.append([newid[x] for x in rot])
-            pairing = [newid[self.inv[d]] for d in members]
-            labels = None
-            if self.labels is not None:
-                labels = [self.labels[v] for v in vmap]
-            g = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
-            out.append(SubgraphComponent(g, tuple(members), tuple(vmap)))
-        return out
-
     # -- canonical forms -------------------------------------------------
 
     def _degree_table(self):
@@ -542,18 +482,3 @@ def _union(parent, a, b):
         parent[rb] = ra
     elif rb < ra:
         parent[ra] = rb
-
-
-class SubgraphComponent:
-    """A connected component of an embedded subgraph.
-
-    ``dart_map[i]`` / ``vertex_map[i]`` give the parent dart / vertex for
-    dart / vertex ``i`` of the component graph.
-    """
-
-    __slots__ = ("graph", "dart_map", "vertex_map")
-
-    def __init__(self, graph, dart_map, vertex_map):
-        self.graph = graph
-        self.dart_map = dart_map
-        self.vertex_map = vertex_map

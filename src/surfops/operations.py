@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
 from .embedded import EmbeddedGraph, InternalInvariant
-from .topology import _smallest_cut, ck_via_cycles, internal_component, subgraph_faces
+from .topology import _smallest_cut, ck_via_cycles
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -362,38 +362,72 @@ class DoubleChamberPatch:
     lift_face: tuple  # patch face -> operation face (None for the outer face)
 
 
+def _cut_open(g, walk):
+    """g cut open along a tree whose single face is ``walk``.
+
+    Walk position j becomes a vertex of its own, whose rotation is the
+    reverse of the dart before it, the darts in the angle up to walk[j],
+    and walk[j]; the vertices off the tree follow, whole, in increasing
+    order.  Darts are numbered rotation by rotation.  Returns the plane
+    graph, the g-vertex and the g-dart each of its vertices and darts
+    copies, and its outer face.
+    """
+    rotations = []
+    origin = []  # copy dart -> the g-dart it copies
+    copy_dart = {}  # g-dart off the walk -> its copy
+    on_walk = {g.vertex_of[d] for d in walk}
+    copy_of = tuple([g.vertex_of[d] for d in walk]
+                    + [v for v in range(g.vertex_count) if v not in on_walk])
+    for j, v in enumerate(copy_of):
+        rot, n = g.rotations()[v], len(origin)
+        if j < len(walk):
+            i = rot.index(g.inv[walk[j - 1]])
+            m = (rot.index(walk[j]) - i - 1) % len(rot)  # darts strictly between
+            rot = (rot[i:] + rot[:i])[:m + 1] + (walk[j],)
+            copy_dart.update(zip(rot[1:-1], range(n + 1, n + m + 1)))
+        else:
+            copy_dart.update(zip(rot, range(n, n + len(rot))))
+        rotations.append(range(n, n + len(rot)))
+        origin.extend(rot)
+    pairing = [None] * len(origin)
+    for d, x in copy_dart.items():
+        pairing[x] = copy_dart[g.inv[d]]
+    for j in range(len(walk)):
+        x, y = rotations[j][-1], rotations[(j + 1) % len(walk)][0]
+        pairing[x], pairing[y] = y, x
+    pg = EmbeddedGraph.from_rotations(rotations, pairing,
+                                      labels=[g.labels[v] for v in copy_of], check=False)
+    return pg, copy_of, tuple(origin), pg.face_of(rotations[1][0])
+
+
 def double_chamber_patch(op, path):
-    """Internal component of the single face of the cut-path."""
+    """The operation cut open along the cut-path.  The single face of a
+    simple path is the path followed by its reverse, here turned to
+    start at its smallest dart."""
     op.require_valid()
     _check_cut_path(op, path)
     g = op.graph
-    s = set(path.darts) | {g.inv[d] for d in path.darts}
-    sf = subgraph_faces(g, s)
-    if len(sf.walks) != 1:
-        raise InternalInvariant("patch", "a cut-path must have a single face")
-    ic = internal_component(g, s, 0, sf=sf)
-    copy_of = ic.copy_of
-    pg = ic.graph
+    walk = list(path.darts) + [g.inv[d] for d in reversed(path.darts)]
+    i = walk.index(min(walk))
+    pg, copy_of, lift_dart, outer = _cut_open(g, walk[i:] + walk[:i])
     corners_v0 = [v for v in range(len(copy_of)) if copy_of[v] == op.v0]
     (v1c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v1]
     (v2c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v2]
     if len(corners_v0) != 2:
         raise InternalInvariant("patch", "expected exactly two copies of v0 on the patch")
     lift_edge = [None] * pg.edge_count
-    lift_dart = ic.dart_origin
     for d in range(pg.dart_count):
         lift_edge[pg.edge_of(d)] = g.edge_of(lift_dart[d])
     lift_face = []
     for fi, walk in enumerate(pg.faces()):
-        if fi == ic.outer_face:
+        if fi == outer:
             lift_face.append(None)
         else:
             lift_face.append(g.face_of(lift_dart[walk[0]]))
     inner = sorted(f for f in lift_face if f is not None)
     if inner != sorted(range(len(g.faces()))):
         raise InternalInvariant("patch", "patch chambers do not cover the operation once each")
-    walk = pg.faces()[ic.outer_face]
-    tails = [pg.vertex_of[d] for d in walk]
+    tails = [pg.vertex_of[d] for d in pg.faces()[outer]]
     i1 = tails.index(v1c)
     order = tails[i1:] + tails[:i1]
     v0_left = next(v for v in order if v in corners_v0)
@@ -404,7 +438,7 @@ def double_chamber_patch(op, path):
         v2c,
         v0_left,
         v0_right,
-        ic.outer_face,
+        outer,
         copy_of,
         tuple(lift_edge),
         tuple(lift_face),

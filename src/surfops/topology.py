@@ -1,14 +1,9 @@
-"""Bridges, internal components, contractibility, face-width, ck-embeddings.
+"""Contractibility, face-width, ck-embeddings.
 
-A subgraph S of G is given as a set of darts closed under ``inv``.  Its
-faces are the orbits of the restricted successor function; a bridge is
-either a single edge between vertices of S (a chord) or a component of
-G minus V(S) together with its attachment edges.  A face of S is simple
-when no bridge lying in it lies in another face as well; the internal
-component of a simple face re-embeds its interior with repeated boundary
-vertices split.  A cycle is contractible when one of its faces is simple
-and internally plane, the face-width of G is half the minimal length of
-a non-contractible cycle in the barycentric subdivision.
+A simple cycle is contractible when one of its sides is a disc, which a
+walk over the faces of the smaller side decides by its Euler
+characteristic.  The face-width of G is half the minimal length of a
+non-contractible cycle in the barycentric subdivision.
 """
 
 from __future__ import annotations
@@ -17,257 +12,53 @@ import math
 from dataclasses import dataclass, field
 
 from .chambers import barycentric
-from .embedded import EmbeddedGraph, InternalInvariant
-
-
-class FaceIsBridged(ValueError):
-    """Internal components exist only for simple faces."""
-
-
-@dataclass(frozen=True)
-class Bridge:
-    kind: str  # "chord" | "component"
-    vertices: tuple  # attachment vertices on S
-    edges: tuple  # G-edge ids of the bridge
-    faces: tuple  # indices of the S-faces the bridge is in
-    interior_vertices: tuple = ()
-
-
-@dataclass
-class SubgraphFaces:
-    """Faces of a dart subset S plus the angle bookkeeping used by bridges."""
-
-    darts: frozenset
-    walks: tuple  # faces of S as dart tuples
-    face_of: dict  # S-dart -> face index (of the walk starting there)
-    angle_of: dict  # non-S dart at an S-vertex -> (face index, walk position)
-
-
-def subgraph_faces(g, sub_darts):
-    """Faces of the embedded subgraph S and the face/position every angle
-    gap belongs to."""
-    s = frozenset(sub_darts)
-    for d in s:
-        if g.inv[d] not in s:
-            raise ValueError("subgraph darts not closed under inv")
-    # one backward walk per rotation: next_s[x] is the first S-dart after
-    # x clockwise, for x in S and, in gap_end, for the darts outside S
-    next_s = {}
-    gap_end = {}
-    for v in {g.vertex_of[d] for d in s}:
-        rot = g.rotations()[v]
-        k = len(rot)
-        last = next(i for i in range(k - 1, -1, -1) if rot[i] in s)
-        nxt = rot[last]
-        for i in range(last - 1, last - 1 - k, -1):
-            d = rot[i]
-            if d in s:
-                next_s[d] = nxt
-                nxt = d
-            else:
-                gap_end[d] = nxt
-    walks = []
-    face_of = {}
-    seen = set()
-    for start in sorted(s):
-        if start in seen:
-            continue
-        walk = []
-        d = start
-        while d not in seen:
-            seen.add(d)
-            walk.append(d)
-            d = next_s[g.inv[d]]
-        fi = len(walks)
-        walks.append(tuple(walk))
-        for d in walk:
-            face_of[d] = fi
-    # every dart in a gap belongs to the angle whose leaving dart closes it
-    position_of_leaving = {}
-    for fi, walk in enumerate(walks):
-        for pos, d in enumerate(walk):
-            position_of_leaving[d] = (fi, pos)
-    angle_of = {d: position_of_leaving[x] for d, x in gap_end.items()}
-    return SubgraphFaces(s, tuple(walks), face_of, angle_of)
-
-
-def bridges(g, sub_darts, sf=None):
-    """Bridges of the subgraph S in G with their face assignment.
-
-    Returns (bridges, simple) where ``simple[f]`` says whether the f-th
-    face of S is simple, i.e. shares no bridge with another face.
-    """
-    sf = sf or subgraph_faces(g, sub_darts)
-    s = sf.darts
-    s_vertices = {g.vertex_of[d] for d in s}
-    out = []
-    g.edge_darts()
-    # chords: single non-S edges with both ends on S
-    comp_id = {}
-    comps = []
-    for v in range(g.vertex_count):
-        if v in s_vertices or v in comp_id:
-            continue
-        cid = len(comps)
-        comp_id[v] = cid
-        members = [v]
-        todo = [v]
-        while todo:
-            u = todo.pop()
-            for d in g.rotations()[u]:
-                w = g.head(d)
-                if w not in s_vertices and w not in comp_id:
-                    comp_id[w] = cid
-                    members.append(w)
-                    todo.append(w)
-        comps.append(members)
-    comp_edges = [[] for _ in comps]
-    comp_attach = [set() for _ in comps]
-    comp_faces = [set() for _ in comps]
-    for d, dprime in g.edge_darts():
-        if d in s:
-            continue
-        u, w = g.vertex_of[d], g.vertex_of[dprime]
-        if u in s_vertices and w in s_vertices:
-            fs = {sf.angle_of[d][0], sf.angle_of[dprime][0]}
-            out.append(
-                Bridge("chord", tuple(sorted({u, w})), (g.edge_of(d),), tuple(sorted(fs)))
-            )
-            continue
-        for dart, tail in ((d, u), (dprime, w)):
-            if tail not in s_vertices:
-                cid = comp_id[tail]
-                break
-        comp_edges[cid].append(g.edge_of(d))
-        for dart, tail in ((d, u), (dprime, w)):
-            if tail in s_vertices:
-                comp_attach[cid].add(tail)
-                comp_faces[cid].add(sf.angle_of[dart][0])
-    for cid, members in enumerate(comps):
-        out.append(
-            Bridge(
-                "component",
-                tuple(sorted(comp_attach[cid])),
-                tuple(sorted(comp_edges[cid])),
-                tuple(sorted(comp_faces[cid])),
-                interior_vertices=tuple(sorted(members)),
-            )
-        )
-    simple = [True] * len(sf.walks)
-    for br in out:
-        if len(br.faces) > 1:
-            for f in br.faces:
-                simple[f] = False
-    return out, simple
-
-
-@dataclass
-class InternalComponent:
-    """The interior of a simple face re-embedded as a standalone graph.
-
-    ``copy_of`` maps every vertex back to G; boundary position j carries
-    the vertex at walk position j.  ``outer_face`` is the face of the
-    component corresponding to the original face.
-    """
-
-    graph: EmbeddedGraph
-    copy_of: tuple
-    outer_face: int
-    dart_origin: tuple  # component dart -> G-dart it copies
-
-
-def internal_component(g, sub_darts, face_index, sf=None, brs=None):
-    sf = sf or subgraph_faces(g, sub_darts)
-    if brs is None:
-        brs, simple = bridges(g, sub_darts, sf)
-    else:
-        brs, simple = brs
-    if not simple[face_index]:
-        raise FaceIsBridged("face %d is bridged" % face_index)
-    walk = sf.walks[face_index]
-    L = len(walk)
-    in_bridges = [b for b in brs if b.faces == (face_index,)]
-    interior = sorted({v for b in in_bridges for v in b.interior_vertices})
-    # component vertices: walk positions then interior vertices
-    vid = {}
-    copy_of = []
-    for j in range(L):
-        vid[("pos", j)] = j
-        copy_of.append(g.vertex_of[walk[j]])
-    for v in interior:
-        vid[("int", v)] = len(copy_of)
-        copy_of.append(v)
-    # component darts: ("w", j)/("wb", j) for walk edges, ("b", d) for bridge darts
-    dart_id = {}
-
-    def did(key):
-        if key not in dart_id:
-            dart_id[key] = len(dart_id)
-        return dart_id[key]
-
-    def resolve(d):
-        """Component dart for the G-dart d of a bridge edge."""
-        return did(("b", d))
-
-    rotations = []
-    owners = []
-    for j in range(L):
-        prev = walk[(j - 1) % L]
-        seq = [did(("wb", (j - 1) % L))]
-        # gap darts strictly between inv(prev) and walk[j], clockwise
-        v = g.vertex_of[walk[j]]
-        rot = g.rotations()[v]
-        k = len(rot)
-        pos = (rot.index(g.inv[prev]) + 1) % k
-        while rot[pos] != walk[j]:
-            seq.append(resolve(rot[pos]))
-            pos = (pos + 1) % k
-        seq.append(did(("w", j)))
-        rotations.append(seq)
-        owners.append(("pos", j))
-    for v in interior:
-        seq = [resolve(d) for d in g.rotations()[v]]
-        rotations.append(seq)
-        owners.append(("int", v))
-    n = len(dart_id)
-    pairing = [None] * n
-    for key, i in list(dart_id.items()):
-        if key[0] == "w":
-            pairing[i] = did(("wb", key[1]))
-        elif key[0] == "wb":
-            pairing[i] = did(("w", key[1]))
-        else:
-            pairing[i] = did(("b", g.inv[key[1]]))
-    labels = None
-    if g.labels is not None:
-        labels = [g.labels[copy_of[vid[o]]] for o in owners]
-    graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
-    outer = graph.face_of(dart_id[("wb", 0)])
-    dart_origin = [None] * graph.dart_count
-    for key, i in dart_id.items():
-        if key[0] == "w":
-            dart_origin[i] = walk[key[1]]
-        elif key[0] == "wb":
-            dart_origin[i] = g.inv[walk[key[1]]]
-        else:
-            dart_origin[i] = key[1]
-    return InternalComponent(graph, tuple(copy_of), outer, tuple(dart_origin))
+from .embedded import InternalInvariant
 
 
 def is_contractible(g, cycle_darts):
-    """Whether a simple cycle has a simple internally plane face."""
-    s = set(cycle_darts) | {g.inv[d] for d in cycle_darts}
-    sf = subgraph_faces(g, s)
-    if len(sf.walks) != 2:
-        raise ValueError("not a simple cycle (expected exactly two faces)")
-    brs, simple = bridges(g, s, sf)
-    for f in range(2):
-        if not simple[f]:
-            continue
-        ic = internal_component(g, s, f, sf=sf, brs=(brs, simple))
-        if ic.graph.genus() == 0:
-            return True
-    return False
+    """Whether the simple cycle C, darts in order, bounds a disc.
+
+    The faces on each side of C grow across the edges off C, one face per
+    side in turn.  When the two sides meet, C does not separate, so it
+    does not bound.  Otherwise one side closes first.  Counted with C,
+    a side is a surface whose one boundary curve is C, so it is a disc
+    exactly when its Euler characteristic V - E + F is 1.  C adds as
+    many vertices as edges, so the other side's is chi(G) minus the
+    closed side's.  O(smaller side), once g has its face table.
+    """
+    cyc = list(cycle_darts)
+    k = len(cyc)
+    vertex_of, inv, faces, face_of = g.vertex_of, g.inv, g.faces(), g.face_of
+    c_vertices = {vertex_of[d] for d in cyc}
+    if (not k or len(c_vertices) != k or len({g.edge_of(d) for d in cyc}) != k
+            or any(vertex_of[inv[cyc[i - 1]]] != vertex_of[cyc[i]] for i in range(k))):
+        raise ValueError("not a simple cycle")
+    c_darts = set(cyc) | {inv[d] for d in cyc}
+    side_of = {}
+    grown = ([], [])  # the faces of each side, in the order they are reached
+
+    def meets(f, s):
+        """Put face f on side s; whether it is on the other side."""
+        t = side_of.get(f)
+        if t is None:
+            side_of[f] = s
+            grown[s].append(f)
+        return t == 1 - s
+
+    if any(meets(face_of(d), 0) for d in cyc) or any(meets(face_of(inv[d]), 1) for d in cyc):
+        return False
+    done = [0, 0]
+    while True:
+        for s in (0, 1):
+            if done[s] == len(grown[s]):
+                walks = [faces[f] for f in grown[s]]
+                inside = {vertex_of[d] for w in walks for d in w} - c_vertices
+                chi = len(inside) - (sum(map(len, walks)) - k) // 2 + len(walks)
+                return chi == 1 or g.euler_characteristic() - chi == 1
+            walk = faces[grown[s][done[s]]]
+            done[s] += 1
+            if any(meets(face_of(inv[d]), s) for d in walk if d not in c_darts):
+                return False
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +71,7 @@ class _HomologyTester:
     On a plane or torus map a simple cycle is contractible exactly when
     its class vanishes (it then separates, and one side is plane).  On
     higher genus this is only a necessary condition, so callers fall back
-    to the bridge-based definition there.
+    to ``is_contractible`` there.
 
     ``edge_class[e]`` is an int of 2g bits, set by a tree-cotree
     decomposition in O(V + E).  Edges of a spanning tree T get 0.  The
@@ -736,6 +527,32 @@ def _trivial_side(b, cyc):
     return b.labels[b.head(spokes[0])] == 1
 
 
+def _side_walk(b, cyc):
+    """Whether the bridges on the side of the 4-cycle ``cyc`` that ``phi``
+    turns to hold no vertex, or a single type-1 vertex only.
+
+    The walk reads the darts in the angles of that side at each corner
+    and stops at a second vertex off the cycle, or at one that is not of
+    type 1 or has a neighbour off the cycle.  A chord leads to no vertex
+    off the cycle; a bridge met in both faces counts on both sides.
+    """
+    sigma, inv, vertex_of = b.sigma, b.inv, b.vertex_of
+    corners = {vertex_of[d] for d in cyc}
+    inside = None
+    for i, d in enumerate(cyc):
+        x = sigma[inv[cyc[i - 1]]]
+        while x != d:
+            w = vertex_of[inv[x]]
+            if w not in corners and w != inside:
+                if inside is not None or b.labels[w] != 1:
+                    return False
+                if not {vertex_of[inv[y]] for y in b.rotations()[w]} <= corners | {w}:
+                    return False
+                inside = w
+            x = sigma[x]
+    return True
+
+
 def four_cycle_is_trivial(b, cyc):
     """Trivial 4-cycles have a face whose interior holds no vertex, or a
     single type-1 vertex only.
@@ -743,25 +560,13 @@ def four_cycle_is_trivial(b, cyc):
     ``cyc`` is a simple 4-cycle as ``four_cycles`` gives it.  An O(1)
     look at the faces of b on either side of the cycle accepts the two
     trivial shapes a triangulation has; only cycles it rejects go
-    through ``bridges``, which walks the whole graph.
+    through ``_side_walk``, which reads at most one vertex off the cycle
+    past the angles of each side.
     """
     back = tuple(b.inv[d] for d in reversed(cyc))
     if _trivial_side(b, cyc) or _trivial_side(b, back):
         return True
-    s = set(cyc) | {b.inv[d] for d in cyc}
-    sf = subgraph_faces(b, s)
-    brs, simple = bridges(b, s, sf)
-    cyc_vertices = {b.vertex_of[d] for d in s}
-    for f in range(len(sf.walks)):
-        inside = set()
-        for br in brs:
-            if f in br.faces:
-                inside.update(v for v in br.interior_vertices if v not in cyc_vertices)
-        if not inside:
-            return True
-        if len(inside) == 1 and b.labels[next(iter(inside))] == 1:
-            return True
-    return False
+    return _side_walk(b, cyc) or _side_walk(b, back)
 
 
 def ck_via_cycles(g, k, bary_graph=None):

@@ -2,10 +2,11 @@
 
 The oracles are the former production paths: the brute-force search for
 a vertex cut over all vertex subsets, the 4-cycle search over all vertex
-pairs, and the triviality test that reads every 4-cycle's bridges.  The
-production code must give the same cuts, the same 4-cycle lists in the
-same order and the same triviality answers, so ck reports and their
-witnesses stay identical.
+pairs, and the triviality test that reads every 4-cycle's bridges
+(``oracle_bridges.four_cycle_is_trivial``).  The production code must
+give the same cuts, the same 4-cycle lists in the same order and the
+same triviality answers, so ck reports and their witnesses stay
+identical.
 """
 
 import random
@@ -21,6 +22,7 @@ from surfops import topology as tp
 from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 
+import oracle_bridges as ob
 from conftest import named_seeds, relabeled
 
 
@@ -83,31 +85,15 @@ def oracle_four_cycles(b):
     return out
 
 
-def oracle_is_trivial(b, cyc):
-    s = set(cyc) | {b.inv[d] for d in cyc}
-    sf = tp.subgraph_faces(b, s)
-    brs, simple = tp.bridges(b, s, sf)
-    cyc_vertices = {b.vertex_of[d] for d in s}
-    for f in range(len(sf.walks)):
-        inside = set()
-        for br in brs:
-            if f in br.faces:
-                inside.update(v for v in br.interior_vertices if v not in cyc_vertices)
-        if not inside:
-            return True
-        if len(inside) == 1 and b.labels[next(iter(inside))] == 1:
-            return True
-    return False
-
-
-def locally_trivial(b, cyc):
+def either_side(b, cyc, side_test):
     back = tuple(b.inv[d] for d in reversed(cyc))
-    return tp._trivial_side(b, cyc) or tp._trivial_side(b, back)
+    return side_test(b, cyc) or side_test(b, back)
 
 
 def assert_matches_oracle(g, sample=None):
     """Cuts and 4-cycle lists of g and B_G, and the triviality of every
-    4-cycle of B_G (of ``sample`` evenly spaced ones, when given)."""
+    4-cycle of B_G (of ``sample`` evenly spaced ones, when given), with
+    the side walk alone too."""
     for size in (1, 2):
         assert tp._smallest_cut(g, size) == oracle_smallest_cut(g, size)
     assert tp.four_cycles(g) == oracle_four_cycles(g)
@@ -117,9 +103,10 @@ def assert_matches_oracle(g, sample=None):
     if sample is not None:
         cycles = cycles[::max(1, len(cycles) // sample)]
     for cyc in cycles:
-        want = oracle_is_trivial(b, cyc)
+        want = ob.four_cycle_is_trivial(b, cyc)
         assert tp.four_cycle_is_trivial(b, cyc) == want, cyc
-        assert want or not locally_trivial(b, cyc), cyc
+        assert either_side(b, cyc, tp._side_walk) == want, cyc
+        assert want or not either_side(b, cyc, tp._trivial_side), cyc
 
 
 def power(op_name, g, k):
@@ -192,7 +179,7 @@ def test_pendant_in_any_angle_near_a_trivial_shape(neighbours, labels):
         assert g.genus() == 0
         assert cyc in tp.four_cycles(g)
         for c in (cyc, back):
-            want = oracle_is_trivial(g, c)
+            want = ob.four_cycle_is_trivial(g, c)
             answers.add(want)
             assert tp.four_cycle_is_trivial(g, c) == want, (d, c)
     assert answers == {False, True}
@@ -245,13 +232,13 @@ def test_cuts_match_networkx(corpus):
 def test_cycle_check_on_c3_map_reads_no_bridges(monkeypatch):
     g = power("gyro", polyhedra.tetrahedron(), 2)
     calls = []
-    bridges = tp.bridges
+    side_walk = tp._side_walk
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return bridges(*args, **kwargs)
+        return side_walk(*args, **kwargs)
 
-    monkeypatch.setattr(tp, "bridges", counting)
+    monkeypatch.setattr(tp, "_side_walk", counting)
     report = tp.ck_via_cycles(g, 3)
     assert report.passed and report.k_max == 3
     assert calls == []

@@ -71,6 +71,17 @@ def test_canon_empty_rotation_line(tmp_path, capsys):
     assert err.startswith("error:") and "empty rotation" in err and "line 4" in err
 
 
+def test_canon_isolated_vertex_planar_code(tmp_path, capsys):
+    # three vertices, the third without neighbours: a disconnected graph
+    path = tmp_path / "isolated.pc"
+    path.write_bytes(b">>planar_code<<" + bytes([3, 2, 0, 1, 0, 0]))
+    code, out, err = run(capsys, "canon", str(path))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "no darts" in err
+
+
 @pytest.mark.parametrize(
     "field, old, new",
     [

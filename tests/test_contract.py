@@ -1,5 +1,6 @@
 """The input contract: properties over random multigraphs, a seeded
-fuzz of the command line, and the rule that ``src/`` is stdlib-only.
+fuzz of the command line, the rule that ``src/`` is stdlib-only, and the
+names ``perfbench/tracing.py`` traces.
 
 The properties draw graphs from ``polyhedra.random_embedded``, which
 gives loops, parallel edges and any genus.  The fuzz mutates tokens and
@@ -7,9 +8,14 @@ bytes of valid inputs (the catalog files, the cube and K7 as rot and
 planar code) and runs each through ``cli.main``: every call must end in
 exit 0, 1 or 2, never in an exception, and every stderr line must be an
 ``error:`` line, a single one on exit 2.
+
+The names the benchmark's tracer wraps must exist in the package: a
+missing one would be skipped, and its metrics would read 0.
 """
 
 import ast
+import importlib
+import importlib.util
 import os
 import random
 import re
@@ -170,3 +176,21 @@ def test_src_is_stdlib_only():
                 continue
             for root in roots:
                 assert root in sys.stdlib_module_names or root == "surfops", (name, root)
+
+
+# ---------------------------------------------------------------------------
+# the benchmark traces names the package has
+
+
+def test_traced_names_resolve():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    assert tracing.FUNCTIONS and tracing.METHODS
+    for mod_name, attr, *_ in tracing.FUNCTIONS:
+        module = importlib.import_module("surfops." + mod_name)
+        assert callable(getattr(module, attr, None)), (mod_name, attr)
+    for mod_name, cls_name, method, *_ in tracing.METHODS:
+        cls = getattr(importlib.import_module("surfops." + mod_name), cls_name, None)
+        assert cls is not None and method in vars(cls), (mod_name, cls_name, method)

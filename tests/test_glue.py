@@ -3,10 +3,12 @@
 The oracle is the previous implementation of ``apply``,
 ``apply_lsp_direct`` and ``lsp_to_lopsp``: it walks every patch face of
 every cell, maps patch vertices and edges through dictionaries, finds
-each dart's direction by comparing edge ends, and builds the double
-chamber graph as an embedded subgraph of B_G.  The production code must
-give the same ``ApplicationResult`` in every field, dart numbering and
-face table included, and the same ``write_rot`` bytes.
+each dart's direction by comparing edge ends, builds the double chamber
+graph as an embedded subgraph of B_G and the patch as the internal
+component of the cut-path's face (both in ``oracle_bridges``).  The
+production code must give the same ``ApplicationResult`` in every field,
+dart numbering and face table included, and the same ``write_rot``
+bytes.
 
 The production code glues the result graph from the templates' fans,
 without T, and builds T unchecked on first read, with its face table
@@ -26,11 +28,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from surfops import io, polyhedra, topology
+from surfops import io, polyhedra
 from surfops import operations as ops
 from surfops.chambers import DoubleChamberSystem, barycentric
 from surfops.embedded import EmbeddedGraph, InternalInvariant, _orbits
 
+import oracle_bridges as ob
 from conftest import named_seeds, relabeled
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -245,7 +248,7 @@ def oracle_match_segments(gluer, pg, segments, frame, frame_graph, cell_walk, li
 def oracle_double_chamber_graph(g):
     b = barycentric(g).graph
     keep = [d for d in range(b.dart_count) if (d // 2) < 2 * g.dart_count]
-    (comp,) = b.embedded_subgraph(keep)
+    (comp,) = ob.embedded_subgraph(b, keep)
     return comp
 
 
@@ -289,7 +292,7 @@ def oracle_apply(op, g, cut_path=None):
         op = oracle_lsp_to_lopsp(op)
     if cut_path is None:
         cut_path = ops.find_cut_path(op, "minimal")
-    patch = ops.double_chamber_patch(op, cut_path)
+    patch = ob.double_chamber_patch(op, cut_path)
     pg = patch.graph
     dg = oracle_double_chamber_graph(g).graph
     corner_set = {patch.v1, patch.v2, patch.v0_left, patch.v0_right}
@@ -490,7 +493,7 @@ def test_unchecked_graphs_are_valid(name):
         assert_valid(barycentric(g).graph)
         assert_valid(DoubleChamberSystem(barycentric(g)).graph)
         keep = {x for e in rng.sample(g.edge_darts(), rng.randint(1, g.edge_count)) for x in e}
-        for comp in g.embedded_subgraph(keep) + [oracle_double_chamber_graph(g)]:
+        for comp in ob.embedded_subgraph(g, keep) + [oracle_double_chamber_graph(g)]:
             assert_valid(comp.graph)
         for res in [ops.apply(op, g)] + (
                 [ops.apply_lsp_direct(op, g)] if isinstance(op, ops.LspOperation) else []):
@@ -510,16 +513,32 @@ def test_unchecked_from_rotations_matches_checked():
         assert graph_data(got) == graph_data(want)
 
 
+def patch_cases():
+    """Every catalog and ``tests/data`` operation (doubled when lsp) with
+    its minimal cut-path and 20 seeded random ones."""
+    for op in [ops.catalog(name) for name in ops.catalog_names()] + list(data_ops().values()):
+        lop = ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+        yield lop, ops.find_cut_path(lop)
+        for seed in range(20):
+            yield lop, ops.find_cut_path(lop, "seeded-random", seed=seed)
+
+
 def test_unchecked_internal_components_are_valid():
-    g = polyhedra.k7_torus()
-    b = barycentric(g).graph
-    cyc = topology.face_width_witness(g)[1]
-    s = set(cyc) | {b.inv[d] for d in cyc}
-    sf = topology.subgraph_faces(b, s)
-    brs = topology.bridges(b, s, sf)
-    for f in range(len(sf.walks)):
-        if brs[1][f]:
-            assert_valid(topology.internal_component(b, s, f, sf=sf, brs=brs).graph)
+    """Every patch cut open unchecked passes the full validation."""
+    for lop, path in patch_cases():
+        assert_valid(ops.double_chamber_patch(lop, path).graph)
+
+
+def test_patches_match_oracle():
+    """Cutting the operation open along the path's face walk gives the
+    internal component of that face, dart for dart."""
+    for lop, path in patch_cases():
+        got, want = ops.double_chamber_patch(lop, path), ob.double_chamber_patch(lop, path)
+        assert graph_data(got.graph) == graph_data(want.graph)
+        assert got.graph.faces() == want.graph.faces()
+        for name in ("v1", "v2", "v0_left", "v0_right", "outer_face", "lift_vertex",
+                     "lift_edge", "lift_face"):
+            assert getattr(got, name) == getattr(want, name), name
 
 
 # ---------------------------------------------------------------------------

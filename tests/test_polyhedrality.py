@@ -42,12 +42,6 @@ EXPECTED_K.update({"meta.lsp": 3, "pendant.lopsp": 2, "sprout.lopsp": 1})
 
 FLIP_TRIES = 20
 
-# On genus >= 2 maps the definitional check of an image of inflation
-# factor > 2 spends 0.5-24 s in the genus >= 2 face-width fallback (gyro
-# of the K7 tube sum: E = 225, face-width 6, 8 s); those images get the
-# cycle check only.
-DIRECT_FACTOR_ON_GENUS_2 = 2
-
 PolyhedralMap = namedtuple("PolyhedralMap", "name graph flips face_width")
 
 
@@ -160,8 +154,6 @@ def test_images_are_polyhedral(name):
     for map_name, g, _, width in polyhedral_maps():
         res = ops.apply(op, g)
         assert tp.ck_via_cycles(res.result, 3, bary_graph=res.subdivision).passed, map_name
-        if g.genus() >= 2 and ops.inflation_factor(op) > DIRECT_FACTOR_ON_GENUS_2:
-            continue
         rep = tp.is_ck_embedded(res.result, 3, bary_graph=res.subdivision)
         assert rep.passed, (map_name, rep)
         assert rep.face_width >= width, map_name

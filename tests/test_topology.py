@@ -7,6 +7,9 @@ from surfops import polyhedra
 from surfops import topology as tp
 from surfops.chambers import barycentric
 
+import oracle_bridges as ob
+from test_facewidth import random_graphs, tube_sum
+
 
 def cycle_darts(g, vertex_seq):
     """Darts of the cycle visiting vertex_seq in order (simple graphs)."""
@@ -19,7 +22,7 @@ def cycle_darts(g, vertex_seq):
 
 def test_bridges_whole_graph():
     g = polyhedra.cube()
-    brs, simple = tp.bridges(g, set(range(g.dart_count)))
+    brs, simple = ob.bridges(g, set(range(g.dart_count)))
     assert brs == []
     assert all(simple)
 
@@ -28,7 +31,7 @@ def test_bridges_cube_face():
     g = polyhedra.cube()
     face = g.faces()[0]
     s = set(face) | {g.inv[d] for d in face}
-    brs, simple = tp.bridges(g, s)
+    brs, simple = ob.bridges(g, s)
     assert len(brs) == 1
     (br,) = brs
     assert br.kind == "component"
@@ -41,7 +44,7 @@ def test_bridges_k4_center():
     g = polyhedra.tetrahedron()
     tri = g.faces()[0]
     s = set(tri) | {g.inv[d] for d in tri}
-    brs, simple = tp.bridges(g, s)
+    brs, simple = ob.bridges(g, s)
     assert len(brs) == 1
     assert brs[0].kind == "component"
     assert len(brs[0].edges) == 3
@@ -56,7 +59,7 @@ def test_chord_bridge_two_faces():
     for f in g.faces():
         walk = list(f)
         cyc = set(walk) | {g.inv[d] for d in walk}
-        brs, simple = tp.bridges(g, cyc)
+        brs, simple = ob.bridges(g, cyc)
         comp_bridges = [b for b in brs if b.kind == "component"]
         assert comp_bridges
         break
@@ -66,11 +69,11 @@ def test_internal_component_face_only():
     g = polyhedra.cube()
     face = g.faces()[0]
     s = set(face) | {g.inv[d] for d in face}
-    sf = tp.subgraph_faces(g, s)
+    sf = ob.subgraph_faces(g, s)
     empty_face = next(
-        fi for fi in range(len(sf.walks)) if fi not in tp.bridges(g, s, sf)[0][0].faces
+        fi for fi in range(len(sf.walks)) if fi not in ob.bridges(g, s, sf)[0][0].faces
     )
-    ic = tp.internal_component(g, s, empty_face, sf=sf)
+    ic = ob.internal_component(g, s, empty_face, sf=sf)
     assert ic.graph.vertex_count == 4
     assert ic.graph.edge_count == 4
     assert ic.graph.genus() == 0
@@ -89,9 +92,9 @@ def test_internal_component_tree_doubling():
                 seen |= {u, w}
                 keep |= {d, dp}
                 changed = True
-    sf = tp.subgraph_faces(g, keep)
+    sf = ob.subgraph_faces(g, keep)
     assert len(sf.walks) == 1
-    ic = tp.internal_component(g, keep, 0)
+    ic = ob.internal_component(g, keep, 0)
     assert ic.graph.genus() == 0
     assert ic.graph.vertex_count == 14  # every tree vertex split per occurrence
 
@@ -100,27 +103,12 @@ def test_internal_component_bridged_face_rejected():
     g = polyhedra.k7_torus()
     face = g.faces()[0]
     s = set(face) | {g.inv[d] for d in face}
-    brs, simple = tp.bridges(g, s)
+    brs, simple = ob.bridges(g, s)
     for fi, ok in enumerate(simple):
         if not ok:
-            with pytest.raises(tp.FaceIsBridged):
-                tp.internal_component(g, s, fi)
+            with pytest.raises(ob.FaceIsBridged):
+                ob.internal_component(g, s, fi)
             break
-
-
-def slow_contractible(g, cyc):
-    """Independent re-evaluation of the definition, face by face."""
-    s = set(cyc) | {g.inv[d] for d in cyc}
-    sf = tp.subgraph_faces(g, s)
-    brs, simple = tp.bridges(g, s, sf)
-    verdicts = []
-    for f in range(len(sf.walks)):
-        if not simple[f]:
-            verdicts.append(False)
-            continue
-        ic = tp.internal_component(g, s, f, sf=sf)
-        verdicts.append(ic.graph.genus() == 0)
-    return any(verdicts)
 
 
 def test_plane_cycles_contractible():
@@ -129,13 +117,25 @@ def test_plane_cycles_contractible():
         assert tp.is_contractible(g, list(f))
 
 
-def test_contractibility_against_slow_oracle():
-    b = barycentric(polyhedra.k7_torus()).graph
+def test_contractibility_against_slow_oracle(corpus):
+    """The side-Euler test against the bridge definition on BFS candidate
+    cycles of B(K7), of B_G of the genus-2 and genus-3 tube sums, of
+    corpus graphs and of random multigraphs, and of those graphs
+    themselves, where loops and parallel edges give cycles of length 1
+    and 2."""
     rng = random.Random(7)
-    cycles = tp._bfs_candidate_cycles(b)
-    rng.shuffle(cycles)
-    for cyc in cycles[:60]:
-        assert tp.is_contractible(b, cyc) == slow_contractible(b, cyc)
+    k7 = polyhedra.k7_torus()
+    two = tube_sum(k7, k7, 2)
+    tubes = [two, tube_sum(two, k7, 2), tube_sum(k7, k7, 3)]
+    others = [corpus[name] for name in rng.sample(sorted(corpus), 12)] + random_graphs(12)
+    cases = [(barycentric(k7).graph, 60)]
+    cases += [(barycentric(g).graph, 400) for g in tubes]
+    cases += [(h, 40) for g in others for h in (g, barycentric(g).graph)]
+    for b, count in cases:
+        cycles = tp._bfs_candidate_cycles(b)
+        rng.shuffle(cycles)
+        for cyc in cycles[:count]:
+            assert tp.is_contractible(b, cyc) == ob.is_contractible(b, cyc), cyc
 
 
 def test_homology_fast_path_matches_definition():
@@ -263,7 +263,7 @@ def test_subgraph_faces_matches_rescanning_oracle(corpus):
             cyc = tp.shortest_noncontractible_cycle(g)
             subsets.append(set(cyc) | {g.inv[d] for d in cyc})
         for s in subsets:
-            sf = tp.subgraph_faces(g, s)
+            sf = ob.subgraph_faces(g, s)
             walks, face_of, angle_of = oracle_subgraph_faces(g, s)
             assert list(sf.walks) == walks
             assert sf.face_of == face_of
