@@ -16,6 +16,7 @@ shared freely between threads.
 
 from __future__ import annotations
 
+from itertools import chain
 from operator import ne
 
 
@@ -112,7 +113,8 @@ class EmbeddedGraph:
         every dart to its reverse.  Raises ``NotInvolution``,
         ``DartMissingOrDuplicated`` or ``Disconnected`` on bad input.
         ``check=False`` trusts the input: it is for graphs the package
-        derives from a validated graph by a proven construction.
+        derives from a validated graph by a proven construction, and
+        rotations that start at their smallest dart are stored as given.
         """
         n = sum(len(r) for r in rotations)
         if check:
@@ -146,10 +148,12 @@ class EmbeddedGraph:
                 vertex_of[d] = v
         g = cls(sigma, pairing, vertex_of, labels=labels, check=check)
         if not check:
-            # the sigma orbits, each from its smallest dart, as _orbits gives them
-            g._rotations = tuple(
-                tuple(r[i:]) + tuple(r[:i]) for r in rotations for i in (r.index(min(r)),)
-            )
+            # the sigma orbits, each from its smallest dart, as _orbits gives
+            # them; the package's own callers pass them that way already
+            rot = tuple(map(tuple, rotations))
+            if list(map(min, rot)) != [r[0] for r in rot]:
+                rot = tuple(r[i:] + r[:i] for r in rot for i in (r.index(min(r)),))
+            g._rotations = rot
         return g
 
     @classmethod
@@ -335,17 +339,18 @@ class EmbeddedGraph:
             self._degrees = tuple(len(r) for r in self.rotations())
         return self._degrees
 
-    def _code_from(self, start, sigma, best):
-        """BFS code (a list) from a start dart and the darts in numbering
-        order; None as soon as the code exceeds the list ``best``.
+    def _code_walk(self, start, sigma, darts):
+        """BFS code from a start dart, one vertex block (a list) at a
+        time; the darts are appended in numbering order to ``darts``,
+        which must start empty.
 
-        The code lists, per vertex in discovery order, its degree and
-        label followed by one entry per dart in rotation order from the
-        entry dart: the number of the paired dart if already numbered,
-        else -1.  Darts are numbered in that same order.  Equal codes
-        characterise isomorphic labelled maps, and two starts with equal
-        codes are mapped onto each other by the automorphism that sends
-        the i-th numbered dart of one to the i-th of the other.
+        A block lists a vertex's degree and label, then one entry per
+        dart in rotation order from its entry dart: the number of the
+        paired dart if already numbered, else -1.  Vertices come in
+        discovery order.  Equal codes characterise isomorphic labelled
+        maps, and two starts with equal codes are mapped onto each other
+        by the automorphism that sends the i-th numbered dart of one to
+        the i-th of the other.
         """
         inv = self.inv
         vertex_of = self.vertex_of
@@ -355,9 +360,6 @@ class EmbeddedGraph:
         entry = [-1] * len(deg)
         entry[vertex_of[start]] = start
         queue = [vertex_of[start]]
-        darts = []
-        code = []
-        better = best is None
         for v in queue:  # grows while it is walked: the BFS queue
             d = entry[v]
             block = [deg[v], -2 if labels is None else labels[v]]
@@ -371,13 +373,7 @@ class EmbeddedGraph:
                     entry[w] = e
                     queue.append(w)
                 d = sigma[d]
-            if not better:
-                ref = best[len(code) : len(code) + len(block)]
-                if block > ref:
-                    return None
-                better = block < ref
-            code += block
-        return code, darts
+            yield block
 
     def _start_darts(self):
         rot = self.rotations()
@@ -394,12 +390,15 @@ class EmbeddedGraph:
         code identifies maps up to orientation-reversing isomorphism as
         well.
 
-        Cost: one code per automorphism orbit of start darts, each cut
-        off as soon as it exceeds the best code so far.  A start that
-        ties the best code reveals an automorphism; its dart cycles are
-        merged in a union-find, and a start dart that is not the smallest
-        of its merged set is skipped, since its code equals that of the
-        smallest, which is always coded.
+        Cost: one walk per automorphism orbit of start darts, coded one
+        vertex block at a time against the best code so far, whose own
+        walk is suspended and advanced only when a challenger needs its
+        next block.  A challenger is dropped at its first larger block
+        and becomes the suspended best at its first smaller one, so only
+        ties and the winner are coded to the end.  A tie reveals an
+        automorphism; its dart cycles are merged in a union-find, and a
+        start dart that is not the smallest of its merged set is skipped,
+        since its code equals that of the smallest, which is always coded.
         """
         flag = bool(allow_reflection)
         if flag not in self._canon:
@@ -422,25 +421,36 @@ class EmbeddedGraph:
         # which commute with sigma and its inverse alike, so the orbits
         # found in the first pass also prune the mirrored one.
         parent = list(range(n))
-        best = best_darts = None
+        best = []  # blocks of the best code; a prefix while its walk is suspended
+        lead = best_darts = None  # the best code's walk and its numbering
         for sig in sigmas:
             ref = None  # numbering of a start of this pass whose code is best
             for s in starts:
-                if _find(parent, s) != s:
+                if parent[s] != s:  # not a root, as roots are set minima
                     continue
-                res = self._code_from(s, sig, best)
-                if res is None:
-                    continue
-                code, darts = res
-                if code != best:
-                    best, ref = code, darts
-                    best_darts = darts if sig is self.sigma else None
-                elif ref is None:
-                    ref = darts
-                else:
-                    for a, b in zip(ref, darts):
-                        _union(parent, a, b)
-        return tuple(best), best_darts
+                darts = []
+                walk = self._code_walk(s, sig, darts)
+                if lead is not None:
+                    for i, block in enumerate(walk):
+                        if i == len(best):
+                            best.append(next(lead))
+                        if block != best[i]:
+                            break
+                    else:  # a tie, walked to the end
+                        if ref is None:
+                            ref = darts
+                        else:
+                            for a, b in zip(ref, darts):
+                                _union(parent, a, b)
+                        continue
+                    if block > best[i]:
+                        continue
+                    del best[i:]
+                    best.append(block)
+                lead, ref = walk, darts
+                best_darts = darts if sig is self.sigma else None
+        best.extend(lead)
+        return tuple(chain.from_iterable(best)), best_darts
 
     def iso(self, other, allow_reflection=False):
         """Embedded-graph isomorphism (label-aware) via canonical codes."""
@@ -452,8 +462,8 @@ class EmbeddedGraph:
         """The (sigma-preserving) traversal realising the canonical code.
 
         Returns (vertex_order, entry_dart) where vertex_order lists the
-        old vertex ids in discovery order of the winning BFS.  Used to
-        emit graphs in canonical vertex order.
+        old vertex ids in discovery order of the winning BFS: the order
+        in which ``write_rot`` emits the vertices.
         """
         self.canonical_code(False)
         # the winning numbering lists each vertex's darts from its entry

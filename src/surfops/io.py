@@ -101,32 +101,29 @@ def parse_rot(text):
     return EmbeddedGraph.from_rotations(rotations, pairing)
 
 
-def _emit_rotation_lines(g, vertex_order, entry):
-    """Rotation lines in a given vertex order; edges numbered by first
-    appearance, + on first sight."""
-    edge_id = {}
-    lines = []
-    for new_v, v in enumerate(vertex_order):
-        d = entry[v]
-        toks = []
-        for _ in range(g.degree(v)):
-            e = g.edge_of(d)
-            if e not in edge_id:
-                edge_id[e] = len(edge_id) + 1
-                toks.append("+%d" % edge_id[e])
-            else:
-                toks.append("-%d" % edge_id[e])
-            d = g.sigma[d]
-        lines.append("%d: %s" % (new_v + 1, " ".join(toks)))
-    return lines
-
-
 def write_rot(g):
     """Emit a graph in canonical vertex order, so equal graphs give equal
-    files."""
-    vertex_order, entry = g.canonical_traversal()
+    files.  The lines are read off the canonical code, one per vertex
+    block: an entry -1 is the first sight of an edge, which takes the
+    next edge number signed +, and an entry q >= 0 is the reverse of the
+    dart numbered q, its edge number signed -."""
+    code = g.canonical_code()
     lines = ["rot %d %d" % (g.vertex_count, g.edge_count)]
-    lines += _emit_rotation_lines(g, vertex_order, entry)
+    edge = []  # edge number of each dart, in numbering order
+    k = pos = 0
+    while pos < len(code):
+        end = pos + 2 + code[pos]
+        toks = []
+        for q in code[pos + 2 : end]:
+            if q < 0:
+                k += 1
+                edge.append(k)
+                toks.append("+%d" % k)
+            else:
+                edge.append(edge[q])
+                toks.append("-%d" % edge[q])
+        lines.append("%d: %s" % (len(lines), " ".join(toks)))
+        pos = end
     return "\n".join(lines) + "\n"
 
 

@@ -6,6 +6,7 @@ whose full code is that minimum.  The production search must give the
 same codes and the same bytes.
 """
 
+import hashlib
 import os
 import random
 from collections import deque
@@ -75,8 +76,28 @@ def oracle_write_rot(g):
                 queue.append(w)
             d = g.sigma[d]
     lines = ["rot %d %d" % (g.vertex_count, g.edge_count)]
-    lines += io._emit_rotation_lines(g, order, entry)
+    lines += oracle_rotation_lines(g, order, entry)
     return "\n".join(lines) + "\n"
+
+
+def oracle_rotation_lines(g, vertex_order, entry):
+    """Rotation lines in a given vertex order; edges numbered by first
+    appearance, + on first sight."""
+    edge_id = {}
+    lines = []
+    for new_v, v in enumerate(vertex_order):
+        d = entry[v]
+        toks = []
+        for _ in range(g.degree(v)):
+            e = g.edge_of(d)
+            if e not in edge_id:
+                edge_id[e] = len(edge_id) + 1
+                toks.append("+%d" % edge_id[e])
+            else:
+                toks.append("-%d" % edge_id[e])
+            d = g.sigma[d]
+        lines.append("%d: %s" % (new_v + 1, " ".join(toks)))
+    return lines
 
 
 def assert_matches_oracle(g):
@@ -135,14 +156,90 @@ def test_labelled_graphs_match_oracle():
 )
 def test_automorphism_orbits_are_coded_once(monkeypatch, graph, oracle_starts_count):
     assert len(oracle_starts(graph)) == oracle_starts_count
-    coded = []
-    code_from = EmbeddedGraph._code_from
-
-    def counting(self, start, sigma, best):
-        coded.append(start)
-        return code_from(self, start, sigma, best)
-
-    monkeypatch.setattr(EmbeddedGraph, "_code_from", counting)
+    walks = count_walks(monkeypatch)
     graph.canonical_code()
     graph.canonical_traversal()
-    assert len(coded) <= 6
+    assert len(walks) <= 6
+
+
+def count_walks(monkeypatch):
+    """Record the darts list of every start walk the canonical search
+    begins; each list holds the darts that walk numbered."""
+    walks = []
+    walk = EmbeddedGraph._code_walk
+
+    def counting(self, start, sigma, darts):
+        walks.append(darts)
+        return walk(self, start, sigma, darts)
+
+    monkeypatch.setattr(EmbeddedGraph, "_code_walk", counting)
+    return walks
+
+
+def test_losing_codes_are_not_finished(monkeypatch):
+    """Only ties and the winner are coded to the end: over all walks the
+    search numbers at most 6 darts per dart of the graph (about 13.6 when
+    every start that beats the best so far is coded in full).  The input
+    of snub is read back from its ``rot`` text, as in a pipeline of CLI
+    calls."""
+    chain = power("gyro", power("ambo", polyhedra.k7_torus(), 1), 1)
+    g = power("snub", io.parse_rot(io.write_rot(chain)), 1)
+    assert g.edge_count == 1050
+    walks = count_walks(monkeypatch)
+    g.canonical_code()
+    assert sum(map(len, walks)) <= 6 * g.dart_count
+
+
+# perfbench's grow_large chains, each from its first base: (base, chain,
+# final operation)
+GROW_CHAINS = (
+    ("tetrahedron", ("gyro", "snub"), "gyro"),
+    ("k7", ("ambo", "gyro"), "snub"),
+    ("cube", ("snub", "gyro"), "gyro"),
+    ("cube", ("join", "truncation", "gyro"), "snub"),
+    ("tetrahedron", ("gyro", "truncation", "snub"), "gyro"),
+    ("cube", ("gyro", "truncation", "truncation"), "snub"),
+    ("k7", ("truncation", "ambo", "gyro"), "gyro"),
+    ("tetrahedron", ("snub", "gyro", "gyro"), "snub"),
+)
+
+
+def pinned_sets():
+    """The corpus, catalog x {5 solids, K7}, and each grow_large chain
+    graph with the image its final operation gives of its rot text."""
+    catalog = [ops.apply(ops.catalog(name), g).result
+               for name in ops.catalog_names() for g in named_seeds().values()]
+    grow = []
+    for base, chain, last in GROW_CHAINS:
+        g = named_seeds()[base]
+        for name in chain:
+            g = ops.apply(ops.catalog(name), g).result
+        grow += [g, ops.apply(ops.catalog(last), io.parse_rot(io.write_rot(g))).result]
+    return {"corpus": list(build_corpus().values()), "catalog": catalog, "grow_large": grow}
+
+
+def digests(graphs):
+    rot = hashlib.sha256("".join(io.write_rot(g) for g in graphs).encode("ascii"))
+    code = hashlib.sha256(
+        "".join("%s\n" % (g.canonical_code(True),) for g in graphs).encode("ascii"))
+    return rot.hexdigest(), code.hexdigest()
+
+
+# sha256 of the write_rot texts and the canonical_code(True) values of each
+# set, as given by the search that coded every improving start in full and
+# by the edge_of-based writer (``oracle_rotation_lines``)
+PINNED = {
+    "corpus": ("549640439bf40ecdba7840b44a105f29ea56a4c13111aca4dc0177c6926adb43",
+               "08e23c1b9619968c1fe4489ab7b7351a58f4460722c3c855eb97066b9292e70f"),
+    "catalog": ("a1f2df151853844d301fb2d4274cf1ea8ab6ceba06beac63df504db69f98459e",
+                "1a7e3b62066f59bf40137344ad5bb2b5eb3c44a488ee60f09bd072719f1fc570"),
+    "grow_large": ("5a9a7b046dca6701e9e11acb079e3941713cd54164ad82ea19618ddd3512e9fd",
+                   "12d9807bcd233191e0a31888cb1d7b518b84a1383131217bb86355190de77070"),
+}
+
+
+def test_write_rot_bytes_are_pinned():
+    sets = pinned_sets()
+    assert [len(sets[k]) for k in PINNED] == [52, 42, 16]
+    for name, graphs in sets.items():
+        assert digests(graphs) == PINNED[name], name

@@ -500,6 +500,43 @@ def test_unchecked_graphs_are_valid(name):
             check_glued(res, g)
 
 
+def orbit_table(h):
+    """The sigma orbits of h, each from its smallest dart, by vertex id."""
+    table = [None] * (max(h.vertex_of) + 1)
+    for cyc in _orbits(h.sigma):
+        table[h.vertex_of[cyc[0]]] = cyc
+    return tuple(table)
+
+
+@pytest.mark.parametrize("name", ops.catalog_names())
+def test_unchecked_rotation_tables_are_sigma_orbits(monkeypatch, name):
+    """Every unchecked construction hands ``from_rotations`` each rotation
+    from its smallest dart, which is then stored as given; at every call
+    site the stored table is the sigma orbits."""
+    given = []
+    from_rotations = EmbeddedGraph.from_rotations.__func__
+
+    def recording(cls, rotations, pairing, labels=None, check=True):
+        if not check:
+            given.extend(rotations)
+        return from_rotations(cls, rotations, pairing, labels, check)
+
+    monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(recording))
+    op = ops.catalog(name)
+    lop = ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+    sites = {"lsp_to_lopsp": lop.graph,
+             "_cut_open": ops.double_chamber_patch(lop, ops.find_cut_path(lop)).graph}
+    rng = random.Random(13)
+    graphs = list(named_seeds().values()) + [polyhedra.random_embedded(rng, 12)]
+    for i, g in enumerate(graphs):
+        sites["barycentric %d" % i] = barycentric(g).graph
+        sites["DoubleChamberSystem %d" % i] = DoubleChamberSystem(barycentric(g)).graph
+        sites["_glue %d" % i] = ops.apply(op, g).result
+    for site, h in sites.items():
+        assert h.rotations() == orbit_table(h), site
+    assert given and all(r[0] == min(r) for r in given)
+
+
 def test_unchecked_from_rotations_matches_checked():
     rng = random.Random(5)
     for _ in range(50):
