@@ -1,52 +1,21 @@
-"""Barycentric subdivisions, chamber systems, double chambers and flips.
+"""Barycentric subdivisions, chamber systems, double chambers and the
+radial graph.
 
 The barycentric subdivision ``B_G`` has one vertex per vertex (type 0),
 edge (type 1) and face (type 2) of ``G``; its triangular faces are the
 chambers.  Crossing the edge of a chamber that misses its type-i corner
 is the involution ``s_i``; together the three involutions generate a
 transitive action of the free Coxeter group on the chambers.
+
+The double chamber graph and the radial graph ``R(G)`` are subgraphs of
+``B_G`` read off G in one pass, without building ``B_G``.  With n darts
+in G, the double chamber graph keeps the B-darts 0..4n-1, and dart r of
+``R(G)`` is B-dart 2n + r.
 """
 
 from __future__ import annotations
 
 from .embedded import EmbeddedGraph
-
-
-class NotOnChamberBoundary(ValueError):
-    """A chamber flip was requested at a subpath not bounding the chamber."""
-
-
-class BarycentricSubdivision:
-    """``B_G`` together with the origin of every subdivision vertex.
-
-    Subdivision vertices are laid out as: ids ``0..V-1`` are the vertices
-    of ``G``, then one id per edge, then one per face.  ``origin[x]`` is
-    ("vertex", v), ("edge", e) or ("face", f).
-    """
-
-    __slots__ = ("base", "_graph", "origin", "_chambers")
-
-    def __init__(self, base):
-        self.base = base
-        self._graph = None
-        nv, ne, nf = base.vertex_count, base.edge_count, len(base.faces())
-        origin = [("vertex", v) for v in range(nv)]
-        origin += [("edge", e) for e in range(ne)]
-        origin += [("face", f) for f in range(nf)]
-        self.origin = tuple(origin)
-        self._chambers = None
-
-    @property
-    def graph(self):
-        """``B_G`` itself, built on first use."""
-        if self._graph is None:
-            self._graph = _build_bary(self.base)
-        return self._graph
-
-    def chamber_system(self):
-        if self._chambers is None:
-            self._chambers = ChamberSystem(self.graph)
-        return self._chambers
 
 
 def _build_bary(g):
@@ -93,8 +62,26 @@ def _build_bary(g):
 
 
 def barycentric(g):
-    """Barycentric subdivision of an embedded graph."""
-    return BarycentricSubdivision(g)
+    """``B_G``, its vertices labelled by type: ids 0..V-1 are the vertices
+    of G, then one id per edge, then one per face."""
+    return _build_bary(g)
+
+
+def radial(g):
+    """``R(G)``: the subgraph of ``B_G`` on its vertex--face edges.
+
+    Its vertices are those of G (type 0), then one per face (type 2), in
+    the order of ``B_G``.  Darts 2d and 2d + 1 form the edge for the
+    angle closed by dart d of G.  Every face of ``R(G)`` is the
+    quadrilateral around a type-1 vertex of ``B_G``, so ``R(G)`` is
+    embedded in the surface of G.
+    """
+    rotations = [[2 * d for d in rot] for rot in g.rotations()]
+    rotations += [[2 * walk[0] + 1] + [2 * d + 1 for d in reversed(walk[1:])]
+                  for walk in g.faces()]
+    labels = [0] * g.vertex_count + [2] * len(g.faces())
+    return EmbeddedGraph.from_rotations(
+        rotations, [r ^ 1 for r in range(2 * g.dart_count)], labels=labels, check=False)
 
 
 class ChamberSystem:
@@ -164,18 +151,15 @@ class DoubleChamberSystem:
     when the underlying edge of G is a loop), one of type 1 and one of
     type 2.
 
-    The graph is read off G in one pass, without building ``B_G``: it
-    keeps the B-darts 0..4n-1 of ``_build_bary`` (n darts in G), so B-dart
+    The graph keeps the B-darts 0..4n-1 of ``_build_bary``, so B-dart
     2b+1 is the reverse of 2b, and numbers its vertices by their
     smallest dart, as the embedded subgraph of ``B_G`` on those darts
     would.
     """
 
-    __slots__ = ("bary", "graph")
+    __slots__ = ("graph",)
 
-    def __init__(self, bary):
-        self.bary = bary
-        g = bary.base
+    def __init__(self, g):
         n = g.dart_count
         # smallest dart -> (type, rotation)
         nodes = [None] * (4 * n)
@@ -194,141 +178,3 @@ class DoubleChamberSystem:
             [x[1] for x in nodes], [d ^ 1 for d in range(4 * n)],
             labels=[x[0] for x in nodes], check=False,
         )
-
-    def double_chambers(self):
-        return self.graph.faces()
-
-
-def double_chambers(g):
-    """Double chamber system of an embedded graph."""
-    return DoubleChamberSystem(barycentric(g))
-
-
-def _chamber_path_between(t, face_walk, u, v):
-    """Both boundary paths of a triangle from u to v: (one edge, two edges)."""
-    # face_walk darts x->y->z->x
-    darts = list(face_walk)
-    tails = [t.vertex_of[d] for d in darts]
-    one = None
-    for i, d in enumerate(darts):
-        if tails[i] == u and t.head(d) == v:
-            one = [d]
-        if tails[i] == v and t.head(d) == u:
-            one = [t.inv[d]]
-        if one:
-            break
-    if one is None:
-        return None
-    # complementary path through the third corner, from u to v
-    i = darts.index(one[0]) if one[0] in darts else darts.index(t.inv[one[0]])
-    a, bdart = darts[(i + 1) % 3], darts[(i + 2) % 3]
-    if one[0] in darts:
-        two = [t.inv[bdart], t.inv[a]]
-    else:
-        two = [a, bdart]
-    return one, two
-
-
-def chamber_flip(t, walk, position, chamber_face, closed=True, arity=None):
-    """Replace the walk subpath at ``position`` by the complementary
-    boundary path of the chamber.
-
-    ``walk`` is a dart sequence in the triangulation ``t``; ``chamber_face``
-    a face index.  If the dart pair at ``position`` runs along two edges of
-    the chamber it is replaced by the single opposite edge, otherwise the
-    single dart at ``position`` is replaced by the two-edge path through
-    the third corner.  When both subpaths bound the chamber, ``arity``
-    (1 or 2) picks the one to replace; by default the two-edge subpath
-    wins.  Raises ``NotOnChamberBoundary`` if nothing applies.
-    """
-    walk = list(walk)
-    L = len(walk)
-    face_walk = t.faces()[chamber_face]
-    edge_set = {t.edge_of(d) for d in face_walk}
-    d0 = walk[position]
-    nxt = walk[(position + 1) % L] if (closed or position + 1 < L) else None
-    if (
-        arity != 1
-        and nxt is not None
-        and t.edge_of(d0) in edge_set
-        and t.edge_of(nxt) in edge_set
-        and t.edge_of(d0) != t.edge_of(nxt)
-    ):
-        u = t.vertex_of[d0]
-        v = t.head(nxt)
-        pair = _chamber_path_between(t, face_walk, u, v)
-        if pair is not None:
-            one, two = pair
-            if [t.edge_of(x) for x in two] == [t.edge_of(d0), t.edge_of(nxt)]:
-                if (position + 1) % L == 0:
-                    return one + walk[1:-1] if not closed else walk[1:-1] + one
-                return walk[:position] + one + walk[position + 2 :]
-    if arity != 2 and t.edge_of(d0) in edge_set:
-        u = t.vertex_of[d0]
-        v = t.head(d0)
-        pair = _chamber_path_between(t, face_walk, u, v)
-        if pair is not None and t.edge_of(pair[0][0]) == t.edge_of(d0):
-            one, two = pair
-            return walk[:position] + two + walk[position + 1 :]
-    raise NotOnChamberBoundary(
-        "walk position %d does not bound face %d" % (position, chamber_face)
-    )
-
-
-def legal_flips(t, walk, closed=True):
-    """All (position, chamber_face, arity) triples where a flip applies."""
-    L = len(walk)
-    out = []
-    for i, d in enumerate(walk):
-        e = t.edge_of(d)
-        for f in (t.face_of(d), t.face_of(t.inv[d])):
-            if len(t.faces()[f]) == 3:
-                out.append((i, f, 1))
-        if closed or i + 1 < L:
-            nxt = walk[(i + 1) % L]
-            if t.edge_of(nxt) == e:
-                continue
-            shared = {t.face_of(d), t.face_of(t.inv[d])} & {
-                t.face_of(nxt),
-                t.face_of(t.inv[nxt]),
-            }
-            for f in shared:
-                if len(t.faces()[f]) == 3:
-                    out.append((i, f, 2))
-    return out
-
-
-def walk_cycles(t, walk):
-    """Split a closed walk into the simple cycles it contains.
-
-    Splitting happens at repeated vertices; back-and-forth spikes
-    (a dart immediately followed by its reverse, in cyclic order) are
-    discarded since they bound no cycle.
-    """
-    walk = list(walk)
-    # drop spikes until stable
-    changed = True
-    while changed and walk:
-        changed = False
-        L = len(walk)
-        for i in range(L):
-            j = (i + 1) % L
-            if walk[j] == t.inv[walk[i]]:
-                if j > i:
-                    walk = walk[:i] + walk[j + 1 :]
-                else:
-                    walk = walk[1:i]
-                changed = True
-                break
-    if not walk:
-        return []
-    tails = [t.vertex_of[d] for d in walk]
-    pos = {}
-    for i, v in enumerate(tails):
-        if v in pos:
-            first = pos[v]
-            part1 = walk[first:i]
-            part2 = walk[i:] + walk[:first]
-            return walk_cycles(t, part1) + walk_cycles(t, part2)
-        pos[v] = i
-    return [walk]

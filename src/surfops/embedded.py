@@ -322,7 +322,7 @@ class EmbeddedGraph:
         for d in range(n):
             sigma_dual[phi[d]] = d
         vertex_of = [self._face_of[d] for d in range(n)]
-        return EmbeddedGraph(sigma_dual, self.inv, vertex_of)
+        return EmbeddedGraph(sigma_dual, self.inv, vertex_of, check=False)
 
     def mirror(self):
         """Orientation-reversed copy (rotations inverted)."""
@@ -330,7 +330,8 @@ class EmbeddedGraph:
         sigma_inv = [None] * n
         for d in range(n):
             sigma_inv[self.sigma[d]] = d
-        return EmbeddedGraph(sigma_inv, self.inv, self.vertex_of, labels=self.labels)
+        return EmbeddedGraph(sigma_inv, self.inv, self.vertex_of, labels=self.labels,
+                             check=False)
 
     # -- canonical forms -------------------------------------------------
 

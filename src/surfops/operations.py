@@ -745,8 +745,7 @@ def apply(op, g, cut_path=None):
     if cut_path not in op._templates:
         path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
         op._templates[cut_path] = (_patch_template(op, path),)
-    dc = DoubleChamberSystem(barycentric(g))
-    return _glue(dc.graph, op._templates[cut_path], g.genus(), op)
+    return _glue(DoubleChamberSystem(g).graph, op._templates[cut_path], g.genus(), op)
 
 
 def lsp_to_lopsp(op):
@@ -819,7 +818,7 @@ def apply_lsp_direct(op, g):
                  [(fi, tuple(og.inv[d] for d in reversed(w))) for fi, w in inner]),
             )
         )
-    return _glue(barycentric(g).graph, op._templates[None], g.genus(), op)
+    return _glue(barycentric(g), op._templates[None], g.genus(), op)
 
 
 def inflation_factor(op):

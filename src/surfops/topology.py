@@ -3,7 +3,8 @@
 A simple cycle is contractible when one of its sides is a disc, which a
 walk over the faces of the smaller side decides by its Euler
 characteristic.  The face-width of G is half the minimal length of a
-non-contractible cycle in the barycentric subdivision.
+non-contractible cycle in the barycentric subdivision ``B_G``; the
+search runs on its radial subgraph ``R(G)``, which has the same minimum.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .chambers import barycentric
+from .chambers import barycentric, radial
 from .embedded import InternalInvariant
 
 
@@ -132,21 +133,9 @@ class _HomologyTester:
         return vec
 
 
-def _neighbours(g, allowed):
-    """(head, edge, dart) for every dart of a vertex, in rotation order,
-    keeping only darts between vertices of ``allowed`` (all if None)."""
-    out = []
-    for v, rot in enumerate(g.rotations()):
-        if allowed is not None and v not in allowed:
-            out.append(())
-            continue
-        row = []
-        for d in rot:
-            w = g.head(d)
-            if allowed is None or w in allowed:
-                row.append((w, g.edge_of(d), d))
-        out.append(row)
-    return out
+def _neighbours(g):
+    """(head, edge, dart) for every dart of a vertex, in rotation order."""
+    return [[(g.head(d), g.edge_of(d), d) for d in rot] for rot in g.rotations()]
 
 
 def _bfs_tree(nbrs, root, max_depth=None):
@@ -186,27 +175,24 @@ def _fundamental_cycle(g, depth, parent_dart, d):
     return [d] + [g.inv[x] for x in up] + down[::-1]
 
 
-def _bfs_candidate_cycles(g, allowed=None, max_len=None):
-    """Simple cycles from BFS-tree fundamental cycles, all roots, each
-    edge set once.
+def _bfs_candidate_cycles(g, max_len):
+    """Simple cycles of at most ``max_len`` edges from BFS-tree
+    fundamental cycles, all roots, each edge set once.
 
     By the three-path condition a shortest non-contractible cycle occurs
-    among these.  ``allowed`` restricts the search to a vertex subset.
-    With ``max_len`` only cycles of at most that many edges are listed,
-    and each BFS stops at depth ``max_len // 2``, which keeps every
-    fundamental cycle through its root of that length.
+    among these.  Each BFS stops at depth ``max_len // 2``, which keeps
+    every fundamental cycle through its root of that length.
     """
     seen_keys = set()
     out = []
-    nbrs = _neighbours(g, allowed)
-    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
-    for root in roots:
-        order, depth, parent_dart = _bfs_tree(nbrs, root, None if max_len is None else max_len // 2)
+    nbrs = _neighbours(g)
+    for root in range(g.vertex_count):
+        order, depth, parent_dart = _bfs_tree(nbrs, root, max_len // 2)
         tree_edges = {g.edge_of(parent_dart[v]) for v in order[1:]}
         closing = {e for v in order for w, e, _ in nbrs[v] if depth[w] is not None}
         for e in sorted(closing - tree_edges):
             cyc = _fundamental_cycle(g, depth, parent_dart, g.edge_darts()[e][0])
-            if max_len is not None and len(cyc) > max_len:
+            if len(cyc) > max_len:
                 continue
             key = frozenset(g.edge_of(x) for x in cyc)
             if key not in seen_keys:
@@ -215,9 +201,9 @@ def _bfs_candidate_cycles(g, allowed=None, max_len=None):
     return out
 
 
-def _shortest_nonnull_walk(nbrs, edge_class, roots):
+def _shortest_nonnull_walk(nbrs, edge_class):
     """(length, root, dart) of a shortest closed walk with non-zero class
-    that a BFS from one of ``roots`` closes with one non-tree edge, or
+    that a BFS from some root closes with one non-tree edge, or
     (inf, None, None).
 
     ``prefix[w]`` is the class of the tree path from the root to w; the
@@ -229,7 +215,7 @@ def _shortest_nonnull_walk(nbrs, edge_class, roots):
     """
     best, best_root, best_dart = math.inf, None, None
     nv = len(nbrs)
-    for root in roots:
+    for root in range(nv):
         depth = [-1] * nv
         prefix = [0] * nv
         depth[root] = 0
@@ -251,11 +237,8 @@ def _shortest_nonnull_walk(nbrs, edge_class, roots):
     return best, best_root, best_dart
 
 
-def shortest_noncontractible_cycle(g, allowed=None):
+def shortest_noncontractible_cycle(g):
     """A minimum-length non-contractible cycle of g, or None if plane.
-
-    ``allowed`` restricts the searched cycles to a vertex subset; the
-    caller must know that the restriction preserves the minimum.
 
     Take a BFS tree rooted on a shortest non-null cycle C.  The walks
     root -> u -> w -> root that the edges uw of C close are at most as
@@ -273,13 +256,12 @@ def shortest_noncontractible_cycle(g, allowed=None):
     genus = g.genus()
     if genus == 0:
         return None
-    nbrs = _neighbours(g, allowed)
-    roots = range(g.vertex_count) if allowed is None else sorted(allowed)
-    length, root, dart = _shortest_nonnull_walk(nbrs, _HomologyTester(g).edge_class, roots)
+    nbrs = _neighbours(g)
+    length, root, dart = _shortest_nonnull_walk(nbrs, _HomologyTester(g).edge_class)
     if root is None:
         raise InternalInvariant("face-width", "positive genus but no closed walk of non-zero class")
     if genus >= 2:
-        for cyc in sorted(_bfs_candidate_cycles(g, allowed, max_len=length - 1), key=len):
+        for cyc in sorted(_bfs_candidate_cycles(g, length - 1), key=len):
             if not is_contractible(g, cyc):
                 return cyc
     _, depth, parent_dart = _bfs_tree(nbrs, root)
@@ -292,29 +274,27 @@ def shortest_noncontractible_cycle(g, allowed=None):
     return best
 
 
-def face_width(g, bary_graph=None):
+def face_width(g):
     """Half the minimal length of a non-contractible cycle of B_G; inf if plane.
 
-    The search skips the type-1 vertices of B_G: a minimum-length
-    non-contractible cycle through an edge vertex can always be rerouted
-    through the neighbouring vertex or face corner at equal length (or
-    decomposes into something shorter, by the one-flip lemma), so the
-    minimum over the vertex-face incidence subgraph is the minimum over
-    all of B_G.
+    The search runs on the radial graph R(G), the subgraph of B_G on its
+    vertex--face edges.  A minimum-length non-contractible cycle of B_G
+    through an edge vertex can always be rerouted through the
+    neighbouring vertex or face corner at equal length (or decomposes
+    into something shorter, by the one-flip lemma), so R(G) has the
+    same minimum as B_G.
     """
-    return face_width_witness(g, bary_graph)[0]
+    return face_width_witness(g)[0]
 
 
-def face_width_witness(g, bary_graph=None):
-    """(face width, shortest non-contractible cycle of B_G or None)."""
+def face_width_witness(g):
+    """(face width, shortest non-contractible cycle of B_G or None).
+
+    The cycle is found in R(G), whose dart r is B-dart 2n + r."""
     if g.genus() == 0:
         return math.inf, None
-    b = bary_graph if bary_graph is not None else barycentric(g).graph
-    allowed = {v for v in range(b.vertex_count) if b.labels[v] != 1}
-    cyc = shortest_noncontractible_cycle(b, allowed)
-    if len(cyc) % 2:
-        raise InternalInvariant("face-width", "odd shortest non-contractible cycle in B_G")
-    return len(cyc) // 2, tuple(cyc)
+    cyc = shortest_noncontractible_cycle(radial(g))
+    return len(cyc) // 2, tuple(2 * g.dart_count + r for r in cyc)
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +380,7 @@ def _smallest_cut(g, max_size=2):
     return None
 
 
-def is_ck_embedded(g, k, bary_graph=None):
+def is_ck_embedded(g, k):
     """Direct evaluation of the ck-embeddedness definition.
 
     No cut with fewer than k vertices, and face-width, minimum face size
@@ -411,7 +391,7 @@ def is_ck_embedded(g, k, bary_graph=None):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
-    fw, fw_cycle = face_width_witness(g, bary_graph=bary_graph)
+    fw, fw_cycle = face_width_witness(g)
     cut = _smallest_cut(g, max_size=2)
     cut_free = 3 if cut is None else len(cut)  # no cut smaller than this
     k_max = min(min_deg, min_face, 3, cut_free)
@@ -574,7 +554,7 @@ def ck_via_cycles(g, k, bary_graph=None):
     additionally no nontrivial 4-cycles."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
-    b = bary_graph if bary_graph is not None else barycentric(g).graph
+    b = bary_graph if bary_graph is not None else barycentric(g)
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     witness = {}

@@ -17,10 +17,12 @@ from surfops import delaney as dd
 from surfops import operations as ops
 from surfops import polyhedra
 from surfops import topology as tp
-from surfops.chambers import barycentric, chamber_flip, legal_flips, walk_cycles
+from surfops.chambers import DoubleChamberSystem, barycentric
 from surfops.io import parse_op
 
 from conftest import build_corpus
+from oracle_flips import chamber_flip, legal_flips, walk_cycles
+from test_facewidth import oracle_bfs_candidate_cycles
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -175,9 +177,9 @@ def test_c07_characterisation_oracle_equivalence():
     assert "k4_minus_edge" in corpus and "k7" in corpus
     disagreements = 0
     for name, g in corpus.items():
-        b = barycentric(g).graph
+        b = barycentric(g)
         for k in (2, 3):
-            direct = tp.is_ck_embedded(g, k, bary_graph=b)
+            direct = tp.is_ck_embedded(g, k)
             cycles = tp.ck_via_cycles(g, k, bary_graph=b)
             if direct.passed != cycles.passed:
                 disagreements += 1
@@ -209,11 +211,9 @@ def test_c09_structural_identities():
     corpus = build_corpus()
     for name, g in corpus.items():
         b = barycentric(g)
-        assert b.graph.genus() == g.genus(), name
-        assert len(b.graph.faces()) == 4 * g.edge_count, name
-        from surfops.chambers import double_chambers
-
-        assert len(double_chambers(g).double_chambers()) == 2 * g.edge_count, name
+        assert b.genus() == g.genus(), name
+        assert len(b.faces()) == 4 * g.edge_count, name
+        assert len(DoubleChamberSystem(g).graph.faces()) == 2 * g.edge_count, name
     for graph_name in ("tetrahedron", "cube", "k7"):
         g = seed(graph_name)
         assert ops.apply(as_lopsp("identity"), g).result.iso(g)
@@ -225,10 +225,10 @@ def test_c09_structural_identities():
 
 
 def test_c10_flip_lemma_property():
-    b = barycentric(polyhedra.k7_torus()).graph
+    b = barycentric(polyhedra.k7_torus())
     noncontractible = []
     seen = set()
-    for cyc in sorted(tp._bfs_candidate_cycles(b), key=len):
+    for cyc in sorted(oracle_bfs_candidate_cycles(b), key=len):
         key = frozenset(b.edge_of(d) for d in cyc)
         if key in seen:
             continue

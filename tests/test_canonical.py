@@ -139,7 +139,7 @@ def test_random_graphs_match_oracle():
 
 
 def test_labelled_graphs_match_oracle():
-    graphs = [barycentric(g).graph for g in build_corpus().values()]
+    graphs = [barycentric(g) for g in build_corpus().values()]
     graphs += [ops.catalog(name).graph for name in ops.catalog_names()]
     for name in sorted(os.listdir(DATA)):
         with open(os.path.join(DATA, name), encoding="ascii") as handle:

@@ -1,33 +1,27 @@
 import pytest
 
 from surfops import polyhedra
-from surfops.chambers import (
-    NotOnChamberBoundary,
-    barycentric,
-    chamber_flip,
-    double_chambers,
-    legal_flips,
-    walk_cycles,
-)
+from surfops.chambers import ChamberSystem, DoubleChamberSystem, barycentric, radial
+
+from oracle_flips import NotOnChamberBoundary, chamber_flip, legal_flips, walk_cycles
 
 
 def test_bary_tetrahedron():
     b = barycentric(polyhedra.tetrahedron())
-    assert b.graph.vertex_count == 14
-    assert len(b.graph.faces()) == 24
-    assert b.graph.genus() == 0
+    assert b.vertex_count == 14
+    assert len(b.faces()) == 24
+    assert b.genus() == 0
 
 
 def test_bary_cube():
     b = barycentric(polyhedra.cube())
-    assert b.graph.vertex_count == 26
-    assert len(b.graph.faces()) == 48
+    assert b.vertex_count == 26
+    assert len(b.faces()) == 48
 
 
 def test_bary_invariants(corpus):
     for name, g in corpus.items():
-        b = barycentric(g)
-        bg = b.graph
+        bg = barycentric(g)
         assert bg.genus() == g.genus(), name
         assert len(bg.faces()) == 4 * g.edge_count, name
         for walk in bg.faces():
@@ -46,15 +40,12 @@ def test_bary_origin_mapping():
     g = polyhedra.cube()
     b = barycentric(g)
     nv, ne, nf = g.vertex_count, g.edge_count, len(g.faces())
-    kinds = [b.origin[x][0] for x in range(b.graph.vertex_count)]
-    assert kinds.count("vertex") == nv
-    assert kinds.count("edge") == ne
-    assert kinds.count("face") == nf
+    assert b.labels == (0,) * nv + (1,) * ne + (2,) * nf
 
 
 def test_chamber_system_transitive(corpus):
     for name, g in corpus.items():
-        cs = barycentric(g).chamber_system()
+        cs = ChamberSystem(barycentric(g))
         assert cs.is_transitive(), name
         for i in range(3):
             for c in range(len(cs)):
@@ -63,10 +54,9 @@ def test_chamber_system_transitive(corpus):
 
 def test_double_chambers_counts(corpus):
     for name, g in corpus.items():
-        dc = double_chambers(g)
-        quads = dc.double_chambers()
+        dg = DoubleChamberSystem(g).graph
+        quads = dg.faces()
         assert len(quads) == 2 * g.edge_count, name
-        dg = dc.graph
         for quad in quads:
             assert len(quad) == 4
             labels = sorted(dg.labels[dg.vertex_of[d]] for d in quad)
@@ -74,19 +64,36 @@ def test_double_chambers_counts(corpus):
 
 
 def test_double_chamber_loop_corners():
-    dc = double_chambers(polyhedra.loop_vertex())
-    dg = dc.graph
-    for quad in dc.double_chambers():
+    dg = DoubleChamberSystem(polyhedra.loop_vertex()).graph
+    for quad in dg.faces():
         zeros = [dg.vertex_of[d] for d in quad if dg.labels[dg.vertex_of[d]] == 0]
         assert len(zeros) == 2 and zeros[0] == zeros[1]
 
 
 def test_double_chamber_simple_corners_distinct():
-    dc = double_chambers(polyhedra.tetrahedron())
-    dg = dc.graph
-    for quad in dc.double_chambers():
+    dg = DoubleChamberSystem(polyhedra.tetrahedron()).graph
+    for quad in dg.faces():
         zeros = [dg.vertex_of[d] for d in quad if dg.labels[dg.vertex_of[d]] == 0]
         assert len(set(zeros)) == 2
+
+
+def test_radial_is_vertex_face_subgraph(corpus):
+    """Dart r of R(G) is B-dart 2n + r, with the same ends, and each
+    rotation of R(G) is that of B_G restricted to those darts."""
+    for name, g in corpus.items():
+        b, r = barycentric(g), radial(g)
+        off = 2 * g.dart_count
+        node = [v if v < g.vertex_count else v + g.edge_count for v in range(r.vertex_count)]
+        assert r.labels == tuple(b.labels[x] for x in node), name
+        for d in range(r.dart_count):
+            assert b.vertex_of[off + d] == node[r.vertex_of[d]], name
+            assert b.inv[off + d] == off + r.inv[d], name
+        for v, rot in enumerate(r.rotations()):
+            kept = [x - off for x in b.rotations()[node[v]] if off <= x < 2 * off]
+            i = kept.index(rot[0])
+            assert tuple(kept[i:] + kept[:i]) == rot, name
+        assert r.genus() == g.genus(), name
+        assert all(len(walk) == 4 for walk in r.faces()), name
 
 
 def chamber_walk(bg):
@@ -95,7 +102,7 @@ def chamber_walk(bg):
 
 
 def test_chamber_flip_roundtrip():
-    bg = barycentric(polyhedra.tetrahedron()).graph
+    bg = barycentric(polyhedra.tetrahedron())
     walk = chamber_walk(bg)
     d = walk[0]
     other = bg.face_of(bg.inv[d])
@@ -106,7 +113,7 @@ def test_chamber_flip_roundtrip():
 
 
 def test_chamber_flip_two_edges_to_one():
-    bg = barycentric(polyhedra.tetrahedron()).graph
+    bg = barycentric(polyhedra.tetrahedron())
     face = list(bg.faces()[5])
     # the two-edge path around face 5 starting at its first dart
     walk = [face[0], face[1], bg.inv[face[1]], bg.inv[face[0]]]
@@ -116,7 +123,7 @@ def test_chamber_flip_two_edges_to_one():
 
 
 def test_chamber_flip_rejects_far_chamber():
-    bg = barycentric(polyhedra.cube()).graph
+    bg = barycentric(polyhedra.cube())
     walk = chamber_walk(bg)
     edges_in = {bg.edge_of(d) for d in walk}
     far = next(
@@ -129,7 +136,7 @@ def test_chamber_flip_rejects_far_chamber():
 
 
 def test_legal_flips_nonempty():
-    bg = barycentric(polyhedra.cube()).graph
+    bg = barycentric(polyhedra.cube())
     walk = chamber_walk(bg)
     flips = legal_flips(bg, walk)
     assert flips
@@ -139,7 +146,7 @@ def test_legal_flips_nonempty():
 
 
 def test_walk_cycles_splits_figure_eight():
-    bg = barycentric(polyhedra.tetrahedron()).graph
+    bg = barycentric(polyhedra.tetrahedron())
     f = bg.faces()[0]
     g_walk = list(f) + [f[0], bg.inv[f[0]]]  # cycle plus a spike
     parts = walk_cycles(bg, g_walk)

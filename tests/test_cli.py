@@ -1,3 +1,4 @@
+import hashlib
 import io as stdio
 import os
 import sys
@@ -8,6 +9,9 @@ from surfops import io as sio
 from surfops import polyhedra
 from surfops.cli import main
 from surfops.operations import apply, catalog
+
+from conftest import build_corpus
+from test_facewidth import tube_sum
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -309,3 +313,59 @@ def test_apply_output_to_missing_directory(cube_file, capsys, tmp_path):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: cannot write %s: " % target)
     assert not target.exists()
+
+
+# the face-width and ck checks run on each graph of the stdout corpus
+CHECK_COMMANDS = (
+    ("facewidth",),
+    ("ckcheck", "-k", "1"),
+    ("ckcheck", "-k", "2"),
+    ("ckcheck", "-k", "3"),
+    ("ckcheck", "-k", "2", "--method", "cycles"),
+    ("ckcheck", "-k", "3", "--method", "cycles"),
+)
+
+# sha256 of the concatenated stdout of each command over the stdout corpus,
+# as given by the face-width search on all of B_G without its edge vertices
+CHECK_STDOUT_SHA256 = {
+    "facewidth":
+        "bddf34c6467477b3ddd0853e39cc04897aa7e43a8bee481fee7c86053affdfc8",
+    "ckcheck -k 1":
+        "8e4e89cad23b3be1b9a822b012215764637ed3de8c3f6f9a47917e3013011ce2",
+    "ckcheck -k 2":
+        "19e9418bacc3e15f9e9086e4739ca862e94376717de1d3ea1fbf299bd8d9efd2",
+    "ckcheck -k 3":
+        "c02e1eea469cdc536dfaf82624aa1c4570f8385d5baa67b6305fb3b4f3d9f3a3",
+    "ckcheck -k 2 --method cycles":
+        "cf01ff2aac7e702c7b655907eee848ccb4f9c503a05ee5082511774977efa6f1",
+    "ckcheck -k 3 --method cycles":
+        "8b91e4f2260210bbaa7fdf3baa83db1f8bbf6242d8406aff66c275a2400f415a",
+}
+
+
+def stdout_corpus(tmp_path):
+    """rot files of the 52-graph corpus and of the six K7 tube sums of
+    genus 2 and 3 with tubes of 1, 2 and 3 edges."""
+    k7 = polyhedra.k7_torus()
+    graphs = list(build_corpus().values())
+    for k in (1, 2, 3):
+        two = tube_sum(k7, k7, k)
+        graphs += [two, tube_sum(two, k7, k)]
+    paths = []
+    for i, g in enumerate(graphs):
+        path = tmp_path / ("g%02d.rot" % i)
+        path.write_text(sio.write_rot(g), encoding="ascii")
+        paths.append(str(path))
+    return paths
+
+
+def test_check_stdout_is_pinned(tmp_path, capsys):
+    paths = stdout_corpus(tmp_path)
+    assert len(paths) == 58
+    for argv in CHECK_COMMANDS:
+        digest = hashlib.sha256()
+        for path in paths:
+            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            assert (code, err) == (0, "")
+            digest.update(out.encode("ascii"))
+        assert digest.hexdigest() == CHECK_STDOUT_SHA256[" ".join(argv)], argv

@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from surfops import operations as ops
 from surfops import polyhedra
 from surfops import topology as tp
-from surfops.chambers import barycentric
+from surfops import chambers
+from surfops.chambers import barycentric, radial
 from surfops.embedded import EmbeddedGraph
 
 import oracle_bridges as ob
@@ -214,7 +215,7 @@ def allowed_of(b):
 def oracle_face_width(g):
     if g.genus() == 0:
         return None
-    b = barycentric(g).graph
+    b = barycentric(g)
     return len(oracle_shortest_noncontractible_cycle(b, allowed_of(b))) // 2
 
 
@@ -242,7 +243,7 @@ def assert_matches_oracle(g):
         assert tp.shortest_noncontractible_cycle(g) is None
         return
     assert fw == want
-    assert_witness(barycentric(g).graph, fw, cyc)
+    assert_witness(barycentric(g), fw, cyc)
     cyc = tp.shortest_noncontractible_cycle(g)
     assert len(cyc) == len(oracle_shortest_noncontractible_cycle(g))
     verts = [g.vertex_of[d] for d in cyc]
@@ -279,23 +280,23 @@ def test_random_graphs_match_oracle():
 
 
 def test_candidate_cycles_match_oracle(corpus):
+    """On G and on R(G): with a bound no BFS reaches, the candidate list is
+    the oracle's; with a short bound, it is a subset of short cycles."""
     graphs = list(corpus.values()) + random_graphs(40)
     for g in graphs:
-        b = barycentric(g).graph
-        assert tp._bfs_candidate_cycles(g) == oracle_bfs_candidate_cycles(g)
-        allowed = allowed_of(b)
-        full = tp._bfs_candidate_cycles(b, allowed)
-        assert full == oracle_bfs_candidate_cycles(b, allowed)
-        keys = {frozenset(b.edge_of(d) for d in cyc) for cyc in full}
-        for max_len in (2, 4, 6):
-            short = tp._bfs_candidate_cycles(b, allowed, max_len=max_len)
-            assert all(len(cyc) <= max_len for cyc in short)
-            assert {frozenset(b.edge_of(d) for d in cyc) for cyc in short} <= keys
+        for h in (g, radial(g)):
+            full = oracle_bfs_candidate_cycles(h)
+            assert tp._bfs_candidate_cycles(h, 2 * h.vertex_count) == full
+            keys = {frozenset(h.edge_of(d) for d in cyc) for cyc in full}
+            for max_len in (2, 4, 6):
+                short = tp._bfs_candidate_cycles(h, max_len)
+                assert all(len(cyc) <= max_len for cyc in short)
+                assert {frozenset(h.edge_of(d) for d in cyc) for cyc in short} <= keys
 
 
 def test_edge_classes():
-    k7 = barycentric(polyhedra.k7_torus()).graph
-    graphs = [k7] + [barycentric(g).graph for g in random_graphs(60) if g.genus() >= 2]
+    k7 = barycentric(polyhedra.k7_torus())
+    graphs = [k7] + [barycentric(g) for g in random_graphs(60) if g.genus() >= 2]
     for b in graphs:
         tester = tp._HomologyTester(b)
         for walk in b.faces():
@@ -312,12 +313,16 @@ def test_edge_classes():
             assert (tester.cycle_class(cyc) == 0) == (oracle.cycle_class(cyc) == 0)
 
 
-@pytest.mark.parametrize("seed_name", ["tetrahedron", "k7"])
-def test_face_width_reads_given_subdivision(seed_name):
-    g = polyhedra.tetrahedron() if seed_name == "tetrahedron" else polyhedra.k7_torus()
-    for op_name in ops.catalog_names():
-        res = ops.apply(ops.catalog(op_name), g)
-        assert tp.face_width(res.result, bary_graph=res.subdivision) == tp.face_width(res.result)
+def test_face_width_builds_no_subdivision(monkeypatch):
+    """Face-width and the direct ck check search R(G); B_G is never built."""
+    k7 = polyhedra.k7_torus()
+    graphs = [k7, power("gyro", k7, 1)]
+    built = []
+    build = chambers._build_bary
+    monkeypatch.setattr(chambers, "_build_bary", lambda g: built.append(g) or build(g))
+    for g in graphs:
+        assert tp.face_width(g) == tp.is_ck_embedded(g, 3).face_width == oracle_face_width(g)
+    assert built == graphs  # by the oracle alone
 
 
 def tube_sum(g, h, k):
@@ -352,7 +357,7 @@ def test_separating_cycles_of_tube_sums(k):
         assert g.genus() == genus
         fw, cyc = tp.face_width_witness(g)
         assert fw == k == oracle_face_width(g)
-        b = barycentric(g).graph
+        b = barycentric(g)
         assert_witness(b, fw, cyc)
         assert (tp._HomologyTester(b).cycle_class(cyc) == 0) == (k < 3)
 
@@ -362,7 +367,7 @@ def test_face_width_of_second_gyro_of_k7():
     assert g.edge_count == 525
     fw, cyc = tp.face_width_witness(g)
     assert fw == 12
-    assert_witness(barycentric(g).graph, fw, cyc)
+    assert_witness(barycentric(g), fw, cyc)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)

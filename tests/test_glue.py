@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 from surfops import io, polyhedra
 from surfops import operations as ops
-from surfops.chambers import DoubleChamberSystem, barycentric
+from surfops.chambers import DoubleChamberSystem, barycentric, radial
 from surfops.embedded import EmbeddedGraph, InternalInvariant, _orbits
 
 import oracle_bridges as ob
@@ -246,7 +246,7 @@ def oracle_match_segments(gluer, pg, segments, frame, frame_graph, cell_walk, li
 
 
 def oracle_double_chamber_graph(g):
-    b = barycentric(g).graph
+    b = barycentric(g)
     keep = [d for d in range(b.dart_count) if (d // 2) < 2 * g.dart_count]
     (comp,) = ob.embedded_subgraph(b, keep)
     return comp
@@ -320,7 +320,7 @@ def oracle_apply(op, g, cut_path=None):
 
 def oracle_apply_lsp_direct(op, g):
     og = op.graph
-    b = barycentric(g).graph
+    b = barycentric(g)
     plain_walk = op.outer_walk()
     corner_set = set(op.specials)
     plain_segments = oracle_parse_boundary(og, plain_walk, corner_set, op.v2)
@@ -490,8 +490,8 @@ def test_unchecked_graphs_are_valid(name):
     graphs = list(named_seeds().values()) + [
         polyhedra.random_embedded(rng, rng.randint(1, 15)) for _ in range(10)]
     for g in graphs:
-        assert_valid(barycentric(g).graph)
-        assert_valid(DoubleChamberSystem(barycentric(g)).graph)
+        for h in (barycentric(g), DoubleChamberSystem(g).graph, radial(g), g.dual(), g.mirror()):
+            assert_valid(h)
         keep = {x for e in rng.sample(g.edge_darts(), rng.randint(1, g.edge_count)) for x in e}
         for comp in ob.embedded_subgraph(g, keep) + [oracle_double_chamber_graph(g)]:
             assert_valid(comp.graph)
@@ -529,8 +529,11 @@ def test_unchecked_rotation_tables_are_sigma_orbits(monkeypatch, name):
     rng = random.Random(13)
     graphs = list(named_seeds().values()) + [polyhedra.random_embedded(rng, 12)]
     for i, g in enumerate(graphs):
-        sites["barycentric %d" % i] = barycentric(g).graph
-        sites["DoubleChamberSystem %d" % i] = DoubleChamberSystem(barycentric(g)).graph
+        sites["barycentric %d" % i] = barycentric(g)
+        sites["DoubleChamberSystem %d" % i] = DoubleChamberSystem(g).graph
+        sites["radial %d" % i] = radial(g)
+        sites["dual %d" % i] = g.dual()
+        sites["mirror %d" % i] = g.mirror()
         sites["_glue %d" % i] = ops.apply(op, g).result
     for site, h in sites.items():
         assert h.rotations() == orbit_table(h), site
@@ -650,7 +653,7 @@ def test_broken_gluing_is_caught():
 
     g = polyhedra.cube()
     ops.apply(gyro, g)
-    frame = DoubleChamberSystem(barycentric(g)).graph
+    frame = DoubleChamberSystem(g).graph
     with pytest.raises(InternalInvariant, match="^glue: Euler characteristic"):
         ops._glue(frame, gyro._templates[None], g.genus() + 1, gyro)
 

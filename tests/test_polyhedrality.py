@@ -154,7 +154,7 @@ def test_images_are_polyhedral(name):
     for map_name, g, _, width in polyhedral_maps():
         res = ops.apply(op, g)
         assert tp.ck_via_cycles(res.result, 3, bary_graph=res.subdivision).passed, map_name
-        rep = tp.is_ck_embedded(res.result, 3, bary_graph=res.subdivision)
+        rep = tp.is_ck_embedded(res.result, 3)
         assert rep.passed, (map_name, rep)
         assert rep.face_width >= width, map_name
 

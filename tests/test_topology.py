@@ -6,7 +6,7 @@ from surfops import topology as tp
 from surfops.chambers import barycentric
 
 import oracle_bridges as ob
-from test_facewidth import random_graphs, tube_sum
+from test_facewidth import oracle_bfs_candidate_cycles, random_graphs, tube_sum
 
 
 def cycle_darts(g, vertex_seq):
@@ -35,20 +35,20 @@ def test_contractibility_against_slow_oracle(corpus):
     two = tube_sum(k7, k7, 2)
     tubes = [two, tube_sum(two, k7, 2), tube_sum(k7, k7, 3)]
     others = [corpus[name] for name in rng.sample(sorted(corpus), 12)] + random_graphs(12)
-    cases = [(barycentric(k7).graph, 60)]
-    cases += [(barycentric(g).graph, 400) for g in tubes]
-    cases += [(h, 40) for g in others for h in (g, barycentric(g).graph)]
+    cases = [(barycentric(k7), 60)]
+    cases += [(barycentric(g), 400) for g in tubes]
+    cases += [(h, 40) for g in others for h in (g, barycentric(g))]
     for b, count in cases:
-        cycles = tp._bfs_candidate_cycles(b)
+        cycles = oracle_bfs_candidate_cycles(b)
         rng.shuffle(cycles)
         for cyc in cycles[:count]:
             assert tp.is_contractible(b, cyc) == ob.is_contractible(b, cyc), cyc
 
 
 def test_homology_fast_path_matches_definition():
-    b = barycentric(polyhedra.k7_torus()).graph
+    b = barycentric(polyhedra.k7_torus())
     tester = tp._HomologyTester(b)
-    cycles = tp._bfs_candidate_cycles(b)
+    cycles = oracle_bfs_candidate_cycles(b)
     random.Random(11).shuffle(cycles)
     for cyc in cycles[:60]:
         assert (tester.cycle_class(cyc) != 0) == (not tp.is_contractible(b, cyc))
@@ -103,9 +103,9 @@ def test_ck_via_cycles_tetrahedron():
 
 def test_oracle_equivalence_on_corpus(corpus):
     for name, g in corpus.items():
-        b = barycentric(g).graph
+        b = barycentric(g)
         for k in (2, 3):
-            direct = tp.is_ck_embedded(g, k, bary_graph=b)
+            direct = tp.is_ck_embedded(g, k)
             cyc = tp.ck_via_cycles(g, k, bary_graph=b)
             assert direct.passed == cyc.passed, (name, k)
 
