@@ -5,6 +5,12 @@ walk over the faces of the smaller side decides by its Euler
 characteristic.  The face-width of G is half the minimal length of a
 non-contractible cycle in the barycentric subdivision ``B_G``; the
 search runs on its radial subgraph ``R(G)``, which has the same minimum.
+It makes one BFS per root, which reads the homology class of every
+closed walk a non-tree edge makes; on genus >= 2 it also sends the
+class-0 walks that can be a shortest cycle rooted at its smallest vertex
+to the contractibility test, each once.  A 4-cycle of ``B_G`` is
+trivial when the walk along one of its sides finds no vertex off it, or
+one type-1 vertex only.
 """
 
 from __future__ import annotations
@@ -138,24 +144,6 @@ def _neighbours(g):
     return [[(g.head(d), g.edge_of(d), d) for d in rot] for rot in g.rotations()]
 
 
-def _bfs_tree(nbrs, root, max_depth=None):
-    """BFS order, depths and parent darts of a BFS tree; vertices further
-    than ``max_depth`` from the root stay unreached (depth None)."""
-    depth = [None] * len(nbrs)
-    parent_dart = [None] * len(nbrs)
-    depth[root] = 0
-    order = [root]
-    for v in order:
-        if depth[v] == max_depth:
-            continue
-        for w, _, d in nbrs[v]:
-            if depth[w] is None:
-                depth[w] = depth[v] + 1
-                parent_dart[w] = d
-                order.append(w)
-    return order, depth, parent_dart
-
-
 def _fundamental_cycle(g, depth, parent_dart, d):
     """The cycle the non-tree dart d closes in a BFS tree: d, then up
     from its head to the lowest common ancestor, then down to its tail."""
@@ -175,102 +163,76 @@ def _fundamental_cycle(g, depth, parent_dart, d):
     return [d] + [g.inv[x] for x in up] + down[::-1]
 
 
-def _bfs_candidate_cycles(g, max_len):
-    """Simple cycles of at most ``max_len`` edges from BFS-tree
-    fundamental cycles, all roots, each edge set once.
-
-    By the three-path condition a shortest non-contractible cycle occurs
-    among these.  Each BFS stops at depth ``max_len // 2``, which keeps
-    every fundamental cycle through its root of that length.
-    """
-    seen_keys = set()
-    out = []
-    nbrs = _neighbours(g)
-    for root in range(g.vertex_count):
-        order, depth, parent_dart = _bfs_tree(nbrs, root, max_len // 2)
-        tree_edges = {g.edge_of(parent_dart[v]) for v in order[1:]}
-        closing = {e for v in order for w, e, _ in nbrs[v] if depth[w] is not None}
-        for e in sorted(closing - tree_edges):
-            cyc = _fundamental_cycle(g, depth, parent_dart, g.edge_darts()[e][0])
-            if len(cyc) > max_len:
-                continue
-            key = frozenset(g.edge_of(x) for x in cyc)
-            if key not in seen_keys:
-                seen_keys.add(key)
-                out.append(cyc)
-    return out
-
-
-def _shortest_nonnull_walk(nbrs, edge_class):
-    """(length, root, dart) of a shortest closed walk with non-zero class
-    that a BFS from some root closes with one non-tree edge, or
-    (inf, None, None).
-
-    ``prefix[w]`` is the class of the tree path from the root to w; the
-    non-tree edge e from u to w closes a walk of length depth u +
-    depth w + 1 and class prefix[u] ^ prefix[w] ^ edge_class[e].  An
-    edge is read from its end nearer the root (from both ends when they
-    are level), so a BFS stops at the first level whose walks cannot be
-    shorter than the best.
-    """
-    best, best_root, best_dart = math.inf, None, None
-    nv = len(nbrs)
-    for root in range(nv):
-        depth = [-1] * nv
-        prefix = [0] * nv
-        depth[root] = 0
-        level, frontier = 0, [root]
-        while frontier and 2 * level + 1 < best:
-            reached = []
-            for u in frontier:
-                hu = prefix[u]
-                for w, e, d in nbrs[u]:
-                    dw = depth[w]
-                    if dw < 0:
-                        depth[w] = level + 1
-                        prefix[w] = hu ^ edge_class[e]
-                        reached.append(w)
-                    elif dw >= level and level + dw + 1 < best and hu ^ prefix[w] ^ edge_class[e]:
-                        best, best_root, best_dart = level + dw + 1, root, d
-            frontier = reached
-            level += 1
-    return best, best_root, best_dart
-
-
 def shortest_noncontractible_cycle(g):
     """A minimum-length non-contractible cycle of g, or None if plane.
 
-    Take a BFS tree rooted on a shortest non-null cycle C.  The walks
-    root -> u -> w -> root that the edges uw of C close are at most as
-    long as C, and their classes add up to the class of C, so one of
-    them is non-null.  The shortest non-null walk over all roots is
-    therefore as long as C, and its fundamental cycle is a witness.  It
-    has the walk's non-zero class, so it bounds nothing and needs no
-    contractibility test: O(V (V + E)), with early stops.  Up to genus 1
-    a simple cycle is non-contractible exactly when it is non-null.
-    Beyond, a separating cycle can be non-contractible too; by the
-    three-path condition the shortest one is a BFS fundamental cycle, so
-    those shorter than the homology minimum go through
-    ``is_contractible``, shortest first.
+    One BFS per root carries the class of each tree path, so a non-tree
+    edge uw gives the class of the closed walk root -> u -> w -> root in
+    O(1).  An edge is read from its end nearer the root, so a BFS stops
+    at the first level whose walks cannot be shorter than the best cycle
+    so far: O(V (V + E)) at worst.  A walk of non-zero class has a
+    fundamental cycle of the same class, which therefore bounds nothing;
+    it becomes the best, and its length the bound.
+
+    Let r be the smallest vertex on any shortest non-contractible cycle
+    C, of length L.  The walks that the edges of C close in the BFS from
+    r are at most L long and compose to C, so one of them is
+    non-contractible.  Its fundamental cycle is then at most L long, so
+    it is the walk itself: its tree paths meet only at r (a loop at r
+    counts), and none of its vertices is smaller than r.  Up to genus 1
+    that walk has a non-zero class.  Beyond, a separating cycle can be
+    non-contractible with class 0, so a class-0 walk shorter than the
+    best goes through ``is_contractible`` if it has those two
+    properties.  An edge between two vertices of equal depth is read
+    from one end only, so no cycle is tested twice.
     """
     genus = g.genus()
     if genus == 0:
         return None
     nbrs = _neighbours(g)
-    length, root, dart = _shortest_nonnull_walk(nbrs, _HomologyTester(g).edge_class)
-    if root is None:
+    edge_class = _HomologyTester(g).edge_class
+    inv = g.inv
+    nv = len(nbrs)
+    best, bound = None, math.inf
+    for root in range(nv):
+        depth = [-1] * nv
+        prefix = [0] * nv
+        parent_dart = [None] * nv
+        depth[root] = 0
+        # genus >= 2: per vertex, the child of the root its tree path
+        # starts with, or -1 if that path passes a vertex below the root
+        branch = None
+        if genus >= 2:
+            branch = [-1] * nv
+            branch[root] = root
+        level, frontier = 0, [root]
+        while frontier and 2 * level + 1 < bound:
+            reached = []
+            for u in frontier:
+                hu = prefix[u]
+                bu = -1 if branch is None else branch[u]
+                for w, e, d in nbrs[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = level + 1
+                        prefix[w] = hu ^ edge_class[e]
+                        parent_dart[w] = d
+                        reached.append(w)
+                        if bu >= 0 and w > root:
+                            branch[w] = w if level == 0 else bu
+                    elif dw >= level and level + dw + 1 < bound:
+                        if hu ^ prefix[w] ^ edge_class[e]:
+                            best = _fundamental_cycle(g, depth, parent_dart, d)
+                            bound = len(best)
+                        elif (bu >= 0 and branch[w] >= 0 and (branch[w] != bu or w == root)
+                              and parent_dart[w] != d and (dw > level or d < inv[d])):
+                            cyc = _fundamental_cycle(g, depth, parent_dart, d)
+                            if not is_contractible(g, cyc):
+                                best, bound = cyc, len(cyc)
+            frontier = reached
+            level += 1
+    if best is None:
         raise InternalInvariant("face-width", "positive genus but no closed walk of non-zero class")
-    if genus >= 2:
-        for cyc in sorted(_bfs_candidate_cycles(g, length - 1), key=len):
-            if not is_contractible(g, cyc):
-                return cyc
-    _, depth, parent_dart = _bfs_tree(nbrs, root)
-    best = _fundamental_cycle(g, depth, parent_dart, dart)
-    if len(best) != length:  # its class is that of the walk, so non-zero
-        raise InternalInvariant(
-            "face-width", "the shortest non-null walk of length %d gave the "
-            "shorter cycle %r" % (length, best), dart=dart,
-        )
     return best
 
 
@@ -479,34 +441,6 @@ def four_cycles(b):
     return out
 
 
-def _trivial_side(b, cyc):
-    """Whether the faces of b along the 4-cycle ``cyc``, on the side that
-    ``phi = sigma o inv`` turns to, are two triangles sharing a diagonal
-    or the four triangles around a type-1 vertex of degree 4.  That side
-    then holds no vertex, or that one vertex, and no other bridge."""
-    sigma, inv = b.sigma, b.inv
-
-    def phi(d):
-        return sigma[inv[d]]
-
-    for i in (0, 1):
-        # triangles (d, e, c) and (f, h, inv c) with the diagonal c
-        d, e, f, h = cyc[i], cyc[i + 1], cyc[i + 2], cyc[(i + 3) % 4]
-        c = phi(e)
-        if phi(d) == e and phi(c) == d and phi(f) == h and phi(h) == inv[c] and phi(inv[c]) == f:
-            return True
-    # triangles (cyc[i], spoke[i], inv spoke[i-1]); sigma then maps each
-    # inv spoke to the one before, so the spokes meet at an apex whose
-    # rotation is exactly the four of them
-    spokes = [phi(d) for d in cyc]
-    if not all(
-        phi(spokes[i]) == inv[spokes[i - 1]] and phi(inv[spokes[i - 1]]) == cyc[i]
-        for i in range(4)
-    ):
-        return False
-    return b.labels[b.head(spokes[0])] == 1
-
-
 def _side_walk(b, cyc):
     """Whether the bridges on the side of the 4-cycle ``cyc`` that ``phi``
     turns to hold no vertex, or a single type-1 vertex only.
@@ -537,15 +471,11 @@ def four_cycle_is_trivial(b, cyc):
     """Trivial 4-cycles have a face whose interior holds no vertex, or a
     single type-1 vertex only.
 
-    ``cyc`` is a simple 4-cycle as ``four_cycles`` gives it.  An O(1)
-    look at the faces of b on either side of the cycle accepts the two
-    trivial shapes a triangulation has; only cycles it rejects go
-    through ``_side_walk``, which reads at most one vertex off the cycle
-    past the angles of each side.
+    ``cyc`` is a simple 4-cycle as ``four_cycles`` gives it.  The side
+    walk of each side reads at most one vertex off the cycle past the
+    angles of that side, so the test stays local.
     """
     back = tuple(b.inv[d] for d in reversed(cyc))
-    if _trivial_side(b, cyc) or _trivial_side(b, back):
-        return True
     return _side_walk(b, cyc) or _side_walk(b, back)
 
 

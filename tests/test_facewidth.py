@@ -10,6 +10,7 @@ the best candidate.  The production code must give the same
 face-widths, and its witnesses must be shortest non-contractible cycles.
 """
 
+import os
 import random
 from collections import deque
 
@@ -21,8 +22,9 @@ from surfops import operations as ops
 from surfops import polyhedra
 from surfops import topology as tp
 from surfops import chambers
-from surfops.chambers import barycentric, radial
+from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
+from surfops.io import parse_rot
 
 import oracle_bridges as ob
 from conftest import relabeled
@@ -279,21 +281,6 @@ def test_random_graphs_match_oracle():
         assert_matches_oracle(g)
 
 
-def test_candidate_cycles_match_oracle(corpus):
-    """On G and on R(G): with a bound no BFS reaches, the candidate list is
-    the oracle's; with a short bound, it is a subset of short cycles."""
-    graphs = list(corpus.values()) + random_graphs(40)
-    for g in graphs:
-        for h in (g, radial(g)):
-            full = oracle_bfs_candidate_cycles(h)
-            assert tp._bfs_candidate_cycles(h, 2 * h.vertex_count) == full
-            keys = {frozenset(h.edge_of(d) for d in cyc) for cyc in full}
-            for max_len in (2, 4, 6):
-                short = tp._bfs_candidate_cycles(h, max_len)
-                assert all(len(cyc) <= max_len for cyc in short)
-                assert {frozenset(h.edge_of(d) for d in cyc) for cyc in short} <= keys
-
-
 def test_edge_classes():
     k7 = barycentric(polyhedra.k7_torus())
     graphs = [k7] + [barycentric(g) for g in random_graphs(60) if g.genus() >= 2]
@@ -360,6 +347,36 @@ def test_separating_cycles_of_tube_sums(k):
         b = barycentric(g)
         assert_witness(b, fw, cyc)
         assert (tp._HomologyTester(b).cycle_class(cyc) == 0) == (k < 3)
+
+
+def test_separating_loop_is_found():
+    """K7 and a copy joined at vertex 0, whose rotation there is the
+    first copy's, a loop dart, the second copy's and the loop's other
+    dart: the loop separates the two tori, so it is a non-contractible
+    cycle of length 1 through the root of its BFS."""
+    path = os.path.join(os.path.dirname(__file__), "data", "k7_loop_sum.rot")
+    with open(path, encoding="ascii") as handle:
+        g = parse_rot(handle.read())
+    assert (g.genus(), g.edge_count) == (2, 43)
+    cyc = tp.shortest_noncontractible_cycle(g)
+    assert len(cyc) == 1 == len(oracle_shortest_noncontractible_cycle(g))
+    assert not tp.is_contractible(g, cyc)
+    assert_matches_oracle(g)
+
+
+def test_class_zero_cycles_are_tested_once(monkeypatch):
+    """On genus >= 2 each null-homologous cycle goes through
+    ``is_contractible`` at most once, from its smallest vertex; a search
+    that tested every BFS fundamental cycle shorter than the homology
+    minimum made 1926 calls here."""
+    k7 = polyhedra.k7_torus()
+    g = power("gyro", tube_sum(k7, k7, 3), 1)
+    calls = []
+    test = tp.is_contractible
+    monkeypatch.setattr(tp, "is_contractible", lambda h, cyc: calls.append(
+        frozenset(h.edge_of(d) for d in cyc)) or test(h, cyc))
+    assert tp.face_width(g) == 6
+    assert len(set(calls)) == len(calls) <= 450
 
 
 def test_face_width_of_second_gyro_of_k7():

@@ -37,6 +37,7 @@ import oracle_bridges as ob
 from conftest import named_seeds, relabeled
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
+OPERATION_FILES = sorted(n for n in os.listdir(DATA) if n.endswith((".lsp", ".lopsp")))
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +397,7 @@ def check_both_routes(op, g):
 
 def data_ops():
     out = {}
-    for name in sorted(os.listdir(DATA)):
+    for name in OPERATION_FILES:
         with open(os.path.join(DATA, name)) as handle:
             out[name] = io.parse_op(handle.read())
     return out
@@ -409,7 +410,7 @@ def test_catalog_on_solids_and_k7(name):
         check_both_routes(op, g)
 
 
-@pytest.mark.parametrize("name", sorted(os.listdir(DATA)))
+@pytest.mark.parametrize("name", OPERATION_FILES)
 def test_data_operations(name):
     op = data_ops()[name]
     for g in named_seeds().values():
