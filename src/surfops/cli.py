@@ -112,7 +112,7 @@ def _cmd_classify(args):
     report = operations.classify_ck(op)
     print(report.k)
     if report.k < 3:
-        wit = report.cycle_report.witness
+        wit = report.witness
         for key in ("two_cycle", "four_cycle"):
             if key in wit:
                 print("witness %s darts %s" % (key, " ".join(map(str, wit[key]))))

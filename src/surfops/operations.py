@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
 from .embedded import EmbeddedGraph, InternalInvariant
-from .topology import _smallest_cut, ck_via_cycles
+from .topology import _short_cycles, _smallest_cut
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -875,7 +875,7 @@ def catalog(name):
 @dataclass
 class ClassifyReport:
     k: int
-    cycle_report: object  # CkReport from the cycle characterisation on the subdivision
+    witness: dict  # {"two_cycle" or "four_cycle": darts of the subdivision} if k < 3
     localization: dict
 
 
@@ -891,15 +891,14 @@ def classify_ck(op, witness=None):
     cycle is reported together with the double chambers it touches.
     """
     lop = lsp_to_lopsp(op) if isinstance(op, LspOperation) else op
-    lop.require_valid()
     if witness is None:
         from .polyhedra import tetrahedron
 
         witness = tetrahedron()
     res = apply(lop, witness)
-    report = ck_via_cycles(res.result, 3, bary_graph=res.subdivision)
+    k, cycle = _short_cycles(res.subdivision)
     localization = {}
-    wit = report.witness.get("two_cycle") or report.witness.get("four_cycle")
+    wit = cycle.get("two_cycle") or cycle.get("four_cycle")
     if wit is not None:
         cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
         common = frozenset.intersection(*cells)
@@ -909,4 +908,4 @@ def classify_ck(op, witness=None):
             all(c & pair for c in cells)
             for pair in set(res.edge_cells)  # a chain edge lies on two adjacent cells
         )
-    return ClassifyReport(k=report.k_max, cycle_report=report, localization=localization)
+    return ClassifyReport(k=k, witness=cycle, localization=localization)

@@ -8,9 +8,10 @@ search runs on its radial subgraph ``R(G)``, which has the same minimum.
 It makes one BFS per root, which reads the homology class of every
 closed walk a non-tree edge makes; on genus >= 2 it also sends the
 class-0 walks that can be a shortest cycle rooted at its smallest vertex
-to the contractibility test, each once.  A 4-cycle of ``B_G`` is
-trivial when the walk along one of its sides finds no vertex off it, or
-one type-1 vertex only.
+to the contractibility test, each once.  ``_short_cycles`` reads the
+ck characterisation off ``B_G``, or off T of O(witness) for
+``classify_ck``: k is 1 at a 2-cycle and 2 at a nontrivial 4-cycle,
+which walks along its two sides decide locally.
 """
 
 from __future__ import annotations
@@ -72,71 +73,61 @@ def is_contractible(g, cycle_darts):
 # homology classes and face-width searches
 
 
-class _HomologyTester:
-    """Z2-homology classes of cycles; exact for genus <= 1 surfaces.
+def _edge_classes(g):
+    """Z2-homology classes of the edges of g, as ints of 2g bits.
 
-    On a plane or torus map a simple cycle is contractible exactly when
-    its class vanishes (it then separates, and one side is plane).  On
-    higher genus this is only a necessary condition, so callers fall back
-    to ``is_contractible`` there.
+    The class of a cycle, the XOR over its edges, is 0 exactly when the
+    cycle bounds a union of faces.  Up to genus 1 a simple cycle is
+    contractible exactly when its class is 0; beyond, a separating cycle
+    has class 0 and may still be non-contractible.
 
-    ``edge_class[e]`` is an int of 2g bits, set by a tree-cotree
-    decomposition in O(V + E).  Edges of a spanning tree T get 0.  The
-    other edges span the dual graph; a spanning tree of the dual on them
-    leaves 2g edges over, and each gets one unit bit.  A dual tree edge
-    gets the XOR of the other edges of its child face, children before
-    parents, so every face boundary has class 0.  The fundamental cycle
-    of the i-th left-over edge has class bit i, so the class of a cycle,
-    the XOR over its edges, is 0 exactly when the cycle bounds.
+    A tree-cotree decomposition sets the classes in O(V + E).  Edges of
+    a spanning tree T get 0.  The other edges span the dual graph; a
+    spanning tree of the dual on them leaves 2g edges over, and each
+    gets one unit bit.  A dual tree edge gets the XOR of the other edges
+    of its child face, children before parents, so every face boundary
+    has class 0.  The fundamental cycle of the i-th left-over edge has
+    class bit i.
     """
-
-    def __init__(self, g):
-        self.g = g
-        vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_of
-        spanned = [False] * g.edge_count  # in T or in the dual tree
-        reached = [False] * g.vertex_count
-        reached[0] = True
-        todo = [0]
-        while todo:
-            for d in g.rotations()[todo.pop()]:
-                w = vertex_of[inv[d]]
-                if not reached[w]:
-                    reached[w] = True
-                    spanned[edge_of(d)] = True
-                    todo.append(w)
-        faces = g.faces()
-        up = [None] * len(faces)  # dart of a face on the edge to its dual parent
-        reached = [False] * len(faces)
-        reached[0] = True
-        order = [0]
-        for f in order:
-            for d in faces[f]:
-                e = edge_of(d)
-                child = g.face_of(inv[d])
-                if not spanned[e] and not reached[child]:
-                    reached[child] = True
-                    spanned[e] = True
-                    up[child] = inv[d]
-                    order.append(child)
-        cls = [0] * g.edge_count
-        bit = 1
-        for e in range(g.edge_count):
-            if not spanned[e]:
-                cls[e] = bit
-                bit <<= 1
-        for f in reversed(order[1:]):
-            vec = 0
-            for d in faces[f]:
-                if d != up[f]:
-                    vec ^= cls[edge_of(d)]
-            cls[edge_of(up[f])] = vec
-        self.edge_class = cls
-
-    def cycle_class(self, cycle_darts):
+    vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_of
+    spanned = [False] * g.edge_count  # in T or in the dual tree
+    reached = [False] * g.vertex_count
+    reached[0] = True
+    todo = [0]
+    while todo:
+        for d in g.rotations()[todo.pop()]:
+            w = vertex_of[inv[d]]
+            if not reached[w]:
+                reached[w] = True
+                spanned[edge_of(d)] = True
+                todo.append(w)
+    faces = g.faces()
+    up = [None] * len(faces)  # dart of a face on the edge to its dual parent
+    reached = [False] * len(faces)
+    reached[0] = True
+    order = [0]
+    for f in order:
+        for d in faces[f]:
+            e = edge_of(d)
+            child = g.face_of(inv[d])
+            if not spanned[e] and not reached[child]:
+                reached[child] = True
+                spanned[e] = True
+                up[child] = inv[d]
+                order.append(child)
+    cls = [0] * g.edge_count
+    bit = 1
+    for e in range(g.edge_count):
+        if not spanned[e]:
+            cls[e] = bit
+            bit <<= 1
+    for f in reversed(order[1:]):
         vec = 0
-        for d in cycle_darts:
-            vec ^= self.edge_class[self.g.edge_of(d)]
-        return vec
+        for d in faces[f]:
+            if d != up[f]:
+                vec ^= cls[edge_of(d)]
+        cls[edge_of(up[f])] = vec
+    return cls
 
 
 def _neighbours(g):
@@ -190,7 +181,7 @@ def shortest_noncontractible_cycle(g):
     if genus == 0:
         return None
     nbrs = _neighbours(g)
-    edge_class = _HomologyTester(g).edge_class
+    edge_class = _edge_classes(g)
     inv = g.inv
     nv = len(nbrs)
     best, bound = None, math.inf
@@ -266,14 +257,12 @@ def face_width_witness(g):
 @dataclass
 class CkReport:
     k_max: int
-    requested: int
     passed: bool
     min_degree: int
     min_face_size: int
     face_width: object = None  # int | math.inf | None (not computed)
     smallest_cut: tuple = None
     witness: dict = field(default_factory=dict)
-    method: str = "direct"
 
 
 def _articulation_points(adjacency, skip=None):
@@ -359,7 +348,6 @@ def is_ck_embedded(g, k):
     k_max = min(min_deg, min_face, 3, cut_free)
     if fw != math.inf:
         k_max = min(k_max, int(fw))
-    k_max = max(k_max, 0)
     witness = {}
     if k_max < k:
         if min_deg < k:
@@ -374,14 +362,12 @@ def is_ck_embedded(g, k):
             witness["cycle"] = fw_cycle
     return CkReport(
         k_max=k_max,
-        requested=k,
         passed=k_max >= k,
         min_degree=min_deg,
         min_face_size=min_face,
         face_width=fw,
         smallest_cut=cut,
         witness=witness,
-        method="direct",
     )
 
 
@@ -479,38 +465,29 @@ def four_cycle_is_trivial(b, cyc):
     return _side_walk(b, cyc) or _side_walk(b, back)
 
 
-def ck_via_cycles(g, k, bary_graph=None):
+def _short_cycles(b):
+    """(k_max, witness) of the short-cycle characterisation on the
+    triangulation b: 1 with the first 2-cycle, 2 with the first
+    nontrivial 4-cycle, else 3 with no witness."""
+    two = _two_cycle(b)
+    if two is not None:
+        return 1, {"two_cycle": two}
+    for cyc in four_cycles(b):
+        if not four_cycle_is_trivial(b, cyc):
+            return 2, {"four_cycle": cyc}
+    return 3, {}
+
+
+def ck_via_cycles(g, k):
     """ck-embeddedness via short cycles of B_G: c2 iff no 2-cycles, c3 iff
     additionally no nontrivial 4-cycles."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
-    b = bary_graph if bary_graph is not None else barycentric(g)
-    min_deg = min(g.degree(v) for v in range(g.vertex_count))
-    min_face = min(len(f) for f in g.faces())
-    witness = {}
-    two = _two_cycle(b)
-    if two is not None:
-        k_max = 1
-        witness["two_cycle"] = two
-    else:
-        k_max = 2
-        bad = None
-        for cyc in four_cycles(b):
-            if not four_cycle_is_trivial(b, cyc):
-                bad = cyc
-                break
-        if bad is None:
-            k_max = 3
-        else:
-            witness["four_cycle"] = bad
+    k_max, witness = _short_cycles(barycentric(g))
     return CkReport(
         k_max=k_max,
-        requested=k,
         passed=k_max >= k,
-        min_degree=min_deg,
-        min_face_size=min_face,
-        face_width=None,
-        smallest_cut=None,
+        min_degree=min(g.degree(v) for v in range(g.vertex_count)),
+        min_face_size=min(len(f) for f in g.faces()),
         witness=witness,
-        method="cycles",
     )

@@ -177,10 +177,9 @@ def test_c07_characterisation_oracle_equivalence():
     assert "k4_minus_edge" in corpus and "k7" in corpus
     disagreements = 0
     for name, g in corpus.items():
-        b = barycentric(g)
         for k in (2, 3):
             direct = tp.is_ck_embedded(g, k)
-            cycles = tp.ck_via_cycles(g, k, bary_graph=b)
+            cycles = tp.ck_via_cycles(g, k)
             if direct.passed != cycles.passed:
                 disagreements += 1
     assert disagreements == 0
@@ -199,7 +198,7 @@ def test_c08_classification_stability():
             ks.add(rep.k)
             if rep.k < 3:
                 # the short witness cycle localizes to few patch copies
-                if "two_cycle" in rep.cycle_report.witness:
+                if "two_cycle" in rep.witness:
                     assert rep.localization["single_cell"], name
                 else:
                     assert rep.localization["within_two_adjacent"], name

@@ -132,7 +132,7 @@ def test_maps_are_polyhedral_and_cover_genus_0_to_2():
         assert tp.ck_via_cycles(g, 3).passed, name
 
 
-def test_genus_2_maps_reach_the_face_width_fallback(monkeypatch):
+def test_genus_2_maps_reach_the_contractibility_test(monkeypatch):
     calls = count_calls(monkeypatch, tp.is_contractible)
     for name, g, _, _ in polyhedral_maps():
         if g.genus() >= 2:
@@ -153,14 +153,27 @@ def test_images_are_polyhedral(name):
     op = operation(name)
     for map_name, g, _, width in polyhedral_maps():
         res = ops.apply(op, g)
-        assert tp.ck_via_cycles(res.result, 3, bary_graph=res.subdivision).passed, map_name
+        assert tp.ck_via_cycles(res.result, 3).passed, map_name
         rep = tp.is_ck_embedded(res.result, 3)
         assert rep.passed, (map_name, rep)
         assert rep.face_width >= width, map_name
 
 
+def test_classify_k_is_the_definitions_k():
+    """The k that classify_ck reads off T is the k of the cycle check on
+    B(result), which is built apart from T, and the largest k the
+    definition passes on the result, for k < 3 images too."""
+    for name in sorted(EXPECTED_K):
+        op = operation(name)
+        for w in (polyhedra.tetrahedron(), polyhedra.cube(), polyhedra.k7_torus()):
+            result = ops.apply(op, w).result
+            k = ops.classify_ck(op, witness=w).k
+            assert tp.ck_via_cycles(result, 3).k_max == k, name
+            assert max(j for j in (1, 2, 3) if tp.is_ck_embedded(result, j).passed) == k, name
+
+
 def test_classify_reads_one_cycle_characterisation(monkeypatch):
-    cycles = count_calls(monkeypatch, tp.ck_via_cycles)
+    cycles = count_calls(monkeypatch, tp._short_cycles)
     direct = count_calls(monkeypatch, tp.is_ck_embedded)
     for calls, name in enumerate(sorted(EXPECTED_K), start=1):
         assert ops.classify_ck(operation(name)).k == EXPECTED_K[name]

@@ -6,7 +6,7 @@ from surfops import topology as tp
 from surfops.chambers import barycentric
 
 import oracle_bridges as ob
-from test_facewidth import oracle_bfs_candidate_cycles, random_graphs, tube_sum
+from test_facewidth import cycle_class, oracle_bfs_candidate_cycles, random_graphs, tube_sum
 
 
 def cycle_darts(g, vertex_seq):
@@ -47,11 +47,11 @@ def test_contractibility_against_slow_oracle(corpus):
 
 def test_homology_fast_path_matches_definition():
     b = barycentric(polyhedra.k7_torus())
-    tester = tp._HomologyTester(b)
+    classes = tp._edge_classes(b)
     cycles = oracle_bfs_candidate_cycles(b)
     random.Random(11).shuffle(cycles)
     for cyc in cycles[:60]:
-        assert (tester.cycle_class(cyc) != 0) == (not tp.is_contractible(b, cyc))
+        assert (cycle_class(b, classes, cyc) != 0) == (not tp.is_contractible(b, cyc))
 
 
 def test_face_width_values(corpus):
@@ -103,10 +103,9 @@ def test_ck_via_cycles_tetrahedron():
 
 def test_oracle_equivalence_on_corpus(corpus):
     for name, g in corpus.items():
-        b = barycentric(g)
         for k in (2, 3):
             direct = tp.is_ck_embedded(g, k)
-            cyc = tp.ck_via_cycles(g, k, bary_graph=b)
+            cyc = tp.ck_via_cycles(g, k)
             assert direct.passed == cyc.passed, (name, k)
 
 
