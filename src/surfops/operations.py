@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
 from .embedded import EmbeddedGraph, InternalInvariant
-from .topology import _short_cycles, _smallest_cut
+from .topology import _polyhedral, _short_cycles, _smallest_cut
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -884,11 +884,13 @@ def classify_ck(op, witness=None):
     graphs to ck-embedded graphs, decided on a single ck-embedded witness
     (the tetrahedron by default).
 
-    k is read off O(witness) by the short-cycle characterisation of ck
-    on its subdivision.  The paper proves that characterisation equal to
-    the definition; the tests check it, and the independence of the
-    witness, on random polyhedral maps.  When k < 3 the short offending
-    cycle is reported together with the double chambers it touches.
+    k is read off O(witness) by the short-cycle characterisation of ck:
+    3 when ``_polyhedral`` accepts the result, else from the short
+    cycles of its subdivision T, which is built only then.  The paper
+    proves that characterisation equal to the definition; the tests
+    check it, and the independence of the witness, on random polyhedral
+    maps.  When k < 3 the short offending cycle of T is reported
+    together with the double chambers it touches.
     """
     lop = lsp_to_lopsp(op) if isinstance(op, LspOperation) else op
     if witness is None:
@@ -896,6 +898,8 @@ def classify_ck(op, witness=None):
 
         witness = tetrahedron()
     res = apply(lop, witness)
+    if _polyhedral(res.result):
+        return ClassifyReport(k=3, witness={}, localization={})
     k, cycle = _short_cycles(res.subdivision)
     localization = {}
     wit = cycle.get("two_cycle") or cycle.get("four_cycle")

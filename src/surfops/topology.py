@@ -8,8 +8,9 @@ search runs on its radial subgraph ``R(G)``, which has the same minimum.
 It makes one BFS per root, which reads the homology class of every
 closed walk a non-tree edge makes; on genus >= 2 it also sends the
 class-0 walks that can be a shortest cycle rooted at its smallest vertex
-to the contractibility test, each once.  ``_short_cycles`` reads the
-ck characterisation off ``B_G``, or off T of O(witness) for
+to the contractibility test, each once.  ``_polyhedral`` decides c3 by
+how the faces of G meet.  On maps it rejects, ``_short_cycles`` reads
+the ck characterisation off ``B_G``, or off T of O(witness) for
 ``classify_ck``: k is 1 at a 2-cycle and 2 at a nontrivial 4-cycle,
 which walks along its two sides decide locally.
 """
@@ -336,14 +337,15 @@ def is_ck_embedded(g, k):
 
     No cut with fewer than k vertices, and face-width, minimum face size
     and minimum degree all at least k.  The report carries the largest k
-    in {1,2,3} for which all four conditions hold.
+    in {1,2,3} for which all four conditions hold.  A map that
+    ``_polyhedral`` accepts is c3, so 3-connected: it skips the cut search.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     fw, fw_cycle = face_width_witness(g)
-    cut = _smallest_cut(g, max_size=2)
+    cut = None if _polyhedral(g) else _smallest_cut(g, max_size=2)
     cut_free = 3 if cut is None else len(cut)  # no cut smaller than this
     k_max = min(min_deg, min_face, 3, cut_free)
     if fw != math.inf:
@@ -478,12 +480,65 @@ def _short_cycles(b):
     return 3, {}
 
 
+def _polyhedral(g):
+    """Whether g is c3, read off how its faces meet in O(sum of squared
+    degrees): no loop or parallel edge, no edge with one face on both
+    sides, no face through a vertex twice, and two faces share at most
+    two vertices, and two only with an edge between them on both.
+
+    This equals ``_short_cycles(barycentric(g))[0] == 3``.  B_G has a
+    2-cycle exactly when g has a loop (types 0-1), an edge with one face
+    on both sides (1-2) or a face through a vertex twice (0-2).  Without
+    those B_G is simple, a side of a 4-cycle that holds no vertex has a
+    chord, and each 4-cycle has one of six type patterns:
+
+    * 0101, u-e-v-f: e, f are parallel edges; no chord or type-1 vertex
+      fits inside, so the cycle is nontrivial;
+    * 1212, e-F-f-F': faces F, F' share two edges, nontrivial likewise;
+    * 0202, u-F-v-F': trivial exactly when an edge uv has sides F and
+      F', the one type-1 vertex that fits inside;
+    * 0102, u-e-v-F: trivial exactly when e is on F, by the chord eF;
+    * 0121, u-e-F-f: F passes u once, so e and f are the two edges of
+      its corner at u, and the chord uF makes it trivial;
+    * 0212, u-F-e-F': trivial by the chord ue when e is at u.
+
+    On a map that passes, two shared edges would mean three shared
+    vertices, so there is no 0101 or 1212, and every 0202 is trivial.
+    A 0102 with e off F would leave F and a face of e sharing u and v
+    without e, the only edge uv; a 0212 with e off u would leave F and
+    F' sharing u and both ends of e.  So k is 3.  Conversely, a loop,
+    an edge with one face on both sides or a face through a vertex twice
+    is a 2-cycle, and a parallel edge a 0101.  Two faces sharing just u
+    and v without an edge uv between them give a nontrivial 0202.  Two
+    sharing a, b and c give one too, unless the edges ab and bc both
+    have sides F and F', which makes a 1212.
+    """
+    vertex_of, face_of = g.vertex_of, g.face_of
+    ends, along = set(), {}  # along: pair of faces -> the ends of an edge between them
+    for d, dp in g.edge_darts():
+        uv, fh = frozenset((vertex_of[d], vertex_of[dp])), (face_of(d), face_of(dp))
+        if len(uv) < 2 or fh[0] == fh[1] or uv in ends:
+            return False
+        ends.add(uv)
+        along[min(fh), max(fh)] = uv
+    shared = {}
+    for v, rot in enumerate(g.rotations()):
+        at = sorted(face_of(d) for d in rot)
+        if len(set(at)) < len(at):
+            return False
+        for i, f in enumerate(at):
+            for h in at[i + 1:]:
+                shared.setdefault((f, h), set()).add(v)
+    return all(len(s) < 2 or s == along.get(p) for p, s in shared.items())
+
+
 def ck_via_cycles(g, k):
     """ck-embeddedness via short cycles of B_G: c2 iff no 2-cycles, c3 iff
-    additionally no nontrivial 4-cycles."""
+    additionally no nontrivial 4-cycles.  Maps that ``_polyhedral``
+    rejects list the short cycles of B_G for k and the witness."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
-    k_max, witness = _short_cycles(barycentric(g))
+    k_max, witness = (3, {}) if _polyhedral(g) else _short_cycles(barycentric(g))
     return CkReport(
         k_max=k_max,
         passed=k_max >= k,

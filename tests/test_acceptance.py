@@ -20,6 +20,7 @@ from surfops import topology as tp
 from surfops.chambers import DoubleChamberSystem, barycentric
 from surfops.io import parse_op
 
+import oracle_ck as oc
 from conftest import build_corpus
 from oracle_flips import chamber_flip, legal_flips, walk_cycles
 from test_facewidth import oracle_bfs_candidate_cycles
@@ -175,13 +176,17 @@ def test_c07_characterisation_oracle_equivalence():
         min(g.degree(v) for v in range(g.vertex_count)) == 2 for g in corpus.values()
     )
     assert "k4_minus_edge" in corpus and "k7" in corpus
+    # the characterisation against the definition, both in their
+    # definitional form; the production checks must give their reports
     disagreements = 0
     for name, g in corpus.items():
         for k in (2, 3):
-            direct = tp.is_ck_embedded(g, k)
-            cycles = tp.ck_via_cycles(g, k)
+            direct = oc.is_ck_embedded(g, k)
+            cycles = oc.ck_via_cycles(g, k)
             if direct.passed != cycles.passed:
                 disagreements += 1
+            assert tp.is_ck_embedded(g, k) == direct, name
+            assert tp.ck_via_cycles(g, k) == cycles, name
     assert disagreements == 0
     _report(7, "characterisation-oracle-equivalence")
 

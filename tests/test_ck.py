@@ -23,7 +23,9 @@ from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 
 import oracle_bridges as ob
+import oracle_ck as oc
 from conftest import named_seeds, relabeled
+from test_polyhedrality import flip_runs, polyhedral_maps
 
 
 def oracle_smallest_cut(g, max_size=2):
@@ -133,15 +135,19 @@ def test_random_graphs_match_oracle():
         assert_matches_oracle(g, sample=8)
 
 
-def with_pendant(g, d):
-    """g with a new degree-1 vertex whose edge follows the dart d."""
+def add_edge(g, d, e=None):
+    """g with a new edge from the angle after dart d to the angle after
+    dart e, or to a new vertex of type 0 when e is None."""
     n = g.dart_count
     rotations = [list(rot) for rot in g.rotations()]
-    rot = rotations[g.vertex_of[d]]
-    rot.insert(rot.index(d) + 1, n)
-    rotations.append([n + 1])
-    pairing = list(g.inv) + [n + 1, n]
-    return EmbeddedGraph.from_rotations(rotations, pairing, labels=list(g.labels) + [0])
+    for dart, new in ((d, n), (e, n + 1)):
+        if dart is None:
+            rotations.append([new])
+        else:
+            rot = rotations[g.vertex_of[dart]]
+            rot.insert(rot.index(dart) + 1, new)
+    labels = None if g.labels is None else list(g.labels) + [0] * (len(rotations) - g.vertex_count)
+    return EmbeddedGraph.from_rotations(rotations, list(g.inv) + [n + 1, n], labels=labels)
 
 
 @pytest.mark.parametrize(
@@ -166,7 +172,7 @@ def test_pendant_in_any_angle_near_a_trivial_shape(neighbours, labels):
     back = tuple(base.inv[d] for d in reversed(cyc))
     answers = set()
     for d in range(base.dart_count):
-        g = with_pendant(base, d)
+        g = add_edge(base, d)
         assert g.genus() == 0
         assert cyc in tp.four_cycles(g)
         for c in (cyc, back):
@@ -235,10 +241,103 @@ def test_cycle_check_on_c3_map_reads_no_bridges():
 def test_ck_reports_survive_relabelling(graph_seed, edges, relabel_seed):
     g = polyhedra.random_embedded(random.Random(graph_seed), edges)
     h = relabeled(g, relabel_seed)
-    for check in (tp.is_ck_embedded, tp.ck_via_cycles):
+    for check, oracle in ((tp.is_ck_embedded, oc.is_ck_embedded),
+                          (tp.ck_via_cycles, oc.ck_via_cycles)):
         a, b = check(g, 3), check(h, 3)
+        assert a == oracle(g, 3) and b == oracle(h, 3)
         assert (a.k_max, a.passed, a.min_degree, a.min_face_size) == (
             b.k_max, b.passed, b.min_degree, b.min_face_size)
     cut_g, cut_h = tp._smallest_cut(g), tp._smallest_cut(h)
     assert (cut_g is None) == (cut_h is None)
     assert cut_g is None or len(cut_g) == len(cut_h)
+
+
+# ---------------------------------------------------------------------------
+# _polyhedral, the fast accept of both ck checks, against the B_G search
+
+
+def c3_by_cycles(g):
+    return tp._short_cycles(barycentric(g))[0] == 3
+
+
+def subdivide(g, d):
+    """g with the edge of dart d split by a new vertex of degree 2."""
+    n, dp = g.dart_count, g.inv[d]
+    pairing = list(g.inv) + [d, dp]
+    pairing[d], pairing[dp] = n, n + 1
+    return EmbeddedGraph.from_rotations(list(g.rotations()) + [[n, n + 1]], pairing)
+
+
+def wedge(g, h):
+    """g and h with the vertex of h's dart 0 merged into the angle after
+    g's dart 0: the face of that angle then passes the merged vertex twice."""
+    n, v, w = g.dart_count, g.vertex_of[0], h.vertex_of[0]
+    rotations = [list(rot) for rot in g.rotations()]
+    rot = [n + x for x in h.rotations()[w]]
+    rotations[v][1:1] = rot[rot.index(n):] + rot[:rot.index(n)]
+    rotations += [[n + x for x in r] for u, r in enumerate(h.rotations()) if u != w]
+    return EmbeddedGraph.from_rotations(rotations, list(g.inv) + [n + x for x in h.inv])
+
+
+def double_diamond():
+    """Two diamonds u-a1-a2-v and u-b1-b2-v side by side in the plane: the
+    face u-a2-v-b1 between them and the outer face u-a1-v-b2 share u and
+    v, which no edge joins."""
+    u, v, a1, a2, b1, b2 = range(6)
+    return EmbeddedGraph.from_adjacency(
+        [[a1, a2, b1, b2], [b2, b1, a2, a1], [a2, u, v], [u, a1, v], [b2, u, v], [u, b1, v]])
+
+
+def near_misses():
+    """One map per reason ``_polyhedral`` rejects, each a small edit of a
+    polyhedral map where it can be, with the k of the B_G search."""
+    tet = polyhedra.tetrahedron()
+    d = 0
+    return {
+        "loop": (add_edge(tet, d, d), 1),
+        "lone loop": (polyhedra.loop_vertex(), 1),
+        # at degree 3, sigma^2 is sigma^-1: the angles after d and before
+        # tet.inv[d] lie in one face, so the map stays plane
+        "parallel edge": (add_edge(tet, d, tet.sigma[tet.sigma[tet.inv[d]]]), 2),
+        "lone digon": (polyhedra.digon(), 2),
+        "pendant edge": (add_edge(tet, d), 1),
+        "lone edge": (polyhedra.single_edge(), 1),
+        "face through a vertex twice": (wedge(tet, tet), 1),
+        "bowtie": (polyhedra.two_triangles_cutvertex(), 1),
+        "two faces share two vertices, no edge": (double_diamond(), 2),
+        "two faces share two edges": (subdivide(tet, d), 2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(near_misses()))
+def test_polyhedral_rejects_each_defect(name):
+    g, k = near_misses()[name]
+    assert g.genus() == 0
+    assert tp._short_cycles(barycentric(g))[0] == k
+    assert not tp._polyhedral(g)
+
+
+def test_polyhedral_agrees_on_corpus_and_catalog(corpus):
+    solids = [polyhedra.tetrahedron(), polyhedra.cube(), polyhedra.octahedron(),
+              polyhedra.dodecahedron(), polyhedra.icosahedron(), polyhedra.k7_torus()]
+    graphs = list(corpus.values()) + solids
+    graphs += [ops.apply(ops.catalog(name), s).result
+               for name in ops.catalog_names() for s in solids]
+    answers = [tp._polyhedral(g) for g in graphs]
+    assert answers == [c3_by_cycles(g) for g in graphs]
+    assert sum(answers) >= 40 and not all(answers)
+
+
+def test_polyhedral_agrees_on_every_flip_tried():
+    graphs = [h for _, _, tried in flip_runs() for h, _ in tried if h is not None]
+    graphs += [m.graph for m in polyhedral_maps()]
+    answers = [tp._polyhedral(g) for g in graphs]
+    assert answers == [c3_by_cycles(g) for g in graphs]
+    assert sum(answers) >= 20 and not all(answers)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.builds(polyhedra.random_embedded, st.randoms(use_true_random=False),
+                 st.integers(1, 40)))
+def test_polyhedral_agrees_on_random_rotation_systems(g):
+    assert tp._polyhedral(g) == c3_by_cycles(g)

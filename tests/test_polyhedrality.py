@@ -14,8 +14,11 @@ polyhedral maps of genus 0, 1 and 2, that
 
 The maps come from random edge flips of three start maps, kept only
 while the map stays simple and passes the definitional check
-``is_ck_embedded(., 3)``, so the generator does not assume the theorem;
-their duals are added.  Everything is seeded.
+``oracle_ck.is_ck_embedded(., 3)``, which searches for 2-cuts on every
+map, so the generator does not assume the theorem; their duals are
+added.  The images are checked against the definitional checks of
+``oracle_ck`` too, and the production checks must give the same reports.
+Everything is seeded.
 """
 
 import math
@@ -33,6 +36,7 @@ from surfops import topology as tp
 from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_op
 
+import oracle_ck as oc
 from test_facewidth import tube_sum
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -82,8 +86,10 @@ def kis(g):
 
 
 @lru_cache(maxsize=None)
-def polyhedral_maps():
-    """The flipped start maps and their duals: genus 0 from the
+def flip_runs():
+    """Per start map, its name, the map its kept flips end at, and every
+    flip tried as (flipped map, kept); the flipped map is None where the
+    edge has one face on both sides.  The starts are genus 0 from the
     icosahedron, genus 1 from K7, genus 2 from the sum of two K7 through
     a tube of 3 edges."""
     rng = random.Random(2021)
@@ -93,13 +99,25 @@ def polyhedral_maps():
         ("kis k7", kis(k7)),
         ("k7 tube k7", tube_sum(k7, k7, 3)),
     )
-    out = []
+    runs = []
     for name, g in starts:
-        accepted = 0
+        tried = []
         for _ in range(FLIP_TRIES):
             h = flip(g, rng.randrange(g.dart_count))
-            if h is not None and is_simple(h) and tp.is_ck_embedded(h, 3).passed:
-                g, accepted = h, accepted + 1
+            kept = h is not None and is_simple(h) and oc.is_ck_embedded(h, 3).passed
+            tried.append((h, kept))
+            if kept:
+                g = h
+        runs.append((name, g, tuple(tried)))
+    return tuple(runs)
+
+
+@lru_cache(maxsize=None)
+def polyhedral_maps():
+    """The flipped start maps and their duals."""
+    out = []
+    for name, g, tried in flip_runs():
+        accepted = sum(kept for _, kept in tried)
         for m, graph in ((name, g), (name + " dual", g.dual())):
             out.append(PolyhedralMap(m, graph, accepted, tp.face_width(graph)))
     return tuple(out)
@@ -152,32 +170,46 @@ def test_classification_does_not_depend_on_witness(name):
 def test_images_are_polyhedral(name):
     op = operation(name)
     for map_name, g, _, width in polyhedral_maps():
-        res = ops.apply(op, g)
-        assert tp.ck_via_cycles(res.result, 3).passed, map_name
-        rep = tp.is_ck_embedded(res.result, 3)
+        result = ops.apply(op, g).result
+        cycles = oc.ck_via_cycles(result, 3)
+        assert cycles.passed, map_name
+        assert tp.ck_via_cycles(result, 3) == cycles, map_name
+        rep = oc.is_ck_embedded(result, 3)
         assert rep.passed, (map_name, rep)
         assert rep.face_width >= width, map_name
+        assert tp.is_ck_embedded(result, 3) == rep, map_name
 
 
 def test_classify_k_is_the_definitions_k():
-    """The k that classify_ck reads off T is the k of the cycle check on
-    B(result), which is built apart from T, and the largest k the
-    definition passes on the result, for k < 3 images too."""
+    """The k that classify_ck reads off the result, or off T, is the k of
+    the full short-cycle search on B(result), which is built apart from
+    T, and the largest k the definition, cut search included, passes on
+    the result, for k < 3 images too."""
     for name in sorted(EXPECTED_K):
         op = operation(name)
         for w in (polyhedra.tetrahedron(), polyhedra.cube(), polyhedra.k7_torus()):
             result = ops.apply(op, w).result
             k = ops.classify_ck(op, witness=w).k
-            assert tp.ck_via_cycles(result, 3).k_max == k, name
-            assert max(j for j in (1, 2, 3) if tp.is_ck_embedded(result, j).passed) == k, name
+            assert oc.ck_via_cycles(result, 3).k_max == k, name
+            assert max(j for j in (1, 2, 3) if oc.is_ck_embedded(result, j).passed) == k, name
 
 
 def test_classify_reads_one_cycle_characterisation(monkeypatch):
+    """One ``_polyhedral`` call per classification; T and its short
+    cycles only for the k < 3 operations; never the direct check."""
+    polyhedral = count_calls(monkeypatch, tp._polyhedral)
     cycles = count_calls(monkeypatch, tp._short_cycles)
+    glued = count_calls(monkeypatch, ops._glue_slots)
     direct = count_calls(monkeypatch, tp.is_ck_embedded)
+    read_t = []
     for calls, name in enumerate(sorted(EXPECTED_K), start=1):
+        before = len(cycles), len(glued)
         assert ops.classify_ck(operation(name)).k == EXPECTED_K[name]
-        assert len(cycles) == calls
+        assert len(polyhedral) == calls
+        if (len(cycles), len(glued)) != before:
+            assert (len(cycles), len(glued)) == (before[0] + 1, before[1] + 1), name
+            read_t.append(name)
+    assert read_t == ["pendant.lopsp", "sprout.lopsp"]
     assert direct == []
 
 
