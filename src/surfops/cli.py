@@ -241,7 +241,9 @@ def build_parser():
     p = sub.add_parser("apply", help="apply an operation to a graph")
     p.add_argument("operation", help="catalog name or operation file")
     p.add_argument("graph", help="rot or planar_code file, - for stdin")
-    p.add_argument("--cut-path", choices=("minimal", "random"), default="minimal")
+    p.add_argument("--cut-path", choices=("minimal", "random"), default="minimal",
+                   help="cut-path of a lopsp-operation (lsp-operations are glued into "
+                        "chambers); the output does not depend on it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_apply)

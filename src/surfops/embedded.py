@@ -17,7 +17,6 @@ shared freely between threads.
 from __future__ import annotations
 
 from itertools import chain
-from operator import ne
 
 
 class NotInvolution(ValueError):
@@ -65,7 +64,9 @@ class EmbeddedGraph:
 
     Vertex labels (small integers) take part in canonical forms; they are
     used for the type labels 0/1/2 of barycentric subdivisions and
-    operation triangulations.
+    operation triangulations.  A graph is validated once, where it enters
+    the package: ``from_rotations`` is the one checked constructor, and
+    ``EmbeddedGraph(sigma, inv, vertex_of, labels)`` trusts its input.
     """
 
     __slots__ = (
@@ -82,15 +83,13 @@ class EmbeddedGraph:
         "_canon",
     )
 
-    def __init__(self, sigma, inv, vertex_of=None, labels=None, check=True):
+    def __init__(self, sigma, inv, vertex_of, labels=None):
+        """The trusted constructor: the permutations and the vertex of
+        every dart are taken as given.  It is for graphs the package
+        derives from a validated graph by a proven construction; input
+        enters through ``from_rotations``."""
         self.sigma = tuple(sigma)
         self.inv = tuple(inv)
-        n = len(self.sigma)
-        if vertex_of is None:
-            vertex_of = [None] * n
-            for v, cyc in enumerate(_orbits(self.sigma)):
-                for d in cyc:
-                    vertex_of[d] = v
         self.vertex_of = tuple(vertex_of)
         self.labels = None if labels is None else tuple(labels)
         self._rotations = None
@@ -100,8 +99,6 @@ class EmbeddedGraph:
         self._edge_of = None
         self._degrees = None
         self._canon = {}
-        if check:
-            self._check()
 
     # -- construction -------------------------------------------------
 
@@ -110,50 +107,67 @@ class EmbeddedGraph:
         """Build a graph from per-vertex clockwise dart sequences.
 
         ``rotations`` is one dart sequence per vertex; ``pairing`` maps
-        every dart to its reverse.  Raises ``NotInvolution``,
-        ``DartMissingOrDuplicated`` or ``Disconnected`` on bad input.
-        ``check=False`` trusts the input: it is for graphs the package
-        derives from a validated graph by a proven construction, and
-        rotations that start at their smallest dart are stored as given.
+        every dart to its reverse.  This is the one constructor that
+        validates, in a single pass: it raises ``NotInvolution``,
+        ``DartMissingOrDuplicated`` or ``Disconnected`` on a bad rotation
+        system, and ``ValueError`` on a label table of the wrong length.
+        ``check=False`` trusts the input, for graphs the package derives
+        from a validated graph by a proven construction.  Either way the
+        rotations are stored as given, each turned to start at its
+        smallest dart; the package's own callers pass them that way.
         """
         n = sum(len(r) for r in rotations)
+        vertex_of = [None] * n
         if check:
-            seen = [False] * n
             for v, rot in enumerate(rotations):
                 if not rot:
                     raise Disconnected("vertex %d has no darts" % v)
-                for d in rot:
+                for d in rot:  # n darts, each in range once: all of them
                     if not isinstance(d, int) or d < 0 or d >= n:
                         raise DartMissingOrDuplicated("dart %r out of range" % (d,))
-                    if seen[d]:
+                    if vertex_of[d] is not None:
                         raise DartMissingOrDuplicated("dart %d listed twice" % d)
-                    seen[d] = True
-            if not all(seen):
-                raise DartMissingOrDuplicated("some darts missing from rotations")
-            for d in range(n):
-                e = pairing[d]
+                    vertex_of[d] = v
+            if n == 0:
+                raise Disconnected("graph needs at least one edge")
+            for d, e in zip(range(n), pairing):
                 if not isinstance(e, int) or e < 0 or e >= n:
                     raise NotInvolution("pairing image %r out of range" % (e,))
                 if e == d:
                     raise NotInvolution("pairing fixes dart %d" % d)
+            # a short pairing fails once its entries are checked, a long
+            # one once its first n entries are
+            covers = "pairing covers %d of %d darts" % (len(pairing), n)
+            if len(pairing) < n:
+                raise NotInvolution(covers)
             for d in range(n):
                 if pairing[pairing[d]] != d:
                     raise NotInvolution("pairing is not an involution at dart %d" % d)
+            if len(pairing) > n:
+                raise NotInvolution(covers)
+            if labels is not None and len(labels) != len(rotations):
+                raise ValueError("label table does not match vertex count")
+            seen = [True] + [False] * (len(rotations) - 1)
+            todo = [0]
+            while todo:
+                for d in rotations[todo.pop()]:
+                    w = vertex_of[pairing[d]]
+                    if not seen[w]:
+                        seen[w] = True
+                        todo.append(w)
+            if not all(seen):
+                raise Disconnected("graph is not connected")
         sigma = [None] * n
-        vertex_of = [None] * n
         for v, rot in enumerate(rotations):
             k = len(rot)
             for i, d in enumerate(rot):
                 sigma[d] = rot[(i + 1) % k]
                 vertex_of[d] = v
-        g = cls(sigma, pairing, vertex_of, labels=labels, check=check)
-        if not check:
-            # the sigma orbits, each from its smallest dart, as _orbits gives
-            # them; the package's own callers pass them that way already
-            rot = tuple(map(tuple, rotations))
-            if list(map(min, rot)) != [r[0] for r in rot]:
-                rot = tuple(r[i:] + r[:i] for r in rot for i in (r.index(min(r)),))
-            g._rotations = rot
+        g = cls(sigma, pairing, vertex_of, labels=labels)
+        rot = tuple(map(tuple, rotations))
+        if list(map(min, rot)) != [r[0] for r in rot]:
+            rot = tuple(r[i:] + r[:i] for r in rot for i in (r.index(min(r)),))
+        g._rotations = rot
         return g
 
     @classmethod
@@ -181,50 +195,6 @@ class EmbeddedGraph:
                 raise ValueError("edge %s-%s only listed at one endpoint" % (u, v))
             pairing[d] = darts[(v, u)]
         return cls.from_rotations(rotations, pairing, labels=labels)
-
-    def _check(self):
-        """Validate the rotation system; its sigma orbits become the
-        rotation table."""
-        sigma, inv, vertex_of = self.sigma, self.inv, self.vertex_of
-        n = len(sigma)
-        if n == 0:
-            raise Disconnected("graph needs at least one edge")
-        if n % 2:
-            raise DartMissingOrDuplicated("odd number of darts")
-        if len(set(sigma)) != n or min(sigma) < 0 or max(sigma) >= n:
-            raise DartMissingOrDuplicated("sigma is not a permutation")
-        if len(inv) != n:
-            raise NotInvolution("pairing covers %d of %d darts" % (len(inv), n))
-        for d, e in enumerate(inv):
-            if e == d or inv[e] != d:
-                raise NotInvolution("bad pairing at dart %d" % d)
-        if min(vertex_of) < 0:
-            raise DartMissingOrDuplicated("negative vertex identifier")
-        if any(map(ne, map(vertex_of.__getitem__, sigma), vertex_of)):
-            raise DartMissingOrDuplicated("a sigma orbit leaves its vertex")
-        rot = [None] * (max(vertex_of) + 1)
-        for cyc in _orbits(sigma):
-            v = vertex_of[cyc[0]]
-            if rot[v] is not None:
-                raise DartMissingOrDuplicated("a vertex id covers several rotations")
-            rot[v] = cyc
-        if None in rot:
-            raise DartMissingOrDuplicated("vertex identifiers are not dense")
-        if self.labels is not None and len(self.labels) != len(rot):
-            raise ValueError("label table does not match vertex count")
-        # connectivity over the vertices
-        seen = [False] * len(rot)
-        seen[0] = True
-        todo = [0]
-        while todo:
-            for d in rot[todo.pop()]:
-                w = vertex_of[inv[d]]
-                if not seen[w]:
-                    seen[w] = True
-                    todo.append(w)
-        if not all(seen):
-            raise Disconnected("graph is not connected")
-        self._rotations = tuple(rot)
 
     # -- basic queries -------------------------------------------------
 
@@ -322,7 +292,7 @@ class EmbeddedGraph:
         for d in range(n):
             sigma_dual[phi[d]] = d
         vertex_of = [self._face_of[d] for d in range(n)]
-        return EmbeddedGraph(sigma_dual, self.inv, vertex_of, check=False)
+        return EmbeddedGraph(sigma_dual, self.inv, vertex_of)
 
     def mirror(self):
         """Orientation-reversed copy (rotations inverted)."""
@@ -330,8 +300,7 @@ class EmbeddedGraph:
         sigma_inv = [None] * n
         for d in range(n):
             sigma_inv[self.sigma[d]] = d
-        return EmbeddedGraph(sigma_inv, self.inv, self.vertex_of, labels=self.labels,
-                             check=False)
+        return EmbeddedGraph(sigma_inv, self.inv, self.vertex_of, labels=self.labels)
 
     # -- canonical forms -------------------------------------------------
 

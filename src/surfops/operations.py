@@ -267,7 +267,8 @@ def find_cut_path(op, strategy="minimal", seed=None):
         raise ValueError("unknown strategy %r" % strategy)
     path_to_v1, path_to_v2 = _disjoint_shortest_pair(g, op.v0, op.v1, op.v2, weight)
     darts = [g.inv[d] for d in reversed(path_to_v1)] + path_to_v2
-    return _check_cut_path(op, CutPath(tuple(darts), len(path_to_v1)))
+    # simple by construction; double_chamber_patch checks every path it gets
+    return CutPath(tuple(darts), len(path_to_v1))
 
 
 def _disjoint_shortest_pair(g, v0, v1, v2, weight):
@@ -475,7 +476,7 @@ def _assemble(src, vertex_of, labels, lifts):
     for i, ((a, b, c), _) in enumerate(runs):
         face_of[a] = face_of[b] = face_of[c] = i
     t = EmbeddedGraph([phi[d ^ 1] for d in range(n)], [d ^ 1 for d in range(n)],
-                      vertex_of, labels=labels, check=False)
+                      vertex_of, labels=labels)
     t._faces = tuple(walk for walk, _ in runs)
     t._face_of = tuple(face_of)
     return t, tuple(f for _, f in runs)
@@ -784,9 +785,13 @@ def lsp_to_lopsp(op):
     t, face_lift = _assemble(src, vertex_of, [g.labels[v] for v in lift], lifts)
     doubled = LopspOperation(t, vplain[op.v0], vplain[op.v1], vplain[op.v2])
     doubled.face_origin = face_lift
-    diag = doubled.validate()
-    if diag:
-        raise InvalidLsp(diag)
+    # Valid by construction from the valid lsp-operation, clause by clause:
+    # types and specials are copied; a type-1 vertex has degree 4 (an inner
+    # one in each copy, a boundary one 2*3 - 2), v1 of type 1 keeps 2*2 - 2.
+    # Two discs glued along a simple boundary walk make a sphere of
+    # triangles.  Copied edges join two types, so there is no loop; so no
+    # triangle passes a vertex twice, which some face at a cut vertex does.
+    doubled._diag = []
     op._lopsp = doubled
     return doubled
 

@@ -14,6 +14,7 @@ missing one would be skipped, and its metrics would read 0.
 """
 
 import ast
+import hashlib
 import importlib
 import importlib.util
 import os
@@ -75,6 +76,9 @@ def test_identity_operation_is_isomorphic(g):
 # command-line fuzz
 
 FUZZ_CASES = 400
+# sha256 over every case's argv, exit code, stderr and stdout digest: any
+# parse or validation message that moves or changes shows here
+FUZZ_SURFACE_SHA256 = "f101e609d8887e42cf55b3a2125617dd699cbc6f771056723541c681e7938b64"
 TOKENS = (b"0", b"1", b"2", b"-1", b"+1", b"-2", b"+7", b"99", b"x", b"", b":", b"1:",
           b"+0", b"rot", b"lsp", b"lopsp", b"types:", b"outer:", b"special:")
 COMMANDS = {  # INPUT is the mutated file, CUBE an intact graph
@@ -144,17 +148,21 @@ def test_cli_fuzz(tmp_path, capsys):
     cube = tmp_path / "cube.rot"
     cube.write_text(io.write_rot(polyhedra.cube()), encoding="ascii")
     path = tmp_path / "input"
+    surface = hashlib.sha256()  # the whole error surface, path-free
     for case in range(FUZZ_CASES):
         kind, data, binary = rng.choice(inputs)
         path.write_bytes(mutate(rng, data, binary))
         files = {"INPUT": str(path), "CUBE": str(cube)}
         argv = [files.get(arg, arg) for arg in rng.choice(COMMANDS[kind])]
         code = main(argv)
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         where = "case %d: %s on %r" % (case, argv[0], path.read_bytes())
         assert code in (0, 1, 2), where
         assert all(line.startswith("error:") for line in err.splitlines()), where
         assert code != 2 or len(err.splitlines()) == 1, where
+        record = [" ".join(argv), str(code), err, hashlib.sha256(out.encode()).hexdigest()]
+        surface.update("\0".join(record).replace(str(tmp_path), "TMP").encode() + b"\n")
+    assert surface.hexdigest() == FUZZ_SURFACE_SHA256
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,20 @@ def test_pairing_fixed_point_rejected():
         EmbeddedGraph.from_rotations([[0, 1]], [0, 1])
 
 
+@pytest.mark.parametrize("rotations, pairing, message", [
+    ([[0, 1]], [1], "pairing covers 1 of 2 darts"),
+    ([[0, 1]], [0], "pairing fixes dart 0"),
+    # a long pairing fails the range and involution checks on its first
+    # n entries before its length
+    ([[0, 1]], [2, 0, 1], "pairing image 2 out of range"),
+    ([[0, 1, 2, 3]], [1, 2, 3, 0, 0], "pairing is not an involution at dart 0"),
+    ([[0, 1]], [1, 0, 5], "pairing covers 3 of 2 darts"),
+])
+def test_pairing_of_wrong_length_rejected(rotations, pairing, message):
+    with pytest.raises(NotInvolution, match="^%s$" % message):
+        EmbeddedGraph.from_rotations(rotations, pairing)
+
+
 def test_duplicate_dart_rejected():
     with pytest.raises(Exception):
         EmbeddedGraph.from_rotations([[0, 0]], [1, 0])

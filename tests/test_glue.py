@@ -61,6 +61,7 @@ def oracle_assemble(face_cycles, edge_ends, vertex_labels):
         inv[2 * e], inv[2 * e + 1] = 2 * e + 1, 2 * e
         vertex_of[2 * e], vertex_of[2 * e + 1] = u, w
     t = EmbeddedGraph([phi[inv[d]] for d in range(n)], inv, vertex_of, labels=vertex_labels)
+    assert_valid(t)
     face_lift = [None] * len(t.faces())
     for cycle, lifted in face_cycles:
         e, direction = cycle[0]
@@ -472,11 +473,14 @@ def test_random_graphs():
 
 
 def assert_valid(h):
-    """Re-run the full validation; the rotation table it rebuilds must
-    equal the one the unchecked construction stored."""
-    rotations = h.rotations()
-    h._check()
-    assert h.rotations() == rotations
+    """Rebuild h through the checked constructor from its rotation table
+    and pairing.  That validates the table: every dart once, the pairing
+    a fixed-point-free involution, one label per vertex, connected.  The
+    rebuilt sigma, vertex ids and table must equal h's, so sigma is a
+    permutation with one orbit per vertex id, and the table is those
+    orbits, each from its smallest dart."""
+    rebuilt = EmbeddedGraph.from_rotations(h.rotations(), h.inv, labels=h.labels)
+    assert graph_data(rebuilt) == graph_data(h)
 
 
 @pytest.mark.parametrize("name", ops.catalog_names() + ("sprout", "pendant"))
@@ -619,13 +623,14 @@ def test_apply_validates_no_graph(monkeypatch):
     gyro = io.parse_op(io.write_op(ops.catalog("gyro")))
     g = io.parse_rot(io.write_rot(polyhedra.k7_torus()))
     checks = []
-    check = EmbeddedGraph._check
+    from_rotations = EmbeddedGraph.from_rotations.__func__
 
-    def counting(self):
-        checks.append(self)
-        return check(self)
+    def counting(cls, rotations, pairing, labels=None, check=True):
+        if check:
+            checks.append(rotations)
+        return from_rotations(cls, rotations, pairing, labels, check)
 
-    monkeypatch.setattr(EmbeddedGraph, "_check", counting)
+    monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(counting))
     for res in (ops.apply(gyro, g), ops.apply(ambo, g), ops.apply_lsp_direct(ambo, g)):
         res.result.faces()
         res.subdivision.faces()

@@ -50,7 +50,7 @@ def test_identity_lopsp_is_two_chamber_sphere():
     lop = identity_lopsp()
     g = lop.graph
     assert (g.vertex_count, g.edge_count, len(g.faces())) == (3, 3, 2)
-    assert lop.validate() == []
+    assert ops.validate_lopsp(lop) == []
 
 
 def test_validate_flags_same_type_edge():
@@ -249,7 +249,7 @@ def test_lsp_to_lopsp_degree_relation():
     for x in boundary:
         assert g2.degree(x) == 2 * g.degree(x) - 2
     assert len(g2.faces()) == 2 * (len(g.faces()) - 1)
-    assert lop.validate() == []
+    assert ops.validate_lopsp(lop) == []
 
 
 def test_composition_dual_dual(seeds):
@@ -291,6 +291,31 @@ def test_classify_stable_across_witnesses(seeds):
             for w in ("tetrahedron", "cube", "k7")
         }
         assert ks == {3}
+
+
+def catalog_and_data_ops():
+    """Every catalog and ``tests/data`` operation, lsp ones doubled."""
+    names = sorted(n for n in os.listdir(DATA) if n.endswith((".lsp", ".lopsp")))
+    for op in [ops.catalog(n) for n in ops.catalog_names()] + [load_fixture(n) for n in names]:
+        yield ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+
+
+def test_doubled_lsp_operations_are_valid():
+    """``lsp_to_lopsp`` marks its double valid by construction; the full
+    lopsp-operation validation agrees on every lsp-operation."""
+    doubled = [lop for lop in catalog_and_data_ops() if lop.face_origin is not None]
+    assert len(doubled) == 6
+    for lop in doubled:
+        assert ops.validate_lopsp(lop) == []
+
+
+def test_found_cut_paths_pass_the_check():
+    """``find_cut_path`` returns the flow's path unchecked; the path
+    check accepts the minimal one and 20 seeded random ones."""
+    for lop in catalog_and_data_ops():
+        for path in [ops.find_cut_path(lop)] + [
+                ops.find_cut_path(lop, "seeded-random", seed=seed) for seed in range(20)]:
+            assert ops._check_cut_path(lop, path) is path
 
 
 def test_cut_path_validation_rejects_nonsense():

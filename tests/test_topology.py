@@ -101,14 +101,6 @@ def test_ck_via_cycles_tetrahedron():
     assert tp.ck_via_cycles(polyhedra.tetrahedron(), 3).passed
 
 
-def test_oracle_equivalence_on_corpus(corpus):
-    for name, g in corpus.items():
-        for k in (2, 3):
-            direct = tp.is_ck_embedded(g, k)
-            cyc = tp.ck_via_cycles(g, k)
-            assert direct.passed == cyc.passed, (name, k)
-
-
 def test_cut_witnesses():
     rep = tp.is_ck_embedded(polyhedra.two_triangles_cutvertex(), 2)
     assert not rep.passed
