@@ -20,7 +20,6 @@ from .operations import (
     InternalInvariant,
     InvalidLopsp,
     InvalidLsp,
-    LopspOperation,
     LspOperation,
     UnknownOperation,
 )
@@ -129,19 +128,11 @@ def _cmd_classify(args):
 
 def _cmd_apply(args):
     op = _require_valid(_load_op(args.operation))
-    chunks = []
-    for g in _load_graphs(args.graph):
-        cut_path = None
-        if isinstance(op, LspOperation):
-            res = operations.apply_lsp_direct(op, g)
-        else:
-            if args.cut_path == "random":
-                cut_path = operations.find_cut_path(
-                    op, "seeded-random", seed=args.seed
-                )
-            res = operations.apply(op, g, cut_path=cut_path)
-        chunks.append(io.write_rot(res.result))
-    text = "".join(chunks)
+    cut_path = None
+    if args.cut_path == "random":
+        cut_path = operations.find_cut_path(op, "seeded-random", seed=args.seed)
+    text = "".join(io.write_rot(operations.apply(op, g, cut_path=cut_path).result)
+                   for g in _load_graphs(args.graph))
     if args.output:
         try:
             with open(args.output, "w", encoding="ascii") as handle:
@@ -242,8 +233,8 @@ def build_parser():
     p.add_argument("operation", help="catalog name or operation file")
     p.add_argument("graph", help="rot or planar_code file, - for stdin")
     p.add_argument("--cut-path", choices=("minimal", "random"), default="minimal",
-                   help="cut-path of a lopsp-operation (lsp-operations are glued into "
-                        "chambers); the output does not depend on it")
+                   help="cut-path of the operation, or of the double of an "
+                        "lsp-operation; the output does not depend on it")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--output")
     p.set_defaults(func=_cmd_apply)

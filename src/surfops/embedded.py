@@ -33,12 +33,11 @@ class Disconnected(ValueError):
 
 class InternalInvariant(AssertionError):
     """A broken internal invariant: a bug, not bad input.  Names the
-    stage, and the cell and dart where they are known."""
+    stage, and the dart where it is known."""
 
-    def __init__(self, stage, message, cell=None, dart=None):
-        where = "".join(" %s %s" % kv for kv in (("cell", cell), ("dart", dart)) if kv[1] is not None)
-        super().__init__("%s: %s%s" % (stage, message, where))
-        self.stage, self.cell, self.dart = stage, cell, dart
+    def __init__(self, stage, message, dart=None):
+        super().__init__("%s: %s%s" % (stage, message, "" if dart is None else " dart %s" % dart))
+        self.stage, self.dart = stage, dart
 
 
 def _orbits(perm):

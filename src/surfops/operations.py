@@ -7,9 +7,10 @@ v0, v1, v2.  Applying it to G cuts the triangulation open along a
 cut-path from v1 through v0 to v2, subdivides the edges of the double
 chamber system of G by copies of the two path halves, and glues one copy
 of the resulting patch into every double chamber, orientation
-consistently.  The glued triangulation is the barycentric subdivision of
-the result graph.  An lsp-operation is a typed disc whose copies,
-alternating with mirror images, fill the chambers of B_G directly.
+consistently.  The glued triangulation is the subdivision of the result
+graph into its chambers.  An lsp-operation is a typed disc; it is applied
+as its double, the lopsp-operation made by gluing a mirrored copy into its
+outer face, which gives the same result and the same symmetries.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .chambers import ChamberSystem, DoubleChamberSystem, barycentric
+from .chambers import ChamberSystem, DoubleChamberSystem
 from .embedded import EmbeddedGraph, InternalInvariant
 from .topology import _polyhedral, _short_cycles, _smallest_cut
 
@@ -74,7 +75,7 @@ class LopspOperation:
         self.v2 = v2
         self._diag = None
         self._cs = None
-        self._templates = {}  # cut-path (None: minimal) -> cell templates
+        self._templates = {}  # cut-path (None: minimal) -> cell template
         # face -> inner face of the source operation, for doubled lsp-operations
         self.face_origin = None
 
@@ -112,7 +113,6 @@ class LspOperation:
         self._diag = None
         self._cs = None
         self._lopsp = None  # the doubled lopsp-operation
-        self._templates = {}  # None -> plain and mirrored cell templates
 
     @property
     def specials(self):
@@ -247,7 +247,8 @@ def _check_cut_path(op, path):
 
 
 def find_cut_path(op, strategy="minimal", seed=None):
-    """A cut-path of the lopsp-operation.
+    """A cut-path of the lopsp-operation, or of the double of an
+    lsp-operation, which is what ``apply`` glues.
 
     ``minimal`` gives a path of minimum total length (vertex-disjoint
     shortest pair via node splitting and two shortest-path
@@ -255,6 +256,8 @@ def find_cut_path(op, strategy="minimal", seed=None):
     seeded RNG before taking the cheapest pair, which yields a
     reproducible variety of valid cut-paths.
     """
+    if isinstance(op, LspOperation):
+        op = lsp_to_lopsp(op)
     op.require_valid()
     g = op.graph
     if strategy == "minimal":
@@ -447,7 +450,7 @@ def double_chamber_patch(op, path):
 
 
 # ---------------------------------------------------------------------------
-# gluing machinery shared by both application routes
+# gluing a patch into the double chambers of a graph
 
 
 def _assemble(src, vertex_of, labels, lifts):
@@ -524,7 +527,6 @@ class _CellTemplate:
     interior vertex, whose fan starts at its smallest dart.
     """
 
-    types: tuple  # corner types along the boundary walk
     chains: dict  # (type, type) -> (vertex lifts, edge lifts) of a chain, from the higher type
     src: list
     ends: list
@@ -541,14 +543,18 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
     faces in gluing order; new ids follow first sight in that order.
     A chain runs from its higher-type end, so segment k runs along it
     when its first corner has the higher type.  Every inner face must be
-    a triangle and every interior edge must join two types; that is
-    checked here, once per template, not on every glued graph."""
+    a triangle and every interior edge must join two types, and the
+    corners must have the types (2, 0, 1, 0) of every double chamber read
+    from its type-2 corner; that is checked here, once per template, not
+    on every glued graph."""
     tails = [pg.vertex_of[d] for d in walk]
     first = tails.index(start)
     walk, tails = list(walk[first:]) + list(walk[:first]), tails[first:] + tails[:first]
     marks = [i for i, v in enumerate(tails) if v in corner_type] + [len(walk)]
     nseg = len(marks) - 1
     types = tuple(corner_type[tails[i]] for i in marks[:-1])
+    if types != (2, 0, 1, 0):
+        raise InternalInvariant("template", "corner types %r, not a double chamber's" % (types,))
     vref = {}  # patch vertex -> (vertex base, const)
     eref = {}  # patch edge -> (dart base, const, the patch dart it gives)
     chains = {}
@@ -571,7 +577,7 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
                 raise InternalInvariant("template", "boundary vertex met twice", dart=darts[0])
         for t, d in enumerate(darts):
             eref[pg.edge_of(d)] = (1 + k, 2 * min(pos[t], pos[t + 1]) + (a < b), d)
-    tm = _CellTemplate(types, chains, [], [], [], [], [], [])
+    tm = _CellTemplate(chains, [], [], [], [], [], [])
 
     def ref(d):  # (base, const) of a patch dart
         base, const, d0 = eref[pg.edge_of(d)]
@@ -616,27 +622,23 @@ def _frame_chains(frame, chains):
         yield d, dp, chains[labels[fv[d]], labels[fv[dp]]]
 
 
-def _cells(frame, templates):
-    """Each face (cell) of the frame with the template whose corner types
-    match, its walk and the frame edges of its sides.  A cell is read
-    from its type-2 corner against its facial walk, so the glued copies
-    keep the orientation of G."""
+def _cells(frame):
+    """Each face (cell) of the frame with its walk and the frame edges of
+    its sides.  A cell is read from its type-2 corner against its facial
+    walk, so the glued copies keep the orientation of G."""
     labels, fv, inv, edge_of = frame.labels, frame.vertex_of, frame.inv, frame.edge_of
-    by_types = {tm.types: tm for tm in templates}
     for qi, face in enumerate(frame.faces()):
         i = [labels[fv[d]] for d in face].index(2)
         walk = [inv[d] for d in reversed(face[i:] + face[:i])]
-        tm = by_types.get(tuple(labels[fv[d]] for d in walk))
-        if tm is None:
-            raise InternalInvariant("glue", "cell corners match no template", cell=qi, dart=walk[0])
-        yield qi, tm, walk, [edge_of(d) for d in walk]
+        yield qi, walk, [edge_of(d) for d in walk]
 
 
-def _glue(frame, templates, base_genus, op):
-    """Glue a template copy into every face (cell) of the labelled frame
-    graph, after subdividing each frame edge by the chain of its types.
+def _glue(frame, tm, base_genus, op):
+    """Glue a copy of the template into every face (cell) of the double
+    chamber graph ``frame``, after subdividing each frame edge by the
+    chain of its types.
 
-    Only the result graph is made, from the templates' fans; T and the
+    Only the result graph is made, from the template's fans; T and the
     fields indexed by it wait for ``_glue_slots``.  The result's vertices
     are T's type-0 vertices in T's order, each with its cells' fans from
     its smallest T-dart.  T's counts must give G's Euler characteristic,
@@ -645,15 +647,15 @@ def _glue(frame, templates, base_genus, op):
     fv = frame.vertex_of
     nvt, net, nf = len(frame.rotations()), 0, 0
     vbase, ebase = [], []
-    for _, _, (vl, el) in _frame_chains(frame, templates[0].chains):
+    for _, _, (vl, el) in _frame_chains(frame, tm.chains):
         vbase.append(nvt)
         ebase.append(net)
         nvt += len(vl)
         net += len(el)
     fan_at = {}  # first dart of a fan -> (its heads, the first dart of the next fan)
     start = {}  # type-0 vertex -> its smallest dart
-    cells = list(_cells(frame, templates))
-    for _, tm, walk, sides in cells:
+    cells = list(_cells(frame))
+    for _, walk, sides in cells:
         db = [2 * net] + [2 * ebase[x] for x in sides]
         vb = [nvt] + [vbase[x] for x in sides] + [fv[d] for d in walk]
         for (b, c), (fb, fc), (nb, nc), heads in tm.fans:
@@ -685,11 +687,11 @@ def _glue(frame, templates, base_genus, op):
         pairing[a], pairing[b] = b, a
     result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
     return ApplicationResult(result, op, lambda: dict(
-        _glue_slots(frame, cells, op), result_vertex_node=tuple(type0),
+        _glue_slots(frame, cells, tm, op), result_vertex_node=tuple(type0),
         result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
 
 
-def _glue_slots(frame, cells, op):
+def _glue_slots(frame, cells, tm, op):
     """T itself, glued slot by slot into the frame's ``_cells``, with the
     fields indexed by it.  T's vertices are the frame vertices, then the
     chains in frame edge order, then each cell's interior, cell by cell."""
@@ -697,7 +699,7 @@ def _glue_slots(frame, cells, op):
     vertex_lift = [op.specials[x] for x in frame.labels]
     vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
     edge_lift, edge_cells, vbase, ebase = [], [], [], []
-    for d, dp, (vl, el) in _frame_chains(frame, cells[0][1].chains):
+    for d, dp, (vl, el) in _frame_chains(frame, tm.chains):
         chain = [fv[d], *range(len(vertex_lift), len(vertex_lift) + len(vl)), fv[dp]]
         vbase.append(len(vertex_lift))
         ebase.append(len(edge_lift))
@@ -706,7 +708,7 @@ def _glue_slots(frame, cells, op):
         edge_lift += el
         edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
     src, lifts = [], []
-    for qi, tm, walk, sides in cells:
+    for qi, walk, sides in cells:
         db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
         vb = [len(vertex_lift)] + [vbase[x] for x in sides] + [fv[d] for d in walk]
         src += [db[b] + c for b, c in tm.src]
@@ -732,20 +734,26 @@ def _patch_template(op, cut_path):
 
 
 def apply(op, g, cut_path=None):
-    """Apply a lopsp-operation to an embedded graph.
+    """Apply a lopsp- or lsp-operation to an embedded graph.
 
     One patch copy is glued into every double chamber of G, with the
     patch boundary aligned to the facial walk of the double chamber; by
     path invariance the result graph does not depend on the cut-path.
     The patch is compiled once per operation and cut-path into a cell
     template; gluing a cell is then offset arithmetic.
+
+    An lsp-operation is glued as its double (``lsp_to_lopsp``), so a
+    ``cut_path`` is one of the double's.  Then ``res.operation`` is the
+    double, the ``pi_*`` fields index it, and
+    ``res.operation.face_origin`` maps each of its faces back to a face
+    of the lsp-operation.
     """
     if isinstance(op, LspOperation):
         op = lsp_to_lopsp(op)
     op.require_valid()
     if cut_path not in op._templates:
         path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
-        op._templates[cut_path] = (_patch_template(op, path),)
+        op._templates[cut_path] = _patch_template(op, path)
     return _glue(DoubleChamberSystem(g).graph, op._templates[cut_path], g.genus(), op)
 
 
@@ -806,24 +814,9 @@ def doubling_morphism(op):
 
 
 def apply_lsp_direct(op, g):
-    """Apply an lsp-operation by gluing plain and mirrored copies into the
-    chambers of B_G, as the chamber orientation dictates."""
-    op.require_valid()
-    if None not in op._templates:
-        og = op.graph
-        walk = op.outer_walk()
-        corner_type = {op.v0: 0, op.v1: 1, op.v2: 2}
-        inner = [(fi, w) for fi, w in enumerate(og.faces()) if fi != op.outer_face]
-        op._templates[None] = tuple(
-            _compile_template(og, boundary, op.v2, corner_type, faces,
-                              range(og.vertex_count), range(og.edge_count))
-            for boundary, faces in (
-                (walk, inner),
-                ([og.inv[d] for d in reversed(walk)],
-                 [(fi, tuple(og.inv[d] for d in reversed(w))) for fi, w in inner]),
-            )
-        )
-    return _glue(barycentric(g), op._templates[None], g.genus(), op)
+    """``apply(op, g)``, kept only because the benchmark in ``perfbench``
+    names it; it goes when ROADMAP item 1 clears the benchmark's debts."""
+    return apply(op, g)
 
 
 def inflation_factor(op):

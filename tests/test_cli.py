@@ -8,7 +8,7 @@ import pytest
 from surfops import io as sio
 from surfops import polyhedra
 from surfops.cli import main
-from surfops.operations import apply, catalog
+from surfops.operations import CATALOG_NAMES, apply, catalog, find_cut_path, lsp_to_lopsp
 
 from conftest import build_corpus
 from test_facewidth import tube_sum
@@ -169,6 +169,28 @@ def test_apply_seeded_random_deterministic(cube_file, capsys):
     assert out1 == out2
 
 
+def test_apply_random_cut_path_of_lsp_operation(cube_file, capsys, monkeypatch):
+    """``--cut-path random`` on an lsp-operation glues its double along
+    the seeded path, here not the minimal one, with the same output."""
+    from surfops import operations
+
+    meta = os.path.join(DATA, "meta.lsp")
+    applied = []
+    glue = operations.apply
+    monkeypatch.setattr(operations, "apply",
+                        lambda op, g, cut_path=None: applied.append(op) or glue(op, g, cut_path))
+    code, minimal, err = run(capsys, "apply", meta, cube_file)
+    assert (code, err) == (0, "")
+    code, randomised, err = run(capsys, "apply", meta, cube_file, "--cut-path", "random",
+                                "--seed", "0")
+    assert (code, err) == (0, "")
+    assert randomised == minimal
+    double = lsp_to_lopsp(applied[-1])
+    path = find_cut_path(double, "seeded-random", seed=0)
+    assert path != find_cut_path(double)
+    assert set(double._templates) == {path}
+
+
 def test_facewidth(cube_file, capsys, tmp_path):
     code, out, _ = run(capsys, "facewidth", cube_file)
     assert code == 0 and out.strip() == "inf"
@@ -246,7 +268,7 @@ def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
     whose fan lists a result dart twice."""
     gyro = catalog("gyro")
     apply(gyro, polyhedra.cube())  # compiles the template
-    (tm,) = gyro._templates[None]
+    tm = gyro._templates[None]
     i = next(i for i, fan in enumerate(tm.fans) if fan[3])
     vertex, first, nxt, heads = tm.fans[i]
     fans = tm.fans[:i] + [(vertex, first, nxt, heads + heads[:1])] + tm.fans[i + 1:]
@@ -261,8 +283,8 @@ def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
 @pytest.mark.parametrize("name", ["gyro", "ambo"])
 def test_apply_writes_without_subdivision(name, tmp_path, capsys, monkeypatch):
     """``apply`` on the command line glues no triangulation once the
-    operation is compiled (ambo takes the direct lsp route).  T is built
-    on its first read, once."""
+    operation is compiled (ambo is glued as its double).  T is built on
+    its first read, once."""
     from surfops import operations
 
     paths = []
@@ -277,8 +299,7 @@ def test_apply_writes_without_subdivision(name, tmp_path, capsys, monkeypatch):
         code, out, err = run(capsys, "apply", name, str(path))
         assert code == 0 and out.startswith("rot ")
     assert calls == []
-    glue = operations.apply_lsp_direct if name == "ambo" else operations.apply
-    res = glue(catalog(name), polyhedra.k7_torus())
+    res = operations.apply(catalog(name), polyhedra.k7_torus())
     assert calls == []
     t = res.subdivision
     assert len(calls) == 1
@@ -299,9 +320,14 @@ CLASSIFY_STDOUT = {
 }
 
 
+def data_path(arg):
+    """A ``tests/data`` file for an operation named with its extension."""
+    return os.path.join(DATA, arg) if arg.endswith((".lsp", ".lopsp")) else arg
+
+
 @pytest.mark.parametrize("name", sorted(CLASSIFY_STDOUT))
 def test_classify_stdout(name, capsys):
-    code, out, err = run(capsys, "classify", os.path.join(DATA, name) if "." in name else name)
+    code, out, err = run(capsys, "classify", data_path(name))
     assert (code, out, err) == (0, CLASSIFY_STDOUT[name], "")
 
 
@@ -315,7 +341,11 @@ def test_apply_output_to_missing_directory(cube_file, capsys, tmp_path):
     assert not target.exists()
 
 
-# the face-width and ck checks run on each graph of the stdout corpus
+APPLY_OPERATIONS = CATALOG_NAMES + ("meta.lsp", "pendant.lopsp", "sprout.lopsp")
+
+# the face-width and ck checks, and ``apply`` of every catalog and
+# ``tests/data`` operation, run on each graph of the stdout corpus, which
+# goes last on the command line
 CHECK_COMMANDS = (
     ("facewidth",),
     ("ckcheck", "-k", "1"),
@@ -323,10 +353,12 @@ CHECK_COMMANDS = (
     ("ckcheck", "-k", "3"),
     ("ckcheck", "-k", "2", "--method", "cycles"),
     ("ckcheck", "-k", "3", "--method", "cycles"),
-)
+) + tuple(("apply", name) for name in APPLY_OPERATIONS)
 
-# sha256 of the concatenated stdout of each command over the stdout corpus,
-# as given by the face-width search on all of B_G without its edge vertices
+# sha256 of the concatenated stdout of each command over the stdout corpus:
+# the checks as given by the face-width search on all of B_G without its
+# edge vertices, ``apply`` as given by gluing an lsp-operation's plain and
+# mirrored copies into the chambers of B_G
 CHECK_STDOUT_SHA256 = {
     "facewidth":
         "bddf34c6467477b3ddd0853e39cc04897aa7e43a8bee481fee7c86053affdfc8",
@@ -340,6 +372,26 @@ CHECK_STDOUT_SHA256 = {
         "cf01ff2aac7e702c7b655907eee848ccb4f9c503a05ee5082511774977efa6f1",
     "ckcheck -k 3 --method cycles":
         "8b91e4f2260210bbaa7fdf3baa83db1f8bbf6242d8406aff66c275a2400f415a",
+    "apply identity":
+        "42941e3d255308d23fe134a2c943ab86b7be30eab25fcb1a6468733414ba9109",
+    "apply dual":
+        "07ce7283eb02bb9248f2fc155072aa26bcb060b3a337b647d7e176f98f2f5870",
+    "apply truncation":
+        "4c0d057e3dfb313c623ae7b1820d92d8f1dec934dbe133ca998b18731833130c",
+    "apply ambo":
+        "1ae2490781c1af67307e22b34a3a53adad491ad41f9280754f68068fd5baca37",
+    "apply join":
+        "5b4fffd2456e99fab0fe2c9b6d911770e63b3179a9712552127fa2a7cc6e7cdd",
+    "apply gyro":
+        "ee305ec66cd239ab3d28cef4ecd79d76fa7d911c5aa13779cc201568bd95e4b0",
+    "apply snub":
+        "d1903b7beb076edf9ee26422114259b325be0c0e69b7bb2bf16820b10e6bc110",
+    "apply meta.lsp":
+        "bdddc6fbe31da28d5d525d446b9d221065f1d837ca33a9cbd867ad8ba5ac061e",
+    "apply pendant.lopsp":
+        "86be659e8175698de16a1c0ad399dbf451e7e04c808a3ae3a1951358da83b2ac",
+    "apply sprout.lopsp":
+        "6ba2a4ab4071f496c07c544a3cb22c79c96c4b3cc6435a3b31e72ac66d8f7659",
 }
 
 
@@ -365,7 +417,7 @@ def test_check_stdout_is_pinned(tmp_path, capsys):
     for argv in CHECK_COMMANDS:
         digest = hashlib.sha256()
         for path in paths:
-            code, out, err = run(capsys, argv[0], path, *argv[1:])
+            code, out, err = run(capsys, *map(data_path, argv), path)
             assert (code, err) == (0, "")
             digest.update(out.encode("ascii"))
         assert digest.hexdigest() == CHECK_STDOUT_SHA256[" ".join(argv)], argv

@@ -8,6 +8,7 @@ from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_op
 
+from oracle_glue import assert_matches_chamber_gluing, oracle_apply_lsp_direct
 from test_ck import oracle_smallest_cut
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -227,18 +228,22 @@ def test_pi_surjective_with_uniform_chamber_fibres(seeds):
 
 
 def test_apply_lsp_direct_matches_doubled_route(seeds):
+    """Gluing an lsp-operation's copies into the chambers of B_G (the
+    test oracle) gives what ``apply`` gives through the double."""
     for name in ("identity", "dual", "truncation", "ambo", "join"):
         op = ops.catalog(name)
         for gname in ("tetrahedron", "k7"):
             g = seeds[gname]
-            direct = ops.apply_lsp_direct(op, g).result
+            assert_matches_chamber_gluing(ops.apply(op, g), op, g)
+            direct = oracle_apply_lsp_direct(op, g).result
             doubled = ops.apply(ops.lsp_to_lopsp(op), g).result
             assert direct.iso(doubled), (name, gname)
 
 
 def test_lsp_direct_dual_on_cube(seeds):
-    res = ops.apply_lsp_direct(ops.catalog("dual"), seeds["cube"])
-    assert res.result.iso(seeds["octahedron"])
+    dual, cube = ops.catalog("dual"), seeds["cube"]
+    for res in (ops.apply(dual, cube), oracle_apply_lsp_direct(dual, cube)):
+        assert res.result.iso(seeds["octahedron"])
 
 
 def test_lsp_to_lopsp_degree_relation():
@@ -334,7 +339,7 @@ def test_subdividing_operation_reproduces_barycentric(seeds):
     assert ops.classify_ck(op).k == 3
     for name in ("tetrahedron", "cube", "k7"):
         g = seeds[name]
-        res = ops.apply_lsp_direct(op, g)
+        res = ops.apply(op, g)
         b = barycentric(g)
         unlabeled = EmbeddedGraph(b.sigma, b.inv, b.vertex_of)
         assert res.result.iso(unlabeled), name
