@@ -58,6 +58,28 @@ def _orbits(perm):
     return out
 
 
+def _check_assembled(g):
+    """The checks of ``from_rotations`` that a rotation system listing
+    every dart once, paired by a fixed-point-free involution, can still
+    fail: no dart at all, a label table of the wrong length, and more
+    than one component."""
+    if not g.dart_count:
+        raise Disconnected("graph needs at least one edge")
+    if g.labels is not None and len(g.labels) != g.vertex_count:
+        raise ValueError("label table does not match vertex count")
+    vertex_of, inv, rotations = g.vertex_of, g.inv, g.rotations()
+    seen = [True] + [False] * (len(rotations) - 1)
+    todo = [0]
+    while todo:
+        for d in rotations[todo.pop()]:
+            w = vertex_of[inv[d]]
+            if not seen[w]:
+                seen[w] = True
+                todo.append(w)
+    if not all(seen):
+        raise Disconnected("graph is not connected")
+
+
 class EmbeddedGraph:
     """Connected embedded multigraph with an optional vertex labelling.
 
@@ -107,11 +129,13 @@ class EmbeddedGraph:
 
         ``rotations`` is one dart sequence per vertex; ``pairing`` maps
         every dart to its reverse.  This is the one constructor that
-        validates, in a single pass: it raises ``NotInvolution``,
+        validates: it raises ``NotInvolution``,
         ``DartMissingOrDuplicated`` or ``Disconnected`` on a bad rotation
         system, and ``ValueError`` on a label table of the wrong length.
         ``check=False`` trusts the input, for graphs the package derives
-        from a validated graph by a proven construction.  Either way the
+        from a validated graph by a proven construction; a parser that
+        has proven the darts complete and their pairing an involution
+        runs only ``_check_assembled`` on the result.  Either way the
         rotations are stored as given, each turned to start at its
         smallest dart; the package's own callers pass them that way.
         """
@@ -127,8 +151,6 @@ class EmbeddedGraph:
                     if vertex_of[d] is not None:
                         raise DartMissingOrDuplicated("dart %d listed twice" % d)
                     vertex_of[d] = v
-            if n == 0:
-                raise Disconnected("graph needs at least one edge")
             for d, e in zip(range(n), pairing):
                 if not isinstance(e, int) or e < 0 or e >= n:
                     raise NotInvolution("pairing image %r out of range" % (e,))
@@ -144,18 +166,6 @@ class EmbeddedGraph:
                     raise NotInvolution("pairing is not an involution at dart %d" % d)
             if len(pairing) > n:
                 raise NotInvolution(covers)
-            if labels is not None and len(labels) != len(rotations):
-                raise ValueError("label table does not match vertex count")
-            seen = [True] + [False] * (len(rotations) - 1)
-            todo = [0]
-            while todo:
-                for d in rotations[todo.pop()]:
-                    w = vertex_of[pairing[d]]
-                    if not seen[w]:
-                        seen[w] = True
-                        todo.append(w)
-            if not all(seen):
-                raise Disconnected("graph is not connected")
         sigma = [None] * n
         for v, rot in enumerate(rotations):
             k = len(rot)
@@ -167,6 +177,8 @@ class EmbeddedGraph:
         if list(map(min, rot)) != [r[0] for r in rot]:
             rot = tuple(r[i:] + r[:i] for r in rot for i in (r.index(min(r)),))
         g._rotations = rot
+        if check:
+            _check_assembled(g)
         return g
 
     @classmethod

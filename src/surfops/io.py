@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import struct
 
-from .embedded import EmbeddedGraph
+from .embedded import EmbeddedGraph, _check_assembled
 from .operations import LopspOperation, LspOperation
 
 PLANAR_CODE_HEADER = b">>planar_code<<"
@@ -31,8 +31,13 @@ class FormatViolation(ValueError):
     pass
 
 
-def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no):
-    """Rotation lines `v: s1 s2 ...` -> (rotations, pairing)."""
+def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no, labels=None):
+    """Rotation lines `v: s1 s2 ...` -> the embedded graph.
+
+    Every signed edge is listed once, and the two signs of an edge are
+    the darts 2k and 2k + 1, so the darts are complete and paired by
+    ``d ^ 1``.  Of the checks of ``from_rotations`` only those of
+    ``_check_assembled`` can still fail, so only those run."""
     rotations = [None] * n_vertices
     sign_seen = {}
     for offset, line in enumerate(lines):
@@ -78,7 +83,9 @@ def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no):
                     "edge %d misses its %s occurrence" % (e, "+-"[side])
                 )
     pairing = [d ^ 1 for d in range(2 * n_edges)]
-    return rotations, pairing
+    g = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
+    _check_assembled(g)
+    return g
 
 
 def parse_rot(text):
@@ -97,8 +104,7 @@ def parse_rot(text):
         raise ParseError(
             "expected %d rotation lines, found %d" % (nv, len(lines) - 1), "line 2"
         )
-    rotations, pairing = _parse_signed_rotations(lines[1:], nv, ne, 2)
-    return EmbeddedGraph.from_rotations(rotations, pairing)
+    return _parse_signed_rotations(lines[1:], nv, ne, 2)
 
 
 def write_rot(g):
@@ -251,8 +257,7 @@ def parse_op(text):
     v0, v1, v2 = (integer("special", v) - 1 for v in fields["special"])
     if not all(0 <= v < nv for v in (v0, v1, v2)):
         raise ParseError("special vertex ids must lie in 1..%d" % nv, "special line")
-    rotations, pairing = _parse_signed_rotations(rot_lines, nv, ne, rot_start or 2)
-    graph = EmbeddedGraph.from_rotations(rotations, pairing, labels=types)
+    graph = _parse_signed_rotations(rot_lines, nv, ne, rot_start or 2, labels=types)
     if kind == "lopsp":
         if "outer" in fields:
             raise FormatViolation("lopsp files carry no outer face")

@@ -5,10 +5,13 @@ walk over the faces of the smaller side decides by its Euler
 characteristic.  The face-width of G is half the minimal length of a
 non-contractible cycle in the barycentric subdivision ``B_G``; the
 search runs on its radial subgraph ``R(G)``, which has the same minimum.
-It makes one BFS per root, which reads the homology class of every
-closed walk a non-tree edge makes; on genus >= 2 it also sends the
-class-0 walks that can be a shortest cycle rooted at its smallest vertex
-to the contractibility test, each once.  ``_polyhedral`` decides c3 by
+Its roots are the vertices of a cut graph K, which every
+non-contractible cycle passes, taken from the tree-cotree split that
+sets the homology classes; K has at most 2g (2 diam + 1) vertices.  One
+BFS per root reads the homology class of every closed walk a non-tree
+edge makes; on genus >= 2 it also sends the class-0 walks that can be a
+shortest cycle rooted at its smallest vertex of K to the contractibility
+test, each once.  ``_polyhedral`` decides c3 by
 how the faces of G meet.  On maps it rejects, ``_short_cycles`` reads
 the ck characterisation off ``B_G``, or off T of O(witness) for
 ``classify_ck``: k is 1 at a 2-cycle and 2 at a nontrivial 4-cycle,
@@ -75,33 +78,45 @@ def is_contractible(g, cycle_darts):
 
 
 def _edge_classes(g):
-    """Z2-homology classes of the edges of g, as ints of 2g bits.
+    """(classes, cut): the Z2-homology classes of the edges of g, as ints
+    of 2g bits, and the vertices of a cut graph K of g, ascending.
 
     The class of a cycle, the XOR over its edges, is 0 exactly when the
     cycle bounds a union of faces.  Up to genus 1 a simple cycle is
     contractible exactly when its class is 0; beyond, a separating cycle
     has class 0 and may still be non-contractible.
 
-    A tree-cotree decomposition sets the classes in O(V + E).  Edges of
-    a spanning tree T get 0.  The other edges span the dual graph; a
+    A tree-cotree decomposition sets both in O(V + E).  Edges of a BFS
+    tree T from vertex 0 get 0.  The other edges span the dual graph; a
     spanning tree of the dual on them leaves 2g edges over, and each
     gets one unit bit.  A dual tree edge gets the XOR of the other edges
     of its child face, children before parents, so every face boundary
     has class 0.  The fundamental cycle of the i-th left-over edge has
     class bit i.
+
+    K is vertex 0, the left-over edges and the tree paths from their
+    ends up to vertex 0.  Cut along T and the left-over edges, the
+    surface falls apart into its faces glued along the dual tree: an
+    open disc.  A branch of T that leads to no left-over edge only pokes
+    into that disc, so cut along K alone the surface is an open disc
+    too.  Each left-over edge adds at most 2 ecc(0) + 1 vertices, so
+    |K| <= 2g (2 ecc(0) + 1).
     """
     vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_of
+    rotations = g.rotations()
     spanned = [False] * g.edge_count  # in T or in the dual tree
+    parent = [None] * g.vertex_count  # the parent of a vertex in T
     reached = [False] * g.vertex_count
     reached[0] = True
-    todo = [0]
-    while todo:
-        for d in g.rotations()[todo.pop()]:
+    order = [0]
+    for u in order:
+        for d in rotations[u]:
             w = vertex_of[inv[d]]
             if not reached[w]:
                 reached[w] = True
+                parent[w] = u
                 spanned[edge_of(d)] = True
-                todo.append(w)
+                order.append(w)
     faces = g.faces()
     up = [None] * len(faces)  # dart of a face on the edge to its dual parent
     reached = [False] * len(faces)
@@ -117,18 +132,25 @@ def _edge_classes(g):
                 up[child] = inv[d]
                 order.append(child)
     cls = [0] * g.edge_count
+    in_cut = [False] * g.vertex_count
+    in_cut[0] = True
     bit = 1
-    for e in range(g.edge_count):
+    for e, ends in enumerate(g.edge_darts()):
         if not spanned[e]:
             cls[e] = bit
             bit <<= 1
+            for d in ends:
+                v = vertex_of[d]
+                while not in_cut[v]:
+                    in_cut[v] = True
+                    v = parent[v]
     for f in reversed(order[1:]):
         vec = 0
         for d in faces[f]:
             if d != up[f]:
                 vec ^= cls[edge_of(d)]
         cls[edge_of(up[f])] = vec
-    return cls
+    return cls, [v for v in range(g.vertex_count) if in_cut[v]]
 
 
 def _neighbours(g):
@@ -158,41 +180,51 @@ def _fundamental_cycle(g, depth, parent_dart, d):
 def shortest_noncontractible_cycle(g):
     """A minimum-length non-contractible cycle of g, or None if plane.
 
-    One BFS per root carries the class of each tree path, so a non-tree
-    edge uw gives the class of the closed walk root -> u -> w -> root in
-    O(1).  An edge is read from its end nearer the root, so a BFS stops
-    at the first level whose walks cannot be shorter than the best cycle
-    so far: O(V (V + E)) at worst.  A walk of non-zero class has a
-    fundamental cycle of the same class, which therefore bounds nothing;
-    it becomes the best, and its length the bound.
+    Cut along the cut graph K of ``_edge_classes`` the surface is an open
+    disc.  A cycle that misses the vertices of K misses its edges too, so
+    it lies in that disc and is contractible: every non-contractible
+    cycle passes a vertex of K, and only those are roots.  One BFS per
+    root carries the class of each tree path, so a non-tree edge uw gives
+    the class of the closed walk root -> u -> w -> root in O(1).  An edge
+    is read from its end nearer the root, so a BFS stops at the first
+    level whose walks cannot be shorter than the best cycle so far.  With
+    |K| <= 2g (2 ecc(0) + 1) that is O(g diam (V + E)) at worst.  A walk
+    of non-zero class has a fundamental cycle of the same class, which
+    therefore bounds nothing; it becomes the best, and its length the
+    bound.
 
-    Let r be the smallest vertex on any shortest non-contractible cycle
-    C, of length L.  The walks that the edges of C close in the BFS from
-    r are at most L long and compose to C, so one of them is
+    Let r be the smallest vertex of K on any shortest non-contractible
+    cycle C, of length L.  The walks that the edges of C close in the BFS
+    from r are at most L long and compose to C, so one of them is
     non-contractible.  Its fundamental cycle is then at most L long, so
-    it is the walk itself: its tree paths meet only at r (a loop at r
-    counts), and none of its vertices is smaller than r.  Up to genus 1
-    that walk has a non-zero class.  Beyond, a separating cycle can be
-    non-contractible with class 0, so a class-0 walk shorter than the
-    best goes through ``is_contractible`` if it has those two
-    properties.  An edge between two vertices of equal depth is read
-    from one end only, so no cycle is tested twice.
+    it is the walk itself: a shortest non-contractible cycle whose tree
+    paths meet only at r (a loop at r counts), and which by the choice of
+    r passes no vertex of K below r.  Up to genus 1 that walk has a
+    non-zero class.  Beyond, a separating cycle can be non-contractible
+    with class 0, so a class-0 walk shorter than the best goes through
+    ``is_contractible`` if it has those two properties.  A cycle is thus
+    tested only from its smallest vertex of K, and an edge between two
+    vertices of equal depth is read from one end only, so no cycle is
+    tested twice.
     """
     genus = g.genus()
     if genus == 0:
         return None
     nbrs = _neighbours(g)
-    edge_class = _edge_classes(g)
+    edge_class, cut = _edge_classes(g)
     inv = g.inv
     nv = len(nbrs)
+    in_cut = [False] * nv
+    for v in cut:
+        in_cut[v] = True
     best, bound = None, math.inf
-    for root in range(nv):
+    for root in cut:
         depth = [-1] * nv
         prefix = [0] * nv
         parent_dart = [None] * nv
         depth[root] = 0
         # genus >= 2: per vertex, the child of the root its tree path
-        # starts with, or -1 if that path passes a vertex below the root
+        # starts with, or -1 if that path passes a vertex of K below the root
         branch = None
         if genus >= 2:
             branch = [-1] * nv
@@ -210,7 +242,7 @@ def shortest_noncontractible_cycle(g):
                         prefix[w] = hu ^ edge_class[e]
                         parent_dart[w] = d
                         reached.append(w)
-                        if bu >= 0 and w > root:
+                        if bu >= 0 and (w > root or not in_cut[w]):
                             branch[w] = w if level == 0 else bu
                     elif dw >= level and level + dw + 1 < bound:
                         if hu ^ prefix[w] ^ edge_class[e]:

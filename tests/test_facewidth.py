@@ -1,15 +1,19 @@
-"""Face-width by the per-root homology scan against the guarded search it
+"""Face-width by the per-root homology scan against the searches it
 replaced.
 
-The oracles are the former production paths: the BFS candidate list
-sorted by length and tested one cycle at a time, with homology classes
-reduced by a basis of face vectors on genus <= 1 and the bridge-based
-contractibility test (``oracle_bridges.is_contractible``) above,
-followed by an exhaustive search over every simple cycle shorter than
-the best candidate.  The production code must give the same
-face-widths, and its witnesses must be shortest non-contractible cycles.
+The oracles are the former production paths.  The first is the BFS
+candidate list sorted by length and tested one cycle at a time, with
+homology classes reduced by a basis of face vectors on genus <= 1 and
+the bridge-based contractibility test (``oracle_bridges.is_contractible``)
+above, followed by an exhaustive search over every simple cycle shorter
+than the best candidate.  The second is the per-root scan from every
+vertex, before its roots came from a cut graph.  The production code
+must give the same face-widths, and its witnesses must be shortest
+non-contractible cycles; the cut graph must hold vertex 0, stay within
+its size bound and meet every non-contractible cycle.
 """
 
+import math
 import os
 import random
 from collections import deque
@@ -22,7 +26,7 @@ from surfops import operations as ops
 from surfops import polyhedra
 from surfops import topology as tp
 from surfops import chambers
-from surfops.chambers import barycentric
+from surfops.chambers import barycentric, radial
 from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_rot
 
@@ -229,6 +233,136 @@ def oracle_face_width(g):
     return len(oracle_shortest_noncontractible_cycle(b, allowed_of(b))) // 2
 
 
+def oracle_all_roots_cycle(g):
+    """A shortest non-contractible cycle of g, or None if plane, by one
+    BFS from every vertex; on genus >= 2 a class-0 walk goes through
+    ``is_contractible`` when its tree paths meet only at the root and
+    none of its vertices is below the root."""
+    genus = g.genus()
+    if genus == 0:
+        return None
+    nbrs = tp._neighbours(g)
+    edge_class = tp._edge_classes(g)[0]
+    inv = g.inv
+    nv = len(nbrs)
+    best, bound = None, math.inf
+    for root in range(nv):
+        depth = [-1] * nv
+        prefix = [0] * nv
+        parent_dart = [None] * nv
+        depth[root] = 0
+        branch = None
+        if genus >= 2:
+            branch = [-1] * nv
+            branch[root] = root
+        level, frontier = 0, [root]
+        while frontier and 2 * level + 1 < bound:
+            reached = []
+            for u in frontier:
+                hu = prefix[u]
+                bu = -1 if branch is None else branch[u]
+                for w, e, d in nbrs[u]:
+                    dw = depth[w]
+                    if dw < 0:
+                        depth[w] = level + 1
+                        prefix[w] = hu ^ edge_class[e]
+                        parent_dart[w] = d
+                        reached.append(w)
+                        if bu >= 0 and w > root:
+                            branch[w] = w if level == 0 else bu
+                    elif dw >= level and level + dw + 1 < bound:
+                        if hu ^ prefix[w] ^ edge_class[e]:
+                            best = tp._fundamental_cycle(g, depth, parent_dart, d)
+                            bound = len(best)
+                        elif (bu >= 0 and branch[w] >= 0 and (branch[w] != bu or w == root)
+                              and parent_dart[w] != d and (dw > level or d < inv[d])):
+                            cyc = tp._fundamental_cycle(g, depth, parent_dart, d)
+                            if not tp.is_contractible(g, cyc):
+                                best, bound = cyc, len(cyc)
+            frontier = reached
+            level += 1
+    assert best is not None
+    return best
+
+
+def eccentricity(g, v):
+    depth = {v: 0}
+    order = [v]
+    for u in order:
+        for d in g.rotations()[u]:
+            if g.head(d) not in depth:
+                depth[g.head(d)] = depth[u] + 1
+                order.append(g.head(d))
+    return max(depth.values())
+
+
+def assert_cut_graph(g, cut):
+    """K holds vertex 0, has at most 2g (2 ecc(0) + 1) vertices, and
+    every cycle of g that misses it is contractible.  For the last it is
+    enough that every fundamental cycle of a BFS forest of g - K is: they
+    generate the image of the fundamental group of g - K in the
+    surface's."""
+    assert cut[0] == 0 and cut == sorted(set(cut))
+    genus = g.genus()
+    if genus == 0:
+        assert cut == [0]
+        return
+    assert len(cut) <= 2 * genus * (2 * eccentricity(g, 0) + 1)
+    in_cut = set(cut)
+    depth = [-1] * g.vertex_count
+    parent_dart = [None] * g.vertex_count
+    for start in range(g.vertex_count):
+        if start in in_cut or depth[start] >= 0:
+            continue
+        depth[start] = 0
+        order = [start]
+        for u in order:
+            for d in g.rotations()[u]:
+                w = g.head(d)
+                if w not in in_cut and depth[w] < 0:
+                    depth[w] = depth[u] + 1
+                    parent_dart[w] = d
+                    order.append(w)
+    for d in range(g.dart_count):
+        u, w = g.vertex_of[d], g.head(d)
+        if (d < g.inv[d] and depth[u] >= 0 and depth[w] >= 0
+                and d != parent_dart[w] and g.inv[d] != parent_dart[u]):
+            assert tp.is_contractible(g, tp._fundamental_cycle(g, depth, parent_dart, d))
+
+
+def assert_simple_noncontractible(g, cyc):
+    verts = [g.vertex_of[d] for d in cyc]
+    assert len(set(verts)) == len(verts)
+    assert not tp.is_contractible(g, cyc)
+
+
+def assert_matches_all_roots(g):
+    """Production against the all-roots scan, on g and on R(G): the same
+    lengths, and both cycles simple and non-contractible; the oracle's
+    cycle meets the cut graph, which passes ``assert_cut_graph``.  On
+    B_G both witnesses pass ``assert_witness``."""
+    for h in (g, radial(g)):
+        cut = tp._edge_classes(h)[1]
+        assert_cut_graph(h, cut)
+        want = oracle_all_roots_cycle(h)
+        got = tp.shortest_noncontractible_cycle(h)
+        if want is None:
+            assert got is None
+            continue
+        assert len(got) == len(want)
+        assert set(cut) & {h.vertex_of[d] for d in want}
+        for cyc in (got, want):
+            assert_simple_noncontractible(h, cyc)
+    fw, cyc = tp.face_width_witness(g)
+    if want is None:
+        assert fw == math.inf
+        return
+    assert fw == len(want) // 2
+    b = barycentric(g)
+    assert_witness(b, fw, cyc)
+    assert_witness(b, fw, [2 * g.dart_count + r for r in want])
+
+
 def assert_witness(b, fw, cyc):
     """``cyc`` is a simple non-contractible cycle of 2 fw edges of B_G
     through type-0 and type-2 vertices only."""
@@ -245,7 +379,9 @@ def assert_witness(b, fw, cyc):
 
 def assert_matches_oracle(g):
     """Face-width and its witness, and the shortest non-contractible
-    cycle of g itself, where odd lengths occur too."""
+    cycle of g itself, where odd lengths occur too; against the all-roots
+    scan as well."""
+    assert_matches_all_roots(g)
     fw, cyc = tp.face_width_witness(g)
     want = oracle_face_width(g)
     if want is None:
@@ -284,6 +420,7 @@ def test_catalog_images_of_k7_match_oracle(op_name):
 
 def test_random_graphs_match_oracle():
     graphs = random_graphs()
+    assert sum(g.genus() >= 1 for g in graphs) >= 200
     assert sum(g.genus() >= 2 for g in graphs) >= 100
     for g in graphs:
         assert_matches_oracle(g)
@@ -293,7 +430,8 @@ def test_edge_classes():
     k7 = barycentric(polyhedra.k7_torus())
     graphs = [k7] + [barycentric(g) for g in random_graphs(60) if g.genus() >= 2]
     for b in graphs:
-        classes = tp._edge_classes(b)
+        classes, cut = tp._edge_classes(b)
+        assert_cut_graph(b, cut)
         for walk in b.faces():
             assert cycle_class(b, classes, walk) == 0
         used = 0
@@ -355,7 +493,7 @@ def test_separating_cycles_of_tube_sums(k):
         assert fw == k == oracle_face_width(g)
         b = barycentric(g)
         assert_witness(b, fw, cyc)
-        assert (cycle_class(b, tp._edge_classes(b), cyc) == 0) == (k < 3)
+        assert (cycle_class(b, tp._edge_classes(b)[0], cyc) == 0) == (k < 3)
 
 
 def test_separating_loop_is_found():
@@ -391,9 +529,43 @@ def test_class_zero_cycles_are_tested_once(monkeypatch):
 def test_face_width_of_second_gyro_of_k7():
     g = power("gyro", polyhedra.k7_torus(), 2)
     assert g.edge_count == 525
-    fw, cyc = tp.face_width_witness(g)
-    assert fw == 12
-    assert_witness(barycentric(g), fw, cyc)
+    assert tp.face_width(g) == 12
+    assert_matches_all_roots(g)
+
+
+def test_face_width_of_third_gyro_of_k7():
+    """Production only: the all-roots scan takes seconds here."""
+    g = power("gyro", polyhedra.k7_torus(), 3)
+    assert g.edge_count == 2625
+    r = radial(g)
+    cut = tp._edge_classes(r)[1]
+    assert cut[0] == 0
+    assert len(cut) <= 2 * (2 * eccentricity(r, 0) + 1)
+    assert len(cut) < r.vertex_count // 20
+    assert tp.face_width(g) == 24
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_tube_sums_match_all_roots(k):
+    """Relabelled too: a shortest cycle around the tube whose smallest
+    vertex is off K is found only from a root of K above that vertex."""
+    k7 = polyhedra.k7_torus()
+    two = tube_sum(k7, k7, k)
+    for g in (two, tube_sum(two, k7, k)):
+        for h in (g, power("gyro", g, 1)):
+            assert_matches_all_roots(h)
+            for seed in range(6):
+                assert_matches_all_roots(relabeled(h, seed))
+
+
+def test_flip_runs_match_all_roots():
+    from test_polyhedrality import flip_runs  # it imports this module
+
+    for _, end, tried in flip_runs():
+        assert_matches_all_roots(end)
+        for h, _ in tried:
+            if h is not None:
+                assert_matches_all_roots(h)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
