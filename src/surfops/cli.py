@@ -20,7 +20,6 @@ from .operations import (
     InternalInvariant,
     InvalidLopsp,
     InvalidLsp,
-    LspOperation,
     UnknownOperation,
 )
 
@@ -89,7 +88,7 @@ def _require_valid(op):
 
 
 def _symbol(op):
-    if isinstance(op, LspOperation):
+    if op.kind == "lsp":
         return delaney.dd_from_lsp(op)
     return delaney.dd_from_lopsp(op)
 
@@ -101,8 +100,7 @@ def _cmd_validate(args):
         for d in diag:
             print("error: %s" % d, file=sys.stderr)
         return 1
-    kind = "lsp" if isinstance(op, LspOperation) else "lopsp"
-    print("valid %s-operation, inflation factor %d" % (kind, operations.inflation_factor(op)))
+    print("valid %s-operation, inflation factor %d" % (op.kind, operations.inflation_factor(op)))
     return 0
 
 
@@ -184,10 +182,9 @@ def _cmd_curvature(args):
 
 def _cmd_convert(args):
     op = _load_op(args.operation)
-    if not isinstance(op, LspOperation):
+    if op.kind != "lsp":
         raise CliError("convert expects an lsp-operation", 2)
-    _require_valid(op)
-    sys.stdout.write(io.write_op(operations.lsp_to_lopsp(op)))
+    sys.stdout.write(io.write_op(_require_valid(op).lopsp()))
     return 0
 
 

@@ -278,8 +278,7 @@ def write_op(op):
     """Emit an operation file; vertex ids are kept, rotations start at the
     smallest signed-edge token so the form is stable under reparsing."""
     g = op.graph
-    kind = "lsp" if isinstance(op, LspOperation) else "lopsp"
-    lines = ["%s %d %d" % (kind, g.vertex_count, g.edge_count)]
+    lines = ["%s %d %d" % (op.kind, g.vertex_count, g.edge_count)]
     lines.append("types: " + " ".join(str(t) for t in g.labels))
     lines.append(
         "special: %d %d %d" % (op.v0 + 1, op.v1 + 1, op.v2 + 1)
@@ -296,6 +295,6 @@ def write_op(op):
         smallest = min(range(len(toks)), key=lambda i: (int(toks[i][1:]), toks[i][0] == "-"))
         toks = toks[smallest:] + toks[:smallest]
         lines.append("%d: %s" % (v + 1, " ".join(toks)))
-    if kind == "lsp":
+    if op.kind == "lsp":
         lines.append("outer: " + token(op.outer_dart))
     return "\n".join(lines) + "\n"

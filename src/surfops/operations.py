@@ -11,6 +11,10 @@ consistently.  The glued triangulation is the subdivision of the result
 graph into its chambers.  An lsp-operation is a typed disc; it is applied
 as its double, the lopsp-operation made by gluing a mirrored copy into its
 outer face, which gives the same result and the same symmetries.
+
+An operation enters the gluing layers once, through ``op.lopsp()``, which
+validates it and doubles an lsp-operation; the layers below re-check
+nothing that validation proved.
 """
 
 from __future__ import annotations
@@ -28,16 +32,18 @@ CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub
 CATALOG_ENV = "SURFOPS_CATALOG"
 
 
-class InvalidLopsp(ValueError):
+class _Invalid(ValueError):
     def __init__(self, diagnostics):
         super().__init__("; ".join(map(str, diagnostics)))
         self.diagnostics = diagnostics
 
 
-class InvalidLsp(ValueError):
-    def __init__(self, diagnostics):
-        super().__init__("; ".join(map(str, diagnostics)))
-        self.diagnostics = diagnostics
+class InvalidLopsp(_Invalid):
+    pass
+
+
+class InvalidLsp(_Invalid):
+    pass
 
 
 class InvalidOperation(ValueError):
@@ -61,87 +67,6 @@ class Diagnostic:
         if self.detail:
             parts.append(self.detail)
         return " ".join(parts)
-
-
-class LopspOperation:
-    """Typed sphere triangulation with special vertices v0, v1, v2."""
-
-    def __init__(self, graph, v0, v1, v2):
-        if graph.labels is None:
-            raise ValueError("operation graphs need type labels")
-        self.graph = graph
-        self.v0 = v0
-        self.v1 = v1
-        self.v2 = v2
-        self._diag = None
-        self._cs = None
-        self._templates = {}  # cut-path (None: minimal) -> cell template
-        # face -> inner face of the source operation, for doubled lsp-operations
-        self.face_origin = None
-
-    @property
-    def specials(self):
-        return (self.v0, self.v1, self.v2)
-
-    def validate(self):
-        if self._diag is None:
-            self._diag = validate_lopsp(self)
-        return self._diag
-
-    def require_valid(self):
-        diag = self.validate()
-        if diag:
-            raise InvalidLopsp(diag)
-
-    def chamber_system(self):
-        if self._cs is None:
-            self._cs = ChamberSystem(self.graph)
-        return self._cs
-
-
-class LspOperation:
-    """Typed plane near-triangulation with a marked outer face."""
-
-    def __init__(self, graph, v0, v1, v2, outer_dart):
-        if graph.labels is None:
-            raise ValueError("operation graphs need type labels")
-        self.graph = graph
-        self.v0 = v0
-        self.v1 = v1
-        self.v2 = v2
-        self.outer_dart = outer_dart
-        self._diag = None
-        self._cs = None
-        self._lopsp = None  # the doubled lopsp-operation
-
-    @property
-    def specials(self):
-        return (self.v0, self.v1, self.v2)
-
-    @property
-    def outer_face(self):
-        return self.graph.face_of(self.outer_dart)
-
-    def outer_walk(self):
-        return self.graph.faces()[self.outer_face]
-
-    def outer_vertices(self):
-        return {self.graph.vertex_of[d] for d in self.outer_walk()}
-
-    def validate(self):
-        if self._diag is None:
-            self._diag = validate_lsp(self)
-        return self._diag
-
-    def require_valid(self):
-        diag = self.validate()
-        if diag:
-            raise InvalidLsp(diag)
-
-    def chamber_system(self):
-        if self._cs is None:
-            self._cs = ChamberSystem(self.graph, outer_face=self.outer_face)
-        return self._cs
 
 
 def _common_diagnostics(g, v0, v1, v2, skip_faces=()):
@@ -212,17 +137,94 @@ def validate_lsp(op):
     return out
 
 
+class _Operation:
+    """A typed plane graph with special vertices v0, v1, v2, validated
+    once; ``lopsp()`` is the one way from it into the gluing layers."""
+
+    outer_face = None
+
+    def __init__(self, graph, v0, v1, v2):
+        if graph.labels is None:
+            raise ValueError("operation graphs need type labels")
+        self.graph = graph
+        self.v0, self.v1, self.v2 = v0, v1, v2
+        self._diag = None
+        self._cs = None
+
+    @property
+    def specials(self):
+        return (self.v0, self.v1, self.v2)
+
+    def validate(self):
+        if self._diag is None:
+            self._diag = self._diagnostics()
+        return self._diag
+
+    def require_valid(self):
+        diag = self.validate()
+        if diag:
+            raise self._invalid(diag)
+
+    def chamber_system(self):
+        if self._cs is None:
+            self._cs = ChamberSystem(self.graph, outer_face=self.outer_face)
+        return self._cs
+
+
+class LopspOperation(_Operation):
+    """Typed sphere triangulation with special vertices v0, v1, v2."""
+
+    kind = "lopsp"
+    _invalid, _diagnostics = InvalidLopsp, validate_lopsp
+
+    def __init__(self, graph, v0, v1, v2):
+        super().__init__(graph, v0, v1, v2)
+        self._templates = {}  # cut-path (None: minimal) -> cell template
+        # face -> inner face of the source operation, for doubled lsp-operations
+        self.face_origin = None
+
+    def lopsp(self):
+        """The operation itself, once it is validated."""
+        self.require_valid()
+        return self
+
+
+class LspOperation(_Operation):
+    """Typed plane near-triangulation with a marked outer face."""
+
+    kind = "lsp"
+    _invalid, _diagnostics = InvalidLsp, validate_lsp
+
+    def __init__(self, graph, v0, v1, v2, outer_dart):
+        super().__init__(graph, v0, v1, v2)
+        self.outer_dart = outer_dart
+        self._lopsp = None  # the doubled lopsp-operation
+
+    @property
+    def outer_face(self):
+        return self.graph.face_of(self.outer_dart)
+
+    def outer_walk(self):
+        return self.graph.faces()[self.outer_face]
+
+    def outer_vertices(self):
+        return {self.graph.vertex_of[d] for d in self.outer_walk()}
+
+    def lopsp(self):
+        """The double (``lsp_to_lopsp``), which validates this operation
+        and is built once."""
+        return lsp_to_lopsp(self)
+
+
 # ---------------------------------------------------------------------------
 # cut-paths
 
 
 @dataclass(frozen=True)
 class CutPath:
-    """Simple path from v1 through v0 to v2, as darts; ``split`` is the
-    index of v0 in the vertex sequence."""
+    """Simple path from v1 through v0 to v2, as darts."""
 
     darts: tuple
-    split: int
 
     def vertices(self, g):
         seq = [g.vertex_of[self.darts[0]]]
@@ -236,8 +238,8 @@ def _check_cut_path(op, path):
     seq = path.vertices(g)
     if seq[0] != op.v1 or seq[-1] != op.v2:
         raise InvalidOperation("cut-path must run from v1 to v2")
-    if not 0 < path.split < len(seq) - 1 or seq[path.split] != op.v0:
-        raise InvalidOperation("split index does not point at v0")
+    if op.v0 not in seq[1:-1]:
+        raise InvalidOperation("cut-path must pass through v0")
     if len(set(seq)) != len(seq):
         raise InvalidOperation("cut-path is not a simple path")
     for i, d in enumerate(path.darts):
@@ -247,8 +249,8 @@ def _check_cut_path(op, path):
 
 
 def find_cut_path(op, strategy="minimal", seed=None):
-    """A cut-path of the lopsp-operation, or of the double of an
-    lsp-operation, which is what ``apply`` glues.
+    """A cut-path of ``op.lopsp()``: of the lopsp-operation, or of the
+    double of an lsp-operation, which is what ``apply`` glues.
 
     ``minimal`` gives a path of minimum total length (vertex-disjoint
     shortest pair via node splitting and two shortest-path
@@ -256,9 +258,7 @@ def find_cut_path(op, strategy="minimal", seed=None):
     seeded RNG before taking the cheapest pair, which yields a
     reproducible variety of valid cut-paths.
     """
-    if isinstance(op, LspOperation):
-        op = lsp_to_lopsp(op)
-    op.require_valid()
+    op = op.lopsp()
     g = op.graph
     if strategy == "minimal":
         weight = lambda d: 1
@@ -271,12 +271,15 @@ def find_cut_path(op, strategy="minimal", seed=None):
     path_to_v1, path_to_v2 = _disjoint_shortest_pair(g, op.v0, op.v1, op.v2, weight)
     darts = [g.inv[d] for d in reversed(path_to_v1)] + path_to_v2
     # simple by construction; double_chamber_patch checks every path it gets
-    return CutPath(tuple(darts), len(path_to_v1))
+    return CutPath(tuple(darts))
 
 
 def _disjoint_shortest_pair(g, v0, v1, v2, weight):
     """Internally disjoint dart paths v0->v1 and v0->v2 of minimum total
-    weight, by min-cost flow on the split-vertex network."""
+    weight, by min-cost flow on the split-vertex network.  A valid
+    operation is 2-connected with distinct specials, so by Menger's
+    theorem both augmentations reach the sink, and by flow conservation
+    each unit of flow leads from the source to the sink."""
     nv = g.vertex_count
     sink = 2 * nv
     source = 2 * v0 + 1
@@ -310,8 +313,6 @@ def _disjoint_shortest_pair(g, v0, v1, v2, weight):
                         dist[w] = du + cost
                         pre[w] = (u, i)
                         changed = True
-        if sink not in dist:
-            raise InvalidOperation("no two disjoint paths from v0 to v1 and v2")
         node = sink
         while node != source:
             u, i = pre[node]
@@ -336,8 +337,6 @@ def _disjoint_shortest_pair(g, v0, v1, v2, weight):
                     arc[1] = 1
                     node = w
                     break
-            else:
-                raise InternalInvariant("cut-path", "flow decomposition failed")
         paths.append(darts)
     p1, p2 = paths
     if g.head(p1[-1]) == v2:
@@ -405,10 +404,13 @@ def _cut_open(g, walk):
 
 
 def double_chamber_patch(op, path):
-    """The operation cut open along the cut-path.  The single face of a
-    simple path is the path followed by its reverse, here turned to
-    start at its smallest dart."""
-    op.require_valid()
+    """``op.lopsp()`` cut open along the cut-path, one of its own.  The
+    single face of a simple path is the path followed by its reverse,
+    here turned to start at its smallest dart.  That walk passes v0, an
+    inner vertex of the path, twice and every other path vertex once,
+    and every face of the operation lies off the path, so the patch has
+    two copies of v0 and one of every face."""
+    op = op.lopsp()
     _check_cut_path(op, path)
     g = op.graph
     walk = list(path.darts) + [g.inv[d] for d in reversed(path.darts)]
@@ -417,36 +419,18 @@ def double_chamber_patch(op, path):
     corners_v0 = [v for v in range(len(copy_of)) if copy_of[v] == op.v0]
     (v1c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v1]
     (v2c,) = [v for v in range(len(copy_of)) if copy_of[v] == op.v2]
-    if len(corners_v0) != 2:
-        raise InternalInvariant("patch", "expected exactly two copies of v0 on the patch")
     lift_edge = [None] * pg.edge_count
     for d in range(pg.dart_count):
         lift_edge[pg.edge_of(d)] = g.edge_of(lift_dart[d])
-    lift_face = []
-    for fi, walk in enumerate(pg.faces()):
-        if fi == outer:
-            lift_face.append(None)
-        else:
-            lift_face.append(g.face_of(lift_dart[walk[0]]))
-    inner = sorted(f for f in lift_face if f is not None)
-    if inner != sorted(range(len(g.faces()))):
-        raise InternalInvariant("patch", "patch chambers do not cover the operation once each")
+    lift_face = [None if fi == outer else g.face_of(lift_dart[walk[0]])
+                 for fi, walk in enumerate(pg.faces())]
     tails = [pg.vertex_of[d] for d in pg.faces()[outer]]
     i1 = tails.index(v1c)
     order = tails[i1:] + tails[:i1]
     v0_left = next(v for v in order if v in corners_v0)
     v0_right = corners_v0[0] if v0_left == corners_v0[1] else corners_v0[1]
-    return DoubleChamberPatch(
-        pg,
-        v1c,
-        v2c,
-        v0_left,
-        v0_right,
-        outer,
-        copy_of,
-        tuple(lift_edge),
-        tuple(lift_face),
-    )
+    return DoubleChamberPatch(pg, v1c, v2c, v0_left, v0_right, outer, copy_of,
+                              tuple(lift_edge), tuple(lift_face))
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +526,12 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
     corner ``start``.  ``faces`` lists (lift, dart walk) for the inner
     faces in gluing order; new ids follow first sight in that order.
     A chain runs from its higher-type end, so segment k runs along it
-    when its first corner has the higher type.  Every inner face must be
-    a triangle and every interior edge must join two types, and the
-    corners must have the types (2, 0, 1, 0) of every double chamber read
-    from its type-2 corner; that is checked here, once per template, not
-    on every glued graph."""
+    when its first corner has the higher type.  The corners must have
+    the types (2, 0, 1, 0) of every double chamber read from its type-2
+    corner; that is checked here, once per template, not on every glued
+    graph.  Inner faces are triangles and interior edges join two types
+    because the patch lifts them one to one onto the faces and edges of
+    the operation, whose validation gives both."""
     tails = [pg.vertex_of[d] for d in walk]
     first = tails.index(start)
     walk, tails = list(walk[first:]) + list(walk[:first]), tails[first:] + tails[:first]
@@ -584,8 +569,6 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
         return base, const if d == d0 else const ^ 1
 
     for lifted, fwalk in faces:
-        if len(fwalk) != 3:
-            raise InternalInvariant("template", "face of size %d" % len(fwalk), dart=fwalk[0])
         for d in fwalk:
             if pg.vertex_of[d] not in vref:
                 vref[pg.vertex_of[d]] = (0, len(tm.vertex_lift))
@@ -593,8 +576,6 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
         for d in fwalk:
             pe = pg.edge_of(d)
             if pe not in eref:
-                if pg.labels[pg.vertex_of[d]] == pg.labels[pg.head(d)]:
-                    raise InternalInvariant("template", "edge between equal types", dart=d)
                 eref[pe] = (0, 2 * len(tm.edge_lift), d)
                 tm.edge_lift.append(lift_edge[pe])
                 tm.ends += (vref[pg.vertex_of[d]], vref[pg.head(d)])
@@ -742,15 +723,14 @@ def apply(op, g, cut_path=None):
     The patch is compiled once per operation and cut-path into a cell
     template; gluing a cell is then offset arithmetic.
 
-    An lsp-operation is glued as its double (``lsp_to_lopsp``), so a
+    The operation enters through ``op.lopsp()``, which validates it; an
+    lsp-operation is glued as its double (``lsp_to_lopsp``), so a
     ``cut_path`` is one of the double's.  Then ``res.operation`` is the
     double, the ``pi_*`` fields index it, and
     ``res.operation.face_origin`` maps each of its faces back to a face
     of the lsp-operation.
     """
-    if isinstance(op, LspOperation):
-        op = lsp_to_lopsp(op)
-    op.require_valid()
+    op = op.lopsp()
     if cut_path not in op._templates:
         path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
         op._templates[cut_path] = _patch_template(op, path)
@@ -759,8 +739,10 @@ def apply(op, g, cut_path=None):
 
 def lsp_to_lopsp(op):
     """Double an lsp-operation by gluing a mirrored copy into its outer
-    face; records which inner face every doubled face came from.  The
-    double is made once per operation."""
+    face; records which inner face every doubled face came from.  It
+    validates the lsp-operation and makes the double once per operation;
+    ``op.lopsp()`` of an lsp-operation is this call, and the layers
+    below it re-check neither."""
     if op._lopsp is not None:
         return op._lopsp
     op.require_valid()
@@ -820,12 +802,9 @@ def apply_lsp_direct(op, g):
 
 
 def inflation_factor(op):
-    """Edge multiplication factor: |E(O(G))| = factor * |E(G)|."""
-    if isinstance(op, LopspOperation):
-        op.require_valid()
-        return len(op.graph.faces()) // 2
-    op.require_valid()
-    return len(op.graph.faces()) - 1
+    """Edge multiplication factor: |E(O(G))| = factor * |E(G)|, half the
+    faces of ``op.lopsp()`` (F - 1 for an lsp-operation with F faces)."""
+    return len(op.lopsp().graph.faces()) // 2
 
 
 # ---------------------------------------------------------------------------
@@ -890,12 +869,11 @@ def classify_ck(op, witness=None):
     maps.  When k < 3 the short offending cycle of T is reported
     together with the double chambers it touches.
     """
-    lop = lsp_to_lopsp(op) if isinstance(op, LspOperation) else op
     if witness is None:
         from .polyhedra import tetrahedron
 
         witness = tetrahedron()
-    res = apply(lop, witness)
+    res = apply(op, witness)
     if _polyhedral(res.result):
         return ClassifyReport(k=3, witness={}, localization={})
     k, cycle = _short_cycles(res.subdivision)

@@ -40,8 +40,7 @@ def seed(name):
 
 @lru_cache(maxsize=None)
 def as_lopsp(name):
-    op = ops.catalog(name)
-    return ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+    return ops.catalog(name).lopsp()
 
 
 @lru_cache(maxsize=None)

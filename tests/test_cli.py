@@ -263,6 +263,56 @@ def test_catalog_env_override(tmp_path, capsys, monkeypatch):
     assert code == 2  # not found in the overridden directory
 
 
+def test_invalid_catalog_file_exits_1(tmp_path, capsys, monkeypatch):
+    """A catalog file that fails validation reaches ``main``'s handler
+    for invalid operations: exit 1 and one line naming every clause."""
+    import surfops.operations as op_mod
+
+    text = sio.write_op(catalog("gyro"))
+    (tmp_path / "gyro.lopsp").write_text(text.replace("special: 1 2 3", "special: 1 1 3"),
+                                         encoding="ascii")
+    monkeypatch.setenv(op_mod.CATALOG_ENV, str(tmp_path))
+    monkeypatch.setattr(op_mod, "_catalog_cache", {})
+    code, out, err = run(capsys, "classify", "gyro")
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: invalid-operation specials-distinct witness=(0, 0, 2); "
+                                "type1-degree witness=1 deg 2"]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES)
+def test_catalog_prints_operation(name, capsys):
+    assert run(capsys, "catalog", name) == (0, sio.write_op(catalog(name)), "")
+
+
+def test_validate_reads_stdin(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", stdio.StringIO(sio.write_op(catalog("ambo"))))
+    assert run(capsys, "validate", "-") == (0, "valid lsp-operation, inflation factor 2\n", "")
+
+
+def test_apply_output_file_equals_stdout(cube_file, capsys, tmp_path):
+    target = tmp_path / "out.rot"
+    assert run(capsys, "apply", "gyro", cube_file, "-o", str(target)) == (0, "", "")
+    code, out, err = run(capsys, "apply", "gyro", cube_file)
+    assert code == 0 and out.startswith("rot ")
+    assert target.read_text(encoding="ascii") == out
+
+
+@pytest.mark.parametrize("argv, data, message", [
+    (("ckcheck", "{0}", "-k", "1", "--method", "cycles"), "cube",
+     "the cycle characterisation covers k=2 and k=3"),
+    (("iso", "{0}", "{0}"), "two", "expected one graph, stream holds 2"),
+    (("canon", "{0}"), "empty", "empty planar_code stream"),
+])
+def test_cli_usage_errors(argv, data, message, tmp_path, capsys):
+    graphs = {"cube": [polyhedra.cube()], "two": [polyhedra.cube(), polyhedra.tetrahedron()],
+              "empty": []}[data]
+    path = tmp_path / "in.pc"
+    path.write_bytes(sio.write_planar_code(graphs))
+    code, out, err = run(capsys, *(a.format(path) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: " + message]
+
+
 def test_internal_invariant_exit_3(cube_file, capsys, monkeypatch):
     """A broken invariant of the eager glue path: a compiled template
     whose fan lists a result dart twice."""

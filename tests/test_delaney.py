@@ -77,6 +77,7 @@ def test_lopsp_symbols_no_odd_relations():
 
 def test_curvature_signs():
     assert dd.curvature(hexagonal_symbol()) == 0
+    assert dd.curvature_sign(hexagonal_symbol()) == "euclidean"
     spherical = dd.DelaneySymbol(
         ((0,), (0,), (0,)), {(0, 1): (3,), (0, 2): (2,), (1, 2): (3,)}
     )

@@ -24,8 +24,7 @@ def identity_lopsp():
 
 
 def as_lopsp(name):
-    op = ops.catalog(name)
-    return ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+    return ops.catalog(name).lopsp()
 
 
 def test_catalog_names_and_unknown():
@@ -68,6 +67,50 @@ def test_validate_flags_type1_degree():
     bad = ops.LopspOperation(gyro.graph, gyro.v0, gyro.v2, gyro.v1)  # swap v1/v2
     clauses = {d.clause for d in bad.validate()}
     assert clauses  # moving specials breaks degree or type clauses
+
+
+def bad_operation(clause):
+    """An operation that breaks ``clause``, and its full diagnostics."""
+    gyro, ambo = ops.catalog("gyro"), ops.catalog("ambo")
+    D = ops.Diagnostic
+    if clause == "specials-distinct":  # v1 := v0, so vertex 1 is a plain type-1 vertex
+        return ops.LopspOperation(gyro.graph, 0, 0, 2), [
+            D("specials-distinct", (0, 0, 2)), D("type1-degree", 1, "deg 2")]
+    if clause == "special-types":
+        return ops.LopspOperation(gyro.graph, 4, 1, 2), [
+            D("special-types", 4, "t(v0) must differ from 1")]
+    if clause == "v1-degree":
+        return ops.LopspOperation(gyro.graph, 0, 4, 2), [
+            D("v1-degree", 4, "deg 4"), D("type1-degree", 1, "deg 2")]
+    if clause == "type1-degree":  # ambo's disc read as a sphere: one square face
+        return ops.LopspOperation(ambo.graph, *ambo.specials), [
+            D("triangle", 1, "face size 4"), D("type1-degree", 3, "deg 3")]
+    assert clause == "outer-face"
+    n = ambo.graph.dart_count
+    return ops.LspOperation(ambo.graph, *ambo.specials, n), [D("outer-face", n, "no such dart")]
+
+
+@pytest.mark.parametrize("clause", ["specials-distinct", "special-types", "v1-degree",
+                                    "type1-degree", "outer-face"])
+def test_validation_clauses(clause):
+    """The diagnostics of a broken operation; ``require_valid`` and the
+    door ``op.lopsp()`` raise the operation kind's error with them."""
+    op, want = bad_operation(clause)
+    assert op.validate() == want
+    error = {"lopsp": ops.InvalidLopsp, "lsp": ops.InvalidLsp}[op.kind]
+    for enter in (op.require_valid, op.lopsp):
+        with pytest.raises(error) as caught:
+            enter()
+        assert caught.value.diagnostics == want
+        assert str(caught.value) == "; ".join(map(str, want))
+
+
+def test_lopsp_is_the_one_door():
+    for name in ops.catalog_names():
+        op = ops.catalog(name)
+        lop = op.lopsp()
+        assert lop is (op if op.kind == "lopsp" else ops.lsp_to_lopsp(op))
+        assert lop.kind == "lopsp" and lop.lopsp() is lop
 
 
 def test_inflation_factors():
@@ -302,7 +345,7 @@ def catalog_and_data_ops():
     """Every catalog and ``tests/data`` operation, lsp ones doubled."""
     names = sorted(n for n in os.listdir(DATA) if n.endswith((".lsp", ".lopsp")))
     for op in [ops.catalog(n) for n in ops.catalog_names()] + [load_fixture(n) for n in names]:
-        yield ops.lsp_to_lopsp(op) if isinstance(op, ops.LspOperation) else op
+        yield op.lopsp()
 
 
 def test_doubled_lsp_operations_are_valid():
@@ -326,7 +369,71 @@ def test_found_cut_paths_pass_the_check():
 def test_cut_path_validation_rejects_nonsense():
     lop = ops.catalog("gyro")
     with pytest.raises(ops.InvalidOperation):
-        ops._check_cut_path(lop, ops.CutPath((0,), 0))
+        ops._check_cut_path(lop, ops.CutPath((0,)))
+
+
+def path_avoiding_v0(lop):
+    """Darts of a shortest path from v1 to v2 in the operation minus v0."""
+    g, pred, todo = lop.graph, {lop.v1: None}, [lop.v1]
+    for v in todo:
+        for d in g.rotations()[v]:
+            if g.head(d) not in pred and g.head(d) != lop.v0:
+                pred[g.head(d)] = d
+                todo.append(g.head(d))
+    darts, v = [], lop.v2
+    while pred[v] is not None:
+        darts.append(pred[v])
+        v = g.vertex_of[pred[v]]
+    return tuple(reversed(darts))
+
+
+def broken_cut_path(lop, fault):
+    g = lop.graph
+    darts = ops.find_cut_path(lop).darts
+    if fault == "v0":
+        return path_avoiding_v0(lop)
+    i = [g.head(d) for d in darts].index(lop.v0) + 1
+    if fault == "simple":  # out of v0 and straight back
+        out = g.rotations()[lop.v0][0]
+        return darts[:i] + (out, g.inv[out]) + darts[i:]
+    # a dart into the same vertex from elsewhere: the vertex sequence is unchanged
+    d = darts[i]
+    other = next(g.inv[x] for x in g.rotations()[g.head(d)] if g.head(x) != g.vertex_of[d])
+    return darts[:i] + (other,) + darts[i + 1:]
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("v0", "cut-path must pass through v0"),
+    ("simple", "cut-path is not a simple path"),
+    ("consecutive", "cut-path darts are not consecutive"),
+])
+def test_cut_path_check_rejects(fault, message):
+    lop = ops.catalog("gyro")
+    darts = broken_cut_path(lop, fault)
+    assert ops.CutPath(darts).vertices(lop.graph)[::len(darts)] == [lop.v1, lop.v2]
+    with pytest.raises(ops.InvalidOperation, match="^%s$" % message):
+        ops._check_cut_path(lop, ops.CutPath(darts))
+    with pytest.raises(ops.InvalidOperation, match="^%s$" % message):
+        ops.double_chamber_patch(lop, ops.CutPath(darts))
+
+
+def test_patch_of_lsp_operation_is_its_doubles():
+    """``find_cut_path`` gives a cut-path of the double of an
+    lsp-operation, so ``double_chamber_patch`` cuts the double open."""
+    for name in ("identity", "ambo", "truncation"):
+        op = ops.catalog(name)
+        path = ops.find_cut_path(op)
+        got, want = ops.double_chamber_patch(op, path), ops.double_chamber_patch(op.lopsp(), path)
+        assert got.graph.sigma == want.graph.sigma
+        assert (got.lift_vertex, got.lift_edge, got.lift_face) == (
+            want.lift_vertex, want.lift_edge, want.lift_face)
+        inner = sorted(f for f in got.lift_face if f is not None)
+        assert inner == list(range(len(op.lopsp().graph.faces())))
+
+
+def test_find_cut_path_rejects_unknown_strategy():
+    with pytest.raises(ValueError, match="^unknown strategy 'shortest'$"):
+        ops.find_cut_path(ops.catalog("ambo"), "shortest")
 
 
 def test_subdividing_operation_reproduces_barycentric(seeds):
