@@ -10,10 +10,16 @@ transitive action of the free Coxeter group on the chambers.
 The double chamber graph and the radial graph ``R(G)`` are subgraphs of
 ``B_G`` read off G in one pass, without building ``B_G``.  With n darts
 in G, the double chamber graph keeps the B-darts 0..4n-1, and dart r of
-``R(G)`` is B-dart 2n + r.
+``R(G)`` is B-dart 2n + r.  Gluing reads the double chamber graph as a
+frame (``double_chamber_frame``): its cells, their corners and sides and
+the ends of its edges, each a closed-form function of G's darts, numbered
+as the graph form (``DoubleChamberSystem``, kept as the tests' oracle)
+numbers them, but without building that graph.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 from .embedded import EmbeddedGraph
 
@@ -144,8 +150,75 @@ class ChamberSystem:
         return len(seen) == len(self.chambers)
 
 
+@dataclass(frozen=True)
+class DoubleChamberFrame:
+    """The double chamber graph of G as a gluing frame.
+
+    With n darts in G the frame has V + E + F vertices, 2n edges and n
+    cells, numbered as in ``DoubleChamberSystem(g).graph``:
+
+    * vertices by their smallest B-dart: vertex v of G at twice its
+      smallest dart, edge e at twice its smallest dart plus one, and the
+      faces after them in G's face order; ``labels`` gives their types;
+    * frame edge d < n joins tail(d) to edge(d) (B-darts 2d, 2d + 1), and
+      frame edge n + d joins tail(d) to face_of(d), across the angle that
+      dart d closes (B-darts 2(n + d), 2(n + d) + 1); ``ends`` lists each
+      edge's ends from its higher type;
+    * cell 2 edge(d) + (d > inv d) is the double chamber of dart d, and
+      ``cells`` gives each cell's corners (face_of d, head d, edge d,
+      tail d), read from its type-2 corner against its facial walk, with
+      its sides, the frame edges (n + sigma(inv d), inv d, d, n + d)
+      between consecutive corners.
+    """
+
+    base: EmbeddedGraph  # G
+    labels: tuple
+    ends: tuple
+    cells: tuple
+
+    def edge_cells(self):
+        """The two cells on the sides of each frame edge: those of d and
+        inv d on edge d < n, and those of d and inv(sigma^-1(d)) on edge
+        n + d."""
+        g = self.base
+        n, inv = g.dart_count, g.inv
+        cell = [2 * g.edge_of(d) + (d > inv[d]) for d in range(n)]
+        sigma_inv = [0] * n
+        for d, e in enumerate(g.sigma):
+            sigma_inv[e] = d
+        return ([(cell[d], cell[inv[d]]) for d in range(n)]
+                + [(cell[d], cell[inv[sigma_inv[d]]]) for d in range(n)])
+
+
+def double_chamber_frame(g):
+    """The double chamber graph of G as a ``DoubleChamberFrame``, read off
+    G's darts in O(E) without building the graph."""
+    n = g.dart_count
+    sigma, inv, vertex_of, rotations = g.sigma, g.inv, g.vertex_of, g.rotations()
+    node = [0] * len(rotations)  # vertex of G -> frame vertex
+    labels, enode = [], []
+    for d in range(n):
+        if rotations[vertex_of[d]][0] == d:  # the smallest dart of its vertex
+            node[vertex_of[d]] = len(labels)
+            labels.append(0)
+        if d < inv[d]:
+            enode.append(len(labels))
+            labels.append(1)
+    fbase = len(labels)
+    labels += [2] * len(g.faces())
+    face = [fbase + f for f in map(g.face_of, range(n))]  # dart -> frame vertex
+    edge = [enode[e] for e in map(g.edge_of, range(n))]
+    tail = [node[v] for v in vertex_of]
+    cells = tuple(((face[d], tail[inv[d]], edge[d], tail[d]),
+                   (n + sigma[inv[d]], inv[d], d, n + d))
+                  for pair in g.edge_darts() for d in pair)
+    return DoubleChamberFrame(g, tuple(labels), tuple(zip(edge + face, tail + tail)), cells)
+
+
 class DoubleChamberSystem:
-    """Faces of the subgraph of ``B_G`` on type-1 and type-2 edges only.
+    """Faces of the subgraph of ``B_G`` on type-1 and type-2 edges only,
+    as an embedded graph.  Gluing reads the same numbering off G with
+    ``double_chamber_frame``; this graph form is kept as its oracle.
 
     Every face is a quadrilateral with two type-0 corners (equal exactly
     when the underlying edge of G is a loop), one of type 1 and one of

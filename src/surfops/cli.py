@@ -87,12 +87,6 @@ def _require_valid(op):
     return op
 
 
-def _symbol(op):
-    if op.kind == "lsp":
-        return delaney.dd_from_lsp(op)
-    return delaney.dd_from_lopsp(op)
-
-
 def _cmd_validate(args):
     op = _load_op(args.operation)
     diag = op.validate()
@@ -170,13 +164,13 @@ def _cmd_ckcheck(args):
 
 def _cmd_ddsymbol(args):
     op = _require_valid(_load_op(args.operation))
-    sys.stdout.write(delaney.write_dd(_symbol(op)))
+    sys.stdout.write(delaney.write_dd(delaney.dd(op)))
     return 0
 
 
 def _cmd_curvature(args):
     op = _require_valid(_load_op(args.operation))
-    print(delaney.curvature(_symbol(op)))
+    print(delaney.curvature(delaney.dd(op)))
     return 0
 
 

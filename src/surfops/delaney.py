@@ -217,6 +217,13 @@ def dd_from_lsp(op):
     return _dd_from_chambers(op, op.outer_vertices())
 
 
+def dd(op):
+    """Symbol of a lopsp- or lsp-operation, by its ``kind``: the one
+    place that chooses between ``dd_from_lopsp`` and ``dd_from_lsp``,
+    which are looked up when called."""
+    return {"lopsp": dd_from_lopsp, "lsp": dd_from_lsp}[op.kind](op)
+
+
 # -- serialization ----------------------------------------------------------
 
 

@@ -320,10 +320,14 @@ class EmbeddedGraph:
             self._degrees = tuple(len(r) for r in self.rotations())
         return self._degrees
 
-    def _code_walk(self, start, sigma, darts):
+    def _code_walk(self, start, sigma, darts, num=None, entry=None):
         """BFS code from a start dart, one vertex block (a list) at a
         time; the darts are appended in numbering order to ``darts``,
-        which must start empty.
+        which must start empty.  ``num`` (per dart) and ``entry`` (per
+        vertex) are the walk's numbering arrays, all -1 on entry; by
+        default fresh ones are made.  The walk leaves ``num`` set on the
+        darts it listed and ``entry`` on the start vertex and the heads of
+        those darts, and nowhere else.
 
         A block lists a vertex's degree and label, then one entry per
         dart in rotation order from its entry dart: the number of the
@@ -337,8 +341,8 @@ class EmbeddedGraph:
         vertex_of = self.vertex_of
         labels = self.labels
         deg = self._degree_table()
-        num = [-1] * len(sigma)
-        entry = [-1] * len(deg)
+        if num is None:
+            num, entry = [-1] * len(sigma), [-1] * len(deg)
         entry[vertex_of[start]] = start
         queue = [vertex_of[start]]
         for v in queue:  # grows while it is walked: the BFS queue
@@ -376,10 +380,14 @@ class EmbeddedGraph:
         walk is suspended and advanced only when a challenger needs its
         next block.  A challenger is dropped at its first larger block
         and becomes the suspended best at its first smaller one, so only
-        ties and the winner are coded to the end.  A tie reveals an
-        automorphism; its dart cycles are merged in a union-find, and a
-        start dart that is not the smallest of its merged set is skipped,
-        since its code equals that of the smallest, which is always coded.
+        ties and the winner are coded to the end.  The work is the number
+        of blocks compared, plus as many dart steps as those blocks list:
+        the numbering arrays are allocated once per search, two pairs for
+        the best walk and the challenger, and a finished walk clears only
+        the entries it set.  A tie reveals an automorphism; its dart
+        cycles are merged in a union-find, and a start dart that is not
+        the smallest of its merged set is skipped, since its code equals
+        that of the smallest, which is always coded.
         """
         flag = bool(allow_reflection)
         if flag not in self._canon:
@@ -398,6 +406,7 @@ class EmbeddedGraph:
                 sigma_inv[self.sigma[d]] = d
             sigmas.append(tuple(sigma_inv))
         starts = self._start_darts()
+        pool = _Numberings(self)
         # Ties within one pass give orientation-preserving automorphisms,
         # which commute with sigma and its inverse alike, so the orbits
         # found in the first pass also prune the mirrored one.
@@ -410,7 +419,8 @@ class EmbeddedGraph:
                 if parent[s] != s:  # not a root, as roots are set minima
                     continue
                 darts = []
-                walk = self._code_walk(s, sig, darts)
+                arrays = pool.take()
+                walk = self._code_walk(s, sig, darts, *arrays)
                 if lead is not None:
                     for i, block in enumerate(walk):
                         if i == len(best):
@@ -418,17 +428,27 @@ class EmbeddedGraph:
                         if block != best[i]:
                             break
                     else:  # a tie, walked to the end
+                        pool.give(s, darts, arrays)
                         if ref is None:
                             ref = darts
-                        else:
-                            for a, b in zip(ref, darts):
-                                _union(parent, a, b)
+                            continue
+                        for a, b in zip(ref, darts):  # union of the sets of a and b
+                            while parent[a] != a:
+                                parent[a] = a = parent[parent[a]]
+                            while parent[b] != b:
+                                parent[b] = b = parent[parent[b]]
+                            if a < b:
+                                parent[b] = a
+                            elif b < a:
+                                parent[a] = b
                         continue
                     if block > best[i]:
+                        pool.give(s, darts, arrays)
                         continue
                     del best[i:]
                     best.append(block)
-                lead, ref = walk, darts
+                    pool.give(*held)
+                lead, ref, held = walk, darts, (s, darts, arrays)  # held: what lead took from the pool
                 best_darts = darts if sig is self.sigma else None
         best.extend(lead)
         return tuple(chain.from_iterable(best)), best_darts
@@ -459,17 +479,30 @@ class EmbeddedGraph:
         return order, entry
 
 
-def _find(parent, x):
-    """Root of ``x`` in a union-find forest whose roots are set minima."""
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
+class _Numberings:
+    """A pool of numbering arrays for the code walks of one graph: (num,
+    entry) pairs, all -1 while pooled.  A canonical search holds at most
+    two at a time, for the best walk and its challenger, so it makes at
+    most two."""
 
+    __slots__ = ("graph", "free")
 
-def _union(parent, a, b):
-    ra, rb = _find(parent, a), _find(parent, b)
-    if ra < rb:
-        parent[rb] = ra
-    elif rb < ra:
-        parent[ra] = rb
+    def __init__(self, graph):
+        self.graph, self.free = graph, []
+
+    def take(self):
+        if self.free:
+            return self.free.pop()
+        return [-1] * self.graph.dart_count, [-1] * self.graph.vertex_count
+
+    def give(self, start, darts, arrays):
+        """Pool again the ``arrays`` of the walk from ``start`` that
+        numbered ``darts``, after clearing what it set: ``num`` on those
+        darts, ``entry`` on the start vertex and their heads."""
+        num, entry = arrays
+        vertex_of, inv = self.graph.vertex_of, self.graph.inv
+        entry[vertex_of[start]] = -1
+        for d in darts:
+            num[d] = -1
+            entry[vertex_of[inv[d]]] = -1
+        self.free.append(arrays)

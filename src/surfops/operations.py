@@ -23,7 +23,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .chambers import ChamberSystem, DoubleChamberSystem
+from .chambers import ChamberSystem, double_chamber_frame
 from .embedded import EmbeddedGraph, InternalInvariant
 from .topology import _polyhedral, _short_cycles, _smallest_cut
 
@@ -593,31 +593,10 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
     return tm
 
 
-def _frame_chains(frame, chains):
-    """Each frame edge as its two darts, from its higher-type end, with
-    the vertex and edge lifts of the chain that subdivides it."""
-    labels, fv = frame.labels, frame.vertex_of
-    for d, dp in frame.edge_darts():
-        if labels[fv[d]] < labels[fv[dp]]:
-            d, dp = dp, d
-        yield d, dp, chains[labels[fv[d]], labels[fv[dp]]]
-
-
-def _cells(frame):
-    """Each face (cell) of the frame with its walk and the frame edges of
-    its sides.  A cell is read from its type-2 corner against its facial
-    walk, so the glued copies keep the orientation of G."""
-    labels, fv, inv, edge_of = frame.labels, frame.vertex_of, frame.inv, frame.edge_of
-    for qi, face in enumerate(frame.faces()):
-        i = [labels[fv[d]] for d in face].index(2)
-        walk = [inv[d] for d in reversed(face[i:] + face[:i])]
-        yield qi, walk, [edge_of(d) for d in walk]
-
-
-def _glue(frame, tm, base_genus, op):
-    """Glue a copy of the template into every face (cell) of the double
-    chamber graph ``frame``, after subdividing each frame edge by the
-    chain of its types.
+def _glue(g, tm, base_genus, op):
+    """Glue a copy of the template into every cell (double chamber) of the
+    frame of G, after subdividing each frame edge by the chain of its
+    types.
 
     Only the result graph is made, from the template's fans; T and the
     fields indexed by it wait for ``_glue_slots``.  The result's vertices
@@ -625,29 +604,28 @@ def _glue(frame, tm, base_genus, op):
     its smallest T-dart.  T's counts must give G's Euler characteristic,
     and every result dart must be listed once.
     """
-    fv = frame.vertex_of
-    nvt, net, nf = len(frame.rotations()), 0, 0
-    vbase, ebase = [], []
-    for _, _, (vl, el) in _frame_chains(frame, tm.chains):
-        vbase.append(nvt)
-        ebase.append(net)
-        nvt += len(vl)
-        net += len(el)
+    frame = double_chamber_frame(g)
+    n = g.dart_count
+    # the chains of the n frame edges of types (1, 0), then of the n of types (2, 0)
+    (v1, e1), (v2, e2) = (map(len, tm.chains[t, 0]) for t in (1, 2))
+    nvt = len(frame.labels)
+    vbase = [nvt + x * v1 for x in range(n)] + [nvt + n * v1 + x * v2 for x in range(n)]
+    ebase = [x * e1 for x in range(n)] + [n * e1 + x * e2 for x in range(n)]
+    nvt, net = nvt + n * (v1 + v2), n * (e1 + e2)
+    cv, ce = len(tm.vertex_lift), len(tm.edge_lift)  # interior vertices and edges of a cell
     fan_at = {}  # first dart of a fan -> (its heads, the first dart of the next fan)
     start = {}  # type-0 vertex -> its smallest dart
-    cells = list(_cells(frame))
-    for _, walk, sides in cells:
+    for corners, sides in frame.cells:
         db = [2 * net] + [2 * ebase[x] for x in sides]
-        vb = [nvt] + [vbase[x] for x in sides] + [fv[d] for d in walk]
+        vb = [nvt] + [vbase[x] for x in sides] + list(corners)
         for (b, c), (fb, fc), (nb, nc), heads in tm.fans:
             v, first = vb[b] + c, db[fb] + fc
             fan_at[first] = ([vb[x] + y for x, y in heads], db[nb] + nc)
             if first < start.get(v, first + 1):
                 start[v] = first
-        nvt += len(tm.vertex_lift)
-        net += len(tm.edge_lift)
-        nf += len(tm.face_lift)
-    if nvt - net + nf != 2 - 2 * base_genus:
+        nvt += cv
+        net += ce
+    if nvt - net + n * len(tm.face_lift) != 2 - 2 * base_genus:
         raise InternalInvariant("glue", "Euler characteristic differs from the base graph's")
     heads, rotations, type0 = [], [], sorted(start)
     for v in type0:
@@ -659,39 +637,43 @@ def _glue(frame, tm, base_genus, op):
                 break
         rotations.append(range(lo, len(heads)))
     # the two result darts into each type-1 vertex of T are reverses
-    order = sorted(range(len(heads)), key=heads.__getitem__)
-    ends = [heads[d] for d in order]
-    if ends[0::2] != ends[1::2] or 2 * len(set(ends)) != len(ends):
+    pairing = [-1] * len(heads)
+    first_in = [-1] * nvt  # T-vertex -> the first dart into it, -2 once it has two
+    for d, h in enumerate(heads):
+        e = first_in[h]
+        if e == -2:
+            raise InternalInvariant("glue", "a result dart is listed twice or not at all")
+        if e < 0:
+            first_in[h] = d
+        else:
+            pairing[d], pairing[e], first_in[h] = e, d, -2
+    if -1 in pairing:
         raise InternalInvariant("glue", "a result dart is listed twice or not at all")
-    pairing = [0] * len(heads)
-    for a, b in zip(order[0::2], order[1::2]):
-        pairing[a], pairing[b] = b, a
     result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
     return ApplicationResult(result, op, lambda: dict(
-        _glue_slots(frame, cells, tm, op), result_vertex_node=tuple(type0),
+        _glue_slots(frame, tm, op, vbase, ebase), result_vertex_node=tuple(type0),
         result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
 
 
-def _glue_slots(frame, cells, tm, op):
-    """T itself, glued slot by slot into the frame's ``_cells``, with the
+def _glue_slots(frame, tm, op, vbase, ebase):
+    """T itself, glued slot by slot into the cells of ``frame``, with the
     fields indexed by it.  T's vertices are the frame vertices, then the
-    chains in frame edge order, then each cell's interior, cell by cell."""
-    fv = frame.vertex_of
+    chains in frame edge order, from ``vbase``, then each cell's
+    interior, cell by cell; T's edges likewise, from ``ebase``."""
     vertex_lift = [op.specials[x] for x in frame.labels]
     vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
-    edge_lift, edge_cells, vbase, ebase = [], [], [], []
-    for d, dp, (vl, el) in _frame_chains(frame, tm.chains):
-        chain = [fv[d], *range(len(vertex_lift), len(vertex_lift) + len(vl)), fv[dp]]
-        vbase.append(len(vertex_lift))
-        ebase.append(len(edge_lift))
+    edge_lift, edge_cells = [], []
+    for (hi, lo), beside in zip(frame.ends, frame.edge_cells()):
+        vl, el = tm.chains[frame.labels[hi], 0]
+        chain = [hi, *range(len(vertex_lift), len(vertex_lift) + len(vl)), lo]
         vertex_of += [x for pair in zip(chain, chain[1:]) for x in pair]
         vertex_lift += vl
         edge_lift += el
-        edge_cells += [frozenset((frame.face_of(d), frame.face_of(dp)))] * len(el)
+        edge_cells += [frozenset(beside)] * len(el)
     src, lifts = [], []
-    for qi, walk, sides in cells:
+    for qi, (corners, sides) in enumerate(frame.cells):
         db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
-        vb = [len(vertex_lift)] + [vbase[x] for x in sides] + [fv[d] for d in walk]
+        vb = [len(vertex_lift)] + [vbase[x] for x in sides] + list(corners)
         src += [db[b] + c for b, c in tm.src]
         vertex_of += [vb[b] + c for b, c in tm.ends]
         lifts += tm.face_lift
@@ -734,7 +716,7 @@ def apply(op, g, cut_path=None):
     if cut_path not in op._templates:
         path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
         op._templates[cut_path] = _patch_template(op, path)
-    return _glue(DoubleChamberSystem(g).graph, op._templates[cut_path], g.genus(), op)
+    return _glue(g, op._templates[cut_path], g.genus(), op)
 
 
 def lsp_to_lopsp(op):

@@ -130,11 +130,7 @@ def test_c04_face_width_monotone():
 def test_c05_delaney_dress_validity():
     for op_name in ops.catalog_names():
         op = ops.catalog(op_name)
-        sym = (
-            dd.dd_from_lsp(op)
-            if isinstance(op, ops.LspOperation)
-            else dd.dd_from_lopsp(op)
-        )
+        sym = dd.dd(op)
         assert dd.validate_dd(sym) == [], op_name
         assert dd.curvature(sym) == 0, op_name
     identity_sym = dd.dd_from_lopsp(as_lopsp("identity"))

@@ -10,13 +10,14 @@ import hashlib
 import os
 import random
 from collections import deque
+from itertools import islice
 
 import pytest
 
 from surfops import io, polyhedra
 from surfops import operations as ops
 from surfops.chambers import barycentric
-from surfops.embedded import EmbeddedGraph
+from surfops.embedded import EmbeddedGraph, _Numberings
 
 from conftest import build_corpus, named_seeds
 
@@ -170,12 +171,61 @@ def count_walks(monkeypatch):
     walks = []
     walk = EmbeddedGraph._code_walk
 
-    def counting(self, start, sigma, darts):
+    def counting(self, start, sigma, darts, *rest):
         walks.append(darts)
-        return walk(self, start, sigma, darts)
+        return walk(self, start, sigma, darts, *rest)
 
     monkeypatch.setattr(EmbeddedGraph, "_code_walk", counting)
     return walks
+
+
+def test_search_reuses_two_numberings(monkeypatch):
+    """One search passes every walk a pooled ``num`` array, and there are
+    at most two: the best walk's and the challenger's."""
+    g = ops.apply(ops.catalog("truncation"), polyhedra.random_embedded(random.Random(5), 1500)).result
+    arrays = []
+    walk = EmbeddedGraph._code_walk
+
+    def recording(self, start, sigma, darts, num=None, *rest):
+        arrays.append(num)
+        return walk(self, start, sigma, darts, num, *rest)
+
+    monkeypatch.setattr(EmbeddedGraph, "_code_walk", recording)
+    g.canonical_code()
+    assert len(arrays) > 100 and None not in arrays
+    assert len({id(num) for num in arrays}) <= 2
+
+
+def pooled_codes_match_fresh(g, sigma):
+    """Walk each start through the pool after a partial walk from another
+    start was abandoned, and while a third walk holds a pooled pair: its
+    full code must equal that of a walk on fresh arrays."""
+    pool = _Numberings(g)
+    starts = list(range(g.dart_count))
+    for k, s in enumerate(starts):
+        held = pool.take()
+        held_darts = []
+        held_walk = g._code_walk(starts[k - 1], sigma, held_darts, *held)
+        next(held_walk)
+        other = starts[(7 * k + 3) % len(starts)]
+        arrays, darts = pool.take(), []
+        list(islice(g._code_walk(other, sigma, darts, *arrays), 1 + k % 3))
+        pool.give(other, darts, arrays)
+        arrays, darts = pool.take(), []
+        assert list(g._code_walk(s, sigma, darts, *arrays)) == list(g._code_walk(s, sigma, []))
+        pool.give(s, darts, arrays)
+        pool.give(starts[k - 1], held_darts, held)
+        assert len(pool.free) == 2
+    for num, entry in pool.free:
+        assert set(num) == set(entry) == {-1}
+
+
+def test_pooled_walks_match_fresh_walks(corpus):
+    graphs = list(corpus.values()) + [barycentric(g) for g in named_seeds().values()]
+    graphs += [ops.catalog(name).graph for name in ops.catalog_names()]
+    for g in graphs:
+        pooled_codes_match_fresh(g, g.sigma)
+        pooled_codes_match_fresh(g, g.mirror().sigma)
 
 
 def test_losing_codes_are_not_finished(monkeypatch):

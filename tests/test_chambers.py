@@ -1,7 +1,14 @@
-import pytest
+import os
+import random
 
-from surfops import polyhedra
-from surfops.chambers import ChamberSystem, DoubleChamberSystem, barycentric, radial
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from surfops import io, polyhedra
+from surfops import operations as ops
+from surfops.chambers import (ChamberSystem, DoubleChamberSystem, barycentric,
+                              double_chamber_frame, radial)
 
 from oracle_flips import NotOnChamberBoundary, chamber_flip, legal_flips, walk_cycles
 
@@ -75,6 +82,79 @@ def test_double_chamber_simple_corners_distinct():
     for quad in dg.faces():
         zeros = [dg.vertex_of[d] for d in quad if dg.labels[dg.vertex_of[d]] == 0]
         assert len(set(zeros)) == 2
+
+
+def oracle_frame(g):
+    """The gluing frame as read off the graph form: labels, each cell's
+    corners and sides from its type-2 corner against its facial walk,
+    each frame edge's ends from its higher type, and the cells on the two
+    sides of each frame edge."""
+    dg = DoubleChamberSystem(g).graph
+    labels, fv, inv = dg.labels, dg.vertex_of, dg.inv
+    cells = []
+    for face in dg.faces():
+        i = [labels[fv[d]] for d in face].index(2)
+        walk = [inv[d] for d in reversed(face[i:] + face[:i])]
+        cells.append((tuple(fv[d] for d in walk), tuple(map(dg.edge_of, walk))))
+    ends, beside = [], []
+    for d, dp in dg.edge_darts():
+        if labels[fv[d]] < labels[fv[dp]]:
+            d, dp = dp, d
+        ends.append((fv[d], fv[dp]))
+        beside.append({dg.face_of(d), dg.face_of(dp)})
+    return labels, tuple(cells), tuple(ends), beside
+
+
+def assert_frame_matches_oracle(g):
+    frame = double_chamber_frame(g)
+    labels, cells, ends, beside = oracle_frame(g)
+    assert frame.labels == labels
+    assert frame.cells == cells
+    assert frame.ends == ends
+    assert list(map(set, frame.edge_cells())) == beside
+
+
+def frame_multigraphs():
+    """Maps with loops and parallel edges: the loop vertex, the K7 tube
+    sum with its loops, and random multigraphs."""
+    with open(os.path.join(os.path.dirname(__file__), "data", "k7_loop_sum.rot"),
+              encoding="ascii") as handle:
+        graphs = [polyhedra.loop_vertex(), io.parse_rot(handle.read())]
+    rng = random.Random(4711)
+    return graphs + [polyhedra.random_embedded(rng, rng.randint(1, 40)) for _ in range(40)]
+
+
+def test_frame_matches_graph_form_on_corpus(corpus):
+    for name, g in corpus.items():
+        assert_frame_matches_oracle(g)
+
+
+def test_frame_matches_graph_form_on_multigraphs():
+    graphs = frame_multigraphs()
+    assert any(g.head(d) == g.vertex_of[d] for g in graphs for d in range(g.dart_count))
+    for g in graphs:
+        assert_frame_matches_oracle(g)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), edges=st.integers(1, 30))
+def test_frame_matches_graph_form_property(seed, edges):
+    assert_frame_matches_oracle(polyhedra.random_embedded(random.Random(seed), edges))
+
+
+def test_apply_builds_no_double_chamber_graph(monkeypatch):
+    built = []
+    init = DoubleChamberSystem.__init__
+
+    def counting(self, g):
+        built.append(g)
+        init(self, g)
+
+    monkeypatch.setattr(DoubleChamberSystem, "__init__", counting)
+    for name in ("gyro", "ambo"):
+        res = ops.apply(ops.catalog(name), polyhedra.k7_torus())
+        assert res.subdivision.faces() and res.edge_cells
+    assert built == []
 
 
 def test_radial_is_vertex_face_subgraph(corpus):

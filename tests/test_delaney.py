@@ -40,11 +40,7 @@ def test_truncation_symbol_three_elements():
 def test_all_catalog_symbols_euclidean():
     for name in ops.catalog_names():
         op = ops.catalog(name)
-        sym = (
-            dd.dd_from_lsp(op)
-            if isinstance(op, ops.LspOperation)
-            else dd.dd_from_lopsp(op)
-        )
+        sym = dd.dd(op)
         assert dd.validate_dd(sym) == [], name
         assert dd.curvature(sym) == 0, name
         assert all(v == 2 for v in sym.m[(0, 2)]), name
@@ -139,6 +135,26 @@ def test_morphism_broken_commutation():
     assert not dd.is_dd_morphism(sym, sym, (0, 0))
 
 
+def test_dd_chooses_by_kind_at_call_time(monkeypatch):
+    """``dd`` picks the symbol by ``op.kind`` and looks the two builders
+    up when called, so patching either (as tracing does) is seen."""
+    calls = []
+
+    def recorded(name, build):
+        def call(op):
+            calls.append(name)
+            return build(op)
+        return call
+
+    for name in ("dd_from_lopsp", "dd_from_lsp"):
+        monkeypatch.setattr(dd, name, recorded(name, getattr(dd, name)))
+    for name in ("gyro", "ambo"):
+        op = ops.catalog(name)
+        sym = dd.dd(op)
+        assert sym == (dd.dd_from_lsp if op.kind == "lsp" else dd.dd_from_lopsp)(op)
+    assert calls == ["dd_from_lopsp", "dd_from_lopsp", "dd_from_lsp", "dd_from_lsp"]
+
+
 def test_doubling_morphism_all_lsp():
     for name in ("identity", "dual", "truncation", "ambo", "join"):
         op = ops.catalog(name)
@@ -170,11 +186,7 @@ def test_inner_vertex_symbol_case():
 def test_serialization_roundtrip():
     for name in ("truncation", "gyro"):
         op = ops.catalog(name)
-        sym = (
-            dd.dd_from_lsp(op)
-            if isinstance(op, ops.LspOperation)
-            else dd.dd_from_lopsp(op)
-        )
+        sym = dd.dd(op)
         text = dd.write_dd(sym)
         assert dd.parse_dd(text) == sym
         assert dd.write_dd(dd.parse_dd(text)) == text

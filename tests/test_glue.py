@@ -340,18 +340,19 @@ def test_broken_gluing_is_caught():
 
     g = polyhedra.cube()
     ops.apply(gyro, g)
-    frame = DoubleChamberSystem(g).graph
     with pytest.raises(InternalInvariant, match="^glue: Euler characteristic"):
-        ops._glue(frame, gyro._templates[None], g.genus() + 1, gyro)
+        ops._glue(g, gyro._templates[None], g.genus() + 1, gyro)
 
-    # a fan that lists a result dart twice, or leaves one out
+    # a fan that lists a result dart twice, or leaves one out: a type-1
+    # vertex of T with three darts into it, or four, or one
     tm = gyro._templates[None]
-    i = next(i for i, fan in enumerate(tm.fans) if fan[3])
+    i = next(i for i, fan in enumerate(tm.fans) if len(fan[3]) >= 2)
     vertex, first, nxt, heads = tm.fans[i]
-    for broken in (heads + heads[:1], heads[1:]):
+    for broken in (heads + heads[:1], heads[:1] * 3 + heads[1:], heads[1:],
+                   heads[1:2] + heads[1:]):
         fans = tm.fans[:i] + [(vertex, first, nxt, broken)] + tm.fans[i + 1:]
         with pytest.raises(InternalInvariant, match="^glue: a result dart is listed twice or not"):
-            ops._glue(frame, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
+            ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
 
 
 # ---------------------------------------------------------------------------
