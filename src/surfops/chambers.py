@@ -14,12 +14,15 @@ in G, the double chamber graph keeps the B-darts 0..4n-1, and dart r of
 frame (``double_chamber_frame``): its cells, their corners and sides and
 the ends of its edges, each a closed-form function of G's darts, numbered
 as the graph form (``DoubleChamberSystem``, kept as the tests' oracle)
-numbers them, but without building that graph.
+numbers them, but without building that graph.  Gluing the result graph
+reads only the frame's vertex of each dart's face, edge and tail; the
+cells and edge ends are listed when the glued triangulation is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .embedded import EmbeddedGraph
 
@@ -159,7 +162,9 @@ class DoubleChamberFrame:
 
     * vertices by their smallest B-dart: vertex v of G at twice its
       smallest dart, edge e at twice its smallest dart plus one, and the
-      faces after them in G's face order; ``labels`` gives their types;
+      faces after them in G's face order; ``labels`` gives their types,
+      and ``face``, ``edge`` and ``tail`` the frame vertex of each dart's
+      face, edge and tail;
     * frame edge d < n joins tail(d) to edge(d) (B-darts 2d, 2d + 1), and
       frame edge n + d joins tail(d) to face_of(d), across the angle that
       dart d closes (B-darts 2(n + d), 2(n + d) + 1); ``ends`` lists each
@@ -169,12 +174,29 @@ class DoubleChamberFrame:
       tail d), read from its type-2 corner against its facial walk, with
       its sides, the frame edges (n + sigma(inv d), inv d, d, n + d)
       between consecutive corners.
+
+    ``ends`` and ``cells`` are made on first read; gluing the result
+    graph reads only the per-dart tables.
     """
 
     base: EmbeddedGraph  # G
     labels: tuple
-    ends: tuple
-    cells: tuple
+    face: list
+    edge: list
+    tail: list
+
+    @cached_property
+    def ends(self):
+        return tuple(zip(self.edge + self.face, self.tail + self.tail))
+
+    @cached_property
+    def cells(self):
+        g = self.base
+        n, sigma, inv = g.dart_count, g.sigma, g.inv
+        face, edge, tail = self.face, self.edge, self.tail
+        return tuple(((face[d], tail[inv[d]], edge[d], tail[d]),
+                      (n + sigma[inv[d]], inv[d], d, n + d))
+                     for pair in g.edge_darts() for d in pair)
 
     def edge_cells(self):
         """The two cells on the sides of each frame edge: those of d and
@@ -194,25 +216,21 @@ def double_chamber_frame(g):
     """The double chamber graph of G as a ``DoubleChamberFrame``, read off
     G's darts in O(E) without building the graph."""
     n = g.dart_count
-    sigma, inv, vertex_of, rotations = g.sigma, g.inv, g.vertex_of, g.rotations()
+    inv, vertex_of, rotations = g.inv, g.vertex_of, g.rotations()
     node = [0] * len(rotations)  # vertex of G -> frame vertex
-    labels, enode = [], []
+    labels, edge, face = [], [0] * n, [0] * n
     for d in range(n):
         if rotations[vertex_of[d]][0] == d:  # the smallest dart of its vertex
             node[vertex_of[d]] = len(labels)
             labels.append(0)
         if d < inv[d]:
-            enode.append(len(labels))
+            edge[d] = edge[inv[d]] = len(labels)
             labels.append(1)
-    fbase = len(labels)
+    for f, walk in enumerate(g.faces(), len(labels)):
+        for d in walk:
+            face[d] = f
     labels += [2] * len(g.faces())
-    face = [fbase + f for f in map(g.face_of, range(n))]  # dart -> frame vertex
-    edge = [enode[e] for e in map(g.edge_of, range(n))]
-    tail = [node[v] for v in vertex_of]
-    cells = tuple(((face[d], tail[inv[d]], edge[d], tail[d]),
-                   (n + sigma[inv[d]], inv[d], d, n + d))
-                  for pair in g.edge_darts() for d in pair)
-    return DoubleChamberFrame(g, tuple(labels), tuple(zip(edge + face, tail + tail)), cells)
+    return DoubleChamberFrame(g, tuple(labels), face, edge, [node[v] for v in vertex_of])
 
 
 class DoubleChamberSystem:

@@ -58,10 +58,10 @@ def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no, labels=No
         for tok in toks:
             if tok[0] not in "+-":
                 raise ParseError("edge token %r needs a sign" % tok, "line %d" % line_no)
-            try:
-                e = int(tok[1:])
-            except ValueError:
+            digits = tok[1:]
+            if not (digits.isascii() and digits.isdigit()):  # int() also takes "+1", "1_0"
                 raise ParseError("bad edge token %r" % tok, "line %d" % line_no)
+            e = int(digits)
             if not 1 <= e <= n_edges:
                 raise ParseError("edge %d out of range" % e, "line %d" % line_no)
             side = 0 if tok[0] == "+" else 1

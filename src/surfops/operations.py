@@ -22,6 +22,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass
+from itertools import accumulate, chain, repeat
 
 from .chambers import ChamberSystem, double_chamber_frame
 from .embedded import EmbeddedGraph, InternalInvariant
@@ -505,10 +506,14 @@ class _CellTemplate:
     Vertex base 0 is the cell's first interior vertex, 1+k the first
     interior vertex of chain k, 1+S+k the cell's k-th corner (S segments).
 
-    ``fans`` gives each type-0 vertex its darts inside the cell, in
-    rotation order, as (vertex, first dart, next dart, type-1 heads):
-    ``next`` starts the next cell's fan around it, or is ``first`` for an
-    interior vertex, whose fan starts at its smallest dart.
+    ``fans`` has a slot for each type-0 vertex: its darts inside the
+    cell, in rotation order, as (vertex, first dart, next dart, type-1
+    heads).  ``next`` is ``first`` for an interior vertex, whose fan
+    starts at its smallest dart; otherwise it is the chain dart on a side
+    where the fan of the cell across starts, in the slot whose first dart
+    has the same const on the facing side (sides 1 and 2 face each
+    other, as do 0 and 3).  Gluing lays a slot down in every cell at
+    once and walks each vertex's fans along ``next``, each fan once.
     """
 
     chains: dict  # (type, type) -> (vertex lifts, edge lifts) of a chain, from the higher type
@@ -593,52 +598,106 @@ def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edg
     return tm
 
 
+# dart base of a cell side -> that of the side facing it in the cell across:
+# sides 1 and 2 face through inv, 0 and 3 through phi; the interior stays
+_ACROSS = {0: 0, 1: 4, 2: 3, 3: 2, 4: 1}
+
+
+def _shifted(column, c):
+    return [x + c for x in column] if c else column
+
+
 def _glue(g, tm, base_genus, op):
     """Glue a copy of the template into every cell (double chamber) of the
     frame of G, after subdividing each frame edge by the chain of its
     types.
 
-    Only the result graph is made, from the template's fans; T and the
-    fields indexed by it wait for ``_glue_slots``.  The result's vertices
-    are T's type-0 vertices in T's order, each with its cells' fans from
-    its smallest T-dart.  T's counts must give G's Euler characteristic,
-    and every result dart must be listed once.
+    Only the result graph is made, a template slot at a time: fan f n + d
+    is slot f's fan in the cell of dart d, and each of its ids is a column
+    over the darts, read off G as ``DoubleChamberFrame`` documents.  A
+    fan's ``next`` starts the fan of the slot with that first dart in the
+    cell across.  The result's vertices are T's type-0 vertices in T's
+    order; each takes its fans once, from the one with its smallest
+    T-dart, and a ``next`` that starts no fan, another vertex's fan or one
+    taken is an ``InternalInvariant``.  Result darts are numbered vertex
+    by vertex, so rotations are ranges.  T's counts must give G's Euler
+    characteristic, and every result dart must be listed once.  T and the
+    fields indexed by it wait for ``_glue_slots``.
     """
     frame = double_chamber_frame(g)
-    n = g.dart_count
+    n, inv = g.dart_count, g.inv
     # the chains of the n frame edges of types (1, 0), then of the n of types (2, 0)
     (v1, e1), (v2, e2) = (map(len, tm.chains[t, 0]) for t in (1, 2))
-    nvt = len(frame.labels)
-    vbase = [nvt + x * v1 for x in range(n)] + [nvt + n * v1 + x * v2 for x in range(n)]
-    ebase = [x * e1 for x in range(n)] + [n * e1 + x * e2 for x in range(n)]
-    nvt, net = nvt + n * (v1 + v2), n * (e1 + e2)
+    nvf = len(frame.labels)
+    vbase = [nvf + x * v1 for x in range(n)] + [nvf + n * v1 + x * v2 for x in range(n)]
+    nvt, net = nvf + n * (v1 + v2), n * (e1 + e2)  # the cells' interiors follow
     cv, ce = len(tm.vertex_lift), len(tm.edge_lift)  # interior vertices and edges of a cell
-    fan_at = {}  # first dart of a fan -> (its heads, the first dart of the next fan)
-    start = {}  # type-0 vertex -> its smallest dart
-    for corners, sides in frame.cells:
-        db = [2 * net] + [2 * ebase[x] for x in sides]
-        vb = [nvt] + [vbase[x] for x in sides] + list(corners)
-        for (b, c), (fb, fc), (nb, nc), heads in tm.fans:
-            v, first = vb[b] + c, db[fb] + fc
-            fan_at[first] = ([vb[x] + y for x, y in heads], db[nb] + nc)
-            if first < start.get(v, first + 1):
-                start[v] = first
-        nvt += cv
-        net += ce
-    if nvt - net + n * len(tm.face_lift) != 2 - 2 * base_genus:
+    if nvt - net + n * (cv - ce + len(tm.face_lift)) != 2 - 2 * base_genus:
         raise InternalInvariant("glue", "Euler characteristic differs from the base graph's")
-    heads, rotations, type0 = [], [], sorted(start)
-    for v in type0:
-        lo, d = len(heads), start[v]
-        while True:
-            fan, d = fan_at[d]
-            heads += fan
-            if d == start[v]:
-                break
-        rotations.append(range(lo, len(heads)))
+
+    phi = [g.sigma[x] for x in inv]
+    phi_inv = [0] * n
+    for d, x in enumerate(phi):
+        phi_inv[x] = d
+    side = ([n + x for x in phi], inv, range(n), range(n, 2 * n))  # frame edge of side k
+    # by dart base: the cell across, and the cell with the x-th frame edge
+    # of its class (or the x-th cell) there, each by its dart
+    across = (range(n), phi, inv, inv, phi_inv)
+    owner = [None, phi_inv, inv, range(n), range(n)]
+    vbases = {b for (b, _), _, _, heads in tm.fans for b in (b, *(h for h, _ in heads))}
+    if 0 in vbases | {fan[1][0] for fan in tm.fans}:
+        owner[0] = [d for pair in g.edge_darts() for d in pair]
+        cell = [0] * n
+        for q, d in enumerate(owner[0]):
+            cell[d] = q
+    vcol = {b: [nvt + cv * q for q in cell] if b == 0  # T-vertex of base b in d's cell
+            else [vbase[x] for x in side[b - 1]] if b < 5
+            else [frame.tail[x] for x in inv] if b == 6
+            else (frame.face, None, frame.edge, frame.tail)[b - 5] for b in vbases}
+
+    slot_of = {fan[1]: f for f, fan in enumerate(tm.fans)}  # (base, const) of a first dart
+    vert, nxt, hd = [], [], []  # of fan f n + d: its T-vertex, the next fan, the heads
+    for (b, c), _, (nb, nc), heads in tm.fans:
+        vert += _shifted(vcol[b], c)
+        t = slot_of.get((_ACROSS.get(nb), nc))
+        if t is None:
+            raise InternalInvariant("glue", "a fan's next starts no fan in the cell of G's", dart=0)
+        nxt += _shifted(across[nb], t * n)
+        hd += zip(*[_shifted(vcol[hb], hc) for hb, hc in heads]) if heads else [()] * n
+    # the fans by first T-dart: on the (1, 0) frame edges, the (2, 0) ones,
+    # then inside the cells, by frame edge or cell, then by const
+    by_first = []
+    for group in ((2, 3), (1, 4), (0,)):
+        slots = sorted((fc, f, fb) for f, (_, (fb, fc), _, _) in enumerate(tm.fans) if fb in group)
+        by_first += chain.from_iterable(zip(*[_shifted(owner[fb], f * n) for _, f, fb in slots]))
+
+    type0, around = [], []  # each vertex and the heads of its fans
+    for i0 in by_first:
+        v = vert[i0]
+        if v < 0:  # taken
+            continue
+        vertex_heads, i = [], i0
+        while vert[i] == v:
+            vert[i] = -1
+            vertex_heads += hd[i]
+            i = nxt[i]
+        if i != i0:
+            raise InternalInvariant("glue", "a vertex's fans do not close up in the cell of G's",
+                                    dart=i % n)
+        type0.append(v)
+        around.append(vertex_heads)
+    by_vertex = sorted(range(len(type0)), key=type0.__getitem__)
+    type0 = tuple(map(type0.__getitem__, by_vertex))
+    if len(set(type0)) < len(type0):
+        raise InternalInvariant("glue", "a vertex's fans close up twice")
+    around = list(map(around.__getitem__, by_vertex))
+    heads = list(chain.from_iterable(around))
+    degrees = list(map(len, around))
+    if 0 in degrees:
+        raise InternalInvariant("glue", "a result vertex has no darts")
     # the two result darts into each type-1 vertex of T are reverses
     pairing = [-1] * len(heads)
-    first_in = [-1] * nvt  # T-vertex -> the first dart into it, -2 once it has two
+    first_in = [-1] * (nvt + n * cv)  # T-vertex -> the first dart into it, -2 once it has two
     for d, h in enumerate(heads):
         e = first_in[h]
         if e == -2:
@@ -649,9 +708,17 @@ def _glue(g, tm, base_genus, op):
             pairing[d], pairing[e], first_in[h] = e, d, -2
     if -1 in pairing:
         raise InternalInvariant("glue", "a result dart is listed twice or not at all")
-    result = EmbeddedGraph.from_rotations(rotations, pairing, check=False)
+    his = list(accumulate(degrees))  # each vertex's darts are a range, in rotation order
+    los = [0] + his[:-1]
+    sigma = list(range(1, len(heads) + 1))
+    for lo, hi in zip(los, his):
+        sigma[hi - 1] = lo
+    vertex_of = chain.from_iterable(map(repeat, range(len(los)), degrees))
+    result = EmbeddedGraph(sigma, pairing, vertex_of)
+    result._rotations = tuple(map(tuple, map(range, los, his)))
+    ebase = [x * e1 for x in range(n)] + [n * e1 + x * e2 for x in range(n)]
     return ApplicationResult(result, op, lambda: dict(
-        _glue_slots(frame, tm, op, vbase, ebase), result_vertex_node=tuple(type0),
+        _glue_slots(frame, tm, op, vbase, ebase), result_vertex_node=type0,
         result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
 
 

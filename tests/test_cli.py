@@ -75,6 +75,15 @@ def test_canon_empty_rotation_line(tmp_path, capsys):
     assert err.startswith("error:") and "empty rotation" in err and "line 4" in err
 
 
+def test_canon_signed_twice_edge_token(tmp_path, capsys):
+    path = tmp_path / "bad.rot"
+    path.write_text("rot 2 1\n1: ++1\n2: -1\n", encoding="ascii")
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "bad edge token '++1'" in err and "line 2" in err
+
+
 def test_canon_isolated_vertex_planar_code(tmp_path, capsys):
     # three vertices, the third without neighbours: a disconnected graph
     path = tmp_path / "isolated.pc"

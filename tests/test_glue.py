@@ -110,10 +110,28 @@ def test_catalog_on_solids_and_k7(name):
         check_both_routes(op, g)
 
 
+def random_multigraphs():
+    """Twenty random maps at E 4-10, with loops, parallel edges and genus
+    up to 3."""
+    rng = random.Random(2026)
+    return [polyhedra.random_embedded(rng, rng.randint(4, 10)) for _ in range(20)]
+
+
+def test_random_multigraphs_have_loops_parallels_and_genus_two():
+    loops = parallels = 0
+    for g in random_multigraphs():
+        ends = [frozenset((g.vertex_of[d], g.head(d))) for d, _ in g.edge_darts()]
+        links = [e for e in ends if len(e) == 2]
+        loops += len(ends) - len(links)
+        parallels += len(links) - len(set(links))
+    assert loops and parallels
+    assert max(g.genus() for g in random_multigraphs()) >= 2
+
+
 @pytest.mark.parametrize("name", OPERATION_FILES)
 def test_data_operations(name):
     op = data_ops()[name]
-    for g in named_seeds().values():
+    for g in list(named_seeds().values()) + random_multigraphs():
         check_both_routes(op, g)
 
 
@@ -156,6 +174,8 @@ def test_composite_operations(outer, inner):
         assert ops.apply(op, g).result.canonical_code() == want.canonical_code()
     tm = op._templates[None]
     assert any(vertex[0] == 0 and len(heads) > 1 for vertex, _, _, heads in tm.fans)
+    for g in random_multigraphs():  # interior fans on loops and parallel edges
+        check_both_routes(op, g)
 
 
 def test_random_graphs():
@@ -321,6 +341,28 @@ def test_apply_validates_no_graph(monkeypatch):
     assert checks == []
 
 
+def test_warm_apply_builds_rotations_from_dart_ranges(monkeypatch):
+    """Gluing numbers the result's darts vertex by vertex and builds it
+    trusted, with its rotations as those ranges; ``from_rotations``,
+    which would walk them again, is not called."""
+    gyro = ops.catalog("gyro")
+    g = polyhedra.k7_torus()
+    ops.apply(gyro, g)
+    calls = []
+    from_rotations = EmbeddedGraph.from_rotations.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return from_rotations(cls, *args, **kwargs)
+
+    monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(counting))
+    res = ops.apply(gyro, g)
+    assert calls == []
+    assert res.result.rotations() == orbit_table(res.result)
+    rotations = res.result.rotations()
+    assert [r[0] for r in rotations] == [0] + [r[-1] + 1 for r in rotations[:-1]]
+
+
 def test_broken_gluing_is_caught():
     gyro = ops.catalog("gyro")
     patch = ops.double_chamber_patch(gyro, ops.find_cut_path(gyro))
@@ -353,6 +395,37 @@ def test_broken_gluing_is_caught():
         fans = tm.fans[:i] + [(vertex, first, nxt, broken)] + tm.fans[i + 1:]
         with pytest.raises(InternalInvariant, match="^glue: a result dart is listed twice or not"):
             ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
+
+    # a fan whose next starts no fan (fans[1]'s const one off names its
+    # own first dart), or starts the fan of another vertex (fans[0]'s
+    # names fans[1]'s first from across): the walk around a vertex stops
+    (vertex, first, _, heads), other = tm.fans[0], tm.fans[1]
+    assert other[0] != vertex and other[1][0] > 0
+    off_grid = other[:2] + ((other[2][0], other[2][1] + 1), other[3])
+    into_other = (vertex, first, (ops._ACROSS[other[1][0]], other[1][1]), heads)
+    for k, fan, message in ((1, off_grid, "a fan's next starts no fan in the cell of G's"),
+                            (0, into_other, "a vertex's fans do not close up in the cell of G's")):
+        fans = tm.fans[:k] + [fan] + tm.fans[k + 1:]
+        with pytest.raises(InternalInvariant, match="^glue: %s dart [0-9]+$" % message):
+            ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
+
+    # a vertex of G whose fans have no heads: fans[0], at corner 3, has
+    # none, and the one at corner 1 loses its own
+    assert vertex == (8, 0) and not heads
+    i = next(i for i, fan in enumerate(tm.fans) if fan[0] == (6, 0))
+    fans = tm.fans[:i] + [tm.fans[i][:3] + ([],)] + tm.fans[i + 1:]
+    with pytest.raises(InternalInvariant, match="^glue: a result vertex has no darts$"):
+        ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
+
+    # two interior fans of a composite given the same vertex: each closes
+    # up on itself, so that vertex's fans close up twice
+    op = composite(ops.catalog("truncation"), ops.catalog("gyro"))
+    ops.apply(op, g)
+    tm = op._templates[None]
+    i, j = [i for i, fan in enumerate(tm.fans) if fan[0][0] == 0][:2]
+    fans = tm.fans[:i] + [(tm.fans[j][0],) + tm.fans[i][1:]] + tm.fans[i + 1:]
+    with pytest.raises(InternalInvariant, match="^glue: a vertex's fans close up twice$"):
+        ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), op)
 
 
 # ---------------------------------------------------------------------------

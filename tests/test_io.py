@@ -37,6 +37,19 @@ def test_rot_parse_errors_carry_positions():
         io.parse_rot("rot 2 1\n1: +1\n2: +1\n")  # sign used twice
 
 
+@pytest.mark.parametrize("token", ["++1", "-+1", "+-1", "+\u0661", "+1_0", "+\u00b9", "+"])
+def test_rot_edge_token_is_one_sign_and_ascii_digits(token):
+    """``int`` takes a second sign, an underscore and non-ASCII digits;
+    an edge token takes none of them, in ``rot`` and operation files
+    alike, which share the parser."""
+    with pytest.raises(io.ParseError, match="^bad edge token"):
+        io.parse_rot("rot 2 1\n1: %s\n2: -1\n" % token)
+    text = io.write_op(ops.catalog("gyro"))
+    assert "\n1: +1 +4\n" in text
+    with pytest.raises(io.ParseError, match="^bad edge token"):
+        io.parse_op(text.replace("\n1: +1 +4\n", "\n1: %s +4\n" % token))
+
+
 def test_planar_code_roundtrip_bytes():
     data = io.write_planar_code([polyhedra.cube()])
     graphs = io.parse_planar_code(data)
