@@ -27,8 +27,9 @@ from functools import cached_property
 from .embedded import EmbeddedGraph
 
 
-def _build_bary(g):
-    """Rotation system of the barycentric subdivision.
+def barycentric(g):
+    """``B_G``, its vertices labelled by type: ids 0..V-1 are the vertices
+    of G, then one id per edge, then one per face.
 
     B-edges are indexed 0..6E-1: id d is the vertex--edge edge for dart d,
     2E+d the vertex--face edge for the angle closed by dart d, 4E+d the
@@ -68,12 +69,6 @@ def _build_bary(g):
         pairing[2 * b] = 2 * b + 1
         pairing[2 * b + 1] = 2 * b
     return EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
-
-
-def barycentric(g):
-    """``B_G``, its vertices labelled by type: ids 0..V-1 are the vertices
-    of G, then one id per edge, then one per face."""
-    return _build_bary(g)
 
 
 def radial(g):
@@ -242,7 +237,7 @@ class DoubleChamberSystem:
     when the underlying edge of G is a loop), one of type 1 and one of
     type 2.
 
-    The graph keeps the B-darts 0..4n-1 of ``_build_bary``, so B-dart
+    The graph keeps the B-darts 0..4n-1 of ``barycentric``, so B-dart
     2b+1 is the reverse of 2b, and numbers its vertices by their
     smallest dart, as the embedded subgraph of ``B_G`` on those darts
     would.

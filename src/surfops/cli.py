@@ -3,8 +3,10 @@
 Results go to stdout, machine-readable diagnostics to stderr.  Exit codes:
 0 success, 1 validation failure, 2 usage or parse errors or a file that
 cannot be read or written, 3 a broken internal invariant (a bug in
-surfops, reported with its stage).  All
-commands are deterministic for a fixed ``--seed``.
+surfops, reported with its stage).  All commands are deterministic for a
+fixed ``--seed``.  The library checks an operation where it takes it in,
+so an invalid one exits 1 with one line
+``error: invalid-operation <clause>; ...``; ``validate`` lists its clauses.
 """
 
 from __future__ import annotations
@@ -30,11 +32,13 @@ class CliError(Exception):
         self.code = code
 
 
-def _read_text(path):
+def _read(path):
+    """The bytes of a file, or of stdin for ``-``."""
     if path == "-":
-        return sys.stdin.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        return stream.read() if stream is not None else sys.stdin.read().encode("ascii")
     try:
-        with open(path, "r", encoding="ascii") as handle:
+        with open(path, "rb") as handle:
             return handle.read()
     except OSError as exc:
         raise CliError("cannot read %s: %s" % (path, exc), 2)
@@ -42,15 +46,7 @@ def _read_text(path):
 
 def _load_graphs(path):
     """All graphs of the input: one rot graph or a planar_code stream."""
-    if path == "-":
-        stream = getattr(sys.stdin, "buffer", None)
-        data = stream.read() if stream is not None else sys.stdin.read().encode("ascii")
-    else:
-        try:
-            with open(path, "rb") as handle:
-                data = handle.read()
-        except OSError as exc:
-            raise CliError("cannot read %s: %s" % (path, exc), 2)
+    data = _read(path)
     try:
         if data.startswith(io.PLANAR_CODE_HEADER):
             graphs = io.parse_planar_code(data)
@@ -72,19 +68,11 @@ def _load_graph(path):
 def _load_op(name_or_path):
     if name_or_path in CATALOG_NAMES:
         return operations.catalog(name_or_path)
+    data = _read(name_or_path)
     try:
-        return io.parse_op(_read_text(name_or_path))
+        return io.parse_op(data.decode("ascii"))
     except (io.ParseError, io.FormatViolation, ValueError) as exc:
         raise CliError("parse %s: %s" % (name_or_path, exc), 2)
-
-
-def _require_valid(op):
-    diag = op.validate()
-    if diag:
-        for d in diag:
-            print("error: invalid-operation %s" % d, file=sys.stderr)
-        raise CliError("operation is not valid", 1)
-    return op
 
 
 def _cmd_validate(args):
@@ -99,8 +87,7 @@ def _cmd_validate(args):
 
 
 def _cmd_classify(args):
-    op = _require_valid(_load_op(args.operation))
-    report = operations.classify_ck(op)
+    report = operations.classify_ck(_load_op(args.operation))
     print(report.k)
     if report.k < 3:
         wit = report.witness
@@ -119,7 +106,8 @@ def _cmd_classify(args):
 
 
 def _cmd_apply(args):
-    op = _require_valid(_load_op(args.operation))
+    op = _load_op(args.operation)
+    op.require_valid()  # before the graphs are read
     cut_path = None
     if args.cut_path == "random":
         cut_path = operations.find_cut_path(op, "seeded-random", seed=args.seed)
@@ -163,14 +151,12 @@ def _cmd_ckcheck(args):
 
 
 def _cmd_ddsymbol(args):
-    op = _require_valid(_load_op(args.operation))
-    sys.stdout.write(delaney.write_dd(delaney.dd(op)))
+    sys.stdout.write(delaney.write_dd(delaney.dd(_load_op(args.operation))))
     return 0
 
 
 def _cmd_curvature(args):
-    op = _require_valid(_load_op(args.operation))
-    print(delaney.curvature(delaney.dd(op)))
+    print(delaney.curvature(delaney.dd(_load_op(args.operation))))
     return 0
 
 
@@ -178,7 +164,7 @@ def _cmd_convert(args):
     op = _load_op(args.operation)
     if op.kind != "lsp":
         raise CliError("convert expects an lsp-operation", 2)
-    sys.stdout.write(io.write_op(_require_valid(op).lopsp()))
+    sys.stdout.write(io.write_op(op.lopsp()))
     return 0
 
 

@@ -178,24 +178,19 @@ def is_dd_morphism(d1, d2, mapping):
 
 
 def _dd_from_chambers(op, outer_vertices):
-    """Symbol on the chambers of an operation.  m is the orbit size at a
-    corner on the outer boundary of an lsp-operation and half of it
-    elsewhere, times 2, 3 or 6 at v1, v0 or v2 respectively."""
-    cs = op.chamber_system()
-    shape = DelaneySymbol(cs.s, {})  # for its orbits
-    m = {p: [0] * len(cs) for p in _PAIRS}
+    """Symbol on the chambers of a validated operation.  The
+    <s_i, s_j>-orbit of a chamber is the fan around its corner v of type
+    3 - i - j: deg v chambers at an inner vertex, where m is half that
+    (deg v is even, as v's neighbours alternate between the two other
+    types), and deg v - 1 on an lsp-operation's outer walk, which
+    validation proves simple, where m is the orbit size; times 2, 3 or 6
+    at v1, v0 or v2.  So m is read off the degrees, walking no orbit."""
+    g = op.graph
     factor = {op.v1: 2, op.v0: 3, op.v2: 6}
-    for (i, j) in _PAIRS:
-        row = m[(i, j)]
-        for orb in shape.orbits((i, j)):
-            corner = cs.corner[next(iter(orb))][3 - i - j]
-            size = len(orb)
-            if corner not in outer_vertices:
-                if size % 2:
-                    raise ValueError("odd <s%d,s%d>-orbit at an inner corner" % (i, j))
-                size //= 2
-            for c in orb:
-                row[c] = size * factor.get(corner, 1)
+    m_at = [(g.degree(v) - 1 if v in outer_vertices else g.degree(v) // 2)
+            * factor.get(v, 1) for v in range(g.vertex_count)]
+    cs = op.chamber_system()
+    m = {(i, j): [m_at[corner[3 - i - j]] for corner in cs.corner] for (i, j) in _PAIRS}
     return DelaneySymbol(cs.s, m)
 
 

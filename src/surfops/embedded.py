@@ -186,7 +186,10 @@ class EmbeddedGraph:
         """Build a simple graph from neighbour lists in rotation order.
 
         Only for loop-free graphs without parallel edges; the dart from u
-        to v is paired with the dart from v to u.
+        to v is paired with the dart from v to u.  Once each row is
+        simple and each edge listed at both ends, the darts are complete
+        and that pairing is a fixed-point-free involution, so of the
+        checks of ``from_rotations`` only ``_check_assembled`` runs.
         """
         darts = {}
         rotations = []
@@ -205,7 +208,11 @@ class EmbeddedGraph:
             if (v, u) not in darts:
                 raise ValueError("edge %s-%s only listed at one endpoint" % (u, v))
             pairing[d] = darts[(v, u)]
-        return cls.from_rotations(rotations, pairing, labels=labels)
+        if [] in rotations:
+            raise Disconnected("vertex %d has no darts" % rotations.index([]))
+        g = cls.from_rotations(rotations, pairing, labels=labels, check=False)
+        _check_assembled(g)
+        return g
 
     # -- basic queries -------------------------------------------------
 

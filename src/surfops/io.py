@@ -7,6 +7,11 @@ sign, a loop shows both signs on one line.  That makes loops and parallel
 edges unambiguous, which neighbour lists are not.  Planar code is
 supported for interoperability with standard plane-graph generators and
 therefore restricted to simple graphs.
+
+The `rot` and operation formats share one strict reader (``_read_header``,
+``_number``, ``_darts``): numbers are ASCII digits and edge tokens one
+sign and ASCII digits, where ``int`` would also take a sign, an
+underscore or a non-ASCII digit.
 """
 
 from __future__ import annotations
@@ -31,57 +36,82 @@ class FormatViolation(ValueError):
     pass
 
 
-def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no, labels=None):
-    """Rotation lines `v: s1 s2 ...` -> the embedded graph.
+def _number(tok):
+    """The value of ASCII digits with whitespace around them, else None."""
+    tok = tok.strip()
+    return int(tok) if tok.isascii() and tok.isdigit() else None
+
+
+class _BadToken(Exception):
+    """(kind, token, edge) of an edge token with no sign (kind 0), with
+    other than ASCII digits (1) or with its edge out of range (2)."""
+
+
+def _darts(toks, n_edges, seen):
+    """Darts of the edge tokens +e and -e, 2e - 2 and 2e - 1 for e in
+    1..n_edges, each added to ``seen``, which it must not be in yet."""
+    out = []
+    for tok in toks:
+        sign, digits = tok[0], tok[1:]
+        if sign not in "+-" or not (digits.isascii() and digits.isdigit()):
+            raise _BadToken(int(sign in "+-"), tok, None)
+        e = int(digits)
+        if not 1 <= e <= n_edges:
+            raise _BadToken(2, tok, e)
+        d = 2 * e - 1 if sign == "-" else 2 * e - 2
+        if d in seen:
+            raise FormatViolation("edge %d appears twice with sign %s" % (e, sign))
+        seen.add(d)
+        out.append(d)
+    return out
+
+
+def _read_header(text, kinds):
+    """(kind, V, E, body) of a `<kind> <V> <E>` file, body the numbered
+    non-blank lines after the header, stripped."""
+    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    if not lines:
+        raise ParseError("empty input", "line 1")
+    header = lines[0].split()
+    if len(header) != 3 or header[0] not in kinds:
+        raise ParseError("expected header `%s <V> <E>`" % "|".join(kinds), "line 1")
+    nv, ne = _number(header[1]), _number(header[2])
+    if nv is None or ne is None:
+        raise ParseError("bad counts in header", "line 1")
+    return header[0], nv, ne, list(enumerate(lines[1:], start=2))
+
+
+def _parse_signed_rotations(body, n_vertices, n_edges, labels=None):
+    """Numbered rotation lines `v: s1 s2 ...` -> the embedded graph.
 
     Every signed edge is listed once, and the two signs of an edge are
     the darts 2k and 2k + 1, so the darts are complete and paired by
     ``d ^ 1``.  Of the checks of ``from_rotations`` only those of
     ``_check_assembled`` can still fail, so only those run."""
     rotations = [None] * n_vertices
-    sign_seen = {}
-    for offset, line in enumerate(lines):
-        line_no = first_line_no + offset
+    seen = set()
+    for line_no, line in body:
         head, _, rest = line.partition(":")
-        try:
-            v = int(head)
-        except ValueError:
-            raise ParseError("expected `vertex: ...` rotation line", "line %d" % line_no)
+        v, toks, where = _number(head), rest.split(), "line %d" % line_no
+        if v is None:
+            raise ParseError("expected `vertex: ...` rotation line", where)
         if not 1 <= v <= n_vertices:
-            raise ParseError("vertex %d out of range" % v, "line %d" % line_no)
+            raise ParseError("vertex %d out of range" % v, where)
         if rotations[v - 1] is not None:
-            raise ParseError("vertex %d listed twice" % v, "line %d" % line_no)
-        toks = rest.split()
+            raise ParseError("vertex %d listed twice" % v, where)
         if not toks:
-            raise ParseError("vertex %d has an empty rotation" % v, "line %d" % line_no)
-        rot = []
-        for tok in toks:
-            if tok[0] not in "+-":
-                raise ParseError("edge token %r needs a sign" % tok, "line %d" % line_no)
-            digits = tok[1:]
-            if not (digits.isascii() and digits.isdigit()):  # int() also takes "+1", "1_0"
-                raise ParseError("bad edge token %r" % tok, "line %d" % line_no)
-            e = int(digits)
-            if not 1 <= e <= n_edges:
-                raise ParseError("edge %d out of range" % e, "line %d" % line_no)
-            side = 0 if tok[0] == "+" else 1
-            key = (e, side)
-            if key in sign_seen:
-                raise FormatViolation(
-                    "edge %d appears twice with sign %s" % (e, tok[0])
-                )
-            sign_seen[key] = True
-            rot.append(2 * (e - 1) + side)
-        rotations[v - 1] = rot
-    for v in range(n_vertices):
-        if rotations[v] is None:
-            raise FormatViolation("vertex %d has no rotation line" % (v + 1))
-    for e in range(1, n_edges + 1):
-        for side in (0, 1):
-            if (e, side) not in sign_seen:
-                raise FormatViolation(
-                    "edge %d misses its %s occurrence" % (e, "+-"[side])
-                )
+            raise ParseError("vertex %d has an empty rotation" % v, where)
+        try:
+            rotations[v - 1] = _darts(toks, n_edges, seen)
+        except _BadToken as bad:
+            kind, tok, e = bad.args
+            raise ParseError(("edge token %r needs a sign" % tok, "bad edge token %r" % tok,
+                              "edge %s out of range" % e)[kind], where)
+    if None in rotations:
+        raise FormatViolation("vertex %d has no rotation line" % (rotations.index(None) + 1))
+    if len(seen) < 2 * n_edges:
+        d = next(d for d in range(2 * n_edges) if d not in seen)
+        raise FormatViolation("edge %d misses its %s occurrence" % (d // 2 + 1, "+-"[d & 1]))
     pairing = [d ^ 1 for d in range(2 * n_edges)]
     g = EmbeddedGraph.from_rotations(rotations, pairing, labels=labels, check=False)
     _check_assembled(g)
@@ -90,21 +120,10 @@ def _parse_signed_rotations(lines, n_vertices, n_edges, first_line_no, labels=No
 
 def parse_rot(text):
     """Parse the `rot` format into an embedded graph."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty input", "line 1")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "rot":
-        raise ParseError("expected header `rot <V> <E>`", "line 1")
-    try:
-        nv, ne = int(header[1]), int(header[2])
-    except ValueError:
-        raise ParseError("bad counts in header", "line 1")
-    if len(lines) - 1 != nv:
-        raise ParseError(
-            "expected %d rotation lines, found %d" % (nv, len(lines) - 1), "line 2"
-        )
-    return _parse_signed_rotations(lines[1:], nv, ne, 2)
+    _, nv, ne, body = _read_header(text, ("rot",))
+    if len(body) != nv:
+        raise ParseError("expected %d rotation lines, found %d" % (nv, len(body)), "line 2")
+    return _parse_signed_rotations(body, nv, ne)
 
 
 def write_rot(g):
@@ -143,45 +162,26 @@ def parse_planar_code(data):
     pos = len(PLANAR_CODE_HEADER)
     out = []
     while pos < len(data):
-        wide = False
-        n = data[pos]
-        pos += 1
+        n, pos, size = data[pos], pos + 1, 1  # size: bytes per number
         if n == 0:
-            wide = True
             if pos + 2 > len(data):
                 raise ParseError("truncated vertex count", "byte %d" % pos)
-            n = struct.unpack_from("<H", data, pos)[0]
-            pos += 2
-
-        def read_number():
-            nonlocal pos
-            if wide:
-                if pos + 2 > len(data):
-                    raise ParseError("truncated stream", "byte %d" % pos)
-                x = struct.unpack_from("<H", data, pos)[0]
-                pos += 2
-            else:
-                if pos >= len(data):
-                    raise ParseError("truncated stream", "byte %d" % pos)
-                x = data[pos]
-                pos += 1
-            return x
-
+            n, pos, size = data[pos] | data[pos + 1] << 8, pos + 2, 2
         neighbours = []
         for v in range(1, n + 1):
             row = []
             while True:
-                w = read_number()
+                if pos + size > len(data):
+                    raise ParseError("truncated stream", "byte %d" % pos)
+                w = data[pos] if size == 1 else data[pos] | data[pos + 1] << 8
+                pos += size
                 if w == 0:
                     break
                 if w == v:
-                    raise FormatViolation(
-                        "planar code import rejects loops (vertex %d)" % v
-                    )
+                    raise FormatViolation("planar code import rejects loops (vertex %d)" % v)
                 if w in row:
                     raise FormatViolation(
-                        "planar code import rejects parallel edges (%d-%d)" % (v, w)
-                    )
+                        "planar code import rejects parallel edges (%d-%d)" % (v, w))
                 row.append(w)
             neighbours.append([w - 1 for w in row])
         out.append(EmbeddedGraph.from_adjacency(neighbours))
@@ -200,16 +200,10 @@ def write_planar_code(graphs):
             simple_rows.append(row)
         n = g.vertex_count
         wide = n > 255
-        if wide:
-            chunks.append(b"\x00" + struct.pack("<H", n))
-        else:
-            chunks.append(bytes([n]))
+        chunks.append(b"\x00" + struct.pack("<H", n) if wide else bytes([n]))
         for row in simple_rows:
             nums = [w + 1 for w in row] + [0]
-            if wide:
-                chunks.append(b"".join(struct.pack("<H", x) for x in nums))
-            else:
-                chunks.append(bytes(nums))
+            chunks.append(struct.pack("<%dH" % len(nums), *nums) if wide else bytes(nums))
     return b"".join(chunks)
 
 
@@ -218,59 +212,46 @@ def write_planar_code(graphs):
 
 def parse_op(text):
     """Parse an operation file into an LspOperation or LopspOperation."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
-    if not lines:
-        raise ParseError("empty input", "line 1")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] not in ("lsp", "lopsp"):
-        raise ParseError("expected header `lsp|lopsp <V> <E>`", "line 1")
-    kind = header[0]
-    try:
-        nv, ne = int(header[1]), int(header[2])
-    except ValueError:
-        raise ParseError("bad counts in header", "line 1")
-    fields = {}
-    field_line = {}
-    rot_lines = []
-    rot_start = None
-    for i, ln in enumerate(lines[1:], start=2):
+    kind, nv, ne, body = _read_header(text, ("lsp", "lopsp"))
+    fields, rot_lines = {}, []  # field -> (tokens, position)
+    for i, ln in body:
         key, _, rest = ln.partition(":")
-        key = key.strip()
-        if key in ("types", "special", "outer"):
-            fields[key] = rest.split()
-            field_line[key] = "line %d" % i
+        if key.strip() in ("types", "special", "outer"):
+            fields[key.strip()] = (rest.split(), "line %d" % i)
         else:
-            rot_lines.append(ln)
-            rot_start = rot_start or i
+            rot_lines.append((i, ln))
 
-    def integer(key, tok):
-        try:
-            return int(tok)
-        except ValueError:
-            raise ParseError("`%s:` needs integers, got %r" % (key, tok), field_line[key])
+    def numbers(key):
+        toks, where = fields[key]
+        out = [_number(tok) for tok in toks]
+        if None in out:
+            raise ParseError("`%s:` needs integers, got %r" % (key, toks[out.index(None)]), where)
+        return out
 
-    if "types" not in fields or len(fields["types"]) != nv:
+    if len(fields.get("types", ((), ""))[0]) != nv:
         raise ParseError("missing or short `types:` line", "line 2")
-    if "special" not in fields or len(fields["special"]) != 3:
+    if len(fields.get("special", ((), ""))[0]) != 3:
         raise ParseError("missing `special: v0 v1 v2` line", "line 2")
-    types = [integer("types", t) for t in fields["types"]]
-    v0, v1, v2 = (integer("special", v) - 1 for v in fields["special"])
+    types = numbers("types")
+    v0, v1, v2 = (v - 1 for v in numbers("special"))
     if not all(0 <= v < nv for v in (v0, v1, v2)):
         raise ParseError("special vertex ids must lie in 1..%d" % nv, "special line")
-    graph = _parse_signed_rotations(rot_lines, nv, ne, rot_start or 2, labels=types)
+    graph = _parse_signed_rotations(rot_lines, nv, ne, labels=types)
     if kind == "lopsp":
         if "outer" in fields:
             raise FormatViolation("lopsp files carry no outer face")
         return LopspOperation(graph, v0, v1, v2)
-    if "outer" not in fields or len(fields["outer"]) != 1:
+    toks, where = fields.get("outer", ((), ""))
+    if len(toks) != 1:
         raise ParseError("lsp files need an `outer: <dart>` line", "line 2")
-    tok = fields["outer"][0]
-    if tok[0] not in "+-":
-        raise ParseError("outer dart %r needs a sign" % tok, "outer line")
-    e = integer("outer", tok[1:])
-    if not 1 <= e <= ne:
-        raise ParseError("outer edge %d out of range" % e, "outer line")
-    outer_dart = 2 * (e - 1) + (0 if tok[0] == "+" else 1)
+    try:
+        (outer_dart,) = _darts(toks, ne, set())
+    except _BadToken as bad:
+        kind, tok, e = bad.args
+        if kind == 1:
+            raise ParseError("`outer:` needs integers, got %r" % tok[1:], where)
+        raise ParseError("outer dart %r needs a sign" % tok if kind == 0
+                         else "outer edge %d out of range" % e, "outer line")
     return LspOperation(graph, v0, v1, v2, outer_dart)
 
 
@@ -280,21 +261,20 @@ def write_op(op):
     g = op.graph
     lines = ["%s %d %d" % (op.kind, g.vertex_count, g.edge_count)]
     lines.append("types: " + " ".join(str(t) for t in g.labels))
-    lines.append(
-        "special: %d %d %d" % (op.v0 + 1, op.v1 + 1, op.v2 + 1)
-    )
+    lines.append("special: %d %d %d" % (op.v0 + 1, op.v1 + 1, op.v2 + 1))
 
     def token(d):
+        """(edge number, sign); "+" sorts before "-"."""
         e = g.edge_of(d)
-        sign = "+" if d == min(g.edge_darts()[e]) else "-"
-        return "%s%d" % (sign, e + 1)
+        return e + 1, "+" if d == min(g.edge_darts()[e]) else "-"
 
-    for v in range(g.vertex_count):
-        rot = g.rotations()[v]
+    def text(toks):
+        return " ".join("%s%d" % (sign, e) for e, sign in toks)
+
+    for v, rot in enumerate(g.rotations()):
         toks = [token(d) for d in rot]
-        smallest = min(range(len(toks)), key=lambda i: (int(toks[i][1:]), toks[i][0] == "-"))
-        toks = toks[smallest:] + toks[:smallest]
-        lines.append("%d: %s" % (v + 1, " ".join(toks)))
+        i = toks.index(min(toks))
+        lines.append("%d: %s" % (v + 1, text(toks[i:] + toks[:i])))
     if op.kind == "lsp":
-        lines.append("outer: " + token(op.outer_dart))
+        lines.append("outer: " + text([token(op.outer_dart)]))
     return "\n".join(lines) + "\n"

@@ -288,6 +288,38 @@ def test_invalid_catalog_file_exits_1(tmp_path, capsys, monkeypatch):
                                 "type1-degree witness=1 deg 2"]
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("classify", "{op}"), "gyro"),
+    (("apply", "{op}", "{graph}"), "gyro"),
+    (("apply", "{op}", "{graph}"), "ambo"),
+    (("apply", "{op}", "{missing}"), "gyro"),  # the operation is checked first
+    (("ddsymbol", "{op}"), "gyro"),
+    (("ddsymbol", "{op}"), "ambo"),
+    (("curvature", "{op}"), "gyro"),
+    (("convert", "{op}"), "ambo"),
+], ids=["classify", "apply", "apply-lsp", "apply-missing-graph", "ddsymbol", "ddsymbol-lsp",
+        "curvature", "convert"])
+def test_invalid_operation_file_exits_1(argv, name, cube_file, tmp_path, capsys):
+    """An invalid operation file is validated once, by the library, and
+    gets one line naming every clause, as a catalog operation does."""
+    text = sio.write_op(catalog(name)).replace("special: 1 2 3", "special: 1 1 3")
+    path = tmp_path / ("bad." + catalog(name).kind)
+    path.write_text(text, encoding="ascii")
+    diagnostics = sio.parse_op(text).validate()
+    files = {"op": path, "graph": cube_file, "missing": tmp_path / "missing.rot"}
+    code, out, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == ["error: invalid-operation " + "; ".join(map(str, diagnostics))]
+
+
+def test_signed_header_count_exits_2(tmp_path, capsys):
+    path = tmp_path / "signed.rot"
+    path.write_text("rot +1 1\n1: +1 -1\n", encoding="ascii")
+    code, out, err = run(capsys, "canon", str(path))
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: parse %s: bad counts in header (at line 1)" % path]
+
+
 @pytest.mark.parametrize("name", CATALOG_NAMES)
 def test_catalog_prints_operation(name, capsys):
     assert run(capsys, "catalog", name) == (0, sio.write_op(catalog(name)), "")

@@ -1,9 +1,13 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 from surfops import delaney as dd
 from surfops import operations as ops
+from surfops.io import parse_op
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def hexagonal_symbol():
@@ -202,3 +206,43 @@ def test_curvature_exact_any_order():
             - Fraction(1, sym.m[(0, 2)][c])
         )
     assert total == dd.curvature(sym) == 0
+
+
+def orbit_m(op, outer_vertices):
+    """m by its definition: the size of each <s_i, s_j>-orbit, halved at
+    an inner corner, times 2, 3 or 6 at v1, v0 or v2."""
+    cs = op.chamber_system()
+    shape = dd.DelaneySymbol(cs.s, {})
+    factor = {op.v1: 2, op.v0: 3, op.v2: 6}
+    m = {}
+    for (i, j) in dd._PAIRS:
+        row = [0] * len(cs)
+        for orb in shape.orbits((i, j)):
+            corner = cs.corner[min(orb)][3 - i - j]
+            size = len(orb)
+            if corner not in outer_vertices:
+                assert size % 2 == 0
+                size //= 2
+            for c in orb:
+                row[c] = size * factor.get(corner, 1)
+        m[(i, j)] = tuple(row)
+    return m
+
+
+def sixteen_operations():
+    """The catalog, the ``tests/data`` operations and the doubles of the
+    six lsp-operations among them."""
+    out = [ops.catalog(name) for name in ops.catalog_names()]
+    for name in sorted(os.listdir(DATA)):
+        if name.endswith((".lsp", ".lopsp")):
+            with open(os.path.join(DATA, name), encoding="ascii") as handle:
+                out.append(parse_op(handle.read()))
+    return out + [op.lopsp() for op in out if op.kind == "lsp"]
+
+
+def test_m_read_off_degrees_equals_orbit_sizes():
+    operations = sixteen_operations()
+    assert len(operations) == 16
+    for op in operations:
+        outer = op.outer_vertices() if op.kind == "lsp" else ()
+        assert dd.dd(op).m == orbit_m(op, outer)

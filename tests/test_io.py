@@ -2,6 +2,7 @@ import pytest
 
 from surfops import io, polyhedra
 from surfops import operations as ops
+from surfops.embedded import EmbeddedGraph
 
 
 def test_rot_roundtrip_canonical():
@@ -48,6 +49,65 @@ def test_rot_edge_token_is_one_sign_and_ascii_digits(token):
     assert "\n1: +1 +4\n" in text
     with pytest.raises(io.ParseError, match="^bad edge token"):
         io.parse_op(text.replace("\n1: +1 +4\n", "\n1: %s +4\n" % token))
+
+
+def _op_text(name, old, new):
+    text = io.write_op(ops.catalog(name))
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (io.parse_rot, "rot +1 1\n1: +1 -1\n", "bad counts in header"),
+    (io.parse_rot, "rot 1 +0_1\n1: +1 -1\n", "bad counts in header"),
+    (io.parse_rot, "rot 1 1\n+1: +1 -1\n", "expected `vertex: ...` rotation line"),
+    (io.parse_rot, "rot 1 1\n\u0661: +1 -1\n", "expected `vertex: ...` rotation line"),
+    (io.parse_op, _op_text("gyro", "types: 0", "types: +2"), "`types:` needs integers, got '+2'"),
+    (io.parse_op, _op_text("gyro", "special: 1 2 3", "special: \u0661 2 3"),
+     "`special:` needs integers, got '\u0661'"),
+    (io.parse_op, _op_text("ambo", "outer: -1", "outer: -0_1"),
+     "`outer:` needs integers, got '0_1'"),
+], ids=["signed-count", "underscore-count", "signed-vertex", "arabic-indic-vertex", "signed-type",
+        "arabic-indic-special", "underscore-outer"])
+def test_numbers_are_ascii_digits(parse, text, message):
+    """Counts, vertex numbers, `types:`, `special:` and the edge number
+    of `outer:` are ASCII digits: ``int`` would take each of these."""
+    with pytest.raises(io.ParseError) as err:
+        parse(text)
+    assert str(err.value).startswith(message + " (at ")
+
+
+def test_whitespace_around_a_vertex_number_parses():
+    assert io.parse_rot("rot 1 1\n 1 : +1 -1\n").iso(polyhedra.loop_vertex())
+
+
+def test_op_rotation_lines_keep_their_line_numbers():
+    """A rotation line after the `types:` and `special:` lines is
+    reported at its own line, not counted among the rotation lines."""
+    lines = io.write_op(ops.catalog("gyro")).splitlines()
+    assert lines[1].startswith("types:") and lines[4] == "2: -3 -13"
+    lines = [lines[0], lines[3], lines[1], lines[2], "2: x3 -13"] + lines[5:]
+    with pytest.raises(io.ParseError, match=r"^edge token 'x3' needs a sign \(at line 5\)$"):
+        io.parse_op("\n".join(lines))
+
+
+def test_planar_code_is_checked_once(monkeypatch):
+    """Planar code rows are proven simple and listed at both ends, so the
+    graphs are built unchecked and only ``_check_assembled`` runs."""
+    checked = []
+    from_rotations = EmbeddedGraph.from_rotations.__func__
+
+    def recording(cls, rotations, pairing, labels=None, check=True):
+        checked.append(check)
+        return from_rotations(cls, rotations, pairing, labels, check)
+
+    graphs = [polyhedra.cube(), polyhedra.k7_torus(), polyhedra.cycle(300)]
+    data = io.write_planar_code(graphs)
+    monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(recording))
+    parsed = io.parse_planar_code(data)
+    assert checked == [False] * 3
+    monkeypatch.undo()
+    assert all(h.iso(g) for g, h in zip(graphs, parsed))
 
 
 def test_planar_code_roundtrip_bytes():
