@@ -1,28 +1,26 @@
-"""Barycentric subdivisions, chamber systems, double chambers and the
-radial graph.
+"""Barycentric subdivisions, double chambers and the radial graph.
 
 The barycentric subdivision ``B_G`` has one vertex per vertex (type 0),
 edge (type 1) and face (type 2) of ``G``; its triangular faces are the
 chambers.  Crossing the edge of a chamber that misses its type-i corner
 is the involution ``s_i``; together the three involutions generate a
-transitive action of the free Coxeter group on the chambers.
+transitive action of the free Coxeter group on the chambers.  On an
+operation's chambers, ``delaney`` reads the ``s_i`` off its faces.
 
 The double chamber graph and the radial graph ``R(G)`` are subgraphs of
 ``B_G`` read off G in one pass, without building ``B_G``.  With n darts
 in G, the double chamber graph keeps the B-darts 0..4n-1, and dart r of
 ``R(G)`` is B-dart 2n + r.  Gluing reads the double chamber graph as a
-frame (``double_chamber_frame``): its cells, their corners and sides and
-the ends of its edges, each a closed-form function of G's darts, numbered
-as the graph form (``DoubleChamberSystem``, kept as the tests' oracle)
-numbers them, but without building that graph.  Gluing the result graph
-reads only the frame's vertex of each dart's face, edge and tail; the
-cells and edge ends are listed when the glued triangulation is built.
+frame (``double_chamber_frame``): the frame vertex of each dart's face,
+edge and tail, numbered as the graph form (``DoubleChamberSystem``, kept
+as the tests' oracle) numbers them, but without building that graph.
+The ends of the frame's edges and the corners and sides of its cells are
+closed-form functions of those tables and G's darts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .embedded import EmbeddedGraph
 
@@ -88,66 +86,6 @@ def radial(g):
         rotations, [r ^ 1 for r in range(2 * g.dart_count)], labels=labels, check=False)
 
 
-class ChamberSystem:
-    """Chambers of a labelled triangulation with the three involutions.
-
-    ``triangulation`` must have vertex labels in {0,1,2} and no edge
-    between equal labels.  For an operation with a marked outer face pass
-    its face index: that face is excluded and ``s_i`` fixes chambers whose
-    i-edge lies on it.
-    """
-
-    __slots__ = ("triangulation", "outer_face", "chambers", "s", "corner", "_face_to_chamber")
-
-    def __init__(self, triangulation, outer_face=None):
-        t = triangulation
-        if t.labels is None:
-            raise ValueError("chamber system needs a labelled triangulation")
-        self.triangulation = t
-        self.outer_face = outer_face
-        faces = t.faces()
-        chamber_faces = [i for i in range(len(faces)) if i != outer_face]
-        self._face_to_chamber = {f: c for c, f in enumerate(chamber_faces)}
-        self.chambers = tuple(chamber_faces)
-        corner = []
-        s = [[None] * len(chamber_faces) for _ in range(3)]
-        for c, fi in enumerate(chamber_faces):
-            walk = faces[fi]
-            if len(walk) != 3:
-                raise ValueError("chamber %d is not a triangle" % fi)
-            corners = {}
-            for d in walk:
-                corners[t.labels[t.vertex_of[d]]] = t.vertex_of[d]
-            if sorted(corners) != [0, 1, 2]:
-                raise ValueError("chamber %d misses a corner type" % fi)
-            corner.append((corners[0], corners[1], corners[2]))
-            for d in walk:
-                a = t.labels[t.vertex_of[d]]
-                b = t.labels[t.head(d)]
-                i = 3 - a - b  # the type missing from this edge
-                nb = t.face_of(t.inv[d])
-                s[i][c] = c if nb == outer_face else self._face_to_chamber[nb]
-        self.corner = tuple(corner)
-        self.s = tuple(tuple(row) for row in s)
-
-    def __len__(self):
-        return len(self.chambers)
-
-    def is_transitive(self):
-        if not self.chambers:
-            return False
-        seen = {0}
-        todo = [0]
-        while todo:
-            c = todo.pop()
-            for i in range(3):
-                d = self.s[i][c]
-                if d not in seen:
-                    seen.add(d)
-                    todo.append(d)
-        return len(seen) == len(self.chambers)
-
-
 @dataclass(frozen=True)
 class DoubleChamberFrame:
     """The double chamber graph of G as a gluing frame.
@@ -162,49 +100,20 @@ class DoubleChamberFrame:
       face, edge and tail;
     * frame edge d < n joins tail(d) to edge(d) (B-darts 2d, 2d + 1), and
       frame edge n + d joins tail(d) to face_of(d), across the angle that
-      dart d closes (B-darts 2(n + d), 2(n + d) + 1); ``ends`` lists each
-      edge's ends from its higher type;
-    * cell 2 edge(d) + (d > inv d) is the double chamber of dart d, and
-      ``cells`` gives each cell's corners (face_of d, head d, edge d,
-      tail d), read from its type-2 corner against its facial walk, with
-      its sides, the frame edges (n + sigma(inv d), inv d, d, n + d)
-      between consecutive corners.
+      dart d closes (B-darts 2(n + d), 2(n + d) + 1);
+    * cell 2 edge(d) + (d > inv d) is the double chamber of dart d, with
+      corners (face_of d, head d, edge d, tail d), read from its type-2
+      corner against its facial walk, and sides, the frame edges
+      (n + sigma(inv d), inv d, d, n + d) between consecutive corners.
 
-    ``ends`` and ``cells`` are made on first read; gluing the result
-    graph reads only the per-dart tables.
+    Gluing reads the ends, corners and sides off these per-dart tables and
+    lists no cell.
     """
 
-    base: EmbeddedGraph  # G
     labels: tuple
     face: list
     edge: list
     tail: list
-
-    @cached_property
-    def ends(self):
-        return tuple(zip(self.edge + self.face, self.tail + self.tail))
-
-    @cached_property
-    def cells(self):
-        g = self.base
-        n, sigma, inv = g.dart_count, g.sigma, g.inv
-        face, edge, tail = self.face, self.edge, self.tail
-        return tuple(((face[d], tail[inv[d]], edge[d], tail[d]),
-                      (n + sigma[inv[d]], inv[d], d, n + d))
-                     for pair in g.edge_darts() for d in pair)
-
-    def edge_cells(self):
-        """The two cells on the sides of each frame edge: those of d and
-        inv d on edge d < n, and those of d and inv(sigma^-1(d)) on edge
-        n + d."""
-        g = self.base
-        n, inv = g.dart_count, g.inv
-        cell = [2 * g.edge_of(d) + (d > inv[d]) for d in range(n)]
-        sigma_inv = [0] * n
-        for d, e in enumerate(g.sigma):
-            sigma_inv[e] = d
-        return ([(cell[d], cell[inv[d]]) for d in range(n)]
-                + [(cell[d], cell[inv[sigma_inv[d]]]) for d in range(n)])
 
 
 def double_chamber_frame(g):
@@ -225,7 +134,7 @@ def double_chamber_frame(g):
         for d in walk:
             face[d] = f
     labels += [2] * len(g.faces())
-    return DoubleChamberFrame(g, tuple(labels), face, edge, [node[v] for v in vertex_of])
+    return DoubleChamberFrame(tuple(labels), face, edge, [node[v] for v in vertex_of])
 
 
 class DoubleChamberSystem:

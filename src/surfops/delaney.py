@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .io import _number
+
 _PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
@@ -178,20 +180,39 @@ def is_dd_morphism(d1, d2, mapping):
 
 
 def _dd_from_chambers(op, outer_vertices):
-    """Symbol on the chambers of a validated operation.  The
-    <s_i, s_j>-orbit of a chamber is the fan around its corner v of type
-    3 - i - j: deg v chambers at an inner vertex, where m is half that
-    (deg v is even, as v's neighbours alternate between the two other
-    types), and deg v - 1 on an lsp-operation's outer walk, which
-    validation proves simple, where m is the orbit size; times 2, 3 or 6
-    at v1, v0 or v2.  So m is read off the degrees, walking no orbit."""
+    """Symbol on the chambers of a validated operation, read off its
+    faces: chamber c is the c-th inner face, in face order, so face f is
+    chamber f - (f > outer).  Validation proves every inner face a
+    triangle with one corner of each type, so s_i crosses the one edge of
+    c that misses its type-i corner, and fixes c when that edge lies on
+    the outer face.  The <s_i, s_j>-orbit of a chamber is the fan around
+    its corner v of type 3 - i - j: deg v chambers at an inner vertex,
+    where m is half that (deg v is even, as v's neighbours alternate
+    between the two other types), and deg v - 1 on an lsp-operation's
+    outer walk, which validation proves simple, where m is the orbit
+    size; times 2, 3 or 6 at v1, v0 or v2.  So m is read off the degrees,
+    walking no orbit."""
     g = op.graph
+    labels, vertex_of, faces = g.labels, g.vertex_of, g.faces()
+    outer = len(faces) if op.outer_face is None else op.outer_face  # a lopsp's: past all faces
     factor = {op.v1: 2, op.v0: 3, op.v2: 6}
     m_at = [(g.degree(v) - 1 if v in outer_vertices else g.degree(v) // 2)
             * factor.get(v, 1) for v in range(g.vertex_count)]
-    cs = op.chamber_system()
-    m = {(i, j): [m_at[corner[3 - i - j]] for corner in cs.corner] for (i, j) in _PAIRS}
-    return DelaneySymbol(cs.s, m)
+    size = len(faces) - (outer < len(faces))
+    s = [[0] * size for _ in range(3)]
+    m = {pair: [0] * size for pair in _PAIRS}
+    for f, walk in enumerate(faces):
+        if f == outer:
+            continue
+        c, corner = f - (f > outer), [0] * 3
+        for d in walk:
+            t = labels[vertex_of[d]]
+            corner[t] = vertex_of[d]
+            e = g.face_of(g.inv[d])
+            s[3 - t - labels[g.head(d)]][c] = c if e == outer else e - (e > outer)
+        for (i, j) in _PAIRS:
+            m[i, j][c] = m_at[corner[3 - i - j]]
+    return DelaneySymbol(s, m)
 
 
 def dd_from_lopsp(op):
@@ -233,24 +254,24 @@ def write_dd(sym):
 
 
 def parse_dd(text):
+    """The symbol of a ``write_dd`` text; its count and values are ASCII
+    digits, read by the strict reader of ``io``."""
     lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("dd "):
+    header = lines[0].split() if lines else ()
+    n = _number(header[1]) if len(header) == 2 and header[0] == "dd" else None
+    if n is None:
         raise ValueError("missing 'dd <n>' header")
-    n = int(lines[0].split()[1])
     rows = {}
     for ln in lines[1:]:
-        key, rest = ln.split(None, 1)
-        rows[key] = [int(x) for x in rest.split()]
-    action = []
-    for i in range(3):
-        row = rows.get("s%d" % i)
-        if row is None or len(row) != n:
-            raise ValueError("bad or missing action row s%d" % i)
-        action.append(row)
-    m = {}
-    for (i, j) in _PAIRS:
-        row = rows.get("m%d%d" % (i, j))
-        if row is None or len(row) != n:
-            raise ValueError("bad or missing m%d%d row" % (i, j))
-        m[(i, j)] = row
+        key, *values = ln.split()
+        rows[key] = [_number(x) for x in values]
+
+    def row(key, message):
+        out = rows.get(key)
+        if out is None or len(out) != n or None in out:
+            raise ValueError(message % key)
+        return out
+
+    action = [row("s%d" % i, "bad or missing action row %s") for i in range(3)]
+    m = {(i, j): row("m%d%d" % (i, j), "bad or missing %s row") for (i, j) in _PAIRS}
     return DelaneySymbol(tuple(map(tuple, action)), m)

@@ -67,18 +67,19 @@ def _darts(toks, n_edges, seen):
 
 
 def _read_header(text, kinds):
-    """(kind, V, E, body) of a `<kind> <V> <E>` file, body the numbered
-    non-blank lines after the header, stripped."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    """(kind, V, E, body) of a `<kind> <V> <E>` file, body the non-blank
+    lines after the header, stripped, each with its line number in the
+    text, blank lines counted."""
+    lines = [(i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
     if not lines:
         raise ParseError("empty input", "line 1")
-    header = lines[0].split()
+    where, header = "line %d" % lines[0][0], lines[0][1].split()
     if len(header) != 3 or header[0] not in kinds:
-        raise ParseError("expected header `%s <V> <E>`" % "|".join(kinds), "line 1")
+        raise ParseError("expected header `%s <V> <E>`" % "|".join(kinds), where)
     nv, ne = _number(header[1]), _number(header[2])
     if nv is None or ne is None:
-        raise ParseError("bad counts in header", "line 1")
-    return header[0], nv, ne, list(enumerate(lines[1:], start=2))
+        raise ParseError("bad counts in header", where)
+    return header[0], nv, ne, lines[1:]
 
 
 def _parse_signed_rotations(body, n_vertices, n_edges, labels=None):

@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
-from .chambers import ChamberSystem, double_chamber_frame
+from .chambers import double_chamber_frame
 from .embedded import EmbeddedGraph, InternalInvariant
 from .topology import _polyhedral, _short_cycles, _smallest_cut
 
@@ -150,7 +150,6 @@ class _Operation:
         self.graph = graph
         self.v0, self.v1, self.v2 = v0, v1, v2
         self._diag = None
-        self._cs = None
 
     @property
     def specials(self):
@@ -165,11 +164,6 @@ class _Operation:
         diag = self.validate()
         if diag:
             raise self._invalid(diag)
-
-    def chamber_system(self):
-        if self._cs is None:
-            self._cs = ChamberSystem(self.graph, outer_face=self.outer_face)
-        return self._cs
 
 
 class LopspOperation(_Operation):
@@ -643,27 +637,29 @@ def _glue(g, tm, base_genus, op):
     # by dart base: the cell across, and the cell with the x-th frame edge
     # of its class (or the x-th cell) there, each by its dart
     across = (range(n), phi, inv, inv, phi_inv)
-    owner = [None, phi_inv, inv, range(n), range(n)]
+    owner = [[d for pair in g.edge_darts() for d in pair], phi_inv, inv, range(n), range(n)]
+    cell = [0] * n
+    for q, d in enumerate(owner[0]):
+        cell[d] = q
+
+    def vcol(b):  # the T-vertex of template vertex base b in the cell of each dart
+        return ([nvt + cv * q for q in cell] if b == 0
+                else [vbase[x] for x in side[b - 1]] if b < 5
+                else [frame.tail[x] for x in inv] if b == 6
+                else (frame.face, None, frame.edge, frame.tail)[b - 5])
+
     vbases = {b for (b, _), _, _, heads in tm.fans for b in (b, *(h for h, _ in heads))}
-    if 0 in vbases | {fan[1][0] for fan in tm.fans}:
-        owner[0] = [d for pair in g.edge_darts() for d in pair]
-        cell = [0] * n
-        for q, d in enumerate(owner[0]):
-            cell[d] = q
-    vcol = {b: [nvt + cv * q for q in cell] if b == 0  # T-vertex of base b in d's cell
-            else [vbase[x] for x in side[b - 1]] if b < 5
-            else [frame.tail[x] for x in inv] if b == 6
-            else (frame.face, None, frame.edge, frame.tail)[b - 5] for b in vbases}
+    vcols = {b: vcol(b) for b in vbases}
 
     slot_of = {fan[1]: f for f, fan in enumerate(tm.fans)}  # (base, const) of a first dart
     vert, nxt, hd = [], [], []  # of fan f n + d: its T-vertex, the next fan, the heads
     for (b, c), _, (nb, nc), heads in tm.fans:
-        vert += _shifted(vcol[b], c)
+        vert += _shifted(vcols[b], c)
         t = slot_of.get((_ACROSS.get(nb), nc))
         if t is None:
             raise InternalInvariant("glue", "a fan's next starts no fan in the cell of G's", dart=0)
         nxt += _shifted(across[nb], t * n)
-        hd += zip(*[_shifted(vcol[hb], hc) for hb, hc in heads]) if heads else [()] * n
+        hd += zip(*[_shifted(vcols[hb], hc) for hb, hc in heads]) if heads else [()] * n
     # the fans by first T-dart: on the (1, 0) frame edges, the (2, 0) ones,
     # then inside the cells, by frame edge or cell, then by const
     by_first = []
@@ -716,39 +712,60 @@ def _glue(g, tm, base_genus, op):
     vertex_of = chain.from_iterable(map(repeat, range(len(los)), degrees))
     result = EmbeddedGraph(sigma, pairing, vertex_of)
     result._rotations = tuple(map(tuple, map(range, los, his)))
-    ebase = [x * e1 for x in range(n)] + [n * e1 + x * e2 for x in range(n)]
     return ApplicationResult(result, op, lambda: dict(
-        _glue_slots(frame, tm, op, vbase, ebase), result_vertex_node=type0,
-        result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
+        _glue_slots(frame, tm, op, owner[0], cell, side, phi_inv, vbase, vcol),
+        result_vertex_node=type0, result_edge_node=tuple(heads[d] for d, _ in result.edge_darts())))
 
 
-def _glue_slots(frame, tm, op, vbase, ebase):
-    """T itself, glued slot by slot into the cells of ``frame``, with the
-    fields indexed by it.  T's vertices are the frame vertices, then the
-    chains in frame edge order, from ``vbase``, then each cell's
-    interior, cell by cell; T's edges likewise, from ``ebase``."""
-    vertex_lift = [op.specials[x] for x in frame.labels]
-    vertex_of = []  # of the glued darts: dart 2e+dir starts at vertex_of[2e+dir]
-    edge_lift, edge_cells = [], []
-    for (hi, lo), beside in zip(frame.ends, frame.edge_cells()):
-        vl, el = tm.chains[frame.labels[hi], 0]
-        chain = [hi, *range(len(vertex_lift), len(vertex_lift) + len(vl)), lo]
-        vertex_of += [x for pair in zip(chain, chain[1:]) for x in pair]
-        vertex_lift += vl
-        edge_lift += el
-        edge_cells += [frozenset(beside)] * len(el)
-    src, lifts = [], []
-    for qi, (corners, sides) in enumerate(frame.cells):
-        db = [2 * len(edge_lift)] + [2 * ebase[x] for x in sides]
-        vb = [len(vertex_lift)] + [vbase[x] for x in sides] + list(corners)
-        src += [db[b] + c for b, c in tm.src]
-        vertex_of += [vb[b] + c for b, c in tm.ends]
-        lifts += tm.face_lift
-        vertex_lift += tm.vertex_lift
-        edge_lift += tm.edge_lift
-        edge_cells += [frozenset((qi,))] * len(tm.edge_lift)
-    t, face_lift = _assemble(src, vertex_of, [op.graph.labels[x] for x in vertex_lift], lifts)
-    return dict(subdivision=t, pi_vertex=tuple(vertex_lift), pi_edge=tuple(edge_lift),
+def _runs(items, k):
+    """Each item k times in a row."""
+    return list(chain.from_iterable(map(repeat, items, repeat(k))))
+
+
+def _glue_slots(frame, tm, op, cells, cell, side, phi_inv, vbase, vcol):
+    """T itself, glued a template slot at a time into all cells of
+    ``frame``, with the fields indexed by it, from ``_glue``'s columns
+    over G's darts.  Cell q is the cell of dart ``cells[q]``, the q-th of
+    G's ``edge_darts``.  T's vertices are the frame vertices, then the
+    chains in frame edge order, from ``vbase``, then each cell's interior,
+    cell by cell; T's edges likewise.  Each chain position, interior edge
+    end and face dart of the template is written, over all chains or
+    cells at once, into a strided slice; no cell is listed."""
+    n = len(cells)
+    (vl1, el1), (vl2, el2) = tm.chains[1, 0], tm.chains[2, 0]
+    e1, e2, ce = len(el1), len(el2), len(tm.edge_lift)
+    ebase = [x * e1 for x in range(n)] + [n * e1 + x * e2 for x in range(n)]
+    net = n * (e1 + e2)  # the cells' interiors follow the chains
+    vertex_of = [0] * (2 * (net + n * ce))  # dart 2e+dir of T-edge e starts at vertex_of[2e+dir]
+    lo = 0
+    for hi, vb, k in ((frame.edge, vbase[:n], e1), (frame.face, vbase[n:], e2)):
+        # chain edge i of frame edge d runs from its vertex i to i + 1, from hi(d) to tail(d)
+        ends = [hi, *(_shifted(vb, i) for i in range(k - 1)), frame.tail]
+        for i in range(k):
+            vertex_of[lo + 2 * i:lo + 2 * n * k:2 * k] = ends[i]
+            vertex_of[lo + 2 * i + 1:lo + 2 * n * k:2 * k] = ends[i + 1]
+        lo += 2 * n * k
+    # the columns of the template's bases in cell order
+    vq = {b: list(map(vcol(b).__getitem__, cells)) for b in {b for b, _ in tm.ends}}
+    dq = {b: range(2 * net, 2 * (net + n * ce), 2 * ce) if b == 0
+          else [2 * ebase[side[b - 1][d]] for d in cells] for b in {b for b, _ in tm.src}}
+    for j, (b, c) in enumerate(tm.ends):
+        vertex_of[2 * net + j::2 * ce] = _shifted(vq[b], c)
+    src = [0] * (n * len(tm.src))
+    for j, (b, c) in enumerate(tm.src):
+        src[j::len(tm.src)] = _shifted(dq[b], c)
+    vertex_lift = ([op.specials[x] for x in frame.labels] + vl1 * n + vl2 * n
+                   + tm.vertex_lift * n)
+    t, face_lift = _assemble(src, vertex_of, [op.graph.labels[x] for x in vertex_lift],
+                             tm.face_lift * n)
+    # a chain edge lies on the cells on both sides of its frame edge, one
+    # frozenset shared by the chain; an interior edge in its cell's alone
+    beside = [map(cell.__getitem__, x) for x in (side[1], phi_inv)]
+    edge_cells = (_runs(map(frozenset, zip(cell, beside[0])), e1)
+                  + _runs(map(frozenset, zip(cell, beside[1])), e2)
+                  + _runs(map(frozenset, zip(range(n))), ce))
+    return dict(subdivision=t, pi_vertex=tuple(vertex_lift),
+                pi_edge=tuple(el1 * n + el2 * n + tm.edge_lift * n),
                 pi_face=face_lift, edge_cells=tuple(edge_cells))
 
 
@@ -837,11 +854,11 @@ def lsp_to_lopsp(op):
 
 def doubling_morphism(op):
     """The doubled operation together with the element mapping from its
-    Delaney-Dress symbol to the one of the lsp-operation."""
-    lop = lsp_to_lopsp(op)
-    chamber_index = {f: c for c, f in enumerate(op.chamber_system().chambers)}
-    mapping = tuple(chamber_index[f] for f in lop.face_origin)
-    return lop, mapping
+    Delaney-Dress symbol to the one of the lsp-operation: chamber c of a
+    symbol is its operation's c-th inner face, so face f maps to
+    f - (f > outer)."""
+    lop, outer = lsp_to_lopsp(op), op.outer_face
+    return lop, tuple(f - (f > outer) for f in lop.face_origin)
 
 
 def apply_lsp_direct(op, g):

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import random
 
-from .embedded import EmbeddedGraph
+from .embedded import Disconnected, EmbeddedGraph
 
 _PHI = (1 + math.sqrt(5)) / 2
 
@@ -188,6 +188,6 @@ def random_embedded(rng_or_seed, n_edges, max_tries=500):
         rotations = [r for r in rotations if r]
         try:
             return EmbeddedGraph.from_rotations(rotations, pairing)
-        except Exception:
+        except Disconnected:
             continue
     raise RuntimeError("could not sample a connected rotation system")

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from surfops import io, polyhedra
 from surfops import operations as ops
-from surfops.chambers import (ChamberSystem, DoubleChamberSystem, barycentric,
-                              double_chamber_frame, radial)
+from surfops.chambers import DoubleChamberSystem, barycentric, double_chamber_frame, radial
+from surfops.delaney import DelaneySymbol
 
 from oracle_flips import NotOnChamberBoundary, chamber_flip, legal_flips, walk_cycles
 
@@ -51,12 +51,19 @@ def test_bary_origin_mapping():
 
 
 def test_chamber_system_transitive(corpus):
+    """The chambers of B_G are its triangles: each has one edge missing
+    each corner type i, crossing it is s_i, and the s_i are involutions
+    that reach every chamber."""
     for name, g in corpus.items():
-        cs = ChamberSystem(barycentric(g))
-        assert cs.is_transitive(), name
-        for i in range(3):
-            for c in range(len(cs)):
-                assert cs.s[i][cs.s[i][c]] == c  # involution
+        bg = barycentric(g)
+        s = [[None] * len(bg.faces()) for _ in range(3)]
+        for c, walk in enumerate(bg.faces()):
+            missing = [3 - bg.labels[bg.vertex_of[d]] - bg.labels[bg.head(d)] for d in walk]
+            assert sorted(missing) == [0, 1, 2], name
+            for i, d in zip(missing, walk):
+                s[i][c] = bg.face_of(bg.inv[d])
+        assert all(row[row[c]] == c for row in s for c in range(len(row))), name
+        assert len(DelaneySymbol(s, {}).orbit(0, (0, 1, 2))) == len(bg.faces()), name
 
 
 def test_double_chambers_counts(corpus):
@@ -85,33 +92,31 @@ def test_double_chamber_simple_corners_distinct():
 
 
 def oracle_frame(g):
-    """The gluing frame as read off the graph form: labels, each cell's
-    corners and sides from its type-2 corner against its facial walk,
-    each frame edge's ends from its higher type, and the cells on the two
-    sides of each frame edge."""
+    """The gluing frame as read off the graph form: its labels, the frame
+    vertex of each dart d's face, edge and tail, at the far end of B-darts
+    2(n + d) and 2d and at the near end of both, and each cell's corners
+    and sides from its type-2 corner against its facial walk."""
     dg = DoubleChamberSystem(g).graph
-    labels, fv, inv = dg.labels, dg.vertex_of, dg.inv
+    n, labels, fv, inv = g.dart_count, dg.labels, dg.vertex_of, dg.inv
+    assert all(fv[2 * d] == fv[2 * (n + d)] for d in range(n))
     cells = []
     for face in dg.faces():
         i = [labels[fv[d]] for d in face].index(2)
         walk = [inv[d] for d in reversed(face[i:] + face[:i])]
         cells.append((tuple(fv[d] for d in walk), tuple(map(dg.edge_of, walk))))
-    ends, beside = [], []
-    for d, dp in dg.edge_darts():
-        if labels[fv[d]] < labels[fv[dp]]:
-            d, dp = dp, d
-        ends.append((fv[d], fv[dp]))
-        beside.append({dg.face_of(d), dg.face_of(dp)})
-    return labels, tuple(cells), tuple(ends), beside
+    return (labels, [fv[2 * (n + d) + 1] for d in range(n)],
+            [fv[2 * d + 1] for d in range(n)], [fv[2 * d] for d in range(n)], cells)
 
 
 def assert_frame_matches_oracle(g):
+    """The per-dart tables, and the cell layout that gluing reads off them
+    in closed form, as ``DoubleChamberFrame`` documents it."""
     frame = double_chamber_frame(g)
-    labels, cells, ends, beside = oracle_frame(g)
-    assert frame.labels == labels
-    assert frame.cells == cells
-    assert frame.ends == ends
-    assert list(map(set, frame.edge_cells())) == beside
+    n, sigma, inv = g.dart_count, g.sigma, g.inv
+    face, edge, tail = frame.face, frame.edge, frame.tail
+    cells = [((face[d], tail[inv[d]], edge[d], tail[d]), (n + sigma[inv[d]], inv[d], d, n + d))
+             for pair in g.edge_darts() for d in pair]
+    assert (frame.labels, face, edge, tail, cells) == oracle_frame(g)
 
 
 def frame_multigraphs():

@@ -1,3 +1,4 @@
+import hashlib
 import os
 from fractions import Fraction
 
@@ -196,6 +197,16 @@ def test_serialization_roundtrip():
         assert dd.write_dd(dd.parse_dd(text)) == text
 
 
+@pytest.mark.parametrize("text, message", [
+    ("dd +1\ns0 0\ns1 0\ns2 0\nm01 6\nm02 2\nm12 3\n", "missing 'dd <n>' header"),
+    ("dd 1\ns0 0\ns1 0\ns2 0\nm01 \u0660\nm02 2\nm12 3\n", "bad or missing m01 row"),
+    ("dd 1\ns0 0\ns1\ns2 0\nm01 6\nm02 2\nm12 3\n", "bad or missing action row s1"),
+], ids=["signed-count", "arabic-indic-digit", "one-token-row"])
+def test_parse_dd_is_strict(text, message):
+    with pytest.raises(ValueError, match="^%s$" % message):
+        dd.parse_dd(text)
+
+
 def test_curvature_exact_any_order():
     sym = dd.dd_from_lopsp(ops.catalog("snub"))
     total = Fraction(0)
@@ -208,17 +219,38 @@ def test_curvature_exact_any_order():
     assert total == dd.curvature(sym) == 0
 
 
+def triangle_chambers(op):
+    """s_i and the corners by their definition: chamber c is the c-th
+    face other than the outer one, a triangle with one corner of each
+    type; s_i crosses its edge that misses the type-i corner, and fixes c
+    when that edge lies on the outer face."""
+    g = op.graph
+    chambers = [f for f in range(len(g.faces())) if f != op.outer_face]
+    index = {f: c for c, f in enumerate(chambers)}
+    s, corners = [[None] * len(chambers) for _ in range(3)], []
+    for c, f in enumerate(chambers):
+        walk = g.faces()[f]
+        corner = {g.labels[g.vertex_of[d]]: g.vertex_of[d] for d in walk}
+        assert len(walk) == 3 and sorted(corner) == [0, 1, 2]
+        corners.append(corner)
+        for d in walk:
+            i = 3 - g.labels[g.vertex_of[d]] - g.labels[g.head(d)]
+            across = g.face_of(g.inv[d])
+            s[i][c] = c if across == op.outer_face else index[across]
+    return tuple(map(tuple, s)), corners
+
+
 def orbit_m(op, outer_vertices):
     """m by its definition: the size of each <s_i, s_j>-orbit, halved at
     an inner corner, times 2, 3 or 6 at v1, v0 or v2."""
-    cs = op.chamber_system()
-    shape = dd.DelaneySymbol(cs.s, {})
+    action, corners = triangle_chambers(op)
+    shape = dd.DelaneySymbol(action, {})
     factor = {op.v1: 2, op.v0: 3, op.v2: 6}
     m = {}
     for (i, j) in dd._PAIRS:
-        row = [0] * len(cs)
+        row = [0] * len(corners)
         for orb in shape.orbits((i, j)):
-            corner = cs.corner[min(orb)][3 - i - j]
+            corner = corners[min(orb)][3 - i - j]
             size = len(orb)
             if corner not in outer_vertices:
                 assert size % 2 == 0
@@ -246,3 +278,24 @@ def test_m_read_off_degrees_equals_orbit_sizes():
     for op in operations:
         outer = op.outer_vertices() if op.kind == "lsp" else ()
         assert dd.dd(op).m == orbit_m(op, outer)
+
+
+def test_action_read_off_faces_equals_triangle_definition():
+    for op in sixteen_operations():
+        assert dd.dd(op).action == triangle_chambers(op)[0]
+
+
+# sha256 of ``write_dd`` of the sixteen operations' symbols, then of the
+# six doubling maps, one line each
+SYMBOLS_SHA256 = "d61f66a2d4c60bace4aa4caba95b1289fa2ada2a651da841112908b2bf0ce0c8"
+
+
+def test_symbols_and_doubling_maps_digest():
+    operations = sixteen_operations()
+    digest = hashlib.sha256()
+    for op in operations:
+        digest.update(dd.write_dd(dd.dd(op)).encode())
+    for op in operations:
+        if op.kind == "lsp":
+            digest.update((" ".join(map(str, ops.doubling_morphism(op)[1])) + "\n").encode())
+    assert digest.hexdigest() == SYMBOLS_SHA256

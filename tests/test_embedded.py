@@ -167,3 +167,17 @@ def test_reflection_flag():
     m = k7.mirror()
     assert k7.iso(m, allow_reflection=True)
     assert k7.iso(m) == (k7.canonical_code() == m.canonical_code())
+
+
+def test_random_embedded_retries_only_disconnected_draws(monkeypatch):
+    """A disconnected draw is drawn again; any other error of
+    ``from_rotations`` is a fault and reaches the caller."""
+    from_rotations = EmbeddedGraph.from_rotations.__func__
+
+    def failing(cls, rotations, pairing, labels=None, check=True):
+        from_rotations(cls, rotations, pairing, labels, check)  # a disconnected draw raises here
+        raise NotInvolution("planted fault")
+
+    monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(failing))
+    with pytest.raises(NotInvolution, match="planted fault"):
+        polyhedra.random_embedded(5, 6)

@@ -91,6 +91,26 @@ def test_op_rotation_lines_keep_their_line_numbers():
         io.parse_op("\n".join(lines))
 
 
+@pytest.mark.parametrize("text, where", [
+    ("rot 2 1\n\n1: +1\n2: x1\n", 4),
+    ("rot 2 1\n1: +1\n\n\n2: -2\n", 5),
+    ("\n\nrot x 1\n1: +1 -1\n", 3),
+], ids=["blank-line", "two-blank-lines", "header-after-blank-lines"])
+def test_rot_errors_count_blank_lines(text, where):
+    """A line is numbered as it stands in the text, blank lines counted,
+    and a header error names the header's own line."""
+    with pytest.raises(io.ParseError, match=r"\(at line %d\)$" % where):
+        io.parse_rot(text)
+
+
+def test_op_errors_count_blank_lines():
+    lines = io.write_op(ops.catalog("gyro")).splitlines()
+    assert lines[4] == "2: -3 -13"
+    lines[4] = "2: x3 -13"
+    with pytest.raises(io.ParseError, match=r"^edge token 'x3' needs a sign \(at line 7\)$"):
+        io.parse_op("\n".join(lines[:2] + ["", ""] + lines[2:]))
+
+
 def test_planar_code_is_checked_once(monkeypatch):
     """Planar code rows are proven simple and listed at both ends, so the
     graphs are built unchecked and only ``_check_assembled`` runs."""
