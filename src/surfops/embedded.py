@@ -257,13 +257,15 @@ class EmbeddedGraph:
             self._face_of = tuple(face_of)
         return self._faces
 
+    def face_table(self):
+        """Face index of every dart, as a tuple indexed by dart."""
+        if self._face_of is None:
+            self.faces()
+        return self._face_of
+
     def face_of(self, d):
         """Face index of a dart; the table is built by the first lookup."""
-        table = self._face_of
-        if table is None:
-            self.faces()
-            table = self._face_of
-        return table[d]
+        return self.face_table()[d]
 
     def euler_characteristic(self):
         return self.vertex_count - self.edge_count + len(self.faces())
@@ -291,25 +293,26 @@ class EmbeddedGraph:
             self._edge_of = tuple(edge_of)
         return self._edge_darts
 
+    def edge_table(self):
+        """Edge id of every dart, as a tuple indexed by dart."""
+        if self._edge_of is None:
+            self.edge_darts()
+        return self._edge_of
+
     def edge_of(self, d):
         """Edge id of a dart; the table is built by the first lookup."""
-        table = self._edge_of
-        if table is None:
-            self.edge_darts()
-            table = self._edge_of
-        return table[d]
+        return self.edge_table()[d]
 
     # -- derived graphs -------------------------------------------------
 
     def dual(self):
         """Dual rotation system: faces become vertices with inverse cyclic order."""
-        self.faces()
         n = self.dart_count
         phi = [self.sigma[self.inv[d]] for d in range(n)]
         sigma_dual = [None] * n
         for d in range(n):
             sigma_dual[phi[d]] = d
-        vertex_of = [self._face_of[d] for d in range(n)]
+        vertex_of = self.face_table()
         return EmbeddedGraph(sigma_dual, self.inv, vertex_of)
 
     def mirror(self):

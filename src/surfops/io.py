@@ -67,9 +67,10 @@ def _darts(toks, n_edges, seen):
 
 
 def _read_header(text, kinds):
-    """(kind, V, E, body) of a `<kind> <V> <E>` file, body the non-blank
-    lines after the header, stripped, each with its line number in the
-    text, blank lines counted."""
+    """(kind, V, E, where, body) of a `<kind> <V> <E>` file: where names
+    the header's line, and body holds the non-blank lines after it,
+    stripped, each with its line number in the text, blank lines
+    counted."""
     lines = [(i, ln) for i, ln in enumerate((raw.strip() for raw in text.splitlines()), 1) if ln]
     if not lines:
         raise ParseError("empty input", "line 1")
@@ -79,7 +80,7 @@ def _read_header(text, kinds):
     nv, ne = _number(header[1]), _number(header[2])
     if nv is None or ne is None:
         raise ParseError("bad counts in header", where)
-    return header[0], nv, ne, lines[1:]
+    return header[0], nv, ne, where, lines[1:]
 
 
 def _parse_signed_rotations(body, n_vertices, n_edges, labels=None):
@@ -121,9 +122,9 @@ def _parse_signed_rotations(body, n_vertices, n_edges, labels=None):
 
 def parse_rot(text):
     """Parse the `rot` format into an embedded graph."""
-    _, nv, ne, body = _read_header(text, ("rot",))
+    _, nv, ne, where, body = _read_header(text, ("rot",))
     if len(body) != nv:
-        raise ParseError("expected %d rotation lines, found %d" % (nv, len(body)), "line 2")
+        raise ParseError("expected %d rotation lines, found %d" % (nv, len(body)), where)
     return _parse_signed_rotations(body, nv, ne)
 
 
@@ -213,7 +214,7 @@ def write_planar_code(graphs):
 
 def parse_op(text):
     """Parse an operation file into an LspOperation or LopspOperation."""
-    kind, nv, ne, body = _read_header(text, ("lsp", "lopsp"))
+    kind, nv, ne, header_at, body = _read_header(text, ("lsp", "lopsp"))
     fields, rot_lines = {}, []  # field -> (tokens, position)
     for i, ln in body:
         key, _, rest = ln.partition(":")
@@ -229,22 +230,25 @@ def parse_op(text):
             raise ParseError("`%s:` needs integers, got %r" % (key, toks[out.index(None)]), where)
         return out
 
-    if len(fields.get("types", ((), ""))[0]) != nv:
-        raise ParseError("missing or short `types:` line", "line 2")
-    if len(fields.get("special", ((), ""))[0]) != 3:
-        raise ParseError("missing `special: v0 v1 v2` line", "line 2")
+    absent = ((), header_at)  # the tokens and position of a field with no line
+    toks, where = fields.get("types", absent)
+    if len(toks) != nv:
+        raise ParseError("missing or short `types:` line", where)
+    toks, special_at = fields.get("special", absent)
+    if len(toks) != 3:
+        raise ParseError("missing `special: v0 v1 v2` line", special_at)
     types = numbers("types")
     v0, v1, v2 = (v - 1 for v in numbers("special"))
     if not all(0 <= v < nv for v in (v0, v1, v2)):
-        raise ParseError("special vertex ids must lie in 1..%d" % nv, "special line")
+        raise ParseError("special vertex ids must lie in 1..%d" % nv, special_at)
     graph = _parse_signed_rotations(rot_lines, nv, ne, labels=types)
     if kind == "lopsp":
         if "outer" in fields:
             raise FormatViolation("lopsp files carry no outer face")
         return LopspOperation(graph, v0, v1, v2)
-    toks, where = fields.get("outer", ((), ""))
+    toks, where = fields.get("outer", absent)
     if len(toks) != 1:
-        raise ParseError("lsp files need an `outer: <dart>` line", "line 2")
+        raise ParseError("lsp files need an `outer: <dart>` line", where)
     try:
         (outer_dart,) = _darts(toks, ne, set())
     except _BadToken as bad:
@@ -252,7 +256,7 @@ def parse_op(text):
         if kind == 1:
             raise ParseError("`outer:` needs integers, got %r" % tok[1:], where)
         raise ParseError("outer dart %r needs a sign" % tok if kind == 0
-                         else "outer edge %d out of range" % e, "outer line")
+                         else "outer edge %d out of range" % e, where)
     return LspOperation(graph, v0, v1, v2, outer_dart)
 
 

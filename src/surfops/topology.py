@@ -11,11 +11,18 @@ sets the homology classes; K has at most 2g (2 diam + 1) vertices.  One
 BFS per root reads the homology class of every closed walk a non-tree
 edge makes; on genus >= 2 it also sends the class-0 walks that can be a
 shortest cycle rooted at its smallest vertex of K to the contractibility
-test, each once.  ``_polyhedral`` decides c3 by
-how the faces of G meet.  On maps it rejects, ``_short_cycles`` reads
-the ck characterisation off ``B_G``, or off T of O(witness) for
-``classify_ck``: k is 1 at a 2-cycle and 2 at a nontrivial 4-cycle,
-which walks along its two sides decide locally.
+test, each once.
+
+``_polyhedral`` decides c3 by how the faces of G meet, in one pass over
+G's face table.  On maps it rejects, the ck characterisation gives k = 1
+at a 2-cycle of ``B_G`` and k = 2 at a nontrivial 4-cycle, which walks
+along its two sides decide locally.  ``ck_via_cycles`` reads the first
+2-cycle off G (``_two_cycle_of``) and builds ``B_G`` only when there is
+none, for its first nontrivial 4-cycle; ``classify_ck`` runs
+``_short_cycles`` on T of O(witness).  Either way the 4-cycle walk stops
+at the first nontrivial one.  ``is_ck_embedded`` reads the first 2-cut
+off the faces too (``_face_cut``) once face-width is at least 3 and G is
+simple; otherwise ``_smallest_cut`` runs one DFS per vertex.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ def is_contractible(g, cycle_darts):
     """
     cyc = list(cycle_darts)
     k = len(cyc)
-    vertex_of, inv, faces, face_of = g.vertex_of, g.inv, g.faces(), g.face_of
+    vertex_of, inv, faces, face_of = g.vertex_of, g.inv, g.faces(), g.face_table()
     c_vertices = {vertex_of[d] for d in cyc}
     if (not k or len(c_vertices) != k or len({g.edge_of(d) for d in cyc}) != k
             or any(vertex_of[inv[cyc[i - 1]]] != vertex_of[cyc[i]] for i in range(k))):
@@ -57,7 +64,7 @@ def is_contractible(g, cycle_darts):
             grown[s].append(f)
         return t == 1 - s
 
-    if any(meets(face_of(d), 0) for d in cyc) or any(meets(face_of(inv[d]), 1) for d in cyc):
+    if any(meets(face_of[d], 0) for d in cyc) or any(meets(face_of[inv[d]], 1) for d in cyc):
         return False
     done = [0, 0]
     while True:
@@ -69,7 +76,7 @@ def is_contractible(g, cycle_darts):
                 return chi == 1 or g.euler_characteristic() - chi == 1
             walk = faces[grown[s][done[s]]]
             done[s] += 1
-            if any(meets(face_of(inv[d]), s) for d in walk if d not in c_darts):
+            if any(meets(face_of[inv[d]], s) for d in walk if d not in c_darts):
                 return False
 
 
@@ -102,7 +109,7 @@ def _edge_classes(g):
     too.  Each left-over edge adds at most 2 ecc(0) + 1 vertices, so
     |K| <= 2g (2 ecc(0) + 1).
     """
-    vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_of
+    vertex_of, inv, edge_of, face_of = g.vertex_of, g.inv, g.edge_table(), g.face_table()
     rotations = g.rotations()
     spanned = [False] * g.edge_count  # in T or in the dual tree
     parent = [None] * g.vertex_count  # the parent of a vertex in T
@@ -115,7 +122,7 @@ def _edge_classes(g):
             if not reached[w]:
                 reached[w] = True
                 parent[w] = u
-                spanned[edge_of(d)] = True
+                spanned[edge_of[d]] = True
                 order.append(w)
     faces = g.faces()
     up = [None] * len(faces)  # dart of a face on the edge to its dual parent
@@ -124,8 +131,8 @@ def _edge_classes(g):
     order = [0]
     for f in order:
         for d in faces[f]:
-            e = edge_of(d)
-            child = g.face_of(inv[d])
+            e = edge_of[d]
+            child = face_of[inv[d]]
             if not spanned[e] and not reached[child]:
                 reached[child] = True
                 spanned[e] = True
@@ -148,14 +155,15 @@ def _edge_classes(g):
         vec = 0
         for d in faces[f]:
             if d != up[f]:
-                vec ^= cls[edge_of(d)]
-        cls[edge_of(up[f])] = vec
+                vec ^= cls[edge_of[d]]
+        cls[edge_of[up[f]]] = vec
     return cls, [v for v in range(g.vertex_count) if in_cut[v]]
 
 
 def _neighbours(g):
     """(head, edge, dart) for every dart of a vertex, in rotation order."""
-    return [[(g.head(d), g.edge_of(d), d) for d in rot] for rot in g.rotations()]
+    vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_table()
+    return [[(vertex_of[inv[d]], edge_of[d], d) for d in rot] for rot in g.rotations()]
 
 
 def _fundamental_cycle(g, depth, parent_dart, d):
@@ -364,20 +372,92 @@ def _smallest_cut(g, max_size=2):
     return None
 
 
+def _edge_faces(g):
+    """The faces of every edge, keyed by its ends, or None at a loop, a
+    parallel edge or an edge with one face on both sides.  Pairs are one
+    int each: ends u < w as u * V + w, faces f < h as f * F + h."""
+    vertex_of, face_of = g.vertex_of, g.face_table()
+    nv, nf = g.vertex_count, len(g.faces())
+    between = {}
+    for d, dp in g.edge_darts():
+        u, w, f, h = vertex_of[d], vertex_of[dp], face_of[d], face_of[dp]
+        uw = u * nv + w if u < w else w * nv + u
+        if u == w or f == h or uw in between:
+            return None
+        between[uw] = f * nf + h if f < h else h * nf + f
+    return between
+
+
+def _face_cut(g):
+    """``_smallest_cut(g)`` on a map of face-width >= 3, read off how its
+    faces meet in O(sum of squared degrees) when g is simple.
+
+    A loop, a parallel edge or an edge with one face on both sides sends
+    g to ``_smallest_cut``, and one DFS finds a cut vertex.  Without
+    those, {a, b} is a cut exactly when a and b lie on two distinct faces
+    F, F' with no edge ab between F and F', so the first such pair a < b
+    is the first 2-cut.
+
+    No face passes a vertex v twice: a curve through the face from one
+    of its angles at v to the other meets g at v alone, so it bounds a
+    disc, and each side holds an edge at v that leads off v, which makes
+    v a cut vertex.  If F and F' share a and b, a curve from a through F
+    to b and back through F' meets g in a and b only, so by face-width
+    >= 3 it bounds a disc too.  At a, the angles of F and F' split the
+    edges into two arcs, one on each side.  An arc whose one edge is ab,
+    the only one in a simple map, puts ab between F and F'; so otherwise
+    each side holds an edge from a to a third vertex, and {a, b}
+    separates them.  Conversely, let {a, b} be a 2-cut and C a component
+    of g - a - b.  Without a cut vertex, a has edges into every such
+    component.  A face with an angle at a between an edge into C and
+    one not into C walks from C to outside C without passing a again,
+    so it passes b.  The arcs into C and not into C meet at two or more
+    such angles, on distinct faces.  With two, the arc not into C holds
+    an edge into another component, so it is not ab alone, and no edge
+    ab lies between the two faces.  With four or more, some two of the
+    faces are not the two sides of the one edge ab.
+    """
+    between = _edge_faces(g)
+    if between is None:
+        return _smallest_cut(g)
+    face_of, rotations = g.face_table(), g.rotations()
+    nv, nf = len(rotations), len(g.faces())
+    cuts = _articulation_points([[g.head(d) for d in rot] for rot in rotations])
+    if cuts:
+        return (min(cuts),)
+    shared = {}  # faces f < h, as f * nf + h -> the vertices on both, ascending
+    for v, rot in enumerate(rotations):
+        at = sorted([face_of[d] for d in rot])
+        for i, f in enumerate(at):
+            for h in at[i + 1:]:
+                shared.setdefault(f * nf + h, []).append(v)
+    # per pair of faces the first (a, b) in O(|s|): a fails with at most two b
+    firsts = (next(((a, b) for i, a in enumerate(s) for b in s[i + 1:]
+                    if between.get(a * nv + b) != fh), None) for fh, s in shared.items())
+    return min(filter(None, firsts), default=None)
+
+
 def is_ck_embedded(g, k):
     """Direct evaluation of the ck-embeddedness definition.
 
     No cut with fewer than k vertices, and face-width, minimum face size
     and minimum degree all at least k.  The report carries the largest k
     in {1,2,3} for which all four conditions hold.  A map that
-    ``_polyhedral`` accepts is c3, so 3-connected: it skips the cut search.
+    ``_polyhedral`` accepts is c3, so 3-connected: it skips the cut
+    search.  Otherwise ``_face_cut`` reads the cut off the faces once
+    face-width is at least 3, and ``_smallest_cut`` searches for it below.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     fw, fw_cycle = face_width_witness(g)
-    cut = None if _polyhedral(g) else _smallest_cut(g, max_size=2)
+    if _polyhedral(g):
+        cut = None
+    elif fw >= 3:
+        cut = _face_cut(g)
+    else:
+        cut = _smallest_cut(g, max_size=2)
     cut_free = 3 if cut is None else len(cut)  # no cut smaller than this
     k_max = min(min_deg, min_face, 3, cut_free)
     if fw != math.inf:
@@ -419,25 +499,61 @@ def _two_cycle(b):
     return None
 
 
+def _two_cycle_of(g):
+    """``_two_cycle(barycentric(g))``, read off g without building B_G.
+
+    ``_two_cycle`` returns the first B-edge whose ends repeat an earlier
+    one's, with its first B-dart and the reverse of the earlier one's
+    dart at the same end.  With n darts in g, ``barycentric`` lists the
+    vertex--edge edges d, then the vertex--face edges n + d, then the
+    edge--face edges 2n + d, and B-edge e has B-darts 2e and 2e + 1, at
+    its ends in that order.  Ends of two kinds differ in type, so a
+    repeat stays within a kind: a loop (d' = inv d), one vertex and face
+    at two angles, or one face on both sides of an edge (d' = inv d).
+    """
+    n, inv, vertex_of, face_of = g.dart_count, g.inv, g.vertex_of, g.face_table()
+    for d in range(n):
+        if inv[d] < d and vertex_of[inv[d]] == vertex_of[d]:
+            return 2 * d, 2 * inv[d] + 1
+    first, nf = {}, len(g.faces())  # (vertex, face) of an angle -> the first dart closing it
+    for x in range(n):
+        x0 = first.setdefault(vertex_of[x] * nf + face_of[x], x)
+        if x0 != x:
+            return 2 * (n + x), 2 * (n + x0) + 1
+    for d in range(n):
+        if inv[d] < d and face_of[inv[d]] == face_of[d]:
+            return 2 * (2 * n + d), 2 * (2 * n + inv[d]) + 1
+    return None
+
+
 def four_cycles(b):
-    """All simple 4-cycles u-x-w-y of a graph, as dart quadruples.
+    """All simple 4-cycles of a graph, as dart quadruples, in the order
+    of ``_four_cycle_walk``."""
+    return list(_four_cycle_walk(b))
+
+
+def _four_cycle_walk(b):
+    """The simple 4-cycles u-x-w-y of a graph, as dart quadruples, one at
+    a time.
 
     The cycles come from two-hop walks u -> x -> w with w > u: for each u
     the walks are grouped by w, and every pair of middle vertices x, y of
     one group closes a cycle.  Groups are visited in increasing w and
-    keep the x values in ``adj[u]`` order, so the list is ordered by the
-    diagonal (u, w) and then by x and y.  A cycle is met from both of its
-    diagonals.  Without loops or parallel edges both meetings give the
-    same edges, and the first is the one where u is the smallest vertex,
-    so walks through an x < u are skipped.  Otherwise the edge sets met
-    so far tell repeats apart.  O(sum of squared degrees).
+    keep the x values in ``adj[u]`` order, so the cycles come ordered by
+    the diagonal (u, w) and then by x and y.  A cycle is met from both of
+    its diagonals.  Without loops or parallel edges both meetings give
+    the same edges, and the first is the one where u is the smallest
+    vertex, so walks through an x < u are skipped.  Otherwise the edge
+    sets met so far tell repeats apart.  O(sum of squared degrees) for
+    all of them.
     """
-    nv = b.vertex_count
+    vertex_of, inv, rotations = b.vertex_of, b.inv, b.rotations()
+    nv = len(rotations)
     adj = [dict() for _ in range(nv)]
     for d in range(b.dart_count):
-        adj[b.vertex_of[d]][b.head(d)] = d
-    simple = all(len(adj[v]) == b.degree(v) for v in range(nv))
-    out = []
+        adj[vertex_of[d]][vertex_of[inv[d]]] = d
+    simple = all(len(adj[v]) == len(rotations[v]) for v in range(nv))
+    edge_of = b.edge_table()
     seen = set()
     for u in range(nv):
         groups = {}
@@ -453,12 +569,11 @@ def four_cycles(b):
                 for y in common[i + 1:]:
                     cyc = (adj[u][x], adj[x][w], adj[w][y], adj[y][u])
                     if not simple:
-                        key = frozenset(b.edge_of(d) for d in cyc)
+                        key = frozenset(edge_of[d] for d in cyc)
                         if key in seen:
                             continue
                         seen.add(key)
-                    out.append(cyc)
-    return out
+                    yield cyc
 
 
 def _side_walk(b, cyc):
@@ -506,7 +621,13 @@ def _short_cycles(b):
     two = _two_cycle(b)
     if two is not None:
         return 1, {"two_cycle": two}
-    for cyc in four_cycles(b):
+    return _four_cycle_witness(b)
+
+
+def _four_cycle_witness(b):
+    """(2, witness) at the first nontrivial 4-cycle of b, which the walk
+    stops at, else (3, {})."""
+    for cyc in _four_cycle_walk(b):
         if not four_cycle_is_trivial(b, cyc):
             return 2, {"four_cycle": cyc}
     return 3, {}
@@ -544,33 +665,43 @@ def _polyhedral(g):
     and v without an edge uv between them give a nontrivial 0202.  Two
     sharing a, b and c give one too, unless the edges ab and bc both
     have sides F and F', which makes a 1212.
+
+    A pair of faces keeps its first shared vertex, then the first two,
+    and fails at a third.
     """
-    vertex_of, face_of = g.vertex_of, g.face_of
-    ends, along = set(), {}  # along: pair of faces -> the ends of an edge between them
-    for d, dp in g.edge_darts():
-        uv, fh = frozenset((vertex_of[d], vertex_of[dp])), (face_of(d), face_of(dp))
-        if len(uv) < 2 or fh[0] == fh[1] or uv in ends:
-            return False
-        ends.add(uv)
-        along[min(fh), max(fh)] = uv
-    shared = {}
-    for v, rot in enumerate(g.rotations()):
-        at = sorted(face_of(d) for d in rot)
-        if len(set(at)) < len(at):
-            return False
+    between = _edge_faces(g)
+    if between is None:
+        return False
+    face_of, rotations = g.face_table(), g.rotations()
+    nv, nf = len(rotations), len(g.faces())
+    first, two = {}, {}  # faces -> the first vertex on both, and the first two
+    for v, rot in enumerate(rotations):
+        at = sorted([face_of[d] for d in rot])
         for i, f in enumerate(at):
             for h in at[i + 1:]:
-                shared.setdefault((f, h), set()).add(v)
-    return all(len(s) < 2 or s == along.get(p) for p, s in shared.items())
+                if h == f:
+                    return False
+                fh = f * nf + h
+                u = first.setdefault(fh, v)
+                if u != v:
+                    if fh in two:
+                        return False
+                    two[fh] = u * nv + v
+    return all(between.get(uv) == fh for fh, uv in two.items())
 
 
 def ck_via_cycles(g, k):
     """ck-embeddedness via short cycles of B_G: c2 iff no 2-cycles, c3 iff
-    additionally no nontrivial 4-cycles.  Maps that ``_polyhedral``
-    rejects list the short cycles of B_G for k and the witness."""
+    additionally no nontrivial 4-cycles.  On a map that ``_polyhedral``
+    rejects, ``_two_cycle_of`` reads B_G's first 2-cycle off g, and B_G
+    is built only without one, for its first nontrivial 4-cycle."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
-    k_max, witness = (3, {}) if _polyhedral(g) else _short_cycles(barycentric(g))
+    if _polyhedral(g):
+        k_max, witness = 3, {}
+    else:
+        two = _two_cycle_of(g)
+        k_max, witness = (1, {"two_cycle": two}) if two else _four_cycle_witness(barycentric(g))
     return CkReport(
         k_max=k_max,
         passed=k_max >= k,

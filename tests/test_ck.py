@@ -9,6 +9,7 @@ same triviality answers, so ck reports and their witnesses stay
 identical.
 """
 
+import hashlib
 import random
 
 import networkx as nx
@@ -24,7 +25,7 @@ from surfops.embedded import EmbeddedGraph
 
 import oracle_bridges as ob
 import oracle_ck as oc
-from conftest import named_seeds, relabeled
+from conftest import build_corpus, named_seeds, relabeled
 from test_polyhedrality import flip_runs, polyhedral_maps
 
 
@@ -341,3 +342,130 @@ def test_polyhedral_agrees_on_every_flip_tried():
                  st.integers(1, 40)))
 def test_polyhedral_agrees_on_random_rotation_systems(g):
     assert tp._polyhedral(g) == c3_by_cycles(g)
+
+
+# ---------------------------------------------------------------------------
+# 2-cuts read off the faces, and the reports they must keep
+
+
+def late_cut_map():
+    """gyro^2(tetrahedron) with its first edge between two vertices above
+    V/2 subdivided: the one 2-cut is that edge's ends, which the vertex
+    by vertex search reaches late."""
+    g = power("gyro", polyhedra.tetrahedron(), 2)
+    half = g.vertex_count // 2
+    d = next(d for d, dp in g.edge_darts() if min(g.vertex_of[d], g.vertex_of[dp]) > half)
+    return subdivide(g, d)
+
+
+def report_maps():
+    graphs = list(build_corpus().values())
+    graphs += [ops.apply(ops.catalog(name), named_seeds()[seed]).result
+               for seed in ("tetrahedron", "cube", "k7") for name in ops.catalog_names()]
+    rng = random.Random(2023)
+    graphs += [polyhedra.random_embedded(rng, rng.randint(1, 40)) for _ in range(200)]
+    return graphs + [late_cut_map()]
+
+
+REPORTS_SHA256 = "398d62d6ac308cbbb07df4f665dc77135bb194f8b38f42bcd746b937f5954cc6"
+
+
+def test_ck_reports_digest():
+    """sha256 over the fields of ``is_ck_embedded`` for k = 1, 2, 3 and
+    ``ck_via_cycles`` for k = 2, 3 on the corpus, the catalog images of
+    three seeds, 200 random maps and the late-cut map."""
+    digest = hashlib.sha256()
+    for g in report_maps():
+        reports = [tp.is_ck_embedded(g, k) for k in (1, 2, 3)]
+        reports += [tp.ck_via_cycles(g, k) for k in (2, 3)]
+        for r in reports:
+            fields = (r.k_max, r.min_degree, r.min_face_size, r.face_width, r.smallest_cut,
+                      r.witness)
+            digest.update(repr(fields).encode() + b"\n")
+    assert digest.hexdigest() == REPORTS_SHA256
+
+
+def test_late_cut_is_read_off_the_faces(monkeypatch):
+    g = late_cut_map()
+    want = oc.is_ck_embedded(g, 3)
+    assert min(want.smallest_cut) > g.vertex_count // 2
+    skips = []
+    search = tp._articulation_points
+
+    def spy(adjacency, skip=None):
+        skips.append(skip)
+        return search(adjacency, skip)
+
+    monkeypatch.setattr(tp, "_articulation_points", spy)
+    assert tp.is_ck_embedded(g, 3) == want
+    assert skips == [None]  # one cut-vertex search, and no search on any G - a
+
+
+def join_across(g, u, w):
+    """g with an edge from u to w across the first face with an angle at
+    both; the angle after dart x lies on the face of sigma(x)."""
+    def angles(v):
+        return {g.face_of(g.sigma[x]): x for x in reversed(g.rotations()[v])}
+
+    at_u, at_w = angles(u), angles(w)
+    f = min(f for f in at_u if f in at_w)
+    return add_edge(g, at_u[f], at_w[f])
+
+
+def glue_k4_minus_edge(g, dp, dq):
+    """g with K4 minus the edge pq drawn in one face at its corners p and
+    q, the tails of dp and dq, whose following angles lie on that face:
+    the chord pq, subdivided twice into p-c-d-q, then pd and cq across
+    the faces on its two sides.  {p, q} cuts {c, d} off the rest."""
+    n, p, q = g.dart_count, g.vertex_of[dp], g.vertex_of[dq]
+    h = subdivide(subdivide(add_edge(g, dp, dq), n), n + 3)
+    c, d = h.vertex_count - 2, h.vertex_count - 1
+    return join_across(join_across(h, p, d), c, q)
+
+
+def glued_maps():
+    """K4 minus an edge glued at two corners of each face of small plane
+    and torus maps, one map per corner pair with the first corner."""
+    tet, k7 = polyhedra.tetrahedron(), polyhedra.k7_torus()
+    starts = [tet, polyhedra.cube(), polyhedra.octahedron(), k7, k7.dual()]
+    starts += [ops.apply(ops.catalog(name), g).result for name in ("ambo", "truncation")
+               for g in (tet, k7)]
+    out = []
+    for g in starts:
+        for walk in g.faces():
+            # the angle after the reverse of a dart of the walk is the
+            # walk's angle at the tail of the next dart
+            dp = g.inv[walk[-1]]
+            out += [(g, glue_k4_minus_edge(g, dp, g.inv[x])) for x in walk[:-1]
+                    if g.vertex_of[g.inv[x]] != g.vertex_of[dp]]
+    return out
+
+
+def test_face_cut_on_k4_minus_edge_glued_in():
+    found = 0
+    for g, h in glued_maps():
+        assert h.genus() == g.genus()
+        if tp.face_width(h) < 3:
+            continue
+        cut = tp._face_cut(h)
+        assert cut == tp._smallest_cut(h, 2)
+        assert tp.is_ck_embedded(h, 3) == oc.is_ck_embedded(h, 3)
+        found += cut is not None and len(cut) == 2
+    assert found > 100
+
+
+def test_face_cut_matches_dfs_on_corpus_and_flips(corpus):
+    graphs = list(corpus.values())
+    graphs += [h for _, _, tried in flip_runs() for h, _ in tried if h is not None]
+    ruled = [g for g in graphs if tp.face_width(g) >= 3]
+    assert len(ruled) >= 40
+    for g in ruled:
+        assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.builds(polyhedra.random_embedded, st.randoms(use_true_random=False),
+                 st.integers(1, 40)))
+def test_face_cut_matches_dfs_on_random_rotation_systems(g):
+    if tp.face_width(g) >= 3:
+        assert tp._face_cut(g) == tp._smallest_cut(g, 2)

@@ -111,6 +111,29 @@ def test_op_errors_count_blank_lines():
         io.parse_op("\n".join(lines[:2] + ["", ""] + lines[2:]))
 
 
+def test_missing_rotation_lines_name_the_header():
+    with pytest.raises(io.ParseError, match=r"^expected 2 rotation lines, found 1 \(at line 3\)$"):
+        io.parse_rot("\n\nrot 2 1\n1: +1 -1\n")
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("types: 2 0 2 1\n", "", "missing or short `types:` line (at line 3)"),
+    ("types: 2 0 2 1", "types: 2 0 2", "missing or short `types:` line (at line 4)"),
+    ("special: 1 2 3\n", "", "missing `special: v0 v1 v2` line (at line 3)"),
+    ("special: 1 2 3", "special: 1 2 9", "special vertex ids must lie in 1..4 (at line 5)"),
+    ("outer: -1\n", "", "lsp files need an `outer: <dart>` line (at line 3)"),
+    ("outer: -1", "outer: -99", "outer edge 99 out of range (at line 10)"),
+], ids=["types", "short-types", "special", "special-range", "outer", "outer-range"])
+def test_op_field_errors_name_their_line(old, new, message):
+    """A missing field is reported at the header's line, a bad one at its
+    own; the header here follows two blank lines."""
+    text = io.write_op(ops.catalog("ambo"))
+    assert old in text
+    with pytest.raises(io.ParseError) as err:
+        io.parse_op("\n\n" + text.replace(old, new, 1))
+    assert str(err.value) == message
+
+
 def test_planar_code_is_checked_once(monkeypatch):
     """Planar code rows are proven simple and listed at both ends, so the
     graphs are built unchecked and only ``_check_assembled`` runs."""

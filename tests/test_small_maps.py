@@ -1,0 +1,80 @@
+"""The ck fast paths on every map with at most four edges and on its
+images under the catalog operations.
+
+The corpus checks itself by two counts.  Summed over the maps, 2E/|Aut+|
+counts the rooted maps, which the number of connected sigma gives too:
+each rooted map is one sigma for each of the (2E - 1)!! pairings, up to
+the (2E - 1)! relabellings that fix the root.  Its plane part is
+Tutte's count of rooted planar maps ("A census of planar maps", 1963).
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+from surfops import operations as ops
+from surfops import topology as tp
+from surfops.chambers import barycentric
+
+import oracle_ck as oc
+from small_maps import automorphisms, small_maps
+
+EDGES = (1, 2, 3, 4)
+
+
+def rooted_counts(plane_only=False):
+    return [sum(Fraction(2 * e, automorphisms(g)) for g in small_maps(e)[1]
+                if not plane_only or g.genus() == 0) for e in EDGES]
+
+
+def test_rooted_counts():
+    from_sigma = [Fraction(small_maps(e)[0] * math.prod(range(1, 2 * e, 2)),
+                           math.factorial(2 * e - 1)) for e in EDGES]
+    assert rooted_counts() == from_sigma == [2, 10, 74, 706]
+    assert sum(len(small_maps(e)[1]) for e in EDGES) == 134
+
+
+def test_plane_rooted_counts():
+    tutte = [2 * 3**e * math.factorial(2 * e) // (math.factorial(e) * math.factorial(e + 2))
+             for e in EDGES]
+    assert rooted_counts(plane_only=True) == tutte == [2, 9, 54, 378]
+
+
+def corpus_and_images():
+    maps = [g for e in EDGES for g in small_maps(e)[1]]
+    return maps + [ops.apply(ops.catalog(name), g).result
+                   for name in ops.catalog_names() for g in maps]
+
+
+@pytest.fixture(scope="module")
+def graphs():
+    return corpus_and_images()
+
+
+def test_polyhedral_and_two_cycle_read_off_g(graphs):
+    assert len(graphs) == 8 * 134
+    for g in graphs:
+        b = barycentric(g)
+        assert tp._polyhedral(g) == (tp._short_cycles(b)[0] == 3)
+        assert tp._two_cycle_of(g) == tp._two_cycle(b)
+
+
+def test_ck_reports_match_oracle(graphs):
+    kinds = set()
+    for g in graphs:
+        for k in (1, 2, 3):
+            report = tp.is_ck_embedded(g, k)
+            assert report == oc.is_ck_embedded(g, k)
+        for k in (2, 3):
+            assert tp.ck_via_cycles(g, k) == oc.ck_via_cycles(g, k)
+        kinds.add((report.k_max, report.smallest_cut is not None, report.face_width >= 3))
+    # every k, with and without a cut, and the face rule's range all occur
+    assert {(1, True, True), (2, True, True), (2, False, True), (1, False, False)} <= kinds
+
+
+def test_face_cut_matches_dfs(graphs):
+    ruled = [g for g in graphs if tp.face_width(g) >= 3]
+    assert len(ruled) > 500
+    for g in ruled:
+        assert tp._face_cut(g) == tp._smallest_cut(g, 2)
