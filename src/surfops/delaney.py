@@ -261,9 +261,14 @@ def parse_dd(text):
     n = _number(header[1]) if len(header) == 2 and header[0] == "dd" else None
     if n is None:
         raise ValueError("missing 'dd <n>' header")
+    keys = ["s%d" % i for i in range(3)] + ["m%d%d" % pair for pair in _PAIRS]
     rows = {}
     for ln in lines[1:]:
         key, *values = ln.split()
+        if key not in keys:
+            raise ValueError("unknown row %r" % key)
+        if key in rows:
+            raise ValueError("duplicate %s row" % key)
         rows[key] = [_number(x) for x in values]
 
     def row(key, message):

@@ -218,10 +218,23 @@ def parse_op(text):
     fields, rot_lines = {}, []  # field -> (tokens, position)
     for i, ln in body:
         key, _, rest = ln.partition(":")
-        if key.strip() in ("types", "special", "outer"):
-            fields[key.strip()] = (rest.split(), "line %d" % i)
+        key = key.strip()
+        if key in ("types", "special", "outer"):
+            if key in fields:
+                raise ParseError("repeated `%s:` line" % key, "line %d" % i)
+            fields[key] = (rest.split(), "line %d" % i)
         else:
             rot_lines.append((i, ln))
+
+    def field(key, count, missing):
+        """The tokens and position of the `key:` line, which must have ``count``."""
+        if key not in fields:
+            raise ParseError(missing, header_at)
+        toks, where = fields[key]
+        if len(toks) != count:
+            raise ParseError("`%s:` line has %d entries, expected %d" % (key, len(toks), count),
+                             where)
+        return toks, where
 
     def numbers(key):
         toks, where = fields[key]
@@ -230,13 +243,8 @@ def parse_op(text):
             raise ParseError("`%s:` needs integers, got %r" % (key, toks[out.index(None)]), where)
         return out
 
-    absent = ((), header_at)  # the tokens and position of a field with no line
-    toks, where = fields.get("types", absent)
-    if len(toks) != nv:
-        raise ParseError("missing or short `types:` line", where)
-    toks, special_at = fields.get("special", absent)
-    if len(toks) != 3:
-        raise ParseError("missing `special: v0 v1 v2` line", special_at)
+    field("types", nv, "missing `types:` line")
+    _, special_at = field("special", 3, "missing `special: v0 v1 v2` line")
     types = numbers("types")
     v0, v1, v2 = (v - 1 for v in numbers("special"))
     if not all(0 <= v < nv for v in (v0, v1, v2)):
@@ -246,9 +254,7 @@ def parse_op(text):
         if "outer" in fields:
             raise FormatViolation("lopsp files carry no outer face")
         return LopspOperation(graph, v0, v1, v2)
-    toks, where = fields.get("outer", absent)
-    if len(toks) != 1:
-        raise ParseError("lsp files need an `outer: <dart>` line", where)
+    toks, where = field("outer", 1, "lsp files need an `outer: <dart>` line")
     try:
         (outer_dart,) = _darts(toks, ne, set())
     except _BadToken as bad:

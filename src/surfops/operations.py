@@ -230,6 +230,11 @@ class CutPath:
 
 def _check_cut_path(op, path):
     g = op.graph
+    if not path.darts:
+        raise InvalidOperation("cut-path is empty")
+    bad = next((d for d in path.darts if not 0 <= d < g.dart_count), None)
+    if bad is not None:
+        raise InvalidOperation("cut-path dart %d out of range 0..%d" % (bad, g.dart_count - 1))
     seq = path.vertices(g)
     if seq[0] != op.v1 or seq[-1] != op.v2:
         raise InvalidOperation("cut-path must run from v1 to v2")
@@ -237,9 +242,8 @@ def _check_cut_path(op, path):
         raise InvalidOperation("cut-path must pass through v0")
     if len(set(seq)) != len(seq):
         raise InvalidOperation("cut-path is not a simple path")
-    for i, d in enumerate(path.darts):
-        if g.vertex_of[d] != seq[i] or g.head(d) != seq[i + 1]:
-            raise InvalidOperation("cut-path darts are not consecutive")
+    if any(g.vertex_of[d] != v for d, v in zip(path.darts, seq)):  # seq holds the heads
+        raise InvalidOperation("cut-path darts are not consecutive")
     return path
 
 
@@ -314,29 +318,19 @@ def _disjoint_shortest_pair(g, v0, v1, v2, weight):
             arcs[u][i][1] -= 1
             arcs[node][arcs[u][i][3]][1] += 1
             node = u
+    # each vertex but v0 is left by at most one unit of flow: its split arc
+    # has capacity 1, and v1 and v2 have no out-arcs
+    flow = [arc[4] for arc in chain.from_iterable(arcs) if arc[4] is not None and arc[1] == 0]
+    leaving = {g.vertex_of[d]: d for d in flow}
     paths = []
-    for _ in range(2):
-        node = source
-        darts = []
-        while node != sink:
-            for arc in arcs[node]:
-                w, cap, cost, rev, dart = arc
-                if cap != 0:
-                    continue
-                if dart is not None:
-                    arc[1] = 1  # consume this unit of flow
-                    darts.append(dart)
-                    node = w
-                    break
-                if cost == 0:
-                    arc[1] = 1
-                    node = w
-                    break
-        paths.append(darts)
-    p1, p2 = paths
-    if g.head(p1[-1]) == v2:
-        p1, p2 = p2, p1
-    return p1, p2
+    for d in flow:
+        if g.vertex_of[d] == v0:
+            path = [d]
+            while g.head(path[-1]) not in (v1, v2):
+                path.append(leaving[g.head(path[-1])])
+            paths.append(path)
+    paths.sort(key=lambda p: g.head(p[-1]) == v2)
+    return paths
 
 
 # ---------------------------------------------------------------------------
@@ -519,64 +513,60 @@ class _CellTemplate:
     fans: list
 
 
-def _compile_template(pg, walk, start, corner_type, faces, lift_vertex, lift_edge):
-    """The template of a patch whose boundary ``walk`` is split at the
-    corners in ``corner_type`` (patch vertex -> 0, 1, 2), starting at
-    corner ``start``.  ``faces`` lists (lift, dart walk) for the inner
-    faces in gluing order; new ids follow first sight in that order.
-    A chain runs from its higher-type end, so segment k runs along it
-    when its first corner has the higher type.  The corners must have
-    the types (2, 0, 1, 0) of every double chamber read from its type-2
-    corner; that is checked here, once per template, not on every glued
-    graph.  Inner faces are triangles and interior edges join two types
-    because the patch lifts them one to one onto the faces and edges of
-    the operation, whose validation gives both."""
+def _compile_template(patch):
+    """The cell template of a double chamber patch.  Read from v2, its
+    boundary passes one copy of v0, then v1, then the other copy of v0,
+    so its corners have the types (2, 0, 1, 0) of every double chamber
+    read from its type-2 corner, and segment k lies on side k.  A chain
+    runs from its higher-type end: the (2, 0) and (1, 0) chains are
+    segments 0 and 2, from v2 and from v1, and segments 1 and 3 run
+    along them backwards.  The inner faces are taken in face order; new
+    ids follow first sight in that order.
+
+    The construction proves what is not checked here.  ``_cut_open``
+    copies the vertex and edge of each walk dart, so both copies of a
+    cut-path half lift alike, and each walk position is a patch vertex
+    of its own, so no boundary vertex is met twice.  Inner faces are
+    triangles and interior edges join two types because the patch lifts
+    them one to one onto the faces and edges of the operation, whose
+    validation gives both."""
+    pg = patch.graph
+    walk = pg.faces()[patch.outer_face]
     tails = [pg.vertex_of[d] for d in walk]
-    first = tails.index(start)
-    walk, tails = list(walk[first:]) + list(walk[:first]), tails[first:] + tails[:first]
-    marks = [i for i, v in enumerate(tails) if v in corner_type] + [len(walk)]
-    nseg = len(marks) - 1
-    types = tuple(corner_type[tails[i]] for i in marks[:-1])
-    if types != (2, 0, 1, 0):
-        raise InternalInvariant("template", "corner types %r, not a double chamber's" % (types,))
-    vref = {}  # patch vertex -> (vertex base, const)
+    first = tails.index(patch.v2)
+    walk, tails = walk[first:] + walk[:first], tails[first:] + tails[:first]
+    corners = (patch.v2, patch.v0_right, patch.v1, patch.v0_left)
+    marks = list(map(tails.index, corners)) + [len(walk)]
+    vref = {v: (5 + k, 0) for k, v in enumerate(corners)}  # patch vertex -> (vertex base, const)
     eref = {}  # patch edge -> (dart base, const, the patch dart it gives)
-    chains = {}
-    for k in range(nseg):
-        darts = walk[marks[k]:marks[k + 1]]
-        seg = tails[marks[k]:marks[k + 1]] + [tails[marks[k + 1] % len(walk)]]
-        a, b = types[k], types[(k + 1) % nseg]
-        n = len(darts)
-        pos = range(n + 1) if a > b else range(n, -1, -1)  # chain position of seg[t]
-        chain = ([lift_vertex[v] for v in seg[1:-1]], [lift_edge[pg.edge_of(d)] for d in darts])
-        if a < b:
-            chain = (chain[0][::-1], chain[1][::-1])
-        if chains.setdefault((max(a, b), min(a, b)), chain) != chain:
-            raise InternalInvariant("template", "copies of a cut-path half lift differently",
-                                    dart=darts[0])
-        for t, v in enumerate(seg):
-            ref = ((1 + nseg + k, 0) if t == 0 else (1 + nseg + (k + 1) % nseg, 0) if t == n
-                   else (1 + k, pos[t] - 1))
-            if vref.setdefault(v, ref) != ref:
-                raise InternalInvariant("template", "boundary vertex met twice", dart=darts[0])
+    tm = _CellTemplate({}, [], [], [], [], [], [])
+    for k in range(4):
+        darts, inner = walk[marks[k]:marks[k + 1]], tails[marks[k] + 1:marks[k + 1]]
+        n, up = len(darts), k % 2 == 0  # whether segment k runs from its higher-type end
+        if up:
+            tm.chains[2 - k // 2, 0] = ([patch.lift_vertex[v] for v in inner],
+                                        [patch.lift_edge[pg.edge_of(d)] for d in darts])
+        for t, v in enumerate(inner):
+            vref[v] = (1 + k, t if up else n - t - 2)
         for t, d in enumerate(darts):
-            eref[pg.edge_of(d)] = (1 + k, 2 * min(pos[t], pos[t + 1]) + (a < b), d)
-    tm = _CellTemplate(chains, [], [], [], [], [], [])
+            eref[pg.edge_of(d)] = (1 + k, 2 * t if up else 2 * (n - t) - 1, d)
 
     def ref(d):  # (base, const) of a patch dart
         base, const, d0 = eref[pg.edge_of(d)]
         return base, const if d == d0 else const ^ 1
 
+    faces = [(patch.lift_face[fi], fwalk) for fi, fwalk in enumerate(pg.faces())
+             if fi != patch.outer_face]
     for lifted, fwalk in faces:
         for d in fwalk:
             if pg.vertex_of[d] not in vref:
                 vref[pg.vertex_of[d]] = (0, len(tm.vertex_lift))
-                tm.vertex_lift.append(lift_vertex[pg.vertex_of[d]])
+                tm.vertex_lift.append(patch.lift_vertex[pg.vertex_of[d]])
         for d in fwalk:
             pe = pg.edge_of(d)
             if pe not in eref:
                 eref[pe] = (0, 2 * len(tm.edge_lift), d)
-                tm.edge_lift.append(lift_edge[pe])
+                tm.edge_lift.append(patch.lift_edge[pe])
                 tm.ends += (vref[pg.vertex_of[d]], vref[pg.head(d)])
         tm.src += map(ref, fwalk)
         tm.face_lift.append(lifted)
@@ -769,17 +759,6 @@ def _glue_slots(frame, tm, op, cells, cell, side, phi_inv, vbase, vcol):
                 pi_face=face_lift, edge_cells=tuple(edge_cells))
 
 
-def _patch_template(op, cut_path):
-    """The cell template of the patch of a lopsp-operation."""
-    patch = double_chamber_patch(op, cut_path)
-    pg = patch.graph
-    corner_type = {patch.v0_left: 0, patch.v0_right: 0, patch.v1: 1, patch.v2: 2}
-    faces = [(patch.lift_face[fi], walk) for fi, walk in enumerate(pg.faces())
-             if fi != patch.outer_face]
-    return _compile_template(pg, pg.faces()[patch.outer_face], patch.v2, corner_type,
-                             faces, patch.lift_vertex, patch.lift_edge)
-
-
 def apply(op, g, cut_path=None):
     """Apply a lopsp- or lsp-operation to an embedded graph.
 
@@ -799,7 +778,7 @@ def apply(op, g, cut_path=None):
     op = op.lopsp()
     if cut_path not in op._templates:
         path = cut_path if cut_path is not None else find_cut_path(op, "minimal")
-        op._templates[cut_path] = _patch_template(op, path)
+        op._templates[cut_path] = _compile_template(double_chamber_patch(op, path))
     return _glue(g, op._templates[cut_path], g.genus(), op)
 
 

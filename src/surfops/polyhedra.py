@@ -159,19 +159,24 @@ def k4_minus_edge():
     )
 
 
-def random_embedded(rng_or_seed, n_edges, max_tries=500):
-    """Random connected rotation system on ``n_edges`` edges.
+_SAMPLE_TRIES = 500  # draws before ``random_embedded`` gives up
+
+
+def random_embedded(rng_or_seed, n_edges):
+    """Random connected rotation system on ``n_edges`` >= 1 edges.
 
     Loops and parallel edges occur naturally; the genus is whatever the
     random rotations give.  Deterministic for a given seed.
     """
+    if n_edges < 1:
+        raise ValueError("a rotation system needs at least one edge, not %d" % n_edges)
     rng = (
         rng_or_seed
         if isinstance(rng_or_seed, random.Random)
         else random.Random(rng_or_seed)
     )
     n = 2 * n_edges
-    for _ in range(max_tries):
+    for _ in range(_SAMPLE_TRIES):
         darts = list(range(n))
         rng.shuffle(darts)
         pairing = [None] * n
@@ -179,7 +184,7 @@ def random_embedded(rng_or_seed, n_edges, max_tries=500):
             a, b = darts[i], darts[i + 1]
             pairing[a] = b
             pairing[b] = a
-        nv = rng.randint(1, max(1, n_edges))
+        nv = rng.randint(1, n_edges)
         order = list(range(n))
         rng.shuffle(order)
         rotations = [[] for _ in range(nv)]

@@ -100,6 +100,32 @@ def test_orbit_constancy_violation_detected():
     assert any("axiom3" in d for d in dd.validate_dd(bad))
 
 
+def symbol(action, m01, m02, m12):
+    return dd.DelaneySymbol(action, {(0, 1): m01, (0, 2): m02, (1, 2): m12})
+
+
+@pytest.mark.parametrize("sym, diagnostics", [
+    (symbol(((1, 1), (1, 0), (1, 0)), (6, 6), (2, 2), (3, 3)),
+     ["axiom0: generator 0 is not a permutation", "axiom3: (s0 s1)^6 does not fix element 1",
+      "axiom3: (s0 s2)^2 does not fix element 1"]),
+    (symbol(((1, 2, 0), (0, 1, 2), (0, 1, 2)), (6,) * 3, (2,) * 3, (3,) * 3),
+     ["axiom0: generator 0 not an involution at %d" % c for c in range(3)]
+     + ["axiom3: (s0 s2)^2 does not fix element 0"]),
+    (symbol(((), (), ()), (), (), ()), ["axiom1: empty element set"]),
+    (symbol(((0, 1), (0, 1), (0, 1)), (6, 6), (2, 2), (3, 3)),
+     ["axiom2: the action is not transitive"]),
+    (symbol(((0,), (0,), (0,)), (-2,), (2,), (1,)), ["axiom3: m01 not positive on orbit"]),
+    (symbol(((1, 0), (0, 1), (0, 1)), (3, 3), (2, 2), (6, 6)),
+     ["axiom3: (s0 s1)^3 does not fix element 0"]),
+    (symbol(((0,), (0,), (0,)), (8,), (4,), (8,)), ["axiom3: m02 must be constant 2"]),
+], ids=["not-permutation", "not-involution", "empty", "not-transitive", "not-positive",
+        "power-not-fixing", "m02-not-2"])
+def test_validate_dd_names_each_broken_axiom(sym, diagnostics):
+    """One broken symbol per message, each of zero curvature.  The first
+    two break axiom 3 too, whose powers run on the broken generator."""
+    assert dd.validate_dd(sym) == diagnostics
+
+
 def test_rotation_orders_identity():
     infos = dd.rotation_orders(dd.dd_from_lsp(ops.catalog("identity")))
     by_pair = {info.pair: info for info in infos}
@@ -138,6 +164,17 @@ def test_morphism_identity_map():
 def test_morphism_broken_commutation():
     sym = dd.dd_from_lopsp(ops.lsp_to_lopsp(ops.catalog("identity")))
     assert not dd.is_dd_morphism(sym, sym, (0, 0))
+
+
+@pytest.mark.parametrize("other, mapping", [
+    (None, (0, 0, 0)),
+    (None, (5,)),
+    (symbol(((0,), (0,), (0,)), (3,), (2,), (6,)), (0,)),
+], ids=["wrong-length", "image-out-of-range", "m-mismatch"])
+def test_morphism_rejects(other, mapping):
+    sym = hexagonal_symbol()
+    assert dd.is_dd_morphism(sym, sym, (0,))
+    assert not dd.is_dd_morphism(sym, other or sym, mapping)
 
 
 def test_dd_chooses_by_kind_at_call_time(monkeypatch):
@@ -201,7 +238,9 @@ def test_serialization_roundtrip():
     ("dd +1\ns0 0\ns1 0\ns2 0\nm01 6\nm02 2\nm12 3\n", "missing 'dd <n>' header"),
     ("dd 1\ns0 0\ns1 0\ns2 0\nm01 \u0660\nm02 2\nm12 3\n", "bad or missing m01 row"),
     ("dd 1\ns0 0\ns1\ns2 0\nm01 6\nm02 2\nm12 3\n", "bad or missing action row s1"),
-], ids=["signed-count", "arabic-indic-digit", "one-token-row"])
+    ("dd 1\ns0 0\ns1 0\ns2 0\nm01 6\nm02 2\nm12 3\nm12 6\n", "duplicate m12 row"),
+    ("dd 1\ns0 0\ns1 0\ns2 0\nm01 6\nm02 2\nm12 3\nzz 1 2 3\n", "unknown row 'zz'"),
+], ids=["signed-count", "arabic-indic-digit", "one-token-row", "duplicate-row", "unknown-row"])
 def test_parse_dd_is_strict(text, message):
     with pytest.raises(ValueError, match="^%s$" % message):
         dd.parse_dd(text)

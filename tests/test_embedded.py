@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from surfops import polyhedra
@@ -167,6 +169,18 @@ def test_reflection_flag():
     m = k7.mirror()
     assert k7.iso(m, allow_reflection=True)
     assert k7.iso(m) == (k7.canonical_code() == m.canonical_code())
+
+
+@pytest.mark.parametrize("n_edges", [0, -3])
+def test_random_embedded_needs_an_edge(n_edges):
+    """No edge count below one is drawn for: the call fails at once,
+    leaving the generator as it was."""
+    rng = random.Random(5)
+    state = rng.getstate()
+    with pytest.raises(ValueError, match="^a rotation system needs at least one edge, not %d$"
+                       % n_edges):
+        polyhedra.random_embedded(rng, n_edges)
+    assert rng.getstate() == state
 
 
 def test_random_embedded_retries_only_disconnected_draws(monkeypatch):

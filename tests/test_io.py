@@ -117,16 +117,25 @@ def test_missing_rotation_lines_name_the_header():
 
 
 @pytest.mark.parametrize("old, new, message", [
-    ("types: 2 0 2 1\n", "", "missing or short `types:` line (at line 3)"),
-    ("types: 2 0 2 1", "types: 2 0 2", "missing or short `types:` line (at line 4)"),
+    ("types: 2 0 2 1\n", "", "missing `types:` line (at line 3)"),
+    ("types: 2 0 2 1", "types: 2 0 2", "`types:` line has 3 entries, expected 4 (at line 4)"),
+    ("types: 2 0 2 1", "types: 2 0 2 1 0", "`types:` line has 5 entries, expected 4 (at line 4)"),
     ("special: 1 2 3\n", "", "missing `special: v0 v1 v2` line (at line 3)"),
+    ("special: 1 2 3", "special: 1 2 3 4", "`special:` line has 4 entries, expected 3 (at line 5)"),
     ("special: 1 2 3", "special: 1 2 9", "special vertex ids must lie in 1..4 (at line 5)"),
     ("outer: -1\n", "", "lsp files need an `outer: <dart>` line (at line 3)"),
+    ("outer: -1", "outer: -1 +2", "`outer:` line has 2 entries, expected 1 (at line 10)"),
     ("outer: -1", "outer: -99", "outer edge 99 out of range (at line 10)"),
-], ids=["types", "short-types", "special", "special-range", "outer", "outer-range"])
+    ("special: 1 2 3\n", "special: 1 2 3\ntypes: 2 0 2 1\n", "repeated `types:` line (at line 6)"),
+    ("special: 1 2 3\n", "special: 1 2 3\nspecial: 1 2 3\n",
+     "repeated `special:` line (at line 6)"),
+    ("outer: -1", "outer: -1\nouter: -1", "repeated `outer:` line (at line 11)"),
+], ids=["types", "short-types", "long-types", "special", "long-special", "special-range",
+        "outer", "long-outer", "outer-range", "repeated-types", "repeated-special",
+        "repeated-outer"])
 def test_op_field_errors_name_their_line(old, new, message):
-    """A missing field is reported at the header's line, a bad one at its
-    own; the header here follows two blank lines."""
+    """A missing field is reported at the header's line, a bad one or a
+    repeated one at its own; the header here follows two blank lines."""
     text = io.write_op(ops.catalog("ambo"))
     assert old in text
     with pytest.raises(io.ParseError) as err:
