@@ -60,22 +60,29 @@ class DelaneySymbol:
 
 def validate_dd(sym):
     """Diagnostics for the four Delaney-Dress axioms; empty means the symbol
-    encodes a Euclidean-plane tiling."""
+    encodes a Euclidean-plane tiling.  The orbit axioms are read only
+    when every generator maps 0..n-1 into itself, and the curvature only
+    when every m value is positive."""
     out = []
     n = sym.size
     if n == 0:
         return ["axiom1: empty element set"]
+    walkable = True
     for i in range(3):
         act = sym.action[i]
+        if len(act) != n or not all(0 <= x < n for x in act):
+            walkable = False
+            out.append("axiom0: generator %d does not map 0..%d into itself" % (i, n - 1))
+            continue
         if sorted(act) != list(range(n)):
             out.append("axiom0: generator %d is not a permutation" % i)
             continue
         for c in range(n):
             if act[act[c]] != c:
                 out.append("axiom0: generator %d not an involution at %d" % (i, c))
-    if len(sym.orbit(0, (0, 1, 2))) != n:
+    if walkable and len(sym.orbit(0, (0, 1, 2))) != n:
         out.append("axiom2: the action is not transitive")
-    for (i, j) in _PAIRS:
+    for (i, j) in _PAIRS if walkable else ():
         mv = sym.m[(i, j)]
         for orb in sym.orbits((i, j)):
             vals = {mv[c] for c in orb}
@@ -99,7 +106,7 @@ def validate_dd(sym):
                     break
     if any(v != 2 for v in sym.m[(0, 2)]):
         out.append("axiom3: m02 must be constant 2")
-    if curvature(sym) != 0:
+    if all(v > 0 for mv in sym.m.values() for v in mv) and curvature(sym) != 0:
         out.append("axiom4: curvature %s is not zero" % curvature(sym))
     return out
 

@@ -40,6 +40,31 @@ class InternalInvariant(AssertionError):
         self.stage, self.dart = stage, dart
 
 
+class Deferred:
+    """A record whose ``_deferred`` fields one callable makes on first
+    read.  ``deferred(build, **fields)`` sets ``fields`` now; the first
+    read of a missing deferred field calls ``build()`` once, which
+    returns them all as a dict, and they are cached.  Built with its
+    class's own constructor, every field is a plain attribute.  A
+    deferred field must not have a class-level default, which would be
+    read in its place."""
+
+    _deferred = ()
+
+    @classmethod
+    def deferred(cls, build, **fields):
+        obj = cls.__new__(cls)
+        obj.__dict__.update(fields, _build=build)
+        return obj
+
+    def __getattr__(self, name):
+        build = self.__dict__.get("_build")
+        if name not in self._deferred or build is None:
+            raise AttributeError(name)
+        self.__dict__.update(build(), _build=None)
+        return self.__dict__[name]
+
+
 def _orbits(perm):
     """Orbits of a permutation given as a list, ordered by smallest member."""
     n = len(perm)

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 
 from .chambers import double_chamber_frame
-from .embedded import EmbeddedGraph, InternalInvariant
-from .topology import _polyhedral, _short_cycles, _smallest_cut
+from .embedded import Deferred, EmbeddedGraph, InternalInvariant
+from .topology import _polyhedral, _short_cycles, _smallest_cut, _two_cycle_of
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -465,19 +465,15 @@ _LAZY_FIELDS = (
 )
 
 
-class ApplicationResult:
+class ApplicationResult(Deferred):
     """Result graph, its labelled subdivision, and the projection pi.
     Gluing makes ``result``; ``build`` makes the ``_LAZY_FIELDS`` on
     first read, once, and they are cached."""
 
+    _deferred = _LAZY_FIELDS
+
     def __init__(self, result, operation=None, build=None, **fields):
         self.__dict__.update(fields, result=result, operation=operation, _build=build)
-
-    def __getattr__(self, name):
-        if name not in _LAZY_FIELDS or self.__dict__.get("_build") is None:
-            raise AttributeError(name)
-        self.__dict__.update(self._build(), _build=None)
-        return self.__dict__[name]
 
 
 @dataclass
@@ -495,13 +491,17 @@ class _CellTemplate:
     interior vertex of chain k, 1+S+k the cell's k-th corner (S segments).
 
     ``fans`` has a slot for each type-0 vertex: its darts inside the
-    cell, in rotation order, as (vertex, first dart, next dart, type-1
-    heads).  ``next`` is ``first`` for an interior vertex, whose fan
-    starts at its smallest dart; otherwise it is the chain dart on a side
-    where the fan of the cell across starts, in the slot whose first dart
-    has the same const on the facing side (sides 1 and 2 face each
-    other, as do 0 and 3).  Gluing lays a slot down in every cell at
-    once and walks each vertex's fans along ``next``, each fan once.
+    cell, in rotation order, as (vertex, first dart, next, type-1 heads).
+    A fan leaves its cell at a chain dart on a side where the fan of the
+    cell across starts, in the slot whose first dart has the same const
+    on the facing side (sides 1 and 2 face each other, as do 0 and 3);
+    ``next`` is the dart base of that side and that slot.  An interior
+    vertex's fan starts at its smallest dart and is its own next, at
+    base 0.  ``firsts`` groups the slots, as (first dart base, slot), by
+    where their first T-dart lies: on the (1, 0) frame edges, on the
+    (2, 0) ones, inside the cell, each group by const.  Gluing lays a
+    slot down in every cell at once and walks each vertex's fans along
+    ``next``, each fan once.
     """
 
     chains: dict  # (type, type) -> (vertex lifts, edge lifts) of a chain, from the higher type
@@ -511,6 +511,7 @@ class _CellTemplate:
     vertex_lift: list
     edge_lift: list
     fans: list
+    firsts: list
 
 
 def _compile_template(patch):
@@ -529,7 +530,8 @@ def _compile_template(patch):
     of its own, so no boundary vertex is met twice.  Inner faces are
     triangles and interior edges join two types because the patch lifts
     them one to one onto the faces and edges of the operation, whose
-    validation gives both."""
+    validation gives both.  What is checked is that the next of every
+    fan starts a fan, which ``_glue`` takes on trust."""
     pg = patch.graph
     walk = pg.faces()[patch.outer_face]
     tails = [pg.vertex_of[d] for d in walk]
@@ -539,7 +541,7 @@ def _compile_template(patch):
     marks = list(map(tails.index, corners)) + [len(walk)]
     vref = {v: (5 + k, 0) for k, v in enumerate(corners)}  # patch vertex -> (vertex base, const)
     eref = {}  # patch edge -> (dart base, const, the patch dart it gives)
-    tm = _CellTemplate({}, [], [], [], [], [], [])
+    tm = _CellTemplate({}, [], [], [], [], [], [], [])
     for k in range(4):
         darts, inner = walk[marks[k]:marks[k + 1]], tails[marks[k] + 1:marks[k + 1]]
         n, up = len(darts), k % 2 == 0  # whether segment k runs from its higher-type end
@@ -579,6 +581,13 @@ def _compile_template(patch):
             fan.append(succ[fan[-1]])
         heads = [vref[pg.head(d)] for d in fan if pg.labels[pg.head(d)] == 1]
         tm.fans.append((vref[v], ref(fan[0]), ref(succ[fan[-1]]), heads))
+    slot_of = {fan[1]: f for f, fan in enumerate(tm.fans)}  # (base, const) of a first dart
+    for f, (v, first, (nb, nc), heads) in enumerate(tm.fans):
+        if (_ACROSS[nb], nc) not in slot_of:
+            raise InternalInvariant("compile", "a fan's next starts no fan in the cell across")
+        tm.fans[f] = (v, first, (nb, slot_of[_ACROSS[nb], nc]), heads)
+    firsts = sorted((fc, f, fb) for f, (_, (fb, fc), _, _) in enumerate(tm.fans))
+    tm.firsts = [[(fb, f) for _, f, fb in firsts if fb in group] for group in ((2, 3), (1, 4), (0,))]
     return tm
 
 
@@ -599,10 +608,10 @@ def _glue(g, tm, base_genus, op):
     Only the result graph is made, a template slot at a time: fan f n + d
     is slot f's fan in the cell of dart d, and each of its ids is a column
     over the darts, read off G as ``DoubleChamberFrame`` documents.  A
-    fan's ``next`` starts the fan of the slot with that first dart in the
-    cell across.  The result's vertices are T's type-0 vertices in T's
-    order; each takes its fans once, from the one with its smallest
-    T-dart, and a ``next`` that starts no fan, another vertex's fan or one
+    fan's ``next`` starts the fan of its slot in the cell across.  The
+    result's vertices are T's type-0 vertices in T's order; each takes
+    its fans once, from the one with its smallest T-dart, in the order of
+    ``firsts``, and a ``next`` that starts another vertex's fan or one
     taken is an ``InternalInvariant``.  Result darts are numbered vertex
     by vertex, so rotations are ranges.  T's counts must give G's Euler
     characteristic, and every result dart must be listed once.  T and the
@@ -641,21 +650,15 @@ def _glue(g, tm, base_genus, op):
     vbases = {b for (b, _), _, _, heads in tm.fans for b in (b, *(h for h, _ in heads))}
     vcols = {b: vcol(b) for b in vbases}
 
-    slot_of = {fan[1]: f for f, fan in enumerate(tm.fans)}  # (base, const) of a first dart
     vert, nxt, hd = [], [], []  # of fan f n + d: its T-vertex, the next fan, the heads
-    for (b, c), _, (nb, nc), heads in tm.fans:
+    for (b, c), _, (nb, t), heads in tm.fans:
         vert += _shifted(vcols[b], c)
-        t = slot_of.get((_ACROSS.get(nb), nc))
-        if t is None:
-            raise InternalInvariant("glue", "a fan's next starts no fan in the cell of G's", dart=0)
         nxt += _shifted(across[nb], t * n)
         hd += zip(*[_shifted(vcols[hb], hc) for hb, hc in heads]) if heads else [()] * n
-    # the fans by first T-dart: on the (1, 0) frame edges, the (2, 0) ones,
-    # then inside the cells, by frame edge or cell, then by const
+    # the fans by first T-dart: in each group of slots by frame edge or cell, then by const
     by_first = []
-    for group in ((2, 3), (1, 4), (0,)):
-        slots = sorted((fc, f, fb) for f, (_, (fb, fc), _, _) in enumerate(tm.fans) if fb in group)
-        by_first += chain.from_iterable(zip(*[_shifted(owner[fb], f * n) for _, f, fb in slots]))
+    for slots in tm.firsts:
+        by_first += chain.from_iterable(zip(*[_shifted(owner[fb], f * n) for fb, f in slots]))
 
     type0, around = [], []  # each vertex and the heads of its fans
     for i0 in by_first:
@@ -895,7 +898,12 @@ def catalog(name):
 
 
 @dataclass
-class ClassifyReport:
+class ClassifyReport(Deferred):
+    """``k`` is computed at once; ``witness`` and ``localization`` wait
+    for their first read when k < 3 (``Deferred``)."""
+
+    _deferred = ("witness", "localization")
+
     k: int
     witness: dict  # {"two_cycle" or "four_cycle": darts of the subdivision} if k < 3
     localization: dict
@@ -906,13 +914,16 @@ def classify_ck(op, witness=None):
     graphs to ck-embedded graphs, decided on a single ck-embedded witness
     (the tetrahedron by default).
 
-    k is read off O(witness) by the short-cycle characterisation of ck:
-    3 when ``_polyhedral`` accepts the result, else from the short
-    cycles of its subdivision T, which is built only then.  The paper
-    proves that characterisation equal to the definition; the tests
-    check it, and the independence of the witness, on random polyhedral
-    maps.  When k < 3 the short offending cycle of T is reported
-    together with the double chambers it touches.
+    k is read off O(witness) by the short-cycle characterisation of ck,
+    without building its subdivision T: 3 when ``_polyhedral`` accepts
+    the result, 1 when ``_two_cycle_of`` finds a 2-cycle of its
+    barycentric subdivision, else 2.  T is that subdivision as a
+    labelled map, so its short cycles give the same k.  The paper proves
+    the characterisation equal to the definition; the tests check it,
+    and the independence of the witness, on random polyhedral maps.
+    When k < 3 the first read of ``witness`` or ``localization`` builds
+    T, finds its first short offending cycle (``_short_cycles``, one walk
+    over T's 4-cycles at most) and the double chambers it touches.
     """
     if witness is None:
         from .polyhedra import tetrahedron
@@ -921,16 +932,20 @@ def classify_ck(op, witness=None):
     res = apply(op, witness)
     if _polyhedral(res.result):
         return ClassifyReport(k=3, witness={}, localization={})
-    k, cycle = _short_cycles(res.subdivision)
-    localization = {}
-    wit = cycle.get("two_cycle") or cycle.get("four_cycle")
-    if wit is not None:
-        cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
-        common = frozenset.intersection(*cells)
-        localization["cells"] = cells
-        localization["single_cell"] = bool(common)
-        localization["within_two_adjacent"] = bool(common) or any(
+    k = 1 if _two_cycle_of(res.result) else 2
+    return ClassifyReport.deferred(lambda: _localize(res), k=k)
+
+
+def _localize(res):
+    """The first short cycle of T = ``res.subdivision`` and the double
+    chambers (cells) its edges lie on."""
+    cycle = _short_cycles(res.subdivision)[1]
+    wit = cycle.get("two_cycle") or cycle["four_cycle"]
+    cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
+    common = frozenset.intersection(*cells)
+    return dict(witness=cycle, localization=dict(
+        cells=cells, single_cell=bool(common),
+        within_two_adjacent=bool(common) or any(
             all(c & pair for c in cells)
             for pair in set(res.edge_cells)  # a chain edge lies on two adjacent cells
-        )
-    return ClassifyReport(k=k, witness=cycle, localization=localization)
+        )))

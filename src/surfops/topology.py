@@ -15,14 +15,18 @@ test, each once.
 
 ``_polyhedral`` decides c3 by how the faces of G meet, in one pass over
 G's face table.  On maps it rejects, the ck characterisation gives k = 1
-at a 2-cycle of ``B_G`` and k = 2 at a nontrivial 4-cycle, which walks
-along its two sides decide locally.  ``ck_via_cycles`` reads the first
-2-cycle off G (``_two_cycle_of``) and builds ``B_G`` only when there is
-none, for its first nontrivial 4-cycle; ``classify_ck`` runs
-``_short_cycles`` on T of O(witness).  Either way the 4-cycle walk stops
-at the first nontrivial one.  ``is_ck_embedded`` reads the first 2-cut
-off the faces too (``_face_cut``) once face-width is at least 3 and G is
-simple; otherwise ``_smallest_cut`` runs one DFS per vertex.
+at a 2-cycle of ``B_G``, which ``_two_cycle_of`` reads off G, and k = 2
+otherwise, at a nontrivial 4-cycle, which walks along its two sides
+decide locally.  So ``ck_via_cycles``, and ``classify_ck`` on
+O(witness), know k without building ``B_G`` or T; the 4-cycle witness
+is found on the first read of the report's witness, by a walk that
+stops at the first nontrivial 4-cycle.  ``is_ck_embedded`` decides
+k_max past face-width with one DFS for a cut vertex, and reads the first
+2-cut off the faces (``_face_cut``) once face-width is at least 3 and G
+is simple.  Below face-width 3 a 2-cut cannot change k_max, and off
+simple maps one exists wherever it could (proved at ``_face_cut``);
+there ``_smallest_cut``, one DFS per vertex, runs on the first read of
+the cut or the witness.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import math
 from dataclasses import dataclass, field
 
 from .chambers import barycentric, radial
-from .embedded import InternalInvariant
+from .embedded import Deferred, InternalInvariant
 
 
 def is_contractible(g, cycle_darts):
@@ -296,13 +300,24 @@ def face_width_witness(g):
 
 
 @dataclass
-class CkReport:
+class CkReport(Deferred):
+    """What a ck check found.  ``k_max``, ``passed``, the degree and face
+    minima and ``face_width`` are computed at once.  ``smallest_cut`` and
+    ``witness`` may wait for their first read (``Deferred``): in
+    ``is_ck_embedded`` below face-width 3 or on a map that is not simple,
+    where that read runs the vertex by vertex cut search, O(V (V + E));
+    in ``ck_via_cycles`` for the first nontrivial 4-cycle, where it
+    builds B_G."""
+
+    _deferred = ("smallest_cut", "witness")
+
     k_max: int
     passed: bool
     min_degree: int
     min_face_size: int
     face_width: object = None  # int | math.inf | None (not computed)
-    smallest_cut: tuple = None
+    # no class-level default for the deferred fields, which would shadow them
+    smallest_cut: tuple = field(default_factory=lambda: None)
     witness: dict = field(default_factory=dict)
 
 
@@ -416,6 +431,23 @@ def _face_cut(g):
     an edge into another component, so it is not ab alone, and no edge
     ab lies between the two faces.  With four or more, some two of the
     faces are not the two sides of the one edge ab.
+
+    Off simple maps only ``_smallest_cut`` names the first 2-cut, but
+    whether one exists is settled once g has no cut vertex and its
+    minimum degree and face size are at least 3: it does.  Let Z be a
+    cycle of one or two edges.  A curve along Z, pushed off each edge
+    into a face beside it, meets g at Z's vertices only, so by
+    face-width >= 3 Z bounds a disc D.  Inside D lies a vertex, or else
+    the innermost cycle of at most two edges in D bounds a face of at
+    most two edges.  Outside D lies a vertex too, or else every edge off
+    D joins Z's vertices: off genus 0, where that side would be a disc
+    like D, those edges and the faces between them form a surface with
+    one boundary curve that carries the surface's homology, so one of
+    its cycles of at most two edges has a nonzero class and bounds no
+    disc, against the first step.  So a loop at v would make v a cut
+    vertex; without loops, an edge with one face on both sides would
+    pass that face through its end twice, which makes that end a cut
+    vertex as above.  So g has two edges uv, and {u, v} is a 2-cut.
     """
     between = _edge_faces(g)
     if between is None:
@@ -442,47 +474,54 @@ def is_ck_embedded(g, k):
 
     No cut with fewer than k vertices, and face-width, minimum face size
     and minimum degree all at least k.  The report carries the largest k
-    in {1,2,3} for which all four conditions hold.  A map that
-    ``_polyhedral`` accepts is c3, so 3-connected: it skips the cut
-    search.  Otherwise ``_face_cut`` reads the cut off the faces once
-    face-width is at least 3, and ``_smallest_cut`` searches for it below.
+    in {1,2,3} for which all four conditions hold.
+
+    k_max is decided at once, in O(sum of squared degrees) past
+    face-width, and no step is quadratic.  A map that ``_polyhedral``
+    accepts is c3, so 3-connected.  Otherwise a simple map of face-width
+    at least 3 gets its first cut from ``_face_cut``; any other map gets
+    one DFS for a cut vertex.  Without one, a 2-cut does not change
+    k_max: below face-width 3, k_max is at most 2 anyway, and on a map
+    that is not simple a 2-cut exists once the other three conditions
+    hold with 3 (proved at ``_face_cut``).  There ``smallest_cut`` and
+    ``witness`` wait for their first read, which runs ``_smallest_cut``,
+    O(V (V + E)).
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     fw, fw_cycle = face_width_witness(g)
+    unread = False  # whether the first cut waits for a read
     if _polyhedral(g):
         cut = None
-    elif fw >= 3:
+    elif fw >= 3 and _edge_faces(g) is not None:
         cut = _face_cut(g)
     else:
-        cut = _smallest_cut(g, max_size=2)
-    cut_free = 3 if cut is None else len(cut)  # no cut smaller than this
-    k_max = min(min_deg, min_face, 3, cut_free)
-    if fw != math.inf:
-        k_max = min(k_max, int(fw))
-    witness = {}
-    if k_max < k:
-        if min_deg < k:
-            witness["degree"] = min(
-                range(g.vertex_count), key=lambda v: g.degree(v)
-            )
-        if min_face < k:
-            witness["face"] = min(range(len(g.faces())), key=lambda f: len(g.faces()[f]))
-        if cut is not None and len(cut) < k:
-            witness["cut"] = cut
-        if fw != math.inf and fw < k:
-            witness["cycle"] = fw_cycle
-    return CkReport(
-        k_max=k_max,
-        passed=k_max >= k,
-        min_degree=min_deg,
-        min_face_size=min_face,
-        face_width=fw,
-        smallest_cut=cut,
-        witness=witness,
-    )
+        cut = _smallest_cut(g, max_size=1)
+        unread = cut is None
+    # no smaller cut; an unread cut counts as 2, which gives k_max as the docstring shows
+    cut_free = 2 if unread else 3 if cut is None else len(cut)
+    k_max = min(min_deg, min_face, 3, cut_free, fw)
+
+    def found(cut):
+        witness = {}
+        if k_max < k:
+            if min_deg < k:
+                witness["degree"] = min(range(g.vertex_count), key=g.degree)
+            if min_face < k:
+                witness["face"] = min(range(len(g.faces())), key=lambda f: len(g.faces()[f]))
+            if cut is not None and len(cut) < k:
+                witness["cut"] = cut
+            if fw != math.inf and fw < k:
+                witness["cycle"] = fw_cycle
+        return dict(smallest_cut=cut, witness=witness)
+
+    known = dict(k_max=k_max, passed=k_max >= k, min_degree=min_deg, min_face_size=min_face,
+                 face_width=fw)
+    if unread:
+        return CkReport.deferred(lambda: found(_smallest_cut(g)), **known)
+    return CkReport(**known, **found(cut))
 
 
 def _two_cycle(b):
@@ -692,20 +731,19 @@ def _polyhedral(g):
 
 def ck_via_cycles(g, k):
     """ck-embeddedness via short cycles of B_G: c2 iff no 2-cycles, c3 iff
-    additionally no nontrivial 4-cycles.  On a map that ``_polyhedral``
-    rejects, ``_two_cycle_of`` reads B_G's first 2-cycle off g, and B_G
-    is built only without one, for its first nontrivial 4-cycle."""
+    additionally no nontrivial 4-cycles.  k_max is read off g without
+    building B_G: 3 when ``_polyhedral`` accepts g, 1 with the first
+    2-cycle, which ``_two_cycle_of`` reads off g, as witness, else 2.
+    Then the first read of ``witness`` builds B_G and walks its 4-cycles
+    to the first nontrivial one."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
+    known = dict(min_degree=min(g.degree(v) for v in range(g.vertex_count)),
+                 min_face_size=min(len(f) for f in g.faces()))
     if _polyhedral(g):
-        k_max, witness = 3, {}
-    else:
-        two = _two_cycle_of(g)
-        k_max, witness = (1, {"two_cycle": two}) if two else _four_cycle_witness(barycentric(g))
-    return CkReport(
-        k_max=k_max,
-        passed=k_max >= k,
-        min_degree=min(g.degree(v) for v in range(g.vertex_count)),
-        min_face_size=min(len(f) for f in g.faces()),
-        witness=witness,
-    )
+        return CkReport(k_max=3, passed=True, **known)
+    two = _two_cycle_of(g)
+    if two:
+        return CkReport(k_max=1, passed=False, witness={"two_cycle": two}, **known)
+    return CkReport.deferred(lambda: dict(witness=_four_cycle_witness(barycentric(g))[1]),
+                             k_max=2, passed=k == 2, face_width=None, smallest_cut=None, **known)

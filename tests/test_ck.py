@@ -9,8 +9,10 @@ same triviality answers, so ck reports and their witnesses stay
 identical.
 """
 
+import dataclasses
 import hashlib
 import random
+from functools import lru_cache
 
 import networkx as nx
 import pytest
@@ -26,7 +28,8 @@ from surfops.embedded import EmbeddedGraph
 import oracle_bridges as ob
 import oracle_ck as oc
 from conftest import build_corpus, named_seeds, relabeled
-from test_polyhedrality import flip_runs, polyhedral_maps
+from test_polyhedrality import count_calls, flip_runs, polyhedral_maps
+from test_small_maps import corpus_and_images
 
 
 def oracle_smallest_cut(g, max_size=2):
@@ -401,15 +404,17 @@ def test_late_cut_is_read_off_the_faces(monkeypatch):
     assert skips == [None]  # one cut-vertex search, and no search on any G - a
 
 
-def join_across(g, u, w):
-    """g with an edge from u to w across the first face with an angle at
-    both; the angle after dart x lies on the face of sigma(x)."""
+def join_across(g, u, w, faces=1):
+    """g with an edge from u to w across each of the first ``faces`` faces
+    with an angle at both; the angle after dart x lies on the face of
+    sigma(x), and a new edge keeps the darts of the other angles."""
     def angles(v):
         return {g.face_of(g.sigma[x]): x for x in reversed(g.rotations()[v])}
 
     at_u, at_w = angles(u), angles(w)
-    f = min(f for f in at_u if f in at_w)
-    return add_edge(g, at_u[f], at_w[f])
+    for f in sorted(f for f in at_u if f in at_w)[:faces]:
+        g = add_edge(g, at_u[f], at_w[f])
+    return g
 
 
 def glue_k4_minus_edge(g, dp, dq):
@@ -423,6 +428,7 @@ def glue_k4_minus_edge(g, dp, dq):
     return join_across(join_across(h, p, d), c, q)
 
 
+@lru_cache(maxsize=None)
 def glued_maps():
     """K4 minus an edge glued at two corners of each face of small plane
     and torus maps, one map per corner pair with the first corner."""
@@ -438,7 +444,7 @@ def glued_maps():
             dp = g.inv[walk[-1]]
             out += [(g, glue_k4_minus_edge(g, dp, g.inv[x])) for x in walk[:-1]
                     if g.vertex_of[g.inv[x]] != g.vertex_of[dp]]
-    return out
+    return tuple(out)
 
 
 def test_face_cut_on_k4_minus_edge_glued_in():
@@ -469,3 +475,103 @@ def test_face_cut_matches_dfs_on_corpus_and_flips(corpus):
 def test_face_cut_matches_dfs_on_random_rotation_systems(g):
     if tp.face_width(g) >= 3:
         assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+
+
+# ---------------------------------------------------------------------------
+# k_max from G alone: what the ck checks leave for a read
+
+
+def parallel_rule_holds(g):
+    """Whether the premise of the rule at ``_face_cut`` for maps that are
+    not simple holds: face-width, minimum degree and minimum face size at
+    least 3, no cut vertex, and a loop, a parallel edge or an edge with one
+    face on both sides.  Where it does, the rule's conclusion is asserted:
+    no loop, no edge with one face on both sides, and a 2-cut."""
+    if (tp._edge_faces(g) is not None or tp.face_width(g) < 3 or tp._smallest_cut(g, 1)
+            or min(map(g.degree, range(g.vertex_count))) < 3 or min(map(len, g.faces())) < 3):
+        return False
+    ends = [(g.vertex_of[d], g.vertex_of[dp]) for d, dp in g.edge_darts()]
+    assert all(u != w for u, w in ends)
+    assert all(g.face_of(d) != g.face_of(dp) for d, dp in g.edge_darts())
+    assert len(tp._smallest_cut(g, 2)) == 2
+    return True
+
+
+def parallel_edge_maps():
+    """Two edges uv across the two faces that meet at a 2-cut {u, v} of
+    each glued map, and of the double diamond: {u, v} cuts the map still,
+    and no face is a digon."""
+    graphs = [join_across(double_diamond(), 0, 1, faces=2)]
+    for _, h in glued_maps():
+        cut = tp._smallest_cut(h, 2)
+        if cut is not None and len(cut) == 2:
+            graphs.append(join_across(h, *cut, faces=2))
+    return graphs
+
+
+def test_a_parallel_edge_settles_the_two_cut():
+    """The rule on the maps with at most four edges, their catalog images
+    and the parallel edge maps.  Its premise holds on none of the small
+    maps, but on more than 100 of the others."""
+    for g in corpus_and_images():
+        parallel_rule_holds(g)
+    held = [g for g in parallel_edge_maps() if parallel_rule_holds(g)]
+    assert len(held) > 100 and {g.genus() for g in held} == {0, 1}
+    for g in held:
+        report = tp.is_ck_embedded(g, 3)
+        assert report.k_max == 2
+        assert report == oc.is_ck_embedded(g, 3)
+
+
+def torus_grid(m, n):
+    """The m x n grid on the torus: vertex (i, j) is i n + j, with darts
+    4v to 4v + 3 toward (i, j + 1), (i + 1, j), (i, j - 1), (i - 1, j).
+    With m = 2 the two edges between (0, j) and (1, j) are parallel, and
+    a curve through them meets two vertices: face-width 2, no 2-cut."""
+    pairing = [None] * (4 * m * n)
+    for i in range(m):
+        for j in range(n):
+            v, right, up = 4 * (i * n + j), 4 * (i * n + (j + 1) % n), 4 * ((i + 1) % m * n + j)
+            pairing[v], pairing[right + 2] = right + 2, v
+            pairing[v + 1], pairing[up + 3] = up + 3, v + 1
+    return EmbeddedGraph.from_rotations([range(4 * v, 4 * v + 4) for v in range(m * n)], pairing)
+
+
+def assert_fields_equal(report, want):
+    for f in dataclasses.fields(want):
+        assert getattr(report, f.name) == getattr(want, f.name), f.name
+
+
+def test_cut_search_waits_for_a_read(monkeypatch):
+    """Below face-width 3 and without a 2-cut, the direct check decides
+    k_max with at most one cut-vertex DFS; the vertex by vertex search
+    runs when ``smallest_cut`` or ``witness`` is read, whichever first."""
+    graphs = [torus_grid(2, 5), polyhedra.random_embedded(random.Random(25), 40)]
+    wants = [oc.is_ck_embedded(g, 3) for g in graphs]
+    assert [(w.face_width, w.k_max, w.smallest_cut) for w in wants] == [(2, 2, None), (1, 1, None)]
+    dfs = count_calls(monkeypatch, tp._articulation_points)
+    for g, want in zip(graphs, wants):
+        for field in ("smallest_cut", "witness"):
+            dfs.clear()
+            report = tp.is_ck_embedded(g, 3)
+            assert (report.k_max, report.passed, report.face_width) == (
+                want.k_max, want.passed, want.face_width)
+            assert len(dfs) <= 1
+            getattr(report, field)
+            assert len(dfs) > g.vertex_count // 2
+            assert_fields_equal(report, want)
+
+
+def test_cycle_check_builds_no_subdivision_for_k(monkeypatch):
+    """A map with no 2-cycle in B_G that ``_polyhedral`` rejects has
+    k_max 2 at once; B_G is built on the first read of the witness."""
+    graphs = [double_diamond(), subdivide(polyhedra.tetrahedron(), 0), torus_grid(2, 5)]
+    wants = [oc.ck_via_cycles(g, k) for g in graphs for k in (2, 3)]
+    built = count_calls(monkeypatch, barycentric)
+    reports = [tp.ck_via_cycles(g, k) for g in graphs for k in (2, 3)]
+    assert [r.k_max for r in reports] == [2] * 6 and [r.passed for r in reports] == [True, False] * 3
+    assert built == []
+    for report, want in zip(reports, wants):
+        assert report.witness["four_cycle"]
+        assert_fields_equal(report, want)
+    assert len(built) == 6

@@ -118,11 +118,16 @@ def symbol(action, m01, m02, m12):
     (symbol(((1, 0), (0, 1), (0, 1)), (3, 3), (2, 2), (6, 6)),
      ["axiom3: (s0 s1)^3 does not fix element 0"]),
     (symbol(((0,), (0,), (0,)), (8,), (4,), (8,)), ["axiom3: m02 must be constant 2"]),
+    (symbol(((0,), (0,), (0,)), (0,), (2,), (3,)), ["axiom3: m01 not positive on orbit"]),
+    (symbol(((1, 5), (1, 0), (1, 0)), (6, 6), (2, 2), (3, 3)),
+     ["axiom0: generator 0 does not map 0..1 into itself"]),
 ], ids=["not-permutation", "not-involution", "empty", "not-transitive", "not-positive",
-        "power-not-fixing", "m02-not-2"])
+        "power-not-fixing", "m02-not-2", "m-zero", "action-outside"])
 def test_validate_dd_names_each_broken_axiom(sym, diagnostics):
-    """One broken symbol per message, each of zero curvature.  The first
-    two break axiom 3 too, whose powers run on the broken generator."""
+    """One broken symbol per message, each of zero curvature where every
+    m is positive; with an m of 0 the curvature is not read.  The first
+    two break axiom 3 too, whose powers run on the broken generator; an
+    action outside the elements stops the orbit axioms."""
     assert dd.validate_dd(sym) == diagnostics
 
 

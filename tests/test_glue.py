@@ -386,18 +386,22 @@ def test_broken_gluing_is_caught():
         with pytest.raises(InternalInvariant, match="^glue: a result dart is listed twice or not"):
             ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
 
-    # a fan whose next starts no fan (fans[1]'s const one off names its
-    # own first dart), or starts the fan of another vertex (fans[0]'s
-    # names fans[1]'s first from across): the walk around a vertex stops
+    # a patch whose two copies of v0 are swapped: some fan's next starts
+    # no fan, which the compiler reports
+    patch = ops.double_chamber_patch(gyro, ops.find_cut_path(gyro))
+    swapped = dataclasses.replace(patch, v0_left=patch.v0_right, v0_right=patch.v0_left)
+    with pytest.raises(InternalInvariant,
+                       match="^compile: a fan's next starts no fan in the cell across$"):
+        ops._compile_template(swapped)
+
+    # a fan whose next starts the fan of another vertex (fans[0]'s names
+    # fans[1] from across): the walk around a vertex stops
     (vertex, first, _, heads), other = tm.fans[0], tm.fans[1]
     assert other[0] != vertex and other[1][0] > 0
-    off_grid = other[:2] + ((other[2][0], other[2][1] + 1), other[3])
-    into_other = (vertex, first, (ops._ACROSS[other[1][0]], other[1][1]), heads)
-    for k, fan, message in ((1, off_grid, "a fan's next starts no fan in the cell of G's"),
-                            (0, into_other, "a vertex's fans do not close up in the cell of G's")):
-        fans = tm.fans[:k] + [fan] + tm.fans[k + 1:]
-        with pytest.raises(InternalInvariant, match="^glue: %s dart [0-9]+$" % message):
-            ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
+    fans = [(vertex, first, (ops._ACROSS[other[1][0]], 1), heads)] + tm.fans[1:]
+    with pytest.raises(InternalInvariant,
+                       match="^glue: a vertex's fans do not close up in the cell of G's dart [0-9]+$"):
+        ops._glue(g, dataclasses.replace(tm, fans=fans), g.genus(), gyro)
 
     # a vertex of G whose fans have no heads: fans[0], at corner 3, has
     # none, and the one at corner 1 loses its own

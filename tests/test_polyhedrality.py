@@ -33,10 +33,13 @@ import pytest
 from surfops import operations as ops
 from surfops import polyhedra
 from surfops import topology as tp
+from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_op
 
 import oracle_ck as oc
+from conftest import named_seeds
+from small_maps import small_maps
 from test_facewidth import tube_sum
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -181,7 +184,7 @@ def test_images_are_polyhedral(name):
 
 
 def test_classify_k_is_the_definitions_k():
-    """The k that classify_ck reads off the result, or off T, is the k of
+    """The k that classify_ck reads off the result is the k of
     the full short-cycle search on B(result), which is built apart from
     T, and the largest k the definition, cut search included, passes on
     the result, for k < 3 images too."""
@@ -194,21 +197,51 @@ def test_classify_k_is_the_definitions_k():
             assert max(j for j in (1, 2, 3) if oc.is_ck_embedded(result, j).passed) == k, name
 
 
+def test_subdivision_is_the_barycentric_subdivision_of_the_result():
+    """T, glued from the patches, is B(O(G)) as a labelled map, so the
+    short cycles of T, which ``classify_ck`` reports, give the k it reads
+    off O(G): on the catalog and ``tests/data`` operations applied to the
+    named seeds and to every map with at most four edges."""
+    graphs = list(named_seeds().values()) + [g for e in (1, 2, 3, 4) for g in small_maps(e)[1]]
+    ks = set()
+    for name in sorted(EXPECTED_K):
+        op = operation(name)
+        for g in graphs:
+            res = ops.apply(op, g)
+            t = res.subdivision
+            assert t.canonical_code() == barycentric(res.result).canonical_code(), name
+            k = ops.classify_ck(op, witness=g).k
+            assert tp._short_cycles(t)[0] == k, name
+            ks.add(k)
+    assert ks == {1, 2, 3}
+
+
 def test_classify_reads_one_cycle_characterisation(monkeypatch):
-    """One ``_polyhedral`` call per classification; T and its short
-    cycles only for the k < 3 operations; never the direct check."""
+    """One ``_polyhedral`` call per classification, and k from the result
+    alone: T and its short cycles wait for the first read of the witness
+    of a k < 3 operation, once; never the direct check.  Once read, the
+    report is what the short cycles of T give."""
+    wants = {}
+    for name in EXPECTED_K:
+        res = ops.apply(operation(name), polyhedra.tetrahedron())
+        k, cycle = tp._short_cycles(res.subdivision)
+        wit = next(iter(cycle.values()), ())
+        wants[name] = k, cycle, [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
     polyhedral = count_calls(monkeypatch, tp._polyhedral)
     cycles = count_calls(monkeypatch, tp._short_cycles)
     glued = count_calls(monkeypatch, ops._glue_slots)
     direct = count_calls(monkeypatch, tp.is_ck_embedded)
     read_t = []
     for calls, name in enumerate(sorted(EXPECTED_K), start=1):
-        before = len(cycles), len(glued)
-        assert ops.classify_ck(operation(name)).k == EXPECTED_K[name]
+        report = ops.classify_ck(operation(name))
+        assert report.k == EXPECTED_K[name]
         assert len(polyhedral) == calls
-        if (len(cycles), len(glued)) != before:
-            assert (len(cycles), len(glued)) == (before[0] + 1, before[1] + 1), name
-            read_t.append(name)
+        assert (cycles, glued) == ([], []), name
+        assert (report.k, report.witness, report.localization.get("cells", [])) == wants[name]
+        assert len(cycles) == len(glued) <= 1, name
+        read_t += [name] * len(glued)
+        cycles.clear()
+        glued.clear()
     assert read_t == ["pendant.lopsp", "sprout.lopsp"]
     assert direct == []
 
