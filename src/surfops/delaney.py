@@ -61,8 +61,9 @@ class DelaneySymbol:
 def validate_dd(sym):
     """Diagnostics for the four Delaney-Dress axioms; empty means the symbol
     encodes a Euclidean-plane tiling.  The orbit axioms are read only
-    when every generator maps 0..n-1 into itself, and the curvature only
-    when every m value is positive."""
+    when every generator maps 0..n-1 into itself, an m row only when it
+    has n values, and the curvature only when every row has n positive
+    values."""
     out = []
     n = sym.size
     if n == 0:
@@ -82,7 +83,10 @@ def validate_dd(sym):
                 out.append("axiom0: generator %d not an involution at %d" % (i, c))
     if walkable and len(sym.orbit(0, (0, 1, 2))) != n:
         out.append("axiom2: the action is not transitive")
-    for (i, j) in _PAIRS if walkable else ():
+    full = [(i, j) for (i, j) in _PAIRS if len(sym.m[(i, j)]) == n]
+    out += ["axiom3: m%d%d has length %d, not %d" % (i, j, len(sym.m[(i, j)]), n)
+            for (i, j) in _PAIRS if (i, j) not in full]
+    for (i, j) in full if walkable else ():
         mv = sym.m[(i, j)]
         for orb in sym.orbits((i, j)):
             vals = {mv[c] for c in orb}
@@ -106,13 +110,18 @@ def validate_dd(sym):
                     break
     if any(v != 2 for v in sym.m[(0, 2)]):
         out.append("axiom3: m02 must be constant 2")
-    if all(v > 0 for mv in sym.m.values() for v in mv) and curvature(sym) != 0:
+    if len(full) == 3 and all(v > 0 for mv in sym.m.values() for v in mv) and curvature(sym) != 0:
         out.append("axiom4: curvature %s is not zero" % curvature(sym))
     return out
 
 
 def curvature(sym):
-    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements."""
+    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements.
+    Raises ValueError naming an m row without one nonzero value per
+    element."""
+    for (i, j), mv in sorted(sym.m.items()):
+        if len(mv) != sym.size or 0 in mv:
+            raise ValueError("m%d%d needs one nonzero value per element, got %s" % (i, j, mv))
     total = Fraction(0)
     for c in range(sym.size):
         total += (

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, repeat
 
 from .chambers import double_chamber_frame
 from .embedded import Deferred, EmbeddedGraph, InternalInvariant
-from .topology import _polyhedral, _short_cycles, _smallest_cut, _two_cycle_of
+from .topology import _ck, _short_cycles, _smallest_cut
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -914,11 +914,9 @@ def classify_ck(op, witness=None):
     graphs to ck-embedded graphs, decided on a single ck-embedded witness
     (the tetrahedron by default).
 
-    k is read off O(witness) by the short-cycle characterisation of ck,
-    without building its subdivision T: 3 when ``_polyhedral`` accepts
-    the result, 1 when ``_two_cycle_of`` finds a 2-cycle of its
-    barycentric subdivision, else 2.  T is that subdivision as a
-    labelled map, so its short cycles give the same k.  The paper proves
+    k is read off O(witness) by the short-cycle characterisation of ck
+    (``topology._ck``), without building T, its barycentric subdivision
+    as a labelled map, whose short cycles give the same k.  The paper proves
     the characterisation equal to the definition; the tests check it,
     and the independence of the witness, on random polyhedral maps.
     When k < 3 the first read of ``witness`` or ``localization`` builds
@@ -930,9 +928,9 @@ def classify_ck(op, witness=None):
 
         witness = tetrahedron()
     res = apply(op, witness)
-    if _polyhedral(res.result):
+    k = _ck(res.result)[0]
+    if k == 3:
         return ClassifyReport(k=3, witness={}, localization={})
-    k = 1 if _two_cycle_of(res.result) else 2
     return ClassifyReport.deferred(lambda: _localize(res), k=k)
 
 

@@ -13,20 +13,14 @@ edge makes; on genus >= 2 it also sends the class-0 walks that can be a
 shortest cycle rooted at its smallest vertex of K to the contractibility
 test, each once.
 
-``_polyhedral`` decides c3 by how the faces of G meet, in one pass over
-G's face table.  On maps it rejects, the ck characterisation gives k = 1
-at a 2-cycle of ``B_G``, which ``_two_cycle_of`` reads off G, and k = 2
-otherwise, at a nontrivial 4-cycle, which walks along its two sides
-decide locally.  So ``ck_via_cycles``, and ``classify_ck`` on
-O(witness), know k without building ``B_G`` or T; the 4-cycle witness
-is found on the first read of the report's witness, by a walk that
-stops at the first nontrivial 4-cycle.  ``is_ck_embedded`` decides
-k_max past face-width with one DFS for a cut vertex, and reads the first
-2-cut off the faces (``_face_cut``) once face-width is at least 3 and G
-is simple.  Below face-width 3 a 2-cut cannot change k_max, and off
-simple maps one exists wherever it could (proved at ``_face_cut``);
-there ``_smallest_cut``, one DFS per vertex, runs on the first read of
-the cut or the witness.
+``_ck`` decides k for all three ck checks by the short-cycle
+characterisation: ``_polyhedral`` reads c3 off how the faces of G meet,
+in one pass over G's face table; on maps it rejects, k = 1 at a 2-cycle
+of ``B_G``, which ``_two_cycle_of`` reads off G, and k = 2 otherwise, at
+a nontrivial 4-cycle, which walks along its two sides decide locally.
+So ``is_ck_embedded``, ``ck_via_cycles`` and ``classify_ck`` on
+O(witness) know k without building ``B_G`` or T, or searching for a cut;
+the cut and the 4-cycle witness are found on their first read.
 """
 
 from __future__ import annotations
@@ -302,12 +296,11 @@ def face_width_witness(g):
 @dataclass
 class CkReport(Deferred):
     """What a ck check found.  ``k_max``, ``passed``, the degree and face
-    minima and ``face_width`` are computed at once.  ``smallest_cut`` and
-    ``witness`` may wait for their first read (``Deferred``): in
-    ``is_ck_embedded`` below face-width 3 or on a map that is not simple,
-    where that read runs the vertex by vertex cut search, O(V (V + E));
-    in ``ck_via_cycles`` for the first nontrivial 4-cycle, where it
-    builds B_G."""
+    minima and ``face_width`` are computed at once.  Below k_max 3,
+    ``smallest_cut`` and ``witness`` may wait for their first read
+    (``Deferred``): in ``is_ck_embedded``, which then finds the cut; in
+    ``ck_via_cycles`` for the first nontrivial 4-cycle, where it builds
+    B_G."""
 
     _deferred = ("smallest_cut", "witness")
 
@@ -408,7 +401,7 @@ def _face_cut(g):
     faces meet in O(sum of squared degrees) when g is simple.
 
     A loop, a parallel edge or an edge with one face on both sides sends
-    g to ``_smallest_cut``, and one DFS finds a cut vertex.  Without
+    g to ``_smallest_cut``.  Without
     those, {a, b} is a cut exactly when a and b lie on two distinct faces
     F, F' with no edge ab between F and F', so the first such pair a < b
     is the first 2-cut.
@@ -431,23 +424,6 @@ def _face_cut(g):
     an edge into another component, so it is not ab alone, and no edge
     ab lies between the two faces.  With four or more, some two of the
     faces are not the two sides of the one edge ab.
-
-    Off simple maps only ``_smallest_cut`` names the first 2-cut, but
-    whether one exists is settled once g has no cut vertex and its
-    minimum degree and face size are at least 3: it does.  Let Z be a
-    cycle of one or two edges.  A curve along Z, pushed off each edge
-    into a face beside it, meets g at Z's vertices only, so by
-    face-width >= 3 Z bounds a disc D.  Inside D lies a vertex, or else
-    the innermost cycle of at most two edges in D bounds a face of at
-    most two edges.  Outside D lies a vertex too, or else every edge off
-    D joins Z's vertices: off genus 0, where that side would be a disc
-    like D, those edges and the faces between them form a surface with
-    one boundary curve that carries the surface's homology, so one of
-    its cycles of at most two edges has a nonzero class and bounds no
-    disc, against the first step.  So a loop at v would make v a cut
-    vertex; without loops, an edge with one face on both sides would
-    pass that face through its end twice, which makes that end a cut
-    vertex as above.  So g has two edges uv, and {u, v} is a 2-cut.
     """
     between = _edge_faces(g)
     if between is None:
@@ -476,35 +452,27 @@ def is_ck_embedded(g, k):
     and minimum degree all at least k.  The report carries the largest k
     in {1,2,3} for which all four conditions hold.
 
-    k_max is decided at once, in O(sum of squared degrees) past
-    face-width, and no step is quadratic.  A map that ``_polyhedral``
-    accepts is c3, so 3-connected.  Otherwise a simple map of face-width
-    at least 3 gets its first cut from ``_face_cut``; any other map gets
-    one DFS for a cut vertex.  Without one, a 2-cut does not change
-    k_max: below face-width 3, k_max is at most 2 anyway, and on a map
-    that is not simple a 2-cut exists once the other three conditions
-    hold with 3 (proved at ``_face_cut``).  There ``smallest_cut`` and
-    ``witness`` wait for their first read, which runs ``_smallest_cut``,
-    O(V (V + E)).
+    The degree and face minima and face-width are computed at once, and
+    k_max is taken from ``_ck``, which the ck characterisation makes
+    equal to the definition's.  A c3 map is 3-connected, so it has no
+    cut.  Below k_max 3, ``smallest_cut`` and ``witness`` wait for their
+    first read, which reads the first cut off the faces (``_face_cut``)
+    from face-width 3 on, and runs ``_smallest_cut``, O(V (V + E)),
+    below it.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     fw, fw_cycle = face_width_witness(g)
-    unread = False  # whether the first cut waits for a read
-    if _polyhedral(g):
-        cut = None
-    elif fw >= 3 and _edge_faces(g) is not None:
-        cut = _face_cut(g)
-    else:
-        cut = _smallest_cut(g, max_size=1)
-        unread = cut is None
-    # no smaller cut; an unread cut counts as 2, which gives k_max as the docstring shows
-    cut_free = 2 if unread else 3 if cut is None else len(cut)
-    k_max = min(min_deg, min_face, 3, cut_free, fw)
+    k_max = _ck(g)[0]
+    known = dict(k_max=k_max, passed=k_max >= k, min_degree=min_deg, min_face_size=min_face,
+                 face_width=fw)
+    if k_max == 3:
+        return CkReport(**known)
 
-    def found(cut):
+    def found():
+        cut = _face_cut(g) if fw >= 3 else _smallest_cut(g)
         witness = {}
         if k_max < k:
             if min_deg < k:
@@ -517,11 +485,7 @@ def is_ck_embedded(g, k):
                 witness["cycle"] = fw_cycle
         return dict(smallest_cut=cut, witness=witness)
 
-    known = dict(k_max=k_max, passed=k_max >= k, min_degree=min_deg, min_face_size=min_face,
-                 face_width=fw)
-    if unread:
-        return CkReport.deferred(lambda: found(_smallest_cut(g)), **known)
-    return CkReport(**known, **found(cut))
+    return CkReport.deferred(found, **known)
 
 
 def _two_cycle(b):
@@ -729,20 +693,30 @@ def _polyhedral(g):
     return all(between.get(uv) == fh for fh, uv in two.items())
 
 
+def _ck(g):
+    """(k_max, two_cycle) of g by the short-cycle characterisation of ck,
+    read off g without building B_G: (3, None) when ``_polyhedral``
+    accepts g, else (1, the first 2-cycle of B_G) when ``_two_cycle_of``
+    finds one, else (2, None)."""
+    if _polyhedral(g):
+        return 3, None
+    two = _two_cycle_of(g)
+    return (1, two) if two else (2, None)
+
+
 def ck_via_cycles(g, k):
     """ck-embeddedness via short cycles of B_G: c2 iff no 2-cycles, c3 iff
-    additionally no nontrivial 4-cycles.  k_max is read off g without
-    building B_G: 3 when ``_polyhedral`` accepts g, 1 with the first
-    2-cycle, which ``_two_cycle_of`` reads off g, as witness, else 2.
-    Then the first read of ``witness`` builds B_G and walks its 4-cycles
-    to the first nontrivial one."""
+    additionally no nontrivial 4-cycles.  k_max comes from ``_ck``, with
+    its 2-cycle as the witness at k_max 1.  At k_max 2 the first read of
+    ``witness`` builds B_G and walks its 4-cycles to the first nontrivial
+    one."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
     known = dict(min_degree=min(g.degree(v) for v in range(g.vertex_count)),
                  min_face_size=min(len(f) for f in g.faces()))
-    if _polyhedral(g):
+    k_max, two = _ck(g)
+    if k_max == 3:
         return CkReport(k_max=3, passed=True, **known)
-    two = _two_cycle_of(g)
     if two:
         return CkReport(k_max=1, passed=False, witness={"two_cycle": two}, **known)
     return CkReport.deferred(lambda: dict(witness=_four_cycle_witness(barycentric(g))[1]),

@@ -2,9 +2,9 @@
 
 ``is_ck_embedded`` searches for a vertex cut of size <= 2 on every map,
 and ``ck_via_cycles`` lists the short cycles of B_G on every map; the
-production checks skip both on maps that ``topology._polyhedral``
-accepts.  Tests compare the production reports with these, field by
-field, so no test reads one fast path to check another.
+production checks take k from ``topology._ck`` and search only when a
+witness is read.  Tests compare the production reports with these,
+field by field, so no test reads one fast path to check another.
 """
 
 import math

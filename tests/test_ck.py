@@ -344,7 +344,13 @@ def test_polyhedral_agrees_on_every_flip_tried():
 @given(st.builds(polyhedra.random_embedded, st.randoms(use_true_random=False),
                  st.integers(1, 40)))
 def test_polyhedral_agrees_on_random_rotation_systems(g):
+    """``_polyhedral`` is c3 by the B_G search, the definition's k_max is
+    the characterisation's, which production reads it from, and the
+    direct check's report is the oracle's."""
     assert tp._polyhedral(g) == c3_by_cycles(g)
+    want = oc.is_ck_embedded(g, 3)
+    assert want.k_max == oc.ck_via_cycles(g, 3).k_max
+    assert_fields_equal(tp.is_ck_embedded(g, 3), want)
 
 
 # ---------------------------------------------------------------------------
@@ -388,20 +394,33 @@ def test_ck_reports_digest():
     assert digest.hexdigest() == REPORTS_SHA256
 
 
+def cut_search_calls(monkeypatch):
+    """The calls of the cut searches and of the edge-face table, by name."""
+    return {f.__name__: count_calls(monkeypatch, f) for f in (
+        tp._articulation_points, tp._face_cut, tp._smallest_cut, tp._edge_faces)}
+
+
+def assert_no_cut_search(calls):
+    assert not (calls["_articulation_points"] or calls["_face_cut"] or calls["_smallest_cut"])
+    assert len(calls["_edge_faces"]) <= 1
+
+
 def test_late_cut_is_read_off_the_faces(monkeypatch):
+    """The direct check decides k_max on the late-cut map with no cut
+    search and one edge-face table; the first read of ``smallest_cut``
+    takes the cut off the faces, with one cut-vertex search and none on
+    any G - a."""
     g = late_cut_map()
     want = oc.is_ck_embedded(g, 3)
     assert min(want.smallest_cut) > g.vertex_count // 2
-    skips = []
-    search = tp._articulation_points
-
-    def spy(adjacency, skip=None):
-        skips.append(skip)
-        return search(adjacency, skip)
-
-    monkeypatch.setattr(tp, "_articulation_points", spy)
-    assert tp.is_ck_embedded(g, 3) == want
-    assert skips == [None]  # one cut-vertex search, and no search on any G - a
+    calls = cut_search_calls(monkeypatch)
+    report = tp.is_ck_embedded(g, 3)
+    assert report.k_max == want.k_max == 2
+    assert_no_cut_search(calls)
+    assert report.smallest_cut == want.smallest_cut
+    assert len(calls["_face_cut"]) == 1 and len(calls["_articulation_points"]) == 1
+    assert calls["_smallest_cut"] == []
+    assert report == want
 
 
 def join_across(g, u, w, faces=1):
@@ -482,11 +501,16 @@ def test_face_cut_matches_dfs_on_random_rotation_systems(g):
 
 
 def parallel_rule_holds(g):
-    """Whether the premise of the rule at ``_face_cut`` for maps that are
-    not simple holds: face-width, minimum degree and minimum face size at
-    least 3, no cut vertex, and a loop, a parallel edge or an edge with one
-    face on both sides.  Where it does, the rule's conclusion is asserted:
-    no loop, no edge with one face on both sides, and a 2-cut."""
+    """Whether g meets the premise of the parallel-edge rule, whose
+    conclusion is asserted where it does.
+
+    The rule: on a map of face-width, minimum degree and minimum face
+    size at least 3 with no cut vertex, a loop, a parallel edge or an
+    edge with one face on both sides means no loop, no edge with one
+    face on both sides, and a 2-cut.  It follows from the ck
+    characterisation: a loop or an edge with one face on both sides is a
+    2-cycle of B_G, which no condition but a cut vertex could meet, and
+    a parallel edge is a nontrivial 4-cycle, which only a 2-cut can."""
     if (tp._edge_faces(g) is not None or tp.face_width(g) < 3 or tp._smallest_cut(g, 1)
             or min(map(g.degree, range(g.vertex_count))) < 3 or min(map(len, g.faces())) < 3):
         return False
@@ -510,9 +534,10 @@ def parallel_edge_maps():
 
 
 def test_a_parallel_edge_settles_the_two_cut():
-    """The rule on the maps with at most four edges, their catalog images
-    and the parallel edge maps.  Its premise holds on none of the small
-    maps, but on more than 100 of the others."""
+    """The parallel-edge rule on the maps with at most four edges, their
+    catalog images and the parallel edge maps.  Its premise holds on none
+    of the small maps, but on more than 100 of the others, which are
+    oracle inputs: the direct check gives k_max 2 and the oracle's report."""
     for g in corpus_and_images():
         parallel_rule_holds(g)
     held = [g for g in parallel_edge_maps() if parallel_rule_holds(g)]
@@ -544,21 +569,24 @@ def assert_fields_equal(report, want):
 
 def test_cut_search_waits_for_a_read(monkeypatch):
     """Below face-width 3 and without a 2-cut, the direct check decides
-    k_max with at most one cut-vertex DFS; the vertex by vertex search
-    runs when ``smallest_cut`` or ``witness`` is read, whichever first."""
+    k_max with no cut search and one edge-face table; the vertex by
+    vertex search (``_smallest_cut``) runs when ``smallest_cut`` or
+    ``witness`` is read, whichever first."""
     graphs = [torus_grid(2, 5), polyhedra.random_embedded(random.Random(25), 40)]
     wants = [oc.is_ck_embedded(g, 3) for g in graphs]
     assert [(w.face_width, w.k_max, w.smallest_cut) for w in wants] == [(2, 2, None), (1, 1, None)]
-    dfs = count_calls(monkeypatch, tp._articulation_points)
+    calls = cut_search_calls(monkeypatch)
     for g, want in zip(graphs, wants):
         for field in ("smallest_cut", "witness"):
-            dfs.clear()
+            for made in calls.values():
+                made.clear()
             report = tp.is_ck_embedded(g, 3)
             assert (report.k_max, report.passed, report.face_width) == (
                 want.k_max, want.passed, want.face_width)
-            assert len(dfs) <= 1
+            assert_no_cut_search(calls)
             getattr(report, field)
-            assert len(dfs) > g.vertex_count // 2
+            assert len(calls["_smallest_cut"]) == 1
+            assert len(calls["_articulation_points"]) > g.vertex_count // 2
             assert_fields_equal(report, want)
 
 

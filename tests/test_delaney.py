@@ -121,14 +121,28 @@ def symbol(action, m01, m02, m12):
     (symbol(((0,), (0,), (0,)), (0,), (2,), (3,)), ["axiom3: m01 not positive on orbit"]),
     (symbol(((1, 5), (1, 0), (1, 0)), (6, 6), (2, 2), (3, 3)),
      ["axiom0: generator 0 does not map 0..1 into itself"]),
+    (symbol(((1, 0), (0, 1), (0, 1)), (6, 6), (2, 2), (3,)), ["axiom3: m12 has length 1, not 2"]),
+    (symbol(((1, 0), (0, 1), (0, 1)), (0, 0), (2, 2), (3,)),
+     ["axiom3: m12 has length 1, not 2", "axiom3: m01 not positive on orbit"]),
 ], ids=["not-permutation", "not-involution", "empty", "not-transitive", "not-positive",
-        "power-not-fixing", "m02-not-2", "m-zero", "action-outside"])
+        "power-not-fixing", "m02-not-2", "m-zero", "action-outside", "m-short",
+        "m-short-and-zero"])
 def test_validate_dd_names_each_broken_axiom(sym, diagnostics):
     """One broken symbol per message, each of zero curvature where every
-    m is positive; with an m of 0 the curvature is not read.  The first
-    two break axiom 3 too, whose powers run on the broken generator; an
-    action outside the elements stops the orbit axioms."""
+    m is positive; with an m of 0 or a short m row the curvature is not
+    read.  The first two break axiom 3 too, whose powers run on the
+    broken generator; an action outside the elements stops the orbit
+    axioms, and a short m row stops its own."""
     assert dd.validate_dd(sym) == diagnostics
+
+
+@pytest.mark.parametrize("sym, row", [
+    (symbol(((1, 0), (0, 1), (0, 1)), (6, 6), (2, 2), (3,)), "m12"),
+    (symbol(((0,), (0,), (0,)), (0,), (2,), (3,)), "m01"),
+], ids=["m-short", "m-zero"])
+def test_curvature_names_a_broken_m_row(sym, row):
+    with pytest.raises(ValueError, match=row):
+        dd.curvature(sym)
 
 
 def test_rotation_orders_identity():
