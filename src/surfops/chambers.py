@@ -74,9 +74,9 @@ def radial(g):
 
     Its vertices are those of G (type 0), then one per face (type 2), in
     the order of ``B_G``.  Darts 2d and 2d + 1 form the edge for the
-    angle closed by dart d of G.  Every face of ``R(G)`` is the
-    quadrilateral around a type-1 vertex of ``B_G``, so ``R(G)`` is
-    embedded in the surface of G.
+    angle closed by dart d of G.  Each face is the quadrilateral around a
+    type-1 vertex of ``B_G``, in G's surface.  Face-width reads R(G) off
+    G, and builds it only to test a class-0 walk; the tests compare both.
     """
     rotations = [[2 * d for d in rot] for rot in g.rotations()]
     rotations += [[2 * walk[0] + 1] + [2 * d + 1 for d in reversed(walk[1:])]

@@ -115,13 +115,17 @@ def validate_dd(sym):
     return out
 
 
-def curvature(sym):
-    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements.
-    Raises ValueError naming an m row without one nonzero value per
-    element."""
+def _check_m_rows(sym):
+    """Raise ValueError naming an m row without one nonzero value per element."""
     for (i, j), mv in sorted(sym.m.items()):
         if len(mv) != sym.size or 0 in mv:
             raise ValueError("m%d%d needs one nonzero value per element, got %s" % (i, j, mv))
+
+
+def curvature(sym):
+    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements;
+    ValueError at a bad m row (``_check_m_rows``)."""
+    _check_m_rows(sym)
     total = Fraction(0)
     for c in range(sym.size):
         total += (
@@ -152,7 +156,9 @@ class RotationInfo:
 
 
 def rotation_orders(sym):
-    """Per <sigma_i, sigma_j>-orbit: r_ij, and the rotation or mirror fold."""
+    """Per <sigma_i, sigma_j>-orbit: r_ij, and the rotation or mirror fold;
+    ValueError at a bad m row (``_check_m_rows``)."""
+    _check_m_rows(sym)
     out = []
     for (i, j) in _PAIRS:
         for orb in sym.orbits((i, j)):

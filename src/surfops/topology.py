@@ -4,14 +4,15 @@ A simple cycle is contractible when one of its sides is a disc, which a
 walk over the faces of the smaller side decides by its Euler
 characteristic.  The face-width of G is half the minimal length of a
 non-contractible cycle in the barycentric subdivision ``B_G``; the
-search runs on its radial subgraph ``R(G)``, which has the same minimum.
-Its roots are the vertices of a cut graph K, which every
-non-contractible cycle passes, taken from the tree-cotree split that
-sets the homology classes; K has at most 2g (2 diam + 1) vertices.  One
-BFS per root reads the homology class of every closed walk a non-tree
-edge makes; on genus >= 2 it also sends the class-0 walks that can be a
-shortest cycle rooted at its smallest vertex of K to the contractibility
-test, each once.
+search runs on its radial subgraph ``R(G)``, which has the same minimum,
+read off G: one R-edge per dart and one R-face per edge of G.  Its roots
+are the vertices of a cut graph K, which every non-contractible cycle
+passes, taken from the tree-cotree split that sets the homology classes;
+K has at most 2g (2 diam + 1) vertices.  One BFS per root reads the
+homology class of every closed walk a non-tree edge makes; on genus >= 2
+it also sends the class-0 walks that can be a shortest cycle rooted at
+its smallest vertex of K, each once, to the contractibility test, which
+alone builds R(G).  R(G) has no loops: the scan ends at length 2.
 
 ``_ck`` decides k for all three ck checks by the short-cycle
 characterisation: ``_polyhedral`` reads c3 off how the faces of G meet,
@@ -25,6 +26,7 @@ the cut and the 4-cycle witness are found on their first read.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -82,9 +84,19 @@ def is_contractible(g, cycle_darts):
 # homology classes and face-width searches
 
 
-def _edge_classes(g):
-    """(classes, cut): the Z2-homology classes of the edges of g, as ints
-    of 2g bits, and the vertices of a cut graph K of g, ascending.
+def _edge_classes(g, nbrs=None):
+    """``_classes`` of g, read off its faces and ``nbrs or _neighbours(g)``."""
+    edge_of, face_of, edge_darts = g.edge_table(), g.face_table(), g.edge_darts()
+    return _classes(nbrs or _neighbours(g), [[edge_of[d] for d in walk] for walk in g.faces()],
+                    [face_of[a] ^ face_of[b] for a, b in edge_darts],
+                    lambda e: [g.vertex_of[d] for d in edge_darts[e]])
+
+
+def _classes(nbrs, dual, sides, ends, first=0):
+    """(classes, cut): the Z2-homology classes of the edges, as ints of 2g
+    bits, and the vertices of a cut graph K, ascending, of the graph with
+    neighbour lists ``nbrs`` (``_neighbours``), ``dual`` the edges of each
+    face in facial order, and edge e on faces f and ``sides[e] ^ f``.
 
     The class of a cycle, the XOR over its edges, is 0 exactly when the
     cycle bounds a union of faces.  Up to genus 1 a simple cycle is
@@ -93,69 +105,61 @@ def _edge_classes(g):
 
     A tree-cotree decomposition sets both in O(V + E).  Edges of a BFS
     tree T from vertex 0 get 0.  The other edges span the dual graph; a
-    spanning tree of the dual on them leaves 2g edges over, and each
-    gets one unit bit.  A dual tree edge gets the XOR of the other edges
-    of its child face, children before parents, so every face boundary
-    has class 0.  The fundamental cycle of the i-th left-over edge has
-    class bit i.
+    spanning tree of the dual on them, grown from face ``first``, leaves
+    2g edges over, and each gets one unit bit.  A dual tree edge gets the
+    XOR of the other edges of its child face, children before parents,
+    so every face boundary has class 0.  The fundamental cycle of the
+    i-th left-over edge has class bit i.
 
     K is vertex 0, the left-over edges and the tree paths from their
-    ends up to vertex 0.  Cut along T and the left-over edges, the
-    surface falls apart into its faces glued along the dual tree: an
-    open disc.  A branch of T that leads to no left-over edge only pokes
-    into that disc, so cut along K alone the surface is an open disc
-    too.  Each left-over edge adds at most 2 ecc(0) + 1 vertices, so
-    |K| <= 2g (2 ecc(0) + 1).
+    ends, ``ends(e)``, up to vertex 0.  Cut along T and the left-over
+    edges, the surface falls apart into its faces glued along the dual
+    tree: an open disc.  A branch of T that leads to no left-over edge
+    only pokes into that disc, so cut along K alone the surface is an
+    open disc too.  Each left-over edge adds at most 2 ecc(0) + 1
+    vertices, so |K| <= 2g (2 ecc(0) + 1).
     """
-    vertex_of, inv, edge_of, face_of = g.vertex_of, g.inv, g.edge_table(), g.face_table()
-    rotations = g.rotations()
-    spanned = [False] * g.edge_count  # in T or in the dual tree
-    parent = [None] * g.vertex_count  # the parent of a vertex in T
-    reached = [False] * g.vertex_count
+    nv, ne = len(nbrs), len(sides)
+    spanned = [False] * ne  # in T or in the dual tree
+    parent = [None] * nv  # the parent of a vertex in T
+    reached = [False] * nv
     reached[0] = True
     order = [0]
     for u in order:
-        for d in rotations[u]:
-            w = vertex_of[inv[d]]
+        for w, e, _ in nbrs[u]:
             if not reached[w]:
                 reached[w] = True
                 parent[w] = u
-                spanned[edge_of[d]] = True
+                spanned[e] = True
                 order.append(w)
-    faces = g.faces()
-    up = [None] * len(faces)  # dart of a face on the edge to its dual parent
-    reached = [False] * len(faces)
-    reached[0] = True
-    order = [0]
+    up = [None] * len(dual)  # the edge of a face to its dual parent
+    reached = [False] * len(dual)
+    reached[first] = True
+    order = [first]
     for f in order:
-        for d in faces[f]:
-            e = edge_of[d]
-            child = face_of[inv[d]]
-            if not spanned[e] and not reached[child]:
+        for e in dual[f]:
+            if not spanned[e] and not reached[child := sides[e] ^ f]:
                 reached[child] = True
                 spanned[e] = True
-                up[child] = inv[d]
+                up[child] = e
                 order.append(child)
-    cls = [0] * g.edge_count
-    in_cut = [False] * g.vertex_count
-    in_cut[0] = True
+    cls, in_cut = [0] * ne, [True] + [False] * (nv - 1)
     bit = 1
-    for e, ends in enumerate(g.edge_darts()):
+    for e in range(ne):
         if not spanned[e]:
             cls[e] = bit
             bit <<= 1
-            for d in ends:
-                v = vertex_of[d]
+            for v in ends(e):
                 while not in_cut[v]:
                     in_cut[v] = True
                     v = parent[v]
     for f in reversed(order[1:]):
         vec = 0
-        for d in faces[f]:
-            if d != up[f]:
-                vec ^= cls[edge_of[d]]
-        cls[edge_of[up[f]]] = vec
-    return cls, [v for v in range(g.vertex_count) if in_cut[v]]
+        for e in dual[f]:
+            if e != up[f]:
+                vec ^= cls[e]
+        cls[up[f]] = vec
+    return cls, [v for v in range(nv) if in_cut[v]]
 
 
 def _neighbours(g):
@@ -164,23 +168,49 @@ def _neighbours(g):
     return [[(vertex_of[inv[d]], edge_of[d], d) for d in rot] for rot in g.rotations()]
 
 
-def _fundamental_cycle(g, depth, parent_dart, d):
+def _radial_tables(g):
+    """(neighbours, classes, cut, tails, inv) of ``radial(g)``, read off g.
+
+    Dart d of g gives R-edge d: R-dart 2d at its tail, 2d + 1 at its
+    face, vertex V + face_of(d).  R rotates as g at the vertices and
+    against the facial walks at the faces, each from its smallest dart.
+    phi_R maps 2d to 2 phi^-1(d) + 1 and 2d + 1 to 2 sigma(d), so edge
+    {a, b} of g gives the R-face (2 sigma b, 2a + 1, 2 sigma a, 2b + 1)
+    and R-dart 2x lies on the face of the edge of sigma^-1(x).  With each
+    walk from its smallest R-dart and the dual tree grown from the face
+    of R-dart 0, the split is the one ``_edge_classes(radial(g))`` makes.
+    """
+    n, nv, vertex_of, sigma = g.dart_count, g.vertex_count, g.vertex_of, g.sigma
+    edge_of, face_of = g.edge_table(), g.face_table()
+    nbrs = [[(nv + face_of[d], d, 2 * d) for d in rot] for rot in g.rotations()]
+    nbrs += [[(vertex_of[d], d, 2 * d + 1) for d in (walk[0],) + walk[:0:-1]]
+             for walk in g.faces()]
+    before = [0] * n  # sigma^-1
+    for d, s in enumerate(sigma):
+        before[s] = d
+    dual = [(a, sa, b, sb) if a < min(sa, sb) else (sb, a, sa, b) if sb < sa
+            else (sa, b, sb, a) for a, b in g.edge_darts() for sa, sb in ((sigma[a], sigma[b]),)]
+    sides = [edge_of[x] ^ e for x, e in zip(before, edge_of)]
+    tail, inv = [0] * (2 * n), [0] * (2 * n)
+    tail[::2], tail[1::2] = vertex_of, [nv + f for f in face_of]
+    inv[::2], inv[1::2] = range(1, 2 * n, 2), range(0, 2 * n, 2)
+    return (nbrs, *_classes(nbrs, dual, sides, lambda d: (vertex_of[d], nv + face_of[d]),
+                            edge_of[before[0]]), tail, inv)
+
+
+def _fundamental_cycle(vertex_of, inv, depth, parent_dart, d):
     """The cycle the non-tree dart d closes in a BFS tree: d, then up
     from its head to the lowest common ancestor, then down to its tail."""
     up, down = [], []
-    a, b = g.vertex_of[d], g.head(d)
-    while depth[a] > depth[b]:
-        down.append(parent_dart[a])
-        a = g.vertex_of[parent_dart[a]]
-    while depth[b] > depth[a]:
-        up.append(parent_dart[b])
-        b = g.vertex_of[parent_dart[b]]
+    a, b = vertex_of[d], vertex_of[inv[d]]
     while a != b:
-        down.append(parent_dart[a])
-        a = g.vertex_of[parent_dart[a]]
-        up.append(parent_dart[b])
-        b = g.vertex_of[parent_dart[b]]
-    return [d] + [g.inv[x] for x in up] + down[::-1]
+        if depth[a] >= depth[b]:
+            down.append(parent_dart[a])
+            a = vertex_of[parent_dart[a]]
+        else:
+            up.append(parent_dart[b])
+            b = vertex_of[parent_dart[b]]
+    return [d] + [inv[x] for x in up] + down[::-1]
 
 
 def shortest_noncontractible_cycle(g):
@@ -217,14 +247,23 @@ def shortest_noncontractible_cycle(g):
     if genus == 0:
         return None
     nbrs = _neighbours(g)
-    edge_class, cut = _edge_classes(g)
-    inv = g.inv
+    return _search(nbrs, *_edge_classes(g, nbrs), g.vertex_of, g.inv, genus,
+                   lambda cyc: is_contractible(g, cyc), 1)
+
+
+def _search(nbrs, edge_class, cut, vertex_of, inv, genus, contractible, floor):
+    """The BFS per root of ``shortest_noncontractible_cycle`` on a graph's
+    neighbour lists, edge classes, cut graph and darts; ``contractible``
+    tests a class-0 cycle.  No cycle is shorter than ``floor`` (1, or 2
+    without loops), so the scan ends at one of that length."""
     nv = len(nbrs)
     in_cut = [False] * nv
     for v in cut:
         in_cut[v] = True
     best, bound = None, math.inf
     for root in cut:
+        if bound <= floor:
+            break
         depth = [-1] * nv
         prefix = [0] * nv
         parent_dart = [None] * nv
@@ -252,12 +291,12 @@ def shortest_noncontractible_cycle(g):
                             branch[w] = w if level == 0 else bu
                     elif dw >= level and level + dw + 1 < bound:
                         if hu ^ prefix[w] ^ edge_class[e]:
-                            best = _fundamental_cycle(g, depth, parent_dart, d)
+                            best = _fundamental_cycle(vertex_of, inv, depth, parent_dart, d)
                             bound = len(best)
                         elif (bu >= 0 and branch[w] >= 0 and (branch[w] != bu or w == root)
                               and parent_dart[w] != d and (dw > level or d < inv[d])):
-                            cyc = _fundamental_cycle(g, depth, parent_dart, d)
-                            if not is_contractible(g, cyc):
+                            cyc = _fundamental_cycle(vertex_of, inv, depth, parent_dart, d)
+                            if not contractible(cyc):
                                 best, bound = cyc, len(cyc)
             frontier = reached
             level += 1
@@ -282,11 +321,16 @@ def face_width(g):
 def face_width_witness(g):
     """(face width, shortest non-contractible cycle of B_G or None).
 
-    The cycle is found in R(G), whose dart r is B-dart 2n + r."""
-    if g.genus() == 0:
+    The cycle is ``shortest_noncontractible_cycle(radial(g))``, R-dart r
+    as B-dart 2n + r, found on R(G) read off g (``_radial_tables``).
+    ``radial(g)`` is built only to test a class-0 walk for
+    contractibility, and the scan ends at length 2."""
+    genus = g.genus()
+    if genus == 0:
         return math.inf, None
-    cyc = shortest_noncontractible_cycle(radial(g))
-    return len(cyc) // 2, tuple(2 * g.dart_count + r for r in cyc)
+    r = functools.cache(lambda: radial(g))
+    cyc = _search(*_radial_tables(g), genus, lambda c: is_contractible(r(), c), 2)
+    return len(cyc) // 2, tuple(2 * g.dart_count + x for x in cyc)
 
 
 # ---------------------------------------------------------------------------

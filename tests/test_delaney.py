@@ -145,6 +145,17 @@ def test_curvature_names_a_broken_m_row(sym, row):
         dd.curvature(sym)
 
 
+@pytest.mark.parametrize("sym, row", [
+    (symbol(((1, 0), (0, 1), (0, 1)), (6, 6), (2, 2), (3,)), "m12"),
+    (symbol(((0,), (0,), (0,)), (0,), (2,), (3,)), "m01"),
+], ids=["m-short", "m-zero"])
+def test_rotation_orders_names_a_broken_m_row(sym, row):
+    """The m-row check of ``curvature``: a short row raises no
+    IndexError, and an m of 0 gives no fold of 0."""
+    with pytest.raises(ValueError, match=row):
+        dd.rotation_orders(sym)
+
+
 def test_rotation_orders_identity():
     infos = dd.rotation_orders(dd.dd_from_lsp(ops.catalog("identity")))
     by_pair = {info.pair: info for info in infos}

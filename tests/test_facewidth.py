@@ -273,11 +273,11 @@ def oracle_all_roots_cycle(g):
                             branch[w] = w if level == 0 else bu
                     elif dw >= level and level + dw + 1 < bound:
                         if hu ^ prefix[w] ^ edge_class[e]:
-                            best = tp._fundamental_cycle(g, depth, parent_dart, d)
+                            best = tp._fundamental_cycle(g.vertex_of, g.inv, depth, parent_dart, d)
                             bound = len(best)
                         elif (bu >= 0 and branch[w] >= 0 and (branch[w] != bu or w == root)
                               and parent_dart[w] != d and (dw > level or d < inv[d])):
-                            cyc = tp._fundamental_cycle(g, depth, parent_dart, d)
+                            cyc = tp._fundamental_cycle(g.vertex_of, g.inv, depth, parent_dart, d)
                             if not tp.is_contractible(g, cyc):
                                 best, bound = cyc, len(cyc)
             frontier = reached
@@ -328,7 +328,8 @@ def assert_cut_graph(g, cut):
         u, w = g.vertex_of[d], g.head(d)
         if (d < g.inv[d] and depth[u] >= 0 and depth[w] >= 0
                 and d != parent_dart[w] and g.inv[d] != parent_dart[u]):
-            assert tp.is_contractible(g, tp._fundamental_cycle(g, depth, parent_dart, d))
+            cyc = tp._fundamental_cycle(g.vertex_of, g.inv, depth, parent_dart, d)
+            assert tp.is_contractible(g, cyc)
 
 
 def assert_simple_noncontractible(g, cyc):
@@ -461,6 +462,55 @@ def test_face_width_builds_no_subdivision(monkeypatch):
     assert built == graphs  # by the oracle alone
 
 
+def k7_loop_sum():
+    path = os.path.join(os.path.dirname(__file__), "data", "k7_loop_sum.rot")
+    with open(path, encoding="ascii") as handle:
+        return parse_rot(handle.read())
+
+
+def test_face_width_builds_radial_only_for_class_zero_tests(monkeypatch):
+    """Production face-width reads R(G) off G: it builds neither B_G nor
+    R(G) on genus <= 1, and builds R(G) once on genus >= 2 exactly when
+    the search tests a class-0 walk for contractibility."""
+    k7 = polyhedra.k7_torus()
+    graphs = [polyhedra.tetrahedron(), k7, power("gyro", k7, 1), tube_sum(k7, k7, 2),
+              k7_loop_sum(), power("gyro", k7_loop_sum(), 1)] + random_graphs(60)
+    built, tested = [], []
+
+    def spy(name):
+        build = getattr(chambers, name)
+        return lambda g: built.append((name, g)) or build(g)
+
+    for name in ("barycentric", "radial"):
+        wrapped = spy(name)
+        monkeypatch.setattr(chambers, name, wrapped)
+        monkeypatch.setattr(tp, name, wrapped)
+    test = tp.is_contractible
+    monkeypatch.setattr(tp, "is_contractible", lambda h, cyc: tested.append(h) or test(h, cyc))
+    seen = set()
+    for g in graphs:
+        del built[:], tested[:]
+        tp.face_width_witness(g)
+        assert built == ([("radial", g)] if tested else [])
+        assert not tested or g.genus() >= 2
+        seen.add((g.genus() >= 2, bool(tested)))
+    assert seen == {(False, False), (True, False), (True, True)}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(polyhedra.random_embedded, st.randoms(use_true_random=False),
+                 st.integers(3, 40)))
+def test_face_width_witness_matches_the_built_radial_graph(g):
+    """The search on R(G) read off G gives the witness that the search
+    on the built ``radial(g)`` gives, as B-darts."""
+    want = tp.shortest_noncontractible_cycle(radial(g))
+    if want is None:
+        assert tp.face_width_witness(g) == (math.inf, None)
+    else:
+        assert tp.face_width_witness(g) == (len(want) // 2,
+                                            tuple(2 * g.dart_count + r for r in want))
+
+
 def tube_sum(g, h, k):
     """The connected sum of g and h through a tube of k edges from the
     first k corners of face 0 of g to those of face 0 of h, in reverse."""
@@ -504,9 +554,7 @@ def test_separating_loop_is_found():
     first copy's, a loop dart, the second copy's and the loop's other
     dart: the loop separates the two tori, so it is a non-contractible
     cycle of length 1 through the root of its BFS."""
-    path = os.path.join(os.path.dirname(__file__), "data", "k7_loop_sum.rot")
-    with open(path, encoding="ascii") as handle:
-        g = parse_rot(handle.read())
+    g = k7_loop_sum()
     assert (g.genus(), g.edge_count) == (2, 43)
     cyc = tp.shortest_noncontractible_cycle(g)
     assert len(cyc) == 1 == len(oracle_shortest_noncontractible_cycle(g))

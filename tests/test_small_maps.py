@@ -1,5 +1,5 @@
-"""The ck fast paths on every map with at most four edges and on its
-images under the catalog operations.
+"""The ck fast paths and face-width on every map with at most four edges
+and on its images under the catalog operations.
 
 The corpus checks itself by two counts.  Summed over the maps, 2E/|Aut+|
 counts the rooted maps, which the number of connected sigma gives too:
@@ -15,10 +15,11 @@ import pytest
 
 from surfops import operations as ops
 from surfops import topology as tp
-from surfops.chambers import barycentric
+from surfops.chambers import barycentric, radial
 
 import oracle_ck as oc
 from small_maps import automorphisms, small_maps
+from test_facewidth import assert_matches_all_roots
 
 EDGES = (1, 2, 3, 4)
 
@@ -78,3 +79,14 @@ def test_face_cut_matches_dfs(graphs):
     assert len(ruled) > 500
     for g in ruled:
         assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+
+
+def test_face_width_matches_all_roots(graphs):
+    """Face-width against the all-roots scan, and R(G)'s neighbour
+    lists, classes and cut graph read off G against those of the built
+    ``radial(g)``."""
+    assert {g.genus() for g in graphs} == {0, 1, 2}
+    for g in graphs:
+        assert_matches_all_roots(g)
+        r = radial(g)
+        assert tp._radial_tables(g)[:3] == (tp._neighbours(r), *tp._edge_classes(r))
