@@ -247,15 +247,15 @@ def _check_cut_path(op, path):
     return path
 
 
-def find_cut_path(op, strategy="minimal", seed=None):
+def find_cut_path(op, strategy="minimal", seed=0):
     """A cut-path of ``op.lopsp()``: of the lopsp-operation, or of the
     double of an lsp-operation, which is what ``apply`` glues.
 
     ``minimal`` gives a path of minimum total length (vertex-disjoint
     shortest pair via node splitting and two shortest-path
-    augmentations).  ``seeded-random`` perturbs the edge costs with a
-    seeded RNG before taking the cheapest pair, which yields a
-    reproducible variety of valid cut-paths.
+    augmentations).  ``seeded-random`` perturbs the edge costs with an
+    RNG seeded by ``seed`` (0 unless given) before taking the cheapest
+    pair, which yields a reproducible variety of valid cut-paths.
     """
     op = op.lopsp()
     g = op.graph
@@ -308,7 +308,7 @@ def _disjoint_shortest_pair(g, v0, v1, v2, weight):
                 du = dist[u]
                 for i, arc in enumerate(arcs[u]):
                     w, cap, cost = arc[0], arc[1], arc[2]
-                    if cap > 0 and du + cost < dist.get(w, float("inf")):
+                    if cap > 0 and (w not in dist or du + cost < dist[w]):
                         dist[w] = du + cost
                         pre[w] = (u, i)
                         changed = True

@@ -1,89 +1,60 @@
 """Seed graphs: platonic solids, the K7 torus triangulation, small multigraphs.
 
-The solids are built from 3D coordinates; the rotation at a vertex is the
-clockwise order of its neighbours seen from outside the solid, which gives
-a genus-0 rotation system without any hand-tuned tables.
+Each solid is an exact table: vertex v lists its neighbours in clockwise
+order seen from outside the solid, which gives a genus-0 rotation system.
+The tests rebuild every table from 3D coordinates and compare dart for
+dart, and check the paper's construction of the solids from the
+tetrahedron by ambo, dual, snub and gyro.
 """
 
 from __future__ import annotations
 
-import math
 import random
 
 from .embedded import Disconnected, EmbeddedGraph
 
-_PHI = (1 + math.sqrt(5)) / 2
-
-
-def _from_coordinates(points):
-    """Convex-polyhedron graph: edges between closest pairs, clockwise rotations."""
-    n = len(points)
-    d2 = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d2[(i, j)] = sum((a - b) ** 2 for a, b in zip(points[i], points[j]))
-    mind = min(d2.values())
-    adj = [[] for _ in range(n)]
-    for (i, j), dd in d2.items():
-        if dd < mind * (1 + 1e-9):
-            adj[i].append(j)
-            adj[j].append(i)
-    rotations = []
-    for i in range(n):
-        nx, ny, nz = points[i]
-        norm = math.sqrt(nx * nx + ny * ny + nz * nz)
-        nx, ny, nz = nx / norm, ny / norm, nz / norm
-        # tangent basis at the (radial) outward normal
-        ax, ay, az = (1.0, 0.0, 0.0) if abs(nx) < 0.9 else (0.0, 1.0, 0.0)
-        t1 = (ay * nz - az * ny, az * nx - ax * nz, ax * ny - ay * nx)
-        t1n = math.sqrt(sum(c * c for c in t1))
-        t1 = tuple(c / t1n for c in t1)
-        t2 = (
-            ny * t1[2] - nz * t1[1],
-            nz * t1[0] - nx * t1[2],
-            nx * t1[1] - ny * t1[0],
-        )
-
-        def angle(j):
-            w = tuple(points[j][k] - points[i][k] for k in range(3))
-            return math.atan2(
-                sum(a * b for a, b in zip(w, t2)), sum(a * b for a, b in zip(w, t1))
-            )
-
-        rotations.append(sorted(adj[i], key=angle, reverse=True))
-    return EmbeddedGraph.from_adjacency(rotations)
-
 
 def tetrahedron():
-    return _from_coordinates([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)])
+    return EmbeddedGraph.from_adjacency([[1, 3, 2], [0, 2, 3], [1, 0, 3], [0, 1, 2]])
 
 
 def cube():
-    pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    return _from_coordinates(pts)
+    return EmbeddedGraph.from_adjacency(
+        [
+            [4, 2, 1], [5, 0, 3], [6, 3, 0], [7, 1, 2],
+            [5, 6, 0], [7, 4, 1], [4, 7, 2], [6, 5, 3],
+        ]
+    )
 
 
 def octahedron():
-    return _from_coordinates(
-        [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+    return EmbeddedGraph.from_adjacency(
+        [
+            [4, 2, 5, 3], [5, 2, 4, 3], [5, 0, 4, 1],
+            [4, 0, 5, 1], [2, 0, 3, 1], [3, 0, 2, 1],
+        ]
     )
 
 
 def icosahedron():
-    pts = []
-    for a in (-1, 1):
-        for b in (-_PHI, _PHI):
-            pts += [(0, a, b), (a, b, 0), (b, 0, a)]
-    return _from_coordinates(pts)
+    return EmbeddedGraph.from_adjacency(
+        [
+            [7, 5, 6, 2, 1], [3, 7, 0, 2, 8], [0, 6, 4, 8, 1], [9, 11, 7, 1, 8],
+            [6, 10, 9, 8, 2], [7, 11, 10, 6, 0], [0, 5, 10, 4, 2], [11, 5, 0, 1, 3],
+            [9, 3, 1, 2, 4], [10, 11, 3, 8, 4], [5, 11, 9, 4, 6], [10, 5, 7, 3, 9],
+        ]
+    )
 
 
 def dodecahedron():
-    pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    inv = 1 / _PHI
-    for a in (-inv, inv):
-        for b in (-_PHI, _PHI):
-            pts += [(0, a, b), (a, b, 0), (b, 0, a)]
-    return _from_coordinates(pts)
+    return EmbeddedGraph.from_adjacency(
+        [
+            [9, 8, 10], [11, 9, 16], [14, 12, 10], [12, 17, 16], [13, 8, 15],
+            [19, 15, 11], [13, 18, 14], [19, 17, 18], [4, 14, 0], [15, 0, 1],
+            [2, 16, 0], [17, 5, 1], [18, 3, 2], [19, 6, 4], [8, 6, 2],
+            [5, 4, 9], [10, 3, 1], [7, 11, 3], [6, 7, 12], [7, 13, 5],
+        ]
+    )
 
 
 def k7_torus():

@@ -10,6 +10,7 @@ from surfops import polyhedra
 from surfops.cli import main
 from surfops.operations import CATALOG_NAMES, apply, catalog, find_cut_path, lsp_to_lopsp
 
+import oracle_solids
 from conftest import build_corpus
 from test_facewidth import tube_sum
 
@@ -136,20 +137,8 @@ def test_apply_pipe_equals_direct_canon(cube_file, capsys, monkeypatch):
     code, canon_piped, err = run(capsys, "canon", "-")
     assert code == 0
     # truncated cube built independently from coordinates
-    trunc = _truncated_cube_reference()
+    trunc = oracle_solids.truncated_cube()
     assert canon_piped.strip() == " ".join(map(str, trunc.canonical_code()))
-
-
-def _truncated_cube_reference():
-    from surfops.polyhedra import _from_coordinates
-
-    xi = 2 ** 0.5 - 1
-    pts = []
-    for x in (-xi, xi):
-        for y in (-1, 1):
-            for z in (-1, 1):
-                pts += [(x, y, z), (z, x, y), (y, z, x)]
-    return _from_coordinates(pts)
 
 
 def test_batch_planar_code_stream(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """The input contract: properties over random multigraphs, a seeded
-fuzz of the command line, the rule that ``src/`` is stdlib-only, and the
-names ``perfbench/tracing.py`` traces.
+fuzz of the command line, the rules that ``src/`` is stdlib-only and
+exact (no floating point), and the names ``perfbench/tracing.py``
+traces.
 
 The properties draw graphs from ``polyhedra.random_embedded``, which
 gives loops, parallel edges and any genus.  The fuzz mutates tokens and
@@ -166,15 +167,20 @@ def test_cli_fuzz(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# the package imports nothing outside the standard library
+# the package imports nothing outside the standard library and has no
+# floating point
 
 
-def test_src_is_stdlib_only():
+def src_trees():
     modules = sorted(name for name in os.listdir(SRC) if name.endswith(".py"))
     assert "operations.py" in modules
     for name in modules:
         with open(os.path.join(SRC, name), encoding="utf-8") as handle:
-            tree = ast.parse(handle.read(), name)
+            yield name, ast.parse(handle.read(), name)
+
+
+def test_src_is_stdlib_only():
+    for name, tree in src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 roots = [alias.name.split(".")[0] for alias in node.names]
@@ -184,6 +190,40 @@ def test_src_is_stdlib_only():
                 continue
             for root in roots:
                 assert root in sys.stdlib_module_names or root == "surfops", (name, root)
+
+
+def inexact(node):
+    """Why ``node`` would bring floating point into the package, or None.
+    ``math.inf`` stays allowed: it is the face-width of a plane map."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return "float literal %r" % node.value
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+        return "float() call"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "math" and node.attr != "inf"):
+        return "math.%s" % node.attr
+    if isinstance(node, ast.ImportFrom) and node.module == "math" and not node.level:
+        names = [alias.name for alias in node.names if alias.name != "inf"]
+        return "from math import %s" % ", ".join(names) if names else None
+    return None
+
+
+def test_src_is_exact():
+    for name, tree in src_trees():
+        for node in ast.walk(tree):
+            why = inexact(node)
+            assert why is None, "%s:%d: %s" % (name, node.lineno, why)
+
+
+def test_exactness_check_rejects_floats():
+    for line in ("x = 0.5", "y = float(n)", "z = a / b", "a /= 2", "r = math.sqrt(2)",
+                 "from math import pi"):
+        assert any(inexact(node) for node in ast.walk(ast.parse(line))), line
+    for line in ("x = math.inf", "y = a // b", "import math", "from math import inf",
+                 "z = Fraction(1, 2)"):
+        assert not any(inexact(node) for node in ast.walk(ast.parse(line))), line
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,14 @@ def test_random_cut_paths_valid_and_varied():
     assert len(lengths) >= 1
 
 
+def test_random_cut_path_without_seed_is_seed_zero():
+    """No seed means seed 0, as the command line's ``--seed`` defaults to."""
+    for name in ops.catalog_names():
+        lop = ops.catalog(name)
+        assert ops.find_cut_path(lop, "seeded-random") == ops.find_cut_path(
+            lop, "seeded-random", seed=0)
+
+
 def test_patch_identity():
     lop = identity_lopsp()
     patch = ops.double_chamber_patch(lop, ops.find_cut_path(lop))

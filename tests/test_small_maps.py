@@ -1,4 +1,5 @@
-"""The ck fast paths and face-width on every map with at most four edges
+"""The catalog operations, the ck fast paths, face-width, the ``rot``
+round trip and the canonical code on every map with at most four edges
 and on its images under the catalog operations.
 
 The corpus checks itself by two counts.  Summed over the maps, 2E/|Aut+|
@@ -13,13 +14,16 @@ from fractions import Fraction
 
 import pytest
 
+from surfops import io
 from surfops import operations as ops
 from surfops import topology as tp
 from surfops.chambers import barycentric, radial
 
 import oracle_ck as oc
+from conftest import relabeled
 from small_maps import automorphisms, small_maps
 from test_facewidth import assert_matches_all_roots
+from test_glue import check_both_routes
 
 EDGES = (1, 2, 3, 4)
 
@@ -42,8 +46,12 @@ def test_plane_rooted_counts():
     assert rooted_counts(plane_only=True) == tutte == [2, 9, 54, 378]
 
 
+def all_small_maps():
+    return [g for e in EDGES for g in small_maps(e)[1]]
+
+
 def corpus_and_images():
-    maps = [g for e in EDGES for g in small_maps(e)[1]]
+    maps = all_small_maps()
     return maps + [ops.apply(ops.catalog(name), g).result
                    for name in ops.catalog_names() for g in maps]
 
@@ -51,6 +59,29 @@ def corpus_and_images():
 @pytest.fixture(scope="module")
 def graphs():
     return corpus_and_images()
+
+
+@pytest.mark.parametrize("name", ops.catalog_names())
+def test_catalog_on_small_maps(name):
+    op = ops.catalog(name)
+    for g in all_small_maps():
+        check_both_routes(op, g)
+
+
+def test_rot_text_is_a_fixed_point(graphs):
+    for g in graphs:
+        text = io.write_rot(g)
+        h = io.parse_rot(text)
+        assert io.write_rot(h) == text
+        assert h.canonical_code() == g.canonical_code()
+
+
+def test_canonical_code_ignores_labelling(graphs):
+    for i, g in enumerate(graphs):
+        h = relabeled(g, i)
+        for reflect in (False, True):
+            assert h.canonical_code(allow_reflection=reflect) == g.canonical_code(
+                allow_reflection=reflect)
 
 
 def test_polyhedral_and_two_cycle_read_off_g(graphs):
