@@ -99,11 +99,12 @@ def validate_dd(sym):
             if val <= 0:
                 out.append("axiom3: m%d%d not positive on orbit" % (i, j))
                 continue
+            # c returns within |orb| steps or never; the power fixes c iff r | val
             for c in orb:
-                x = c
-                for _ in range(val):
-                    x = sym.action[j][sym.action[i][x]]
-                if x != c:
+                x, r = sym.action[j][sym.action[i][c]], 1
+                while x != c and r < min(val, len(orb)):
+                    x, r = sym.action[j][sym.action[i][x]], r + 1
+                if x != c or val % r:
                     out.append(
                         "axiom3: (s%d s%d)^%d does not fix element %d" % (i, j, val, c)
                     )

@@ -125,7 +125,6 @@ class EmbeddedGraph:
         "_face_of",
         "_edge_darts",
         "_edge_of",
-        "_degrees",
         "_canon",
     )
 
@@ -143,7 +142,6 @@ class EmbeddedGraph:
         self._face_of = None
         self._edge_darts = None
         self._edge_of = None
-        self._degrees = None
         self._canon = {}
 
     # -- construction -------------------------------------------------
@@ -350,11 +348,6 @@ class EmbeddedGraph:
 
     # -- canonical forms -------------------------------------------------
 
-    def _degree_table(self):
-        if self._degrees is None:
-            self._degrees = tuple(len(r) for r in self.rotations())
-        return self._degrees
-
     def _code_walk(self, start, sigma, darts, num=None, entry=None):
         """BFS code from a start dart, one vertex block (a list) at a
         time; the darts are appended in numbering order to ``darts``,
@@ -375,15 +368,16 @@ class EmbeddedGraph:
         inv = self.inv
         vertex_of = self.vertex_of
         labels = self.labels
-        deg = self._degree_table()
+        rotations = self.rotations()
         if num is None:
-            num, entry = [-1] * len(sigma), [-1] * len(deg)
+            num, entry = [-1] * len(sigma), [-1] * len(rotations)
         entry[vertex_of[start]] = start
         queue = [vertex_of[start]]
         for v in queue:  # grows while it is walked: the BFS queue
             d = entry[v]
-            block = [deg[v], -2 if labels is None else labels[v]]
-            for _ in range(deg[v]):
+            rot = rotations[v]
+            block = [len(rot), -2 if labels is None else labels[v]]
+            for _ in rot:  # deg(v) steps around v from its entry dart
                 e = inv[d]
                 block.append(num[e])
                 num[d] = len(darts)

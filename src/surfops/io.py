@@ -194,13 +194,15 @@ def write_planar_code(graphs):
     """Planar code bytes for simple graphs, vertex order preserved."""
     chunks = [PLANAR_CODE_HEADER]
     for g in graphs:
+        n = g.vertex_count
+        if n > 65535:
+            raise FormatViolation("planar code export takes at most 65535 vertices, got %d" % n)
         simple_rows = []
-        for v in range(g.vertex_count):
+        for v in range(n):
             row = [g.head(d) for d in g.rotations()[v]]
             if v in row or len(set(row)) != len(row):
                 raise FormatViolation("planar code export needs a simple graph")
             simple_rows.append(row)
-        n = g.vertex_count
         wide = n > 255
         chunks.append(b"\x00" + struct.pack("<H", n) if wide else bytes([n]))
         for row in simple_rows:

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, repeat
 
 from .chambers import double_chamber_frame
 from .embedded import Deferred, EmbeddedGraph, InternalInvariant
-from .topology import _ck, _short_cycles, _smallest_cut
+from .topology import _ck, _cut_vertex, _short_cycles
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -94,7 +94,7 @@ def _common_diagnostics(g, v0, v1, v2, skip_faces=()):
         out.append(Diagnostic("special-types", v2, "t(v2) must differ from 1"))
     if types[v1] == 1 and g.degree(v1) != 2:
         out.append(Diagnostic("v1-degree", v1, "deg %d" % g.degree(v1)))
-    cut = _smallest_cut(g, max_size=1)
+    cut = _cut_vertex(g)
     if cut:
         out.append(Diagnostic("two-connected", cut[0]))
     return out

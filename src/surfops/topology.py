@@ -12,16 +12,20 @@ K has at most 2g (2 diam + 1) vertices.  One BFS per root reads the
 homology class of every closed walk a non-tree edge makes; on genus >= 2
 it also sends the class-0 walks that can be a shortest cycle rooted at
 its smallest vertex of K, each once, to the contractibility test, which
-alone builds R(G).  R(G) has no loops: the scan ends at length 2.
+alone builds R(G).  R(G) has no loops: the scan ends at length 2.  That
+BFS, ``_search``, takes its tables from ``_tables`` on any graph and
+from ``_radial_tables`` for R(G).
 
 ``_ck`` decides k for all three ck checks by the short-cycle
 characterisation: ``_polyhedral`` reads c3 off how the faces of G meet,
-in one pass over G's face table; on maps it rejects, k = 1 at a 2-cycle
+one pass of ``_face_meetings``; on maps it rejects, k = 1 at a 2-cycle
 of ``B_G``, which ``_two_cycle_of`` reads off G, and k = 2 otherwise, at
 a nontrivial 4-cycle, which walks along its two sides decide locally.
 So ``is_ck_embedded``, ``ck_via_cycles`` and ``classify_ck`` on
 O(witness) know k without building ``B_G`` or T, or searching for a cut;
-the cut and the 4-cycle witness are found on their first read.
+the cut and the 4-cycle witness are found on their first read.  The cut
+is read off the same face meetings (``_face_cut``) or found vertex by
+vertex (``_smallest_cut``), each after one DFS of ``_cut_vertex``.
 """
 
 from __future__ import annotations
@@ -84,18 +88,10 @@ def is_contractible(g, cycle_darts):
 # homology classes and face-width searches
 
 
-def _edge_classes(g, nbrs=None):
-    """``_classes`` of g, read off its faces and ``nbrs or _neighbours(g)``."""
-    edge_of, face_of, edge_darts = g.edge_table(), g.face_table(), g.edge_darts()
-    return _classes(nbrs or _neighbours(g), [[edge_of[d] for d in walk] for walk in g.faces()],
-                    [face_of[a] ^ face_of[b] for a, b in edge_darts],
-                    lambda e: [g.vertex_of[d] for d in edge_darts[e]])
-
-
 def _classes(nbrs, dual, sides, ends, first=0):
     """(classes, cut): the Z2-homology classes of the edges, as ints of 2g
     bits, and the vertices of a cut graph K, ascending, of the graph with
-    neighbour lists ``nbrs`` (``_neighbours``), ``dual`` the edges of each
+    neighbour lists ``nbrs`` (``_tables``), ``dual`` the edges of each
     face in facial order, and edge e on faces f and ``sides[e] ^ f``.
 
     The class of a cycle, the XOR over its edges, is 0 exactly when the
@@ -162,10 +158,15 @@ def _classes(nbrs, dual, sides, ends, first=0):
     return cls, [v for v in range(nv) if in_cut[v]]
 
 
-def _neighbours(g):
-    """(head, edge, dart) for every dart of a vertex, in rotation order."""
-    vertex_of, inv, edge_of = g.vertex_of, g.inv, g.edge_table()
-    return [[(vertex_of[inv[d]], edge_of[d], d) for d in rot] for rot in g.rotations()]
+def _tables(g):
+    """(neighbours, classes, cut, tails, inv) of g for ``_search``: (head, edge,
+    dart) per dart of a vertex in rotation order, then ``_classes`` of g."""
+    vertex_of, inv, edge_of, face_of = g.vertex_of, g.inv, g.edge_table(), g.face_table()
+    edge_darts = g.edge_darts()
+    nbrs = [[(vertex_of[inv[d]], edge_of[d], d) for d in rot] for rot in g.rotations()]
+    return (nbrs, *_classes(nbrs, [[edge_of[d] for d in walk] for walk in g.faces()],
+                            [face_of[a] ^ face_of[b] for a, b in edge_darts],
+                            lambda e: [vertex_of[d] for d in edge_darts[e]]), vertex_of, inv)
 
 
 def _radial_tables(g):
@@ -178,7 +179,7 @@ def _radial_tables(g):
     {a, b} of g gives the R-face (2 sigma b, 2a + 1, 2 sigma a, 2b + 1)
     and R-dart 2x lies on the face of the edge of sigma^-1(x).  With each
     walk from its smallest R-dart and the dual tree grown from the face
-    of R-dart 0, the split is the one ``_edge_classes(radial(g))`` makes.
+    of R-dart 0, the tables are those ``_tables(radial(g))`` makes.
     """
     n, nv, vertex_of, sigma = g.dart_count, g.vertex_count, g.vertex_of, g.sigma
     edge_of, face_of = g.edge_table(), g.face_table()
@@ -216,7 +217,7 @@ def _fundamental_cycle(vertex_of, inv, depth, parent_dart, d):
 def shortest_noncontractible_cycle(g):
     """A minimum-length non-contractible cycle of g, or None if plane.
 
-    Cut along the cut graph K of ``_edge_classes`` the surface is an open
+    Cut along the cut graph K of ``_tables`` the surface is an open
     disc.  A cycle that misses the vertices of K misses its edges too, so
     it lies in that disc and is contractible: every non-contractible
     cycle passes a vertex of K, and only those are roots.  One BFS per
@@ -246,9 +247,7 @@ def shortest_noncontractible_cycle(g):
     genus = g.genus()
     if genus == 0:
         return None
-    nbrs = _neighbours(g)
-    return _search(nbrs, *_edge_classes(g, nbrs), g.vertex_of, g.inv, genus,
-                   lambda cyc: is_contractible(g, cyc), 1)
+    return _search(*_tables(g), genus, lambda cyc: is_contractible(g, cyc), 1)
 
 
 def _search(nbrs, edge_class, cut, vertex_of, inv, genus, contractible, floor):
@@ -398,65 +397,80 @@ def _articulation_points(adjacency, skip=None):
     return cuts
 
 
-def _smallest_cut(g, max_size=2):
-    """Smallest vertex cut of size <= max_size (1 or 2), or None.
+def _adjacency(g):
+    """The head of every dart of a vertex, in rotation order."""
+    vertex_of, inv = g.vertex_of, g.inv
+    return [[vertex_of[inv[d]] for d in rot] for rot in g.rotations()]
+
+
+def _cut_vertex(g):
+    """(the smallest cut vertex of g,), or None; one DFS."""
+    cuts = _articulation_points(_adjacency(g))
+    return (min(cuts),) if cuts else None
+
+
+def _smallest_cut(g):
+    """Smallest vertex cut of size 1 or 2, or None.
 
     Among the cuts of the smallest size the lexicographically first is
-    returned.  1-cuts are the cut vertices of G; once there are none,
-    {a, b} is a cut exactly when b is a cut vertex of G - a.  Each size
-    costs at most V depth-first searches, O(V (V + E)) in all.
+    returned.  1-cuts are the cut vertices of G (``_cut_vertex``); once
+    there are none, {a, b} is a cut exactly when b is a cut vertex of
+    G - a.  Each size costs at most V depth-first searches, O(V (V + E))
+    in all.
     """
-    if max_size not in (1, 2):
-        raise ValueError("max_size must be 1 or 2")
-    nv = g.vertex_count
-    adjacency = [sorted({g.head(d) for d in g.rotations()[v]} - {v}) for v in range(nv)]
-    if nv <= 1:
-        return None
-    cuts = _articulation_points(adjacency)
-    if cuts:
-        return (min(cuts),)
-    if max_size < 2 or nv <= 2:
-        return None
-    for a in range(nv):
+    cut = _cut_vertex(g)
+    if cut or g.vertex_count <= 2:
+        return cut
+    adjacency = _adjacency(g)
+    for a in range(g.vertex_count):
         later = [b for b in _articulation_points(adjacency, skip=a) if b > a]
         if later:
             return (a, min(later))
     return None
 
 
-def _edge_faces(g):
-    """The faces of every edge, keyed by its ends, or None at a loop, a
-    parallel edge or an edge with one face on both sides.  Pairs are one
-    int each: ends u < w as u * V + w, faces f < h as f * F + h."""
-    vertex_of, face_of = g.vertex_of, g.face_table()
-    nv, nf = g.vertex_count, len(g.faces())
-    between = {}
+def _face_meetings(g):
+    """(between, shared): the faces of every edge, keyed by its ends, and
+    the vertices on both of every pair of faces, ascending; or None at a
+    loop, a parallel edge, an edge with one face on both sides or a face
+    through a vertex twice.  Pairs are one int each: ends u < w as
+    u * V + w, faces f < h as f * F + h.  O(sum of squared degrees)."""
+    vertex_of, face_of, rotations = g.vertex_of, g.face_table(), g.rotations()
+    nv, nf = len(rotations), len(g.faces())
+    between, shared = {}, {}
     for d, dp in g.edge_darts():
         u, w, f, h = vertex_of[d], vertex_of[dp], face_of[d], face_of[dp]
         uw = u * nv + w if u < w else w * nv + u
         if u == w or f == h or uw in between:
             return None
         between[uw] = f * nf + h if f < h else h * nf + f
-    return between
+    for v, rot in enumerate(rotations):
+        at = sorted([face_of[d] for d in rot])
+        for i, f in enumerate(at):
+            for h in at[i + 1:]:
+                if h == f:
+                    return None
+                shared.setdefault(f * nf + h, []).append(v)
+    return between, shared
 
 
 def _face_cut(g):
     """``_smallest_cut(g)`` on a map of face-width >= 3, read off how its
-    faces meet in O(sum of squared degrees) when g is simple.
+    faces meet (``_face_meetings``) in O(sum of squared degrees) when g
+    is simple.
 
-    A loop, a parallel edge or an edge with one face on both sides sends
-    g to ``_smallest_cut``.  Without
-    those, {a, b} is a cut exactly when a and b lie on two distinct faces
-    F, F' with no edge ab between F and F', so the first such pair a < b
-    is the first 2-cut.
+    Where ``_face_meetings`` gives None, g goes to ``_smallest_cut``.
+    Otherwise, once ``_cut_vertex`` finds none, {a, b} is a cut exactly
+    when a and b lie on two faces F, F' with no edge ab between them, so
+    the first such pair a < b is the first 2-cut.
 
-    No face passes a vertex v twice: a curve through the face from one
-    of its angles at v to the other meets g at v alone, so it bounds a
-    disc, and each side holds an edge at v that leads off v, which makes
-    v a cut vertex.  If F and F' share a and b, a curve from a through F
-    to b and back through F' meets g in a and b only, so by face-width
-    >= 3 it bounds a disc too.  At a, the angles of F and F' split the
-    edges into two arcs, one on each side.  An arc whose one edge is ab,
+    At face-width >= 3 a face through v twice makes v a cut vertex: a
+    curve through the face from one of its angles at v to the other meets
+    g at v alone, so it bounds a disc, and each side holds an edge at v
+    that leads off v.  If F and F' share a and b, a curve from a through
+    F to b and back through F' meets g in a and b only, so it bounds a
+    disc too.  At a, the angles of F and F' split the edges into two
+    arcs, one on each side.  An arc whose one edge is ab,
     the only one in a simple map, puts ab between F and F'; so otherwise
     each side holds an edge from a to a third vertex, and {a, b}
     separates them.  Conversely, let {a, b} be a 2-cut and C a component
@@ -469,20 +483,12 @@ def _face_cut(g):
     ab lies between the two faces.  With four or more, some two of the
     faces are not the two sides of the one edge ab.
     """
-    between = _edge_faces(g)
-    if between is None:
-        return _smallest_cut(g)
-    face_of, rotations = g.face_table(), g.rotations()
-    nv, nf = len(rotations), len(g.faces())
-    cuts = _articulation_points([[g.head(d) for d in rot] for rot in rotations])
-    if cuts:
-        return (min(cuts),)
-    shared = {}  # faces f < h, as f * nf + h -> the vertices on both, ascending
-    for v, rot in enumerate(rotations):
-        at = sorted([face_of[d] for d in rot])
-        for i, f in enumerate(at):
-            for h in at[i + 1:]:
-                shared.setdefault(f * nf + h, []).append(v)
+    meetings = _face_meetings(g)
+    cut = _smallest_cut(g) if meetings is None else _cut_vertex(g)
+    if cut or meetings is None:
+        return cut
+    between, shared = meetings
+    nv = g.vertex_count
     # per pair of faces the first (a, b) in O(|s|): a fails with at most two b
     firsts = (next(((a, b) for i, a in enumerate(s) for b in s[i + 1:]
                     if between.get(a * nv + b) != fh), None) for fh, s in shared.items())
@@ -681,8 +687,8 @@ def _four_cycle_witness(b):
 
 
 def _polyhedral(g):
-    """Whether g is c3, read off how its faces meet in O(sum of squared
-    degrees): no loop or parallel edge, no edge with one face on both
+    """Whether g is c3, read off how its faces meet (``_face_meetings``)
+    in O(sum of squared degrees): no loop or parallel edge, no edge with one face on both
     sides, no face through a vertex twice, and two faces share at most
     two vertices, and two only with an edge between them on both.
 
@@ -712,29 +718,14 @@ def _polyhedral(g):
     and v without an edge uv between them give a nontrivial 0202.  Two
     sharing a, b and c give one too, unless the edges ab and bc both
     have sides F and F', which makes a 1212.
-
-    A pair of faces keeps its first shared vertex, then the first two,
-    and fails at a third.
     """
-    between = _edge_faces(g)
-    if between is None:
+    meetings = _face_meetings(g)
+    if meetings is None:
         return False
-    face_of, rotations = g.face_table(), g.rotations()
-    nv, nf = len(rotations), len(g.faces())
-    first, two = {}, {}  # faces -> the first vertex on both, and the first two
-    for v, rot in enumerate(rotations):
-        at = sorted([face_of[d] for d in rot])
-        for i, f in enumerate(at):
-            for h in at[i + 1:]:
-                if h == f:
-                    return False
-                fh = f * nf + h
-                u = first.setdefault(fh, v)
-                if u != v:
-                    if fh in two:
-                        return False
-                    two[fh] = u * nv + v
-    return all(between.get(uv) == fh for fh, uv in two.items())
+    between, shared = meetings
+    nv = g.vertex_count
+    return all(len(s) == 1 or len(s) == 2 and between.get(s[0] * nv + s[1]) == fh
+               for fh, s in shared.items())
 
 
 def _ck(g):

@@ -22,7 +22,7 @@ def is_ck_embedded(g, k):
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
     fw, fw_cycle = tp.face_width_witness(g)
-    cut = tp._smallest_cut(g, max_size=2)
+    cut = tp._smallest_cut(g)
     cut_free = 3 if cut is None else len(cut)  # no cut smaller than this
     k_max = min(min_deg, min_face, 3, cut_free)
     if fw != math.inf:

@@ -94,8 +94,8 @@ def oracle_four_cycles(b):
 def assert_matches_oracle(g, sample=None):
     """Cuts and 4-cycle lists of g and B_G, and the triviality of every
     4-cycle of B_G (of ``sample`` evenly spaced ones, when given)."""
-    for size in (1, 2):
-        assert tp._smallest_cut(g, size) == oracle_smallest_cut(g, size)
+    assert tp._cut_vertex(g) == oracle_smallest_cut(g, 1)
+    assert tp._smallest_cut(g) == oracle_smallest_cut(g, 2)
     assert tp.four_cycles(g) == oracle_four_cycles(g)
     b = barycentric(g)
     cycles = tp.four_cycles(b)
@@ -395,14 +395,14 @@ def test_ck_reports_digest():
 
 
 def cut_search_calls(monkeypatch):
-    """The calls of the cut searches and of the edge-face table, by name."""
+    """The calls of the cut searches and of the face-meeting table, by name."""
     return {f.__name__: count_calls(monkeypatch, f) for f in (
-        tp._articulation_points, tp._face_cut, tp._smallest_cut, tp._edge_faces)}
+        tp._articulation_points, tp._face_cut, tp._smallest_cut, tp._face_meetings)}
 
 
 def assert_no_cut_search(calls):
     assert not (calls["_articulation_points"] or calls["_face_cut"] or calls["_smallest_cut"])
-    assert len(calls["_edge_faces"]) <= 1
+    assert len(calls["_face_meetings"]) <= 1
 
 
 def test_late_cut_is_read_off_the_faces(monkeypatch):
@@ -473,7 +473,7 @@ def test_face_cut_on_k4_minus_edge_glued_in():
         if tp.face_width(h) < 3:
             continue
         cut = tp._face_cut(h)
-        assert cut == tp._smallest_cut(h, 2)
+        assert cut == tp._smallest_cut(h)
         assert tp.is_ck_embedded(h, 3) == oc.is_ck_embedded(h, 3)
         found += cut is not None and len(cut) == 2
     assert found > 100
@@ -485,7 +485,7 @@ def test_face_cut_matches_dfs_on_corpus_and_flips(corpus):
     ruled = [g for g in graphs if tp.face_width(g) >= 3]
     assert len(ruled) >= 40
     for g in ruled:
-        assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+        assert tp._face_cut(g) == tp._smallest_cut(g)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -493,7 +493,7 @@ def test_face_cut_matches_dfs_on_corpus_and_flips(corpus):
                  st.integers(1, 40)))
 def test_face_cut_matches_dfs_on_random_rotation_systems(g):
     if tp.face_width(g) >= 3:
-        assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+        assert tp._face_cut(g) == tp._smallest_cut(g)
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +511,13 @@ def parallel_rule_holds(g):
     characterisation: a loop or an edge with one face on both sides is a
     2-cycle of B_G, which no condition but a cut vertex could meet, and
     a parallel edge is a nontrivial 4-cycle, which only a 2-cut can."""
-    if (tp._edge_faces(g) is not None or tp.face_width(g) < 3 or tp._smallest_cut(g, 1)
+    if (tp._face_meetings(g) is not None or tp.face_width(g) < 3 or tp._cut_vertex(g)
             or min(map(g.degree, range(g.vertex_count))) < 3 or min(map(len, g.faces())) < 3):
         return False
     ends = [(g.vertex_of[d], g.vertex_of[dp]) for d, dp in g.edge_darts()]
     assert all(u != w for u, w in ends)
     assert all(g.face_of(d) != g.face_of(dp) for d, dp in g.edge_darts())
-    assert len(tp._smallest_cut(g, 2)) == 2
+    assert len(tp._smallest_cut(g)) == 2
     return True
 
 
@@ -527,7 +527,7 @@ def parallel_edge_maps():
     and no face is a digon."""
     graphs = [join_across(double_diamond(), 0, 1, faces=2)]
     for _, h in glued_maps():
-        cut = tp._smallest_cut(h, 2)
+        cut = tp._smallest_cut(h)
         if cut is not None and len(cut) == 2:
             graphs.append(join_across(h, *cut, faces=2))
     return graphs

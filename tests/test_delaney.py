@@ -1,5 +1,6 @@
 import hashlib
 import os
+import time
 from fractions import Fraction
 
 import pytest
@@ -134,6 +135,21 @@ def test_validate_dd_names_each_broken_axiom(sym, diagnostics):
     broken generator; an action outside the elements stops the orbit
     axioms, and a short m row stops its own."""
     assert dd.validate_dd(sym) == diagnostics
+
+
+def test_validate_dd_walks_no_more_than_an_orbit():
+    """Axiom 3 walks s_i s_j at most |orbit| steps, however large m: an
+    m01 of 10**12 is read at once, on an orbit of one element and on one
+    of two, where the odd 10**12 + 1 does not fix the element."""
+    start = time.perf_counter()
+    one = symbol(((0,), (0,), (0,)), (10**12,), (2,), (6,))
+    assert dd.validate_dd(one) == ["axiom4: curvature %s is not zero" % dd.curvature(one)]
+    for m in (10**12, 10**12 + 1):
+        two = symbol(((1, 0), (0, 1), (0, 1)), (m, m), (2, 2), (6, 6))
+        broken = ["axiom3: (s0 s1)^%d does not fix element 0" % m] if m % 2 else []
+        assert dd.validate_dd(two) == broken + [
+            "axiom4: curvature %s is not zero" % dd.curvature(two)]
+    assert time.perf_counter() - start < 1
 
 
 @pytest.mark.parametrize("sym, row", [

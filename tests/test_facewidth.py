@@ -242,8 +242,7 @@ def oracle_all_roots_cycle(g):
     genus = g.genus()
     if genus == 0:
         return None
-    nbrs = tp._neighbours(g)
-    edge_class = tp._edge_classes(g)[0]
+    nbrs, edge_class = tp._tables(g)[:2]
     inv = g.inv
     nv = len(nbrs)
     best, bound = None, math.inf
@@ -344,7 +343,7 @@ def assert_matches_all_roots(g):
     cycle meets the cut graph, which passes ``assert_cut_graph``.  On
     B_G both witnesses pass ``assert_witness``."""
     for h in (g, radial(g)):
-        cut = tp._edge_classes(h)[1]
+        cut = tp._tables(h)[2]
         assert_cut_graph(h, cut)
         want = oracle_all_roots_cycle(h)
         got = tp.shortest_noncontractible_cycle(h)
@@ -432,7 +431,7 @@ def test_edge_classes():
     k7 = barycentric(polyhedra.k7_torus())
     graphs = [k7] + [barycentric(g) for g in random_graphs(60) if g.genus() >= 2]
     for b in graphs:
-        classes, cut = tp._edge_classes(b)
+        classes, cut = tp._tables(b)[1:3]
         assert_cut_graph(b, cut)
         for walk in b.faces():
             assert cycle_class(b, classes, walk) == 0
@@ -546,7 +545,7 @@ def test_separating_cycles_of_tube_sums(k):
         assert fw == k == oracle_face_width(g)
         b = barycentric(g)
         assert_witness(b, fw, cyc)
-        assert (cycle_class(b, tp._edge_classes(b)[0], cyc) == 0) == (k < 3)
+        assert (cycle_class(b, tp._tables(b)[1], cyc) == 0) == (k < 3)
 
 
 def test_separating_loop_is_found():
@@ -589,7 +588,7 @@ def test_face_width_of_third_gyro_of_k7():
     g = power("gyro", polyhedra.k7_torus(), 3)
     assert g.edge_count == 2625
     r = radial(g)
-    cut = tp._edge_classes(r)[1]
+    cut = tp._tables(r)[2]
     assert cut[0] == 0
     assert len(cut) <= 2 * (2 * eccentricity(r, 0) + 1)
     assert len(cut) < r.vertex_count // 20

@@ -201,6 +201,13 @@ def test_planar_code_wide_counts():
     assert io.write_planar_code([parsed]) == data
 
 
+def test_planar_code_export_names_the_vertex_limit():
+    """Two-byte numbers stop at 65535 vertices; one more is a
+    FormatViolation, not a struct.error."""
+    with pytest.raises(io.FormatViolation, match="65535"):
+        io.write_planar_code([polyhedra.cycle(65536)])
+
+
 def test_op_roundtrip_catalog():
     for name in ops.catalog_names():
         op = ops.catalog(name)

@@ -105,11 +105,21 @@ def test_ck_reports_match_oracle(graphs):
     assert {(1, True, True), (2, True, True), (2, False, True), (1, False, False)} <= kinds
 
 
+def test_cuts_match_oracle(graphs):
+    """The first cut vertex and the smallest cut against the search over
+    all vertex subsets."""
+    from test_ck import oracle_smallest_cut  # test_ck imports this module
+
+    for g in graphs:
+        assert tp._cut_vertex(g) == oracle_smallest_cut(g, 1)
+        assert tp._smallest_cut(g) == oracle_smallest_cut(g, 2)
+
+
 def test_face_cut_matches_dfs(graphs):
     ruled = [g for g in graphs if tp.face_width(g) >= 3]
     assert len(ruled) > 500
     for g in ruled:
-        assert tp._face_cut(g) == tp._smallest_cut(g, 2)
+        assert tp._face_cut(g) == tp._smallest_cut(g)
 
 
 def test_face_width_matches_all_roots(graphs):
@@ -120,4 +130,4 @@ def test_face_width_matches_all_roots(graphs):
     for g in graphs:
         assert_matches_all_roots(g)
         r = radial(g)
-        assert tp._radial_tables(g)[:3] == (tp._neighbours(r), *tp._edge_classes(r))
+        assert tp._radial_tables(g)[:3] == tp._tables(r)[:3]

@@ -47,7 +47,7 @@ def test_contractibility_against_slow_oracle(corpus):
 
 def test_homology_fast_path_matches_definition():
     b = barycentric(polyhedra.k7_torus())
-    classes = tp._edge_classes(b)[0]
+    classes = tp._tables(b)[1]
     cycles = oracle_bfs_candidate_cycles(b)
     random.Random(11).shuffle(cycles)
     for cyc in cycles[:60]:
