@@ -90,18 +90,11 @@ def _cmd_classify(args):
     report = operations.classify_ck(_load_op(args.operation))
     print(report.k)
     if report.k < 3:
-        wit = report.witness
-        for key in ("two_cycle", "four_cycle"):
-            if key in wit:
-                print("witness %s darts %s" % (key, " ".join(map(str, wit[key]))))
-        if report.localization:
-            print(
-                "witness cells single=%s two-adjacent=%s"
-                % (
-                    report.localization.get("single_cell"),
-                    report.localization.get("within_two_adjacent"),
-                )
-            )
+        [(key, darts)] = report.witness.items()
+        print("witness %s darts %s" % (key, " ".join(map(str, darts))))
+        loc = report.localization
+        print("witness cells single=%s two-adjacent=%s"
+              % (loc["single_cell"], loc["within_two_adjacent"]))
     return 0
 
 

@@ -116,17 +116,12 @@ def validate_dd(sym):
     return out
 
 
-def _check_m_rows(sym):
-    """Raise ValueError naming an m row without one nonzero value per element."""
+def curvature(sym):
+    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements;
+    ValueError naming an m row without one nonzero value per element."""
     for (i, j), mv in sorted(sym.m.items()):
         if len(mv) != sym.size or 0 in mv:
             raise ValueError("m%d%d needs one nonzero value per element, got %s" % (i, j, mv))
-
-
-def curvature(sym):
-    """Exact curvature: sum of 1/m01 + 1/m12 - 1/m02 over all elements;
-    ValueError at a bad m row (``_check_m_rows``)."""
-    _check_m_rows(sym)
     total = Fraction(0)
     for c in range(sym.size):
         total += (
@@ -158,26 +153,22 @@ class RotationInfo:
 
 def rotation_orders(sym):
     """Per <sigma_i, sigma_j>-orbit: r_ij, and the rotation or mirror fold;
-    ValueError at a bad m row (``_check_m_rows``)."""
-    _check_m_rows(sym)
+    ValueError with the first axiom 0 or axiom 3 line of ``validate_dd``.
+
+    On involutions an orbit is a cycle, on which sigma_i sigma_j turns by
+    two, so r is half its size, or a path with fixed ends (a mirror
+    orbit), on which r is its size.  Axiom 3 makes r divide m."""
+    broken = [line for line in validate_dd(sym) if line.startswith(("axiom0", "axiom3"))]
+    if broken:
+        raise ValueError(broken[0])
     out = []
     for (i, j) in _PAIRS:
+        si, sj = sym.action[i], sym.action[j]
         for orb in sym.orbits((i, j)):
-            c0 = min(orb)
-            r = 0
-            x = c0
-            while True:
-                x = sym.action[j][sym.action[i][x]]
-                r += 1
-                if x == c0:
-                    break
-            m = sym.m[(i, j)][c0]
-            mirror = any(
-                sym.action[i][c] == c or sym.action[j][c] == c for c in orb
-            )
-            if (2 * m) % r:
-                raise ValueError("r_%d%d=%d does not divide 2*m=%d" % (i, j, r, 2 * m))
-            fold = (2 * m // r) if mirror else (m // r)
+            mirror = any(si[c] == c or sj[c] == c for c in orb)
+            r = len(orb) if mirror else len(orb) // 2
+            m = sym.m[(i, j)][min(orb)]
+            fold = (2 * m if mirror else m) // r
             out.append(RotationInfo((i, j), tuple(sorted(orb)), r, fold, mirror))
     return out
 

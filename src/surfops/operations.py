@@ -30,8 +30,6 @@ from .topology import _ck, _cut_vertex, _short_cycles
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
-CATALOG_ENV = "SURFOPS_CATALOG"
-
 
 class _Invalid(ValueError):
     def __init__(self, diagnostics):
@@ -863,9 +861,6 @@ _catalog_cache = {}
 
 
 def catalog_dir():
-    override = os.environ.get(CATALOG_ENV)
-    if override:
-        return override
     from importlib.resources import files
 
     return str(files("surfops").joinpath("data/catalog"))

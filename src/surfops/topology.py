@@ -24,8 +24,9 @@ a nontrivial 4-cycle, which walks along its two sides decide locally.
 So ``is_ck_embedded``, ``ck_via_cycles`` and ``classify_ck`` on
 O(witness) know k without building ``B_G`` or T, or searching for a cut;
 the cut and the 4-cycle witness are found on their first read.  The cut
-is read off the same face meetings (``_face_cut``) or found vertex by
-vertex (``_smallest_cut``), each after one DFS of ``_cut_vertex``.
+is read off the same face meetings (``_face_cut``), which rule out a
+cut vertex, or found vertex by vertex (``_smallest_cut``), whose first
+DFS finds the cut vertices.
 """
 
 from __future__ import annotations
@@ -413,15 +414,15 @@ def _smallest_cut(g):
     """Smallest vertex cut of size 1 or 2, or None.
 
     Among the cuts of the smallest size the lexicographically first is
-    returned.  1-cuts are the cut vertices of G (``_cut_vertex``); once
-    there are none, {a, b} is a cut exactly when b is a cut vertex of
-    G - a.  Each size costs at most V depth-first searches, O(V (V + E))
-    in all.
+    returned.  1-cuts are the cut vertices of G, read by one DFS over one
+    ``_adjacency``; once there are none, {a, b} is a cut exactly when b
+    is a cut vertex of G - a, read by further DFS over the same table.
+    Each size costs at most V depth-first searches, O(V (V + E)) in all.
     """
-    cut = _cut_vertex(g)
-    if cut or g.vertex_count <= 2:
-        return cut
     adjacency = _adjacency(g)
+    cuts = _articulation_points(adjacency)
+    if cuts or g.vertex_count <= 2:
+        return (min(cuts),) if cuts else None
     for a in range(g.vertex_count):
         later = [b for b in _articulation_points(adjacency, skip=a) if b > a]
         if later:
@@ -460,33 +461,32 @@ def _face_cut(g):
     is simple.
 
     Where ``_face_meetings`` gives None, g goes to ``_smallest_cut``.
-    Otherwise, once ``_cut_vertex`` finds none, {a, b} is a cut exactly
-    when a and b lie on two faces F, F' with no edge ab between them, so
-    the first such pair a < b is the first 2-cut.
+    Otherwise g has no cut vertex, and {a, b} is a cut exactly when a and
+    b lie on two faces F, F' with no edge ab between them, so the first
+    such pair a < b is the first 2-cut.
 
-    At face-width >= 3 a face through v twice makes v a cut vertex: a
-    curve through the face from one of its angles at v to the other meets
-    g at v alone, so it bounds a disc, and each side holds an edge at v
-    that leads off v.  If F and F' share a and b, a curve from a through
-    F to b and back through F' meets g in a and b only, so it bounds a
-    disc too.  At a, the angles of F and F' split the edges into two
-    arcs, one on each side.  An arc whose one edge is ab,
-    the only one in a simple map, puts ab between F and F'; so otherwise
-    each side holds an edge from a to a third vertex, and {a, b}
-    separates them.  Conversely, let {a, b} be a 2-cut and C a component
-    of g - a - b.  Without a cut vertex, a has edges into every such
-    component.  A face with an angle at a between an edge into C and
-    one not into C walks from C to outside C without passing a again,
-    so it passes b.  The arcs into C and not into C meet at two or more
-    such angles, on distinct faces.  With two, the arc not into C holds
-    an edge into another component, so it is not ab alone, and no edge
-    ab lies between the two faces.  With four or more, some two of the
-    faces are not the two sides of the one edge ab.
+    A cut vertex v has a face through it twice: at an angle of v between
+    edges into two components of g - v, a face leaves v into one of them
+    and can come back only through v, at another angle.  So no DFS is
+    needed once ``_face_meetings`` gives tables.  If F and F' share a and
+    b, a curve from a through F to b and back through F' meets g in a and
+    b only, so at face-width >= 3 it bounds a disc.  At a, the angles of
+    F and F' split the edges into two arcs, one on each side.  An arc
+    whose one edge is ab, the only one in a simple map, puts ab between
+    F and F'; so otherwise each side holds an edge from a to a third
+    vertex, and {a, b} separates them.  Conversely, let {a, b} be a
+    2-cut and C a component of g - a - b.  Without a cut vertex, a has
+    edges into every such component.  A face with an angle at a between
+    an edge into C and one not into C walks from C to outside C without
+    passing a again, so it passes b.  The arcs into C and not into C
+    meet at two or more such angles, on distinct faces.  With two, the
+    arc not into C holds an edge into another component, so it is not ab
+    alone, and no edge ab lies between the two faces.  With four or
+    more, some two of the faces are not the two sides of the one edge ab.
     """
     meetings = _face_meetings(g)
-    cut = _smallest_cut(g) if meetings is None else _cut_vertex(g)
-    if cut or meetings is None:
-        return cut
+    if meetings is None:
+        return _smallest_cut(g)
     between, shared = meetings
     nv = g.vertex_count
     # per pair of faces the first (a, b) in O(|s|): a fails with at most two b

@@ -408,8 +408,8 @@ def assert_no_cut_search(calls):
 def test_late_cut_is_read_off_the_faces(monkeypatch):
     """The direct check decides k_max on the late-cut map with no cut
     search and one edge-face table; the first read of ``smallest_cut``
-    takes the cut off the faces, with one cut-vertex search and none on
-    any G - a."""
+    takes the cut off the faces with no DFS at all: the face tables rule
+    out a cut vertex, and no G - a is searched."""
     g = late_cut_map()
     want = oc.is_ck_embedded(g, 3)
     assert min(want.smallest_cut) > g.vertex_count // 2
@@ -418,7 +418,7 @@ def test_late_cut_is_read_off_the_faces(monkeypatch):
     assert report.k_max == want.k_max == 2
     assert_no_cut_search(calls)
     assert report.smallest_cut == want.smallest_cut
-    assert len(calls["_face_cut"]) == 1 and len(calls["_articulation_points"]) == 1
+    assert len(calls["_face_cut"]) == 1 and calls["_articulation_points"] == []
     assert calls["_smallest_cut"] == []
     assert report == want
 

@@ -252,15 +252,6 @@ def test_usage_errors_exit_2(capsys, tmp_path):
     assert code == 2
 
 
-def test_catalog_env_override(tmp_path, capsys, monkeypatch):
-    import surfops.operations as op_mod
-
-    monkeypatch.setenv(op_mod.CATALOG_ENV, str(tmp_path))
-    monkeypatch.setattr(op_mod, "_catalog_cache", {})
-    code, out, err = run(capsys, "validate", "gyro")
-    assert code == 2  # not found in the overridden directory
-
-
 def test_invalid_catalog_file_exits_1(tmp_path, capsys, monkeypatch):
     """A catalog file that fails validation reaches ``main``'s handler
     for invalid operations: exit 1 and one line naming every clause."""
@@ -269,7 +260,7 @@ def test_invalid_catalog_file_exits_1(tmp_path, capsys, monkeypatch):
     text = sio.write_op(catalog("gyro"))
     (tmp_path / "gyro.lopsp").write_text(text.replace("special: 1 2 3", "special: 1 1 3"),
                                          encoding="ascii")
-    monkeypatch.setenv(op_mod.CATALOG_ENV, str(tmp_path))
+    monkeypatch.setattr(op_mod, "catalog_dir", lambda: str(tmp_path))
     monkeypatch.setattr(op_mod, "_catalog_cache", {})
     code, out, err = run(capsys, "classify", "gyro")
     assert (code, out) == (1, "")

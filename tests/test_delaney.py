@@ -1,5 +1,6 @@
 import hashlib
 import os
+import signal
 import time
 from fractions import Fraction
 
@@ -166,10 +167,61 @@ def test_curvature_names_a_broken_m_row(sym, row):
     (symbol(((0,), (0,), (0,)), (0,), (2,), (3,)), "m01"),
 ], ids=["m-short", "m-zero"])
 def test_rotation_orders_names_a_broken_m_row(sym, row):
-    """The m-row check of ``curvature``: a short row raises no
-    IndexError, and an m of 0 gives no fold of 0."""
+    """The axiom-3 line of ``validate_dd`` naming the row: a short row
+    raises no IndexError, and an m of 0 gives no fold of 0."""
     with pytest.raises(ValueError, match=row):
         dd.rotation_orders(sym)
+
+
+def test_rotation_orders_names_a_non_permutation_at_once():
+    """A generator that is not a permutation raises the axiom-0 line of
+    ``validate_dd``; an s_i s_j walk would wait forever for 0 to come
+    back, so an alarm fails the test instead of hanging it."""
+    sym = dd.parse_dd("dd 2\ns0 1 1\ns1 0 1\ns2 0 1\nm01 6 6\nm02 2 2\nm12 3 3\n")
+
+    def hung(signum, frame):
+        raise TimeoutError("rotation_orders still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(1)
+    try:
+        with pytest.raises(ValueError, match="^axiom0: generator 0 is not a permutation$"):
+            dd.rotation_orders(sym)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def walked_rotation_orders(sym):
+    """The rotation orders by walking s_i s_j from the smallest element
+    of each orbit until it returns; terminates on involutions only."""
+    out = []
+    for (i, j) in ((0, 1), (0, 2), (1, 2)):
+        for orb in sym.orbits((i, j)):
+            c0 = x = min(orb)
+            r = 0
+            while r == 0 or x != c0:
+                x, r = sym.action[j][sym.action[i][x]], r + 1
+            m = sym.m[(i, j)][c0]
+            mirror = any(sym.action[i][c] == c or sym.action[j][c] == c for c in orb)
+            assert (2 * m) % r == 0
+            fold = 2 * m // r if mirror else m // r
+            out.append(dd.RotationInfo((i, j), tuple(sorted(orb)), r, fold, mirror))
+    return out
+
+
+def test_rotation_orders_read_off_orbit_sizes_equal_the_walk():
+    """r is half the orbit size on a cycle and its size on a mirror
+    orbit, as the walk finds, on every catalog and ``tests/data``
+    symbol and the doubles of the lsp-operations."""
+    infos = []
+    for op in sixteen_operations():
+        sym = dd.dd(op)
+        assert dd.rotation_orders(sym) == walked_rotation_orders(sym)
+        infos += dd.rotation_orders(sym)
+    # both kinds of orbit, and orbits of several sizes, occur
+    assert {info.mirror for info in infos} == {False, True}
+    assert len({len(info.orbit) for info in infos}) > 2
 
 
 def test_rotation_orders_identity():

@@ -107,12 +107,14 @@ def test_ck_reports_match_oracle(graphs):
 
 def test_cuts_match_oracle(graphs):
     """The first cut vertex and the smallest cut against the search over
-    all vertex subsets."""
+    all vertex subsets; a map with face-meeting tables has no cut vertex,
+    which lets ``_face_cut`` skip the DFS."""
     from test_ck import oracle_smallest_cut  # test_ck imports this module
 
     for g in graphs:
         assert tp._cut_vertex(g) == oracle_smallest_cut(g, 1)
         assert tp._smallest_cut(g) == oracle_smallest_cut(g, 2)
+        assert tp._face_meetings(g) is None or tp._cut_vertex(g) is None
 
 
 def test_face_cut_matches_dfs(graphs):
