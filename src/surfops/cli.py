@@ -54,7 +54,7 @@ def _load_graphs(path):
                 raise CliError("empty planar_code stream", 2)
             return graphs
         return [io.parse_rot(data.decode("ascii"))]
-    except (io.ParseError, io.FormatViolation, ValueError) as exc:
+    except ValueError as exc:
         raise CliError("parse %s: %s" % (path, exc), 2)
 
 
@@ -71,7 +71,7 @@ def _load_op(name_or_path):
     data = _read(name_or_path)
     try:
         return io.parse_op(data.decode("ascii"))
-    except (io.ParseError, io.FormatViolation, ValueError) as exc:
+    except ValueError as exc:
         raise CliError("parse %s: %s" % (name_or_path, exc), 2)
 
 

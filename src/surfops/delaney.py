@@ -132,16 +132,6 @@ def curvature(sym):
     return total
 
 
-def curvature_sign(sym):
-    """'euclidean', 'hyperbolic' or 'non-euclidean (possibly spherical)'."""
-    c = curvature(sym)
-    if c == 0:
-        return "euclidean"
-    if c < 0:
-        return "hyperbolic"
-    return "non-euclidean (possibly spherical)"
-
-
 @dataclass(frozen=True)
 class RotationInfo:
     pair: tuple  # (i, j)

@@ -294,13 +294,7 @@ class EmbeddedGraph:
         return self.vertex_count - self.edge_count + len(self.faces())
 
     def genus(self):
-        chi = self.euler_characteristic()
-        if chi % 2:
-            raise ValueError("odd Euler characteristic; rotation system broken")
-        g = (2 - chi) // 2
-        if g < 0:
-            raise ValueError("negative genus; rotation system broken")
-        return g
+        return (2 - self.euler_characteristic()) // 2  # chi = 2 - 2g: the graph is connected
 
     def edge_darts(self):
         """Edges as (dart, inv dart) pairs with dart < inv dart."""
@@ -428,12 +422,7 @@ class EmbeddedGraph:
         realises it under ``sigma``, or None if only the mirrored rotation
         system does)."""
         n = self.dart_count
-        sigmas = [self.sigma]
-        if allow_reflection:
-            sigma_inv = [None] * n
-            for d in range(n):
-                sigma_inv[self.sigma[d]] = d
-            sigmas.append(tuple(sigma_inv))
+        sigmas = [self.sigma] + ([self.mirror().sigma] if allow_reflection else [])
         starts = self._start_darts()
         pool = _Numberings(self)
         # Ties within one pass give orientation-preserving automorphisms,

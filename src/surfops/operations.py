@@ -832,15 +832,6 @@ def lsp_to_lopsp(op):
     return doubled
 
 
-def doubling_morphism(op):
-    """The doubled operation together with the element mapping from its
-    Delaney-Dress symbol to the one of the lsp-operation: chamber c of a
-    symbol is its operation's c-th inner face, so face f maps to
-    f - (f > outer)."""
-    lop, outer = lsp_to_lopsp(op), op.outer_face
-    return lop, tuple(f - (f > outer) for f in lop.face_origin)
-
-
 def apply_lsp_direct(op, g):
     """``apply(op, g)``, kept only because the benchmark in ``perfbench``
     names it; it goes when ROADMAP item 1 clears the benchmark's debts."""
@@ -907,7 +898,8 @@ class ClassifyReport(Deferred):
 def classify_ck(op, witness=None):
     """Largest k in {1,2,3} such that the operation maps ck-embedded
     graphs to ck-embedded graphs, decided on a single ck-embedded witness
-    (the tetrahedron by default).
+    (the tetrahedron by default).  On a witness that is not c3, k is that
+    of O(witness), not of the operation (dual gives 2 on the digon).
 
     k is read off O(witness) by the short-cycle characterisation of ck
     (``topology._ck``), without building T, its barycentric subdivision

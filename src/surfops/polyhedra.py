@@ -1,4 +1,5 @@
-"""Seed graphs: platonic solids, the K7 torus triangulation, small multigraphs.
+"""Seed graphs: the five platonic solids, the K7 torus triangulation and
+random rotation systems, for ``classify_ck``'s witness and the benchmark.
 
 Each solid is an exact table: vertex v lists its neighbours in clockwise
 order seen from outside the solid, which gives a genus-0 rotation system.
@@ -63,71 +64,6 @@ def k7_torus():
     for v in range(7):
         rot.append([(v + k) % 7 for k in (1, 3, 2, 6, 4, 5)])
     return EmbeddedGraph.from_adjacency(rot)
-
-
-def single_edge():
-    """Two vertices joined by one edge; one face of size two."""
-    return EmbeddedGraph.from_rotations([[0], [1]], [1, 0])
-
-
-def digon():
-    """Two vertices joined by two parallel edges."""
-    return EmbeddedGraph.from_rotations([[0, 2], [1, 3]], [1, 0, 3, 2])
-
-
-def theta():
-    """Two vertices joined by three parallel edges."""
-    return EmbeddedGraph.from_rotations([[0, 2, 4], [5, 3, 1]], [1, 0, 3, 2, 5, 4])
-
-
-def loop_vertex():
-    """One vertex with a single loop; two faces of size one."""
-    return EmbeddedGraph.from_rotations([[0, 1]], [1, 0])
-
-
-def bouquet_torus():
-    """One vertex, two loops interleaved (rotation a b a' b'): genus 1."""
-    return EmbeddedGraph.from_rotations([[0, 2, 1, 3]], [1, 0, 3, 2])
-
-
-def bouquet_plane():
-    """One vertex, two loops nested (rotation a a' b b'): genus 0."""
-    return EmbeddedGraph.from_rotations([[0, 1, 2, 3]], [1, 0, 3, 2])
-
-
-def cycle(n):
-    """Plane n-cycle."""
-    rot = [[2 * v, (2 * v - 1) % (2 * n)] for v in range(n)]
-    pairing = [None] * (2 * n)
-    for v in range(n):
-        pairing[2 * v] = (2 * v + 1) % (2 * n)
-        pairing[(2 * v + 1) % (2 * n)] = 2 * v
-    return EmbeddedGraph.from_rotations(rot, pairing)
-
-
-def two_triangles_cutvertex():
-    """Two triangles glued at one vertex (a cut vertex)."""
-    return EmbeddedGraph.from_adjacency(
-        [
-            [1, 2, 3, 4],
-            [2, 0],
-            [0, 1],
-            [4, 0],
-            [0, 3],
-        ]
-    )
-
-
-def k4_minus_edge():
-    """Plane K4 without one edge: the two degree-3 vertices form a 2-cut."""
-    return EmbeddedGraph.from_adjacency(
-        [
-            [2, 1, 3],
-            [2, 3, 0],
-            [0, 1],
-            [1, 0],
-        ]
-    )
 
 
 _SAMPLE_TRIES = 500  # draws before ``random_embedded`` gives up

@@ -21,7 +21,7 @@ from surfops.chambers import DoubleChamberSystem, barycentric
 from surfops.io import parse_op
 
 import oracle_ck as oc
-from conftest import build_corpus
+from conftest import build_corpus, doubling_morphism
 from oracle_glue import assert_matches_chamber_gluing
 from oracle_flips import chamber_flip, legal_flips, walk_cycles
 from test_facewidth import oracle_bfs_candidate_cycles
@@ -144,7 +144,7 @@ def test_c05_delaney_dress_validity():
 def test_c06_lsp_lopsp_equivalence():
     for op_name in ("identity", "dual", "truncation", "ambo", "join"):
         op = ops.catalog(op_name)
-        lop, mapping = ops.doubling_morphism(op)
+        lop, mapping = doubling_morphism(op)
         assert dd.is_dd_morphism(
             dd.dd_from_lopsp(lop), dd.dd_from_lsp(op), mapping
         ), op_name

@@ -10,6 +10,7 @@ from surfops import operations as ops
 from surfops.chambers import DoubleChamberSystem, barycentric, double_chamber_frame, radial
 from surfops.delaney import DelaneySymbol
 
+from conftest import loop_vertex
 from oracle_flips import NotOnChamberBoundary, chamber_flip, legal_flips, walk_cycles
 
 
@@ -78,7 +79,7 @@ def test_double_chambers_counts(corpus):
 
 
 def test_double_chamber_loop_corners():
-    dg = DoubleChamberSystem(polyhedra.loop_vertex()).graph
+    dg = DoubleChamberSystem(loop_vertex()).graph
     for quad in dg.faces():
         zeros = [dg.vertex_of[d] for d in quad if dg.labels[dg.vertex_of[d]] == 0]
         assert len(zeros) == 2 and zeros[0] == zeros[1]
@@ -124,7 +125,7 @@ def frame_multigraphs():
     sum with its loops, and random multigraphs."""
     with open(os.path.join(os.path.dirname(__file__), "data", "k7_loop_sum.rot"),
               encoding="ascii") as handle:
-        graphs = [polyhedra.loop_vertex(), io.parse_rot(handle.read())]
+        graphs = [loop_vertex(), io.parse_rot(handle.read())]
     rng = random.Random(4711)
     return graphs + [polyhedra.random_embedded(rng, rng.randint(1, 40)) for _ in range(40)]
 

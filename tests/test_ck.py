@@ -27,7 +27,8 @@ from surfops.embedded import EmbeddedGraph
 
 import oracle_bridges as ob
 import oracle_ck as oc
-from conftest import build_corpus, named_seeds, relabeled
+from conftest import (build_corpus, digon, loop_vertex, named_seeds, relabeled, single_edge,
+                      two_triangles_cutvertex)
 from test_polyhedrality import count_calls, flip_runs, polyhedral_maps
 from test_small_maps import corpus_and_images
 
@@ -299,15 +300,15 @@ def near_misses():
     d = 0
     return {
         "loop": (add_edge(tet, d, d), 1),
-        "lone loop": (polyhedra.loop_vertex(), 1),
+        "lone loop": (loop_vertex(), 1),
         # at degree 3, sigma^2 is sigma^-1: the angles after d and before
         # tet.inv[d] lie in one face, so the map stays plane
         "parallel edge": (add_edge(tet, d, tet.sigma[tet.sigma[tet.inv[d]]]), 2),
-        "lone digon": (polyhedra.digon(), 2),
+        "lone digon": (digon(), 2),
         "pendant edge": (add_edge(tet, d), 1),
-        "lone edge": (polyhedra.single_edge(), 1),
+        "lone edge": (single_edge(), 1),
         "face through a vertex twice": (wedge(tet, tet), 1),
-        "bowtie": (polyhedra.two_triangles_cutvertex(), 1),
+        "bowtie": (two_triangles_cutvertex(), 1),
         "two faces share two vertices, no edge": (double_diamond(), 2),
         "two faces share two edges": (subdivide(tet, d), 2),
     }

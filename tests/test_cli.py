@@ -305,6 +305,17 @@ def test_catalog_prints_operation(name, capsys):
     assert run(capsys, "catalog", name) == (0, sio.write_op(catalog(name)), "")
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"", "empty input (at line 1)"),
+    (b"  \n\n", "empty input (at line 1)"),
+    (b"rot 1 1\n2: +1 -1\n", "vertex 2 out of range (at line 2)"),
+    (b">>planar_code<<\x00\x01", "truncated vertex count (at byte 16)"),
+])
+def test_canon_stdin_parse_errors(data, message, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdin", stdio.TextIOWrapper(stdio.BytesIO(data)))
+    assert run(capsys, "canon", "-") == (2, "", "error: parse -: %s\n" % message)
+
+
 def test_validate_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", stdio.StringIO(sio.write_op(catalog("ambo"))))
     assert run(capsys, "validate", "-") == (0, "valid lsp-operation, inflation factor 2\n", "")

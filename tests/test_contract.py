@@ -11,7 +11,9 @@ exit 0, 1 or 2, never in an exception, and every stderr line must be an
 ``error:`` line, a single one on exit 2.
 
 The names the benchmark's tracer wraps must exist in the package: a
-missing one would be skipped, and its metrics would read 0.
+missing one would be skipped, and its metrics would read 0.  And every
+top-level function and class of the package must have a caller outside
+the tests, so that fixtures and test-only helpers live in ``tests/``.
 """
 
 import ast
@@ -21,6 +23,7 @@ import importlib.util
 import os
 import random
 import re
+import symtable
 import sys
 
 from hypothesis import given, settings
@@ -34,6 +37,7 @@ from surfops.cli import main
 from conftest import relabeled
 
 SRC = os.path.dirname(surfops.__file__)
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
 
 # ---------------------------------------------------------------------------
@@ -242,3 +246,86 @@ def test_traced_names_resolve():
     for mod_name, cls_name, method, *_ in tracing.METHODS:
         cls = getattr(importlib.import_module("surfops." + mod_name), cls_name, None)
         assert cls is not None and method in vars(cls), (mod_name, cls_name, method)
+
+
+# ---------------------------------------------------------------------------
+# every top-level name of the package has a caller outside the tests
+
+
+def package_references(tree):
+    """The (module, name) pairs of the package that ``tree`` imports or
+    reads as ``module.name``; a relative import is one from the package."""
+    pairs, modules = set(), {}  # local name -> package module
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = "surfops" + ("." + base if base else "")
+            if base == "surfops":
+                modules.update((a.asname or a.name, a.name) for a in node.names)
+            elif base.startswith("surfops."):
+                pairs.update((base[len("surfops."):], a.name) for a in node.names)
+    pairs.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules)
+    return pairs
+
+
+def own_module_loads(source, filename):
+    """Module-level names read in their own module outside their own
+    body, by the compiler's symbol tables: a read counts only where the
+    name resolves to the module, so a local or a parameter of the same
+    name (``cycle``, say) does not, and neither does recursion."""
+    top = symtable.symtable(source, filename, "exec")
+    out = {sym.get_name() for sym in top.get_symbols() if sym.is_referenced()}
+    todo = [(child, child.get_name()) for child in top.get_children()]
+    while todo:
+        table, owner = todo.pop()
+        out.update(sym.get_name() for sym in table.get_symbols()
+                   if sym.is_referenced() and sym.is_global() and sym.get_name() != owner)
+        todo += [(child, owner) for child in table.get_children()]
+    return out
+
+
+def uncalled_src_names():
+    """``module.name`` of every top-level def or class in ``src/`` that
+    only the tests read.  A read is an import or a ``module.name`` in
+    ``src/`` or ``perfbench/*.py``, a read in its own module outside its
+    body, an entry of ``surfops.__all__``, or a string constant in
+    ``perfbench/*.py``, which looks names up by string."""
+    pairs, names, defined = set(), set(surfops.__all__), []
+    for filename, tree in src_trees():
+        module = filename[:-len(".py")]
+        with open(os.path.join(SRC, filename), encoding="utf-8") as handle:
+            pairs.update((module, name) for name in own_module_loads(handle.read(), filename))
+        pairs |= package_references(tree)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+    for filename in sorted(os.listdir(PERFBENCH)):
+        if filename.endswith(".py"):
+            with open(os.path.join(PERFBENCH, filename), encoding="utf-8") as handle:
+                tree = ast.parse(handle.read(), filename)
+            pairs |= package_references(tree)
+            names.update(node.value for node in ast.walk(tree)
+                         if isinstance(node, ast.Constant) and isinstance(node.value, str))
+    return ["%s.%s" % pair for pair in defined if pair not in pairs and pair[1] not in names]
+
+
+def test_src_names_have_callers():
+    assert uncalled_src_names() == []
+
+
+def test_caller_check_resolves_scopes():
+    source = "\n".join((
+        "def cycle(n): return cycle(n - 1)",  # recursion is no caller
+        "def walk(cycle): return cycle",  # a parameter shadows it
+        "def ring(): cycle = 3; return [cycle for _ in ()]",  # so does a local
+        "def solid(): return lambda: tetrahedron()",  # a read from a nested scope
+        "def tetrahedron(): pass",
+        "class Graph: pass",
+        "DEFAULT = Graph",  # a read at module level
+    ))
+    assert own_module_loads(source, "m.py") == {"tetrahedron", "Graph"}
+    tree = ast.parse("from . import io as io_mod\nfrom surfops.delaney import dd\n"
+                     "io_mod.parse_rot(dd)\nimport io\nio.open")
+    assert package_references(tree) == {("delaney", "dd"), ("io", "parse_rot")}

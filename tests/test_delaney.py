@@ -10,6 +10,8 @@ from surfops import delaney as dd
 from surfops import operations as ops
 from surfops.io import parse_op
 
+from conftest import doubling_morphism
+
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
@@ -80,17 +82,14 @@ def test_lopsp_symbols_no_odd_relations():
 
 def test_curvature_signs():
     assert dd.curvature(hexagonal_symbol()) == 0
-    assert dd.curvature_sign(hexagonal_symbol()) == "euclidean"
     spherical = dd.DelaneySymbol(
         ((0,), (0,), (0,)), {(0, 1): (3,), (0, 2): (2,), (1, 2): (3,)}
     )
     assert dd.curvature(spherical) == Fraction(1, 6)
-    assert dd.curvature_sign(spherical) == "non-euclidean (possibly spherical)"
     hyper = dd.DelaneySymbol(
         ((0,), (0,), (0,)), {(0, 1): (7,), (0, 2): (2,), (1, 2): (3,)}
     )
     assert dd.curvature(hyper) < 0
-    assert dd.curvature_sign(hyper) == "hyperbolic"
 
 
 def test_orbit_constancy_violation_detected():
@@ -298,7 +297,7 @@ def test_dd_chooses_by_kind_at_call_time(monkeypatch):
 def test_doubling_morphism_all_lsp():
     for name in ("identity", "dual", "truncation", "ambo", "join"):
         op = ops.catalog(name)
-        lop, mapping = ops.doubling_morphism(op)
+        lop, mapping = doubling_morphism(op)
         d2 = dd.dd_from_lopsp(lop)
         d1 = dd.dd_from_lsp(op)
         assert dd.is_dd_morphism(d2, d1, mapping), name
@@ -434,5 +433,5 @@ def test_symbols_and_doubling_maps_digest():
         digest.update(dd.write_dd(dd.dd(op)).encode())
     for op in operations:
         if op.kind == "lsp":
-            digest.update((" ".join(map(str, ops.doubling_morphism(op)[1])) + "\n").encode())
+            digest.update((" ".join(map(str, doubling_morphism(op)[1])) + "\n").encode())
     assert digest.hexdigest() == SYMBOLS_SHA256

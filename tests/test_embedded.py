@@ -4,12 +4,13 @@ import pytest
 
 from surfops import polyhedra
 from surfops.embedded import (
+    DartMissingOrDuplicated,
     Disconnected,
     EmbeddedGraph,
     NotInvolution,
 )
 
-from conftest import relabeled
+from conftest import bouquet_plane, bouquet_torus, loop_vertex, relabeled
 from oracle_bridges import EmptySelection, embedded_subgraph
 
 
@@ -21,7 +22,7 @@ def test_tetrahedron_counts():
 
 
 def test_single_loop_vertex():
-    g = polyhedra.loop_vertex()
+    g = loop_vertex()
     assert (g.vertex_count, g.edge_count, len(g.faces())) == (1, 1, 2)
     assert g.genus() == 0
 
@@ -46,8 +47,10 @@ def test_pairing_of_wrong_length_rejected(rotations, pairing, message):
 
 
 def test_duplicate_dart_rejected():
-    with pytest.raises(Exception):
+    with pytest.raises(DartMissingOrDuplicated, match="^dart 0 listed twice$"):
         EmbeddedGraph.from_rotations([[0, 0]], [1, 0])
+    with pytest.raises(DartMissingOrDuplicated, match="^dart 5 out of range$"):
+        EmbeddedGraph.from_rotations([[0, 5]], [1, 0])
 
 
 def test_disconnected_rejected():
@@ -151,8 +154,8 @@ def test_canonical_code_distinguishes():
     assert polyhedra.cube().canonical_code() != polyhedra.octahedron().canonical_code()
     # the two bouquet embeddings have the same graph but different genus
     assert (
-        polyhedra.bouquet_torus().canonical_code()
-        != polyhedra.bouquet_plane().canonical_code()
+        bouquet_torus().canonical_code()
+        != bouquet_plane().canonical_code()
     )
 
 
@@ -162,6 +165,16 @@ def test_labels_take_part_in_code():
     assert g1.canonical_code() == g2.canonical_code()  # swap is an isomorphism
     g3 = EmbeddedGraph.from_rotations([[0], [1]], [1, 0], labels=[1, 1])
     assert g1.canonical_code() != g3.canonical_code()
+    for labels in ([0], [0, 1, 2]):
+        with pytest.raises(ValueError, match="^label table does not match vertex count$"):
+            EmbeddedGraph.from_rotations([[0], [1]], [1, 0], labels=labels)
+
+
+@pytest.mark.parametrize("neighbours", [[[0, 1], [0]], [[1, 1], [0, 0]]])
+def test_from_adjacency_needs_a_simple_graph(neighbours):
+    # a loop at vertex 0; two parallel edges listed as a repeated neighbour
+    with pytest.raises(ValueError, match="^from_adjacency needs a simple graph$"):
+        EmbeddedGraph.from_adjacency(neighbours)
 
 
 def test_reflection_flag():

@@ -4,6 +4,8 @@ from surfops import io, polyhedra
 from surfops import operations as ops
 from surfops.embedded import EmbeddedGraph
 
+from conftest import cycle, loop_vertex, theta
+
 
 def test_rot_roundtrip_canonical():
     text = io.write_rot(polyhedra.tetrahedron())
@@ -21,11 +23,11 @@ def test_rot_roundtrip_all(corpus):
 
 
 def test_rot_loops_and_parallels():
-    text = io.write_rot(polyhedra.loop_vertex())
+    text = io.write_rot(loop_vertex())
     g = io.parse_rot(text)
     assert g.edge_count == 1 and g.vertex_count == 1
-    text = io.write_rot(polyhedra.theta())
-    assert io.parse_rot(text).iso(polyhedra.theta())
+    text = io.write_rot(theta())
+    assert io.parse_rot(text).iso(theta())
 
 
 def test_rot_parse_errors_carry_positions():
@@ -78,7 +80,7 @@ def test_numbers_are_ascii_digits(parse, text, message):
 
 
 def test_whitespace_around_a_vertex_number_parses():
-    assert io.parse_rot("rot 1 1\n 1 : +1 -1\n").iso(polyhedra.loop_vertex())
+    assert io.parse_rot("rot 1 1\n 1 : +1 -1\n").iso(loop_vertex())
 
 
 def test_op_rotation_lines_keep_their_line_numbers():
@@ -153,7 +155,7 @@ def test_planar_code_is_checked_once(monkeypatch):
         checked.append(check)
         return from_rotations(cls, rotations, pairing, labels, check)
 
-    graphs = [polyhedra.cube(), polyhedra.k7_torus(), polyhedra.cycle(300)]
+    graphs = [polyhedra.cube(), polyhedra.k7_torus(), cycle(300)]
     data = io.write_planar_code(graphs)
     monkeypatch.setattr(EmbeddedGraph, "from_rotations", classmethod(recording))
     parsed = io.parse_planar_code(data)
@@ -180,7 +182,7 @@ def test_planar_code_multiple_graphs():
 
 def test_planar_code_rejects_multigraphs():
     with pytest.raises(io.FormatViolation):
-        io.write_planar_code([polyhedra.theta()])
+        io.write_planar_code([theta()])
     # header + 1 vertex with a loop entry
     bad = io.PLANAR_CODE_HEADER + bytes([2, 2, 2, 0, 1, 0])
     with pytest.raises(io.FormatViolation):
@@ -193,7 +195,7 @@ def test_planar_code_header_required():
 
 
 def test_planar_code_wide_counts():
-    big = polyhedra.cycle(300)
+    big = cycle(300)
     data = io.write_planar_code([big])
     (parsed,) = io.parse_planar_code(data)
     assert parsed.vertex_count == 300
@@ -205,7 +207,7 @@ def test_planar_code_export_names_the_vertex_limit():
     """Two-byte numbers stop at 65535 vertices; one more is a
     FormatViolation, not a struct.error."""
     with pytest.raises(io.FormatViolation, match="65535"):
-        io.write_planar_code([polyhedra.cycle(65536)])
+        io.write_planar_code([cycle(65536)])
 
 
 def test_op_roundtrip_catalog():

@@ -62,6 +62,9 @@ def test_validate_flags_same_type_edge():
     )
     op = ops.LopspOperation(g, 0, 1, 2)
     assert any(d.clause == "same-type-edge" for d in op.validate())
+    unlabelled = EmbeddedGraph.from_rotations(g.rotations(), g.inv)
+    with pytest.raises(ValueError, match="^operation graphs need type labels$"):
+        ops.LopspOperation(unlabelled, 0, 1, 2)
 
 
 def test_validate_flags_type1_degree():

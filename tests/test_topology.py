@@ -1,11 +1,14 @@
 import math
 import random
 
+import pytest
+
 from surfops import polyhedra
 from surfops import topology as tp
 from surfops.chambers import barycentric
 
 import oracle_bridges as ob
+from conftest import cycle, digon, k4_minus_edge, loop_vertex, two_triangles_cutvertex
 from test_facewidth import cycle_class, oracle_bfs_candidate_cycles, random_graphs, tube_sum
 
 
@@ -22,6 +25,8 @@ def test_plane_cycles_contractible():
     g = polyhedra.cube()
     for f in g.faces():
         assert tp.is_contractible(g, list(f))
+    with pytest.raises(ValueError, match="^not a simple cycle$"):
+        tp.is_contractible(polyhedra.tetrahedron(), [0, 1])  # two darts out of one vertex
 
 
 def test_contractibility_against_slow_oracle(corpus):
@@ -69,10 +74,13 @@ def test_face_width_iff_plane(corpus):
 def test_ck_tetrahedron_polyhedral():
     rep = tp.is_ck_embedded(polyhedra.tetrahedron(), 3)
     assert rep.passed and rep.k_max == 3
+    for k in (0, 4):
+        with pytest.raises(ValueError, match="^k must be 1, 2 or 3$"):
+            tp.is_ck_embedded(polyhedra.tetrahedron(), k)
 
 
 def test_ck_degree_two_not_c3():
-    rep = tp.is_ck_embedded(polyhedra.cycle(4), 3)
+    rep = tp.is_ck_embedded(cycle(4), 3)
     assert not rep.passed
     assert rep.min_degree == 2
 
@@ -85,13 +93,13 @@ def test_ck_k7_c3():
 
 
 def test_ck_via_cycles_face_of_size_one():
-    rep = tp.ck_via_cycles(polyhedra.loop_vertex(), 2)
+    rep = tp.ck_via_cycles(loop_vertex(), 2)
     assert not rep.passed
     assert "two_cycle" in rep.witness
 
 
 def test_ck_via_cycles_digon_not_c3():
-    rep = tp.ck_via_cycles(polyhedra.digon(), 3)
+    rep = tp.ck_via_cycles(digon(), 3)
     assert not rep.passed
     assert rep.k_max == 2
     assert "four_cycle" in rep.witness
@@ -99,11 +107,15 @@ def test_ck_via_cycles_digon_not_c3():
 
 def test_ck_via_cycles_tetrahedron():
     assert tp.ck_via_cycles(polyhedra.tetrahedron(), 3).passed
+    with pytest.raises(ValueError, match="^the cycle characterisation covers k=2 and k=3$"):
+        tp.ck_via_cycles(polyhedra.tetrahedron(), 1)
 
 
 def test_cut_witnesses():
-    rep = tp.is_ck_embedded(polyhedra.two_triangles_cutvertex(), 2)
+    rep = tp.is_ck_embedded(two_triangles_cutvertex(), 2)
     assert not rep.passed
     assert rep.smallest_cut == (0,)
-    rep = tp.is_ck_embedded(polyhedra.k4_minus_edge(), 3)
+    rep = tp.is_ck_embedded(k4_minus_edge(), 3)
+    # a field that is not deferred is missing without building the others
+    assert not hasattr(rep, "nope") and rep.__dict__["_build"] is not None
     assert rep.smallest_cut is not None and len(rep.smallest_cut) == 2
