@@ -8,13 +8,17 @@ search runs on its radial subgraph ``R(G)``, which has the same minimum,
 read off G: one R-edge per dart and one R-face per edge of G.  Its roots
 are the vertices of a cut graph K, which every non-contractible cycle
 passes, taken from the tree-cotree split that sets the homology classes;
-K has at most 2g (2 diam + 1) vertices.  One BFS per root reads the
-homology class of every closed walk a non-tree edge makes; on genus >= 2
-it also sends the class-0 walks that can be a shortest cycle rooted at
-its smallest vertex of K, each once, to the contractibility test, which
-alone builds R(G).  R(G) has no loops: the scan ends at length 2.  That
-BFS, ``_search``, takes its tables from ``_tables`` on any graph and
-from ``_radial_tables`` for R(G).
+K has at most 2g (2 diam + 1) vertices.  One BFS per root, which never
+enters the roots before it, reads the homology class of every closed
+walk a non-tree edge makes; on genus >= 2 it also sends the class-0
+walks whose tree paths meet only at the root, each once, to the
+contractibility test, which alone builds R(G).  R(G) has no loops: the
+scan ends at length 2.  That BFS, ``_search``, takes its tables from
+``_tables`` on any graph and from ``_radial_tables`` for R(G).  Before
+any of that, ``face_width`` reads 1 off G's angles when the curve
+through the first vertex that a face meets twice does not separate
+(``_one_point_curve``, one BFS in G minus that vertex), and
+``is_ck_embedded`` finds a witness cycle only when ``witness`` is read.
 
 ``_ck`` decides k for all three ck checks by the short-cycle
 characterisation: ``_polyhedral`` reads c3 off how the faces of G meet,
@@ -231,16 +235,18 @@ def shortest_noncontractible_cycle(g):
     therefore bounds nothing; it becomes the best, and its length the
     bound.
 
-    Let r be the smallest vertex of K on any shortest non-contractible
-    cycle C, of length L.  The walks that the edges of C close in the BFS
-    from r are at most L long and compose to C, so one of them is
+    The BFS from root r never enters a vertex of K below r.  Let r be
+    the smallest vertex of K on any shortest non-contractible cycle C, of
+    length L.  C avoids the vertices of K below r, so no vertex of C is
+    farther from r in that BFS than along C, and the walks that the
+    edges of C close are at most L long and compose to C: one of them is
     non-contractible.  Its fundamental cycle is then at most L long, so
     it is the walk itself: a shortest non-contractible cycle whose tree
-    paths meet only at r (a loop at r counts), and which by the choice of
-    r passes no vertex of K below r.  Up to genus 1 that walk has a
-    non-zero class.  Beyond, a separating cycle can be non-contractible
-    with class 0, so a class-0 walk shorter than the best goes through
-    ``is_contractible`` if it has those two properties.  A cycle is thus
+    paths meet only at r (a loop at r counts).  Up to genus 1 that walk
+    has a non-zero class.  Beyond, a separating cycle can be
+    non-contractible with class 0, so a class-0 walk shorter than the
+    best goes through ``is_contractible`` if its tree paths meet only at
+    the root.  The BFS passes no vertex of K below r, so a cycle is
     tested only from its smallest vertex of K, and an edge between two
     vertices of equal depth is read from one end only, so no cycle is
     tested twice.
@@ -255,21 +261,21 @@ def _search(nbrs, edge_class, cut, vertex_of, inv, genus, contractible, floor):
     """The BFS per root of ``shortest_noncontractible_cycle`` on a graph's
     neighbour lists, edge classes, cut graph and darts; ``contractible``
     tests a class-0 cycle.  No cycle is shorter than ``floor`` (1, or 2
-    without loops), so the scan ends at one of that length."""
+    without loops), so the scan ends at one of that length.  Each BFS
+    copies its depths from ``fresh``, which marks the roots done, so it
+    never enters them."""
     nv = len(nbrs)
-    in_cut = [False] * nv
-    for v in cut:
-        in_cut[v] = True
     best, bound = None, math.inf
+    fresh = [-1] * nv  # the depths each BFS starts from: -2 at the roots done
     for root in cut:
         if bound <= floor:
             break
-        depth = [-1] * nv
+        depth = fresh[:]
+        fresh[root] = -2
         prefix = [0] * nv
         parent_dart = [None] * nv
         depth[root] = 0
-        # genus >= 2: per vertex, the child of the root its tree path
-        # starts with, or -1 if that path passes a vertex of K below the root
+        # genus >= 2: per vertex, the child of the root its tree path starts with
         branch = None
         if genus >= 2:
             branch = [-1] * nv
@@ -282,18 +288,18 @@ def _search(nbrs, edge_class, cut, vertex_of, inv, genus, contractible, floor):
                 bu = -1 if branch is None else branch[u]
                 for w, e, d in nbrs[u]:
                     dw = depth[w]
-                    if dw < 0:
+                    if dw == -1:
                         depth[w] = level + 1
                         prefix[w] = hu ^ edge_class[e]
                         parent_dart[w] = d
                         reached.append(w)
-                        if bu >= 0 and (w > root or not in_cut[w]):
+                        if bu >= 0:
                             branch[w] = w if level == 0 else bu
                     elif dw >= level and level + dw + 1 < bound:
                         if hu ^ prefix[w] ^ edge_class[e]:
                             best = _fundamental_cycle(vertex_of, inv, depth, parent_dart, d)
                             bound = len(best)
-                        elif (bu >= 0 and branch[w] >= 0 and (branch[w] != bu or w == root)
+                        elif (bu >= 0 and (branch[w] != bu or w == root)
                               and parent_dart[w] != d and (dw > level or d < inv[d])):
                             cyc = _fundamental_cycle(vertex_of, inv, depth, parent_dart, d)
                             if not contractible(cyc):
@@ -305,32 +311,108 @@ def _search(nbrs, edge_class, cut, vertex_of, inv, genus, contractible, floor):
     return best
 
 
+def _repeated_angle(g):
+    """(x0, x) at the first dart x whose angle has the vertex and face of
+    an earlier one, x0 the first dart at that vertex and face; or None.
+    The angle of dart x lies at its tail between sigma^-1(x) and x, on
+    the face of x."""
+    vertex_of, face_of, nf = g.vertex_of, g.face_table(), len(g.faces())
+    first = {}  # (vertex, face) of an angle -> the first dart closing it
+    for x in range(g.dart_count):
+        x0 = first.setdefault(vertex_of[x] * nf + face_of[x], x)
+        if x0 != x:
+            return x0, x
+    return None
+
+
+def _one_point_curve(g):
+    """Whether the curve through one vertex and one face, at the first
+    repeated angle (``_repeated_angle``), does not separate: then it is
+    non-contractible and the face-width is 1.
+
+    The curve runs through face f from the angle of x0 to that of x and
+    through their vertex v, which it splits into the darts from x0 up to
+    sigma^-1(x) and those from x up to sigma^-1(x0).  If a path in G - v
+    joins a neighbour across a dart of one side to one across a dart of
+    the other, or a loop has a dart on each side, the closed walk along
+    it through v crosses the curve exactly once, at v.  So the curve has
+    odd intersection number with a closed walk: it does not separate,
+    hence is non-contractible, and face-width is always >= 1 on positive
+    genus.  One BFS in G - v decides it, stopping at the first crossing;
+    O(V + E).  Otherwise the curve separates, which settles nothing: it
+    may or may not bound a disc.  Only this one angle pair is tried.
+    """
+    angles = _repeated_angle(g)
+    if angles is None:
+        return False
+    x0, x = angles
+    sigma, inv, vertex_of = g.sigma, g.inv, g.vertex_of
+    v = vertex_of[x]
+    side, d, s = {}, x0, 0  # dart at v -> its side
+    while d not in side:
+        s ^= d == x
+        side[d] = s
+        d = sigma[d]
+    state = [0] * g.vertex_count  # 1 reached from side 0, 2 next to side 1
+    state[v] = 1
+    frontier = []
+    for d, s in side.items():
+        w = vertex_of[inv[d]]
+        if w == v:
+            if side[inv[d]] != s:
+                return True
+        elif s:
+            state[w] = 2
+        else:
+            frontier.append(w)
+    rotations = g.rotations()
+    for u in frontier:  # grows while it is read
+        if state[u] == 2:
+            return True
+        if state[u]:
+            continue
+        state[u] = 1
+        frontier += [vertex_of[inv[d]] for d in rotations[u]]
+    return False
+
+
 def face_width(g):
     """Half the minimal length of a non-contractible cycle of B_G; inf if plane.
 
-    The search runs on the radial graph R(G), the subgraph of B_G on its
-    vertex--face edges.  A minimum-length non-contractible cycle of B_G
-    through an edge vertex can always be rerouted through the
-    neighbouring vertex or face corner at equal length (or decomposes
-    into something shorter, by the one-flip lemma), so R(G) has the
-    same minimum as B_G.
+    1 at once when ``_one_point_curve`` finds a curve through one vertex
+    and one face that does not separate.  Otherwise the search runs on
+    the radial graph R(G), the subgraph of B_G on its vertex--face
+    edges.  A minimum-length non-contractible cycle of B_G through an
+    edge vertex can always be rerouted through the neighbouring vertex
+    or face corner at equal length (or decomposes into something
+    shorter, by the one-flip lemma), so R(G) has the same minimum as
+    B_G.
     """
-    return face_width_witness(g)[0]
+    genus = g.genus()
+    if genus == 0:
+        return math.inf
+    if _one_point_curve(g):
+        return 1
+    return len(_radial_cycle(g, genus)) // 2
 
 
 def face_width_witness(g):
-    """(face width, shortest non-contractible cycle of B_G or None).
-
-    The cycle is ``shortest_noncontractible_cycle(radial(g))``, R-dart r
-    as B-dart 2n + r, found on R(G) read off g (``_radial_tables``).
-    ``radial(g)`` is built only to test a class-0 walk for
-    contractibility, and the scan ends at length 2."""
+    """(face width, shortest non-contractible cycle of B_G or None): the
+    cycle of ``_radial_cycle``, R-dart r as B-dart 2n + r."""
     genus = g.genus()
     if genus == 0:
         return math.inf, None
-    r = functools.cache(lambda: radial(g))
-    cyc = _search(*_radial_tables(g), genus, lambda c: is_contractible(r(), c), 2)
+    cyc = _radial_cycle(g, genus)
     return len(cyc) // 2, tuple(2 * g.dart_count + x for x in cyc)
+
+
+def _radial_cycle(g, genus):
+    """``shortest_noncontractible_cycle(radial(g))`` on positive genus,
+    found on R(G) read off g (``_radial_tables``).  ``radial(g)`` is built
+    only to test a class-0 walk for contractibility, and the scan ends at
+    length 2."""
+    r = functools.cache(lambda: radial(g))
+    return _search(*_radial_tables(g), genus, lambda c: is_contractible(r(), c), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -508,13 +590,14 @@ def is_ck_embedded(g, k):
     cut.  Below k_max 3, ``smallest_cut`` and ``witness`` wait for their
     first read, which reads the first cut off the faces (``_face_cut``)
     from face-width 3 on, and runs ``_smallest_cut``, O(V (V + E)),
-    below it.
+    below it.  A witness cycle, at face-width below k, is then
+    ``face_width_witness``'s, so ``face_width`` need not find one.
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     min_deg = min(g.degree(v) for v in range(g.vertex_count))
     min_face = min(len(f) for f in g.faces())
-    fw, fw_cycle = face_width_witness(g)
+    fw = face_width(g)
     k_max = _ck(g)[0]
     known = dict(k_max=k_max, passed=k_max >= k, min_degree=min_deg, min_face_size=min_face,
                  face_width=fw)
@@ -532,7 +615,7 @@ def is_ck_embedded(g, k):
             if cut is not None and len(cut) < k:
                 witness["cut"] = cut
             if fw != math.inf and fw < k:
-                witness["cycle"] = fw_cycle
+                witness["cycle"] = face_width_witness(g)[1]
         return dict(smallest_cut=cut, witness=witness)
 
     return CkReport.deferred(found, **known)
@@ -562,17 +645,17 @@ def _two_cycle_of(g):
     edge--face edges 2n + d, and B-edge e has B-darts 2e and 2e + 1, at
     its ends in that order.  Ends of two kinds differ in type, so a
     repeat stays within a kind: a loop (d' = inv d), one vertex and face
-    at two angles, or one face on both sides of an edge (d' = inv d).
+    at two angles (``_repeated_angle``), or one face on both sides of an
+    edge (d' = inv d).
     """
     n, inv, vertex_of, face_of = g.dart_count, g.inv, g.vertex_of, g.face_table()
     for d in range(n):
         if inv[d] < d and vertex_of[inv[d]] == vertex_of[d]:
             return 2 * d, 2 * inv[d] + 1
-    first, nf = {}, len(g.faces())  # (vertex, face) of an angle -> the first dart closing it
-    for x in range(n):
-        x0 = first.setdefault(vertex_of[x] * nf + face_of[x], x)
-        if x0 != x:
-            return 2 * (n + x), 2 * (n + x0) + 1
+    angles = _repeated_angle(g)
+    if angles:
+        x0, x = angles
+        return 2 * (n + x), 2 * (n + x0) + 1
     for d in range(n):
         if inv[d] < d and face_of[inv[d]] == face_of[d]:
             return 2 * (2 * n + d), 2 * (2 * n + inv[d]) + 1

@@ -24,6 +24,7 @@ from surfops import operations as ops
 from surfops import topology as tp
 from surfops.chambers import barycentric
 from surfops.embedded import EmbeddedGraph
+from surfops.io import parse_rot
 
 import oracle_bridges as ob
 import oracle_ck as oc
@@ -422,6 +423,39 @@ def test_late_cut_is_read_off_the_faces(monkeypatch):
     assert len(calls["_face_cut"]) == 1 and calls["_articulation_points"] == []
     assert calls["_smallest_cut"] == []
     assert report == want
+
+
+def test_witness_cycle_waits_for_its_read(monkeypatch):
+    """``is_ck_embedded`` takes the face-width at once and asks
+    ``face_width_witness`` for its cycle on the first read of
+    ``witness``, once, at face-width below k; at k_max 3 never."""
+    from test_facewidth import k7_loop_sum, tube_sum
+
+    k7 = polyhedra.k7_torus()
+    rng = random.Random(5)
+    low = [parse_rot("rot 1 2\n1: +1 +2 -1 -2\n"), k7_loop_sum(), tube_sum(k7, k7, 2)]
+    low += [polyhedra.random_embedded(rng, rng.randint(10, 40)) for _ in range(20)]
+    wants = [oc.is_ck_embedded(g, 3) for g in low]
+    polyhedral = [m.graph for m in polyhedral_maps()]
+    polyhedral += [k7, ops.apply(ops.catalog("gyro"), k7).result]
+    assert {g.genus() for g in polyhedral} == {0, 1, 2}
+    calls = count_calls(monkeypatch, tp.face_width_witness)
+    widths = set()
+    for g, want in zip(low, wants):
+        report = tp.is_ck_embedded(g, 3)
+        if report.face_width >= 3:
+            continue
+        widths.add(report.face_width)
+        assert calls == []
+        assert report.witness == want.witness and "cycle" in want.witness
+        assert len(calls) == 1
+        assert report == want
+        del calls[:]
+    assert widths == {1, 2}
+    for g in polyhedral:
+        report = tp.is_ck_embedded(g, 3)
+        assert report.k_max == 3 and report.witness == {}
+    assert calls == []
 
 
 def join_across(g, u, w, faces=1):

@@ -17,7 +17,7 @@ import math
 import os
 import random
 import sys
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import assume, given, settings
@@ -32,6 +32,7 @@ from surfops.embedded import EmbeddedGraph
 from surfops.io import parse_rot
 
 import oracle_bridges as ob
+import oracle_ck as oc
 from conftest import relabeled
 
 
@@ -628,3 +629,89 @@ def test_face_width_survives_relabelling(graph_seed, edges, relabel_seed):
     g = polyhedra.random_embedded(random.Random(graph_seed), edges)
     assume(g.genus() >= 1)
     assert tp.face_width(relabeled(g, relabel_seed)) == tp.face_width(g)
+
+
+ONE_VERTEX_TORUS = "rot 1 2\n1: +1 +2 -1 -2\n"
+
+
+def hang_triangle(g, d):
+    """g with a triangle v-a-b hung at v, the tail of dart d, in the angle
+    before d: v meets that angle's face twice, around the triangle."""
+    n, v = g.dart_count, g.vertex_of[d]
+    rotations = [list(r) for r in g.rotations()]
+    rotations[v].insert(rotations[v].index(d), n + 5)
+    rotations[v].insert(rotations[v].index(d), n)
+    rotations += [[n + 1, n + 2], [n + 3, n + 4]]
+    pairing = list(g.inv) + [n + 1, n, n + 3, n + 2, n + 5, n + 4]
+    return EmbeddedGraph.from_rotations(rotations, pairing)
+
+
+def test_one_point_curve_declines_around_a_hung_triangle():
+    """K7 with a triangle hung at vertex 0 inside one face: its only
+    repeated angle is vertex 0 on that face, around the triangle.  The
+    curve through it cuts the triangle off and bounds a disc, so the
+    test declines, and the search gives 3."""
+    k7 = polyhedra.k7_torus()
+    g = hang_triangle(k7, k7.rotations()[0][0])
+    assert (g.genus(), len(g.faces())) == (1, len(k7.faces()) + 1)
+    angles = Counter((g.vertex_of[x], g.face_of(x)) for x in range(g.dart_count))
+    assert sorted(angles.values())[-2:] == [1, 2]
+    x0, x = tp._repeated_angle(g)
+    assert g.vertex_of[x0] == g.vertex_of[x] == 0
+    assert not tp._one_point_curve(g)
+    assert tp.face_width(g) == 3 == oracle_face_width(g) == oc.is_ck_embedded(g, 3).face_width
+
+
+def test_one_point_curve_declines_on_the_loop_sum():
+    """The first repeated angle of the K7 loop sum gives a separating
+    curve; the test declines and the search still finds face-width 1."""
+    g = k7_loop_sum()
+    assert tp._repeated_angle(g) is not None
+    assert not tp._one_point_curve(g)
+    assert tp.face_width(g) == 1 == oracle_face_width(g)
+
+
+def test_one_point_curve_fires_on_the_one_vertex_torus():
+    g = parse_rot(ONE_VERTEX_TORUS)
+    assert tp._one_point_curve(g)
+    assert tp.face_width(g) == 1 == oracle_face_width(g)
+
+
+def test_one_point_curve_is_sound(corpus):
+    """Where the test fires, the oracle gives face-width 1, and it never
+    fires on the plane; everywhere ``face_width`` is the search's width."""
+    fired = declined = 0
+    for g in list(corpus.values()) + random_graphs():
+        if tp._one_point_curve(g):
+            fired += 1
+            assert g.genus() >= 1 and oracle_face_width(g) == 1
+        elif tp._repeated_angle(g) is not None and g.genus() >= 1:
+            declined += 1
+        assert tp.face_width(g) == tp.face_width_witness(g)[0]
+    assert fired >= 250 and declined >= 5
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.builds(polyhedra.random_embedded, st.randoms(use_true_random=False),
+                 st.integers(1, 40)))
+def test_one_point_curve_is_sound_on_random_maps(g):
+    if tp._one_point_curve(g):
+        assert oracle_face_width(g) == 1
+    assert tp.face_width(g) == tp.face_width_witness(g)[0]
+
+
+def test_face_width_read_off_the_angles_builds_nothing(monkeypatch):
+    """Where ``_one_point_curve`` fires, ``face_width`` builds neither
+    R(G) nor its tables, and finds no witness; where it declines, the
+    search runs, still with no witness."""
+    from test_polyhedrality import count_calls  # it imports this module
+
+    graphs = [parse_rot(ONE_VERTEX_TORUS)] + [g for g in random_graphs(60)
+                                              if tp._one_point_curve(g)]
+    assert len(graphs) > 40 and {g.genus() >= 2 for g in graphs} == {False, True}
+    calls = [count_calls(monkeypatch, f) for f in (tp._radial_tables, radial,
+                                                     tp.face_width_witness)]
+    assert all(tp.face_width(g) == 1 for g in graphs)
+    assert calls == [[], [], []]
+    assert tp.face_width(k7_loop_sum()) == 1
+    assert [len(c) for c in calls] == [1, 1, 0]

@@ -22,7 +22,7 @@ from surfops.chambers import barycentric, radial
 import oracle_ck as oc
 from conftest import relabeled
 from small_maps import automorphisms, small_maps
-from test_facewidth import assert_matches_all_roots
+from test_facewidth import assert_matches_all_roots, oracle_face_width
 from test_glue import check_both_routes
 
 EDGES = (1, 2, 3, 4)
@@ -133,3 +133,15 @@ def test_face_width_matches_all_roots(graphs):
         assert_matches_all_roots(g)
         r = radial(g)
         assert tp._radial_tables(g)[:3] == tp._tables(r)[:3]
+
+
+def test_one_point_curve_is_sound_on_small_maps(graphs):
+    """Where ``_one_point_curve`` fires, the oracle gives face-width 1;
+    on every map and image ``face_width`` is the search's width."""
+    fired = 0
+    for g in graphs:
+        if tp._one_point_curve(g):
+            fired += 1
+            assert oracle_face_width(g) == 1
+        assert tp.face_width(g) == tp.face_width_witness(g)[0]
+    assert fired >= 150
