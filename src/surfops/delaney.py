@@ -5,6 +5,10 @@ A symbol encodes a periodic tiling together with a symmetry group; it is
 Euclidean exactly when the curvature, the sum over all elements of
 1/m01 + 1/m12 - 1/m02, vanishes.  Curvature arithmetic is exact rational,
 never floating point.
+
+``dd`` builds the symbol of an lsp- or lopsp-operation, reading the
+outer face, if any, off the operation; ``dd_from_lopsp`` and
+``dd_from_lsp`` are other names for it.
 """
 
 from __future__ import annotations
@@ -183,10 +187,11 @@ def is_dd_morphism(d1, d2, mapping):
 # -- extraction from operations --------------------------------------------
 
 
-def _dd_from_chambers(op, outer_vertices):
-    """Symbol on the chambers of a validated operation, read off its
-    faces: chamber c is the c-th inner face, in face order, so face f is
-    chamber f - (f > outer).  Validation proves every inner face a
+def dd(op):
+    """Symbol of a lopsp- or lsp-operation, which it validates, on its
+    chambers: chamber c is the c-th face that is not the outer face of an
+    lsp-operation (a lopsp-operation has none), in face order, so face f
+    is chamber f - (f > outer).  Validation proves every such face a
     triangle with one corner of each type, so s_i crosses the one edge of
     c that misses its type-i corner, and fixes c when that edge lies on
     the outer face.  The <s_i, s_j>-orbit of a chamber is the fan around
@@ -196,8 +201,10 @@ def _dd_from_chambers(op, outer_vertices):
     outer walk, which validation proves simple, where m is the orbit
     size; times 2, 3 or 6 at v1, v0 or v2.  So m is read off the degrees,
     walking no orbit."""
+    op.require_valid()
     g = op.graph
     labels, vertex_of, faces = g.labels, g.vertex_of, g.faces()
+    outer_vertices = op.outer_vertices()
     outer = len(faces) if op.outer_face is None else op.outer_face  # a lopsp's: past all faces
     factor = {op.v1: 2, op.v0: 3, op.v2: 6}
     m_at = [(g.degree(v) - 1 if v in outer_vertices else g.degree(v) // 2)
@@ -219,29 +226,8 @@ def _dd_from_chambers(op, outer_vertices):
     return DelaneySymbol(s, m)
 
 
-def dd_from_lopsp(op):
-    """Symbol of the tiling associated with a lopsp-operation.
-
-    Elements are the chambers; generators cross the i-edges; m values are
-    half the orbit size, scaled by 2, 3, 6 around the special vertices
-    v1, v0, v2 respectively.
-    """
-    op.require_valid()
-    return _dd_from_chambers(op, ())
-
-
-def dd_from_lsp(op):
-    """Symbol of a lsp-operation: elements are the inner chambers, the
-    action fixes chambers whose i-edge lies on the outer face."""
-    op.require_valid()
-    return _dd_from_chambers(op, op.outer_vertices())
-
-
-def dd(op):
-    """Symbol of a lopsp- or lsp-operation, by its ``kind``: the one
-    place that chooses between ``dd_from_lopsp`` and ``dd_from_lsp``,
-    which are looked up when called."""
-    return {"lopsp": dd_from_lopsp, "lsp": dd_from_lsp}[op.kind](op)
+# other names for ``dd``, which ``surfops.__all__`` and ``perfbench`` use
+dd_from_lopsp = dd_from_lsp = dd
 
 
 # -- serialization ----------------------------------------------------------

@@ -26,7 +26,7 @@ from itertools import accumulate, chain, repeat
 
 from .chambers import double_chamber_frame
 from .embedded import Deferred, EmbeddedGraph, InternalInvariant
-from .topology import _ck, _cut_vertex, _short_cycles
+from .topology import _ck, _cut_vertex, _four_cycle_witness, _two_cycle
 
 CATALOG_NAMES = ("identity", "dual", "truncation", "ambo", "join", "gyro", "snub")
 
@@ -113,7 +113,7 @@ def validate_lopsp(op):
 def validate_lsp(op):
     """Diagnostics for the lsp-operation clauses; empty means valid."""
     g = op.graph
-    if not (0 <= op.outer_dart < g.dart_count):
+    if op.outer_dart not in range(g.dart_count):
         return [Diagnostic("outer-face", op.outer_dart, "no such dart")]
     outer = op.outer_face
     out = _common_diagnostics(g, op.v0, op.v1, op.v2, skip_faces=(outer,))
@@ -138,9 +138,20 @@ def validate_lsp(op):
 
 class _Operation:
     """A typed plane graph with special vertices v0, v1, v2, validated
-    once; ``lopsp()`` is the one way from it into the gluing layers."""
+    once; ``lopsp()`` is the one way from it into the gluing layers.  Only
+    an lsp-operation has an outer face, marked by ``outer_dart``."""
 
-    outer_face = None
+    outer_dart = None
+
+    @property
+    def outer_face(self):
+        return None if self.outer_dart is None else self.graph.face_of(self.outer_dart)
+
+    def outer_walk(self):
+        return () if self.outer_dart is None else self.graph.faces()[self.outer_face]
+
+    def outer_vertices(self):
+        return {self.graph.vertex_of[d] for d in self.outer_walk()}
 
     def __init__(self, graph, v0, v1, v2):
         if graph.labels is None:
@@ -193,16 +204,6 @@ class LspOperation(_Operation):
         self.outer_dart = outer_dart
         self._lopsp = None  # the doubled lopsp-operation
 
-    @property
-    def outer_face(self):
-        return self.graph.face_of(self.outer_dart)
-
-    def outer_walk(self):
-        return self.graph.faces()[self.outer_face]
-
-    def outer_vertices(self):
-        return {self.graph.vertex_of[d] for d in self.outer_walk()}
-
     def lopsp(self):
         """The double (``lsp_to_lopsp``), which validates this operation
         and is built once."""
@@ -227,12 +228,12 @@ class CutPath:
 
 
 def _check_cut_path(op, path):
-    g = op.graph
+    g, n = op.graph, op.graph.dart_count
     if not path.darts:
         raise InvalidOperation("cut-path is empty")
-    bad = next((d for d in path.darts if not 0 <= d < g.dart_count), None)
+    bad = next((d for d in path.darts if not isinstance(d, int) or not 0 <= d < n), None)
     if bad is not None:
-        raise InvalidOperation("cut-path dart %d out of range 0..%d" % (bad, g.dart_count - 1))
+        raise InvalidOperation("cut-path dart %r out of range 0..%d" % (bad, n - 1))
     seq = path.vertices(g)
     if seq[0] != op.v1 or seq[-1] != op.v2:
         raise InvalidOperation("cut-path must run from v1 to v2")
@@ -788,10 +789,13 @@ def lsp_to_lopsp(op):
     face; records which inner face every doubled face came from.  It
     validates the lsp-operation and makes the double once per operation;
     ``op.lopsp()`` of an lsp-operation is this call, and the layers
-    below it re-check neither."""
+    below it re-check neither.  A lopsp-operation is returned as it is,
+    once it is validated."""
+    op.require_valid()
+    if op.outer_dart is None:
+        return op
     if op._lopsp is not None:
         return op._lopsp
-    op.require_valid()
     g = op.graph
     outer = op.outer_face
     boundary_vertices = op.outer_vertices()
@@ -907,8 +911,9 @@ def classify_ck(op, witness=None):
     the characterisation equal to the definition; the tests check it,
     and the independence of the witness, on random polyhedral maps.
     When k < 3 the first read of ``witness`` or ``localization`` builds
-    T, finds its first short offending cycle (``_short_cycles``, one walk
-    over T's 4-cycles at most) and the double chambers it touches.
+    T and runs the one search that k names on it: the first 2-cycle at
+    k = 1, the first nontrivial 4-cycle, one walk over T's 4-cycles at
+    most, at k = 2; and it finds the double chambers the cycle touches.
     """
     if witness is None:
         from .polyhedra import tetrahedron
@@ -918,15 +923,17 @@ def classify_ck(op, witness=None):
     k = _ck(res.result)[0]
     if k == 3:
         return ClassifyReport(k=3, witness={}, localization={})
-    return ClassifyReport.deferred(lambda: _localize(res), k=k)
+    return ClassifyReport.deferred(lambda: _localize(res, k), k=k)
 
 
-def _localize(res):
-    """The first short cycle of T = ``res.subdivision`` and the double
+def _localize(res, k):
+    """The first short cycle of T = ``res.subdivision`` that k < 3 names,
+    a 2-cycle at k = 1 and a nontrivial 4-cycle at k = 2, and the double
     chambers (cells) its edges lie on."""
-    cycle = _short_cycles(res.subdivision)[1]
-    wit = cycle.get("two_cycle") or cycle["four_cycle"]
-    cells = [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
+    t = res.subdivision
+    wit = _two_cycle(t) if k == 1 else _four_cycle_witness(t)
+    cycle = {"two_cycle" if k == 1 else "four_cycle": wit}
+    cells = [res.edge_cells[t.edge_of(d)] for d in wit]
     common = frozenset.intersection(*cells)
     return dict(witness=cycle, localization=dict(
         cells=cells, single_cell=bool(common),

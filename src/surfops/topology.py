@@ -55,10 +55,12 @@ def is_contractible(g, cycle_darts):
     closed side's.  O(smaller side), once g has its face table.
     """
     cyc = list(cycle_darts)
-    k = len(cyc)
+    k, n = len(cyc), g.dart_count
+    if not k or any(not isinstance(d, int) or not 0 <= d < n for d in cyc):
+        raise ValueError("not a simple cycle")
     vertex_of, inv, faces, face_of = g.vertex_of, g.inv, g.faces(), g.face_table()
     c_vertices = {vertex_of[d] for d in cyc}
-    if (not k or len(c_vertices) != k or len({g.edge_of(d) for d in cyc}) != k
+    if (len(c_vertices) != k or len({g.edge_of(d) for d in cyc}) != k
             or any(vertex_of[inv[cyc[i - 1]]] != vertex_of[cyc[i]] for i in range(k))):
         raise ValueError("not a simple cycle")
     c_darts = set(cyc) | {inv[d] for d in cyc}
@@ -663,53 +665,42 @@ def _two_cycle_of(g):
 
 
 def four_cycles(b):
-    """All simple 4-cycles of a graph, as dart quadruples, in the order
+    """All 4-cycles of a simple graph, as dart quadruples, in the order
     of ``_four_cycle_walk``."""
     return list(_four_cycle_walk(b))
 
 
 def _four_cycle_walk(b):
-    """The simple 4-cycles u-x-w-y of a graph, as dart quadruples, one at
-    a time.
+    """The 4-cycles u-x-w-y of a simple graph, as dart quadruples, one at
+    a time.  Every caller passes a typed triangulation with no 2-cycle:
+    its edges join two types, so it has no loop, and it has no parallel
+    edge.
 
     The cycles come from two-hop walks u -> x -> w with w > u: for each u
     the walks are grouped by w, and every pair of middle vertices x, y of
     one group closes a cycle.  Groups are visited in increasing w and
     keep the x values in ``adj[u]`` order, so the cycles come ordered by
     the diagonal (u, w) and then by x and y.  A cycle is met from both of
-    its diagonals.  Without loops or parallel edges both meetings give
-    the same edges, and the first is the one where u is the smallest
-    vertex, so walks through an x < u are skipped.  Otherwise the edge
-    sets met so far tell repeats apart.  O(sum of squared degrees) for
-    all of them.
+    its diagonals, with the same edges, and the first is the one where u
+    is the smallest vertex, so walks through an x < u are skipped.
+    O(sum of squared degrees) for all of them.
     """
-    vertex_of, inv, rotations = b.vertex_of, b.inv, b.rotations()
-    nv = len(rotations)
-    adj = [dict() for _ in range(nv)]
+    vertex_of, inv = b.vertex_of, b.inv
+    adj = [dict() for _ in range(b.vertex_count)]
     for d in range(b.dart_count):
         adj[vertex_of[d]][vertex_of[inv[d]]] = d
-    simple = all(len(adj[v]) == len(rotations[v]) for v in range(nv))
-    edge_of = b.edge_table()
-    seen = set()
-    for u in range(nv):
+    for u, around in enumerate(adj):
         groups = {}
-        for x in adj[u]:
-            if x == u or (simple and x < u):
-                continue
-            for w in adj[x]:
-                if w > u and w != x:
-                    groups.setdefault(w, []).append(x)
+        for x in around:
+            if x > u:
+                for w in adj[x]:
+                    if w > u:
+                        groups.setdefault(w, []).append(x)
         for w in sorted(groups):
             common = groups[w]
             for i, x in enumerate(common):
                 for y in common[i + 1:]:
-                    cyc = (adj[u][x], adj[x][w], adj[w][y], adj[y][u])
-                    if not simple:
-                        key = frozenset(edge_of[d] for d in cyc)
-                        if key in seen:
-                            continue
-                        seen.add(key)
-                    yield cyc
+                    yield around[x], adj[x][w], adj[w][y], adj[y][u]
 
 
 def _side_walk(b, cyc):
@@ -750,23 +741,10 @@ def four_cycle_is_trivial(b, cyc):
     return _side_walk(b, cyc) or _side_walk(b, back)
 
 
-def _short_cycles(b):
-    """(k_max, witness) of the short-cycle characterisation on the
-    triangulation b: 1 with the first 2-cycle, 2 with the first
-    nontrivial 4-cycle, else 3 with no witness."""
-    two = _two_cycle(b)
-    if two is not None:
-        return 1, {"two_cycle": two}
-    return _four_cycle_witness(b)
-
-
 def _four_cycle_witness(b):
-    """(2, witness) at the first nontrivial 4-cycle of b, which the walk
-    stops at, else (3, {})."""
-    for cyc in _four_cycle_walk(b):
-        if not four_cycle_is_trivial(b, cyc):
-            return 2, {"four_cycle": cyc}
-    return 3, {}
+    """The first nontrivial 4-cycle of b, a typed triangulation with no
+    2-cycle, which the walk stops at, or None."""
+    return next((cyc for cyc in _four_cycle_walk(b) if not four_cycle_is_trivial(b, cyc)), None)
 
 
 def _polyhedral(g):
@@ -775,7 +753,8 @@ def _polyhedral(g):
     sides, no face through a vertex twice, and two faces share at most
     two vertices, and two only with an edge between them on both.
 
-    This equals ``_short_cycles(barycentric(g))[0] == 3``.  B_G has a
+    This is c3 by the short cycles of B_G: no 2-cycle and no nontrivial
+    4-cycle, which the tests check against a search of B_G.  B_G has a
     2-cycle exactly when g has a loop (types 0-1), an edge with one face
     on both sides (1-2) or a face through a vertex twice (0-2).  Without
     those B_G is simple, a side of a 4-cycle that holds no vertex has a
@@ -837,5 +816,6 @@ def ck_via_cycles(g, k):
         return CkReport(k_max=3, passed=True, **known)
     if two:
         return CkReport(k_max=1, passed=False, witness={"two_cycle": two}, **known)
-    return CkReport.deferred(lambda: dict(witness=_four_cycle_witness(barycentric(g))[1]),
-                             k_max=2, passed=k == 2, face_width=None, smallest_cut=None, **known)
+    found = lambda: dict(witness={"four_cycle": _four_cycle_witness(barycentric(g))})
+    return CkReport.deferred(found, k_max=2, passed=k == 2, face_width=None, smallest_cut=None,
+                             **known)

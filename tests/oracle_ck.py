@@ -1,10 +1,11 @@
 """The definitional ck checks, kept as test oracles.
 
 ``is_ck_embedded`` searches for a vertex cut of size <= 2 on every map,
-and ``ck_via_cycles`` lists the short cycles of B_G on every map; the
-production checks take k from ``topology._ck`` and search only when a
-witness is read.  Tests compare the production reports with these,
-field by field, so no test reads one fast path to check another.
+and ``ck_via_cycles`` searches the short cycles of B_G on every map
+(``short_cycles``, on any typed triangulation); the production checks
+take k from ``topology._ck`` and search only when a witness is read.
+Tests compare the production reports with these, field by field, so no
+test reads one fast path to check another.
 """
 
 import math
@@ -47,7 +48,18 @@ def ck_via_cycles(g, k):
     either, read off the full short-cycle search of B_G."""
     if k not in (2, 3):
         raise ValueError("the cycle characterisation covers k=2 and k=3")
-    k_max, witness = tp._short_cycles(barycentric(g))
+    k_max, witness = short_cycles(barycentric(g))
     return tp.CkReport(k_max=k_max, passed=k_max >= k,
                        min_degree=min(g.degree(v) for v in range(g.vertex_count)),
                        min_face_size=min(len(f) for f in g.faces()), witness=witness)
+
+
+def short_cycles(b):
+    """(k_max, witness) of the short-cycle characterisation on the typed
+    triangulation b: 1 with the first 2-cycle, else 2 with the first
+    nontrivial 4-cycle (b is then simple), else 3 with no witness."""
+    two = tp._two_cycle(b)
+    if two is not None:
+        return 1, {"two_cycle": two}
+    four = tp._four_cycle_witness(b)
+    return (3, {}) if four is None else (2, {"four_cycle": four})

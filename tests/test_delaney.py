@@ -274,24 +274,30 @@ def test_morphism_rejects(other, mapping):
     assert not dd.is_dd_morphism(sym, other or sym, mapping)
 
 
-def test_dd_chooses_by_kind_at_call_time(monkeypatch):
-    """``dd`` picks the symbol by ``op.kind`` and looks the two builders
-    up when called, so patching either (as tracing does) is seen."""
-    calls = []
-
-    def recorded(name, build):
-        def call(op):
-            calls.append(name)
-            return build(op)
-        return call
-
-    for name in ("dd_from_lopsp", "dd_from_lsp"):
-        monkeypatch.setattr(dd, name, recorded(name, getattr(dd, name)))
-    for name in ("gyro", "ambo"):
-        op = ops.catalog(name)
-        sym = dd.dd(op)
-        assert sym == (dd.dd_from_lsp if op.kind == "lsp" else dd.dd_from_lopsp)(op)
-    assert calls == ["dd_from_lopsp", "dd_from_lopsp", "dd_from_lsp", "dd_from_lsp"]
+def test_one_builder_serves_either_kind():
+    """``dd`` reads the outer face, if any, off the operation, so all
+    three names give the Euclidean symbol of either kind.  A
+    lopsp-operation has no outer face: ``lsp_to_lopsp`` returns it, and
+    ``validate_lsp`` names the missing outer dart."""
+    assert dd.dd_from_lopsp is dd.dd_from_lsp is dd.dd
+    operations = sixteen_operations()
+    for op in operations:
+        for build in (dd.dd_from_lopsp, dd.dd_from_lsp):
+            sym = build(op)
+            assert dd.curvature(sym) == 0 and dd.validate_dd(sym) == []
+        if op.kind == "lopsp":
+            assert (op.outer_face, op.outer_vertices()) == (None, set())
+            assert ops.lsp_to_lopsp(op) is op
+            assert ops.validate_lsp(op) == [ops.Diagnostic("outer-face", None, "no such dart")]
+    # an lsp-operation's outer face counts as a face of a lopsp-operation
+    faults = [list(map(str, ops.validate_lopsp(op))) for op in operations if op.kind == "lsp"]
+    assert faults == [
+        [], [], ["triangle witness=1 face size 5", "type1-degree witness=4 deg 3"],
+        ["triangle witness=1 face size 4", "type1-degree witness=3 deg 3"],
+        ["triangle witness=1 face size 4", "type1-degree witness=3 deg 3"],
+        ["triangle witness=1 face size 6"]
+        + ["type1-degree witness=%d deg 3" % v for v in (3, 4, 5)],
+    ]
 
 
 def test_doubling_morphism_all_lsp():
@@ -412,8 +418,7 @@ def test_m_read_off_degrees_equals_orbit_sizes():
     operations = sixteen_operations()
     assert len(operations) == 16
     for op in operations:
-        outer = op.outer_vertices() if op.kind == "lsp" else ()
-        assert dd.dd(op).m == orbit_m(op, outer)
+        assert dd.dd(op).m == orbit_m(op, op.outer_vertices())
 
 
 def test_action_read_off_faces_equals_triangle_definition():

@@ -114,7 +114,7 @@ def test_lopsp_is_the_one_door():
     for name in ops.catalog_names():
         op = ops.catalog(name)
         lop = op.lopsp()
-        assert lop is (op if op.kind == "lopsp" else ops.lsp_to_lopsp(op))
+        assert lop is ops.lsp_to_lopsp(op)
         assert lop.kind == "lopsp" and lop.lopsp() is lop
 
 
@@ -448,11 +448,11 @@ def test_cut_path_check_rejects(fault, message):
         ops.double_chamber_patch(lop, ops.CutPath(darts))
 
 
-@pytest.mark.parametrize("fault", ["empty", "past-end", "negative"])
+@pytest.mark.parametrize("fault", ["empty", "past-end", "negative", "not-an-int"])
 def test_apply_rejects_cut_path_darts_outside_the_operation(fault):
     """A caller's cut-path is an ``InvalidOperation`` when it is empty or
     names a dart outside 0..n-1: a negative dart would otherwise pass the
-    check as an index from the end."""
+    check as an index from the end, and a float would fail as an index."""
     gyro = ops.catalog("gyro")
     n, darts = gyro.graph.dart_count, ops.find_cut_path(gyro).darts
     bad, message = {
@@ -460,6 +460,7 @@ def test_apply_rejects_cut_path_darts_outside_the_operation(fault):
         "past-end": (darts[:-1] + (n,), "cut-path dart %d out of range 0..%d" % (n, n - 1)),
         "negative": ((darts[0] - n,) + darts[1:],
                      "cut-path dart %d out of range 0..%d" % (darts[0] - n, n - 1)),
+        "not-an-int": ((1.5,) + darts[1:], "cut-path dart 1.5 out of range 0..%d" % (n - 1)),
     }[fault]
     with pytest.raises(ops.InvalidOperation, match="^%s$" % re.escape(message)):
         ops.apply(gyro, polyhedra.tetrahedron(), cut_path=ops.CutPath(bad))

@@ -211,7 +211,7 @@ def test_subdivision_is_the_barycentric_subdivision_of_the_result():
             t = res.subdivision
             assert t.canonical_code() == barycentric(res.result).canonical_code(), name
             k = ops.classify_ck(op, witness=g).k
-            assert tp._short_cycles(t)[0] == k, name
+            assert oc.short_cycles(t)[0] == k, name
             ks.add(k)
     assert ks == {1, 2, 3}
 
@@ -219,16 +219,19 @@ def test_subdivision_is_the_barycentric_subdivision_of_the_result():
 def test_classify_reads_one_cycle_characterisation(monkeypatch):
     """One ``_polyhedral`` call per classification, and k from the result
     alone: T and its short cycles wait for the first read of the witness
-    of a k < 3 operation, once; never the direct check.  Once read, the
-    report is what the short cycles of T give."""
+    of a k < 3 operation, once, and then run only the search k names,
+    ``_two_cycle`` at k = 1 and ``_four_cycle_witness`` at k = 2; never
+    the direct check.  Once read, the report is what the short cycles of
+    T give."""
     wants = {}
     for name in EXPECTED_K:
         res = ops.apply(operation(name), polyhedra.tetrahedron())
-        k, cycle = tp._short_cycles(res.subdivision)
+        k, cycle = oc.short_cycles(res.subdivision)
         wit = next(iter(cycle.values()), ())
         wants[name] = k, cycle, [res.edge_cells[res.subdivision.edge_of(d)] for d in wit]
     polyhedral = count_calls(monkeypatch, tp._polyhedral)
-    cycles = count_calls(monkeypatch, tp._short_cycles)
+    twos = count_calls(monkeypatch, tp._two_cycle)
+    fours = count_calls(monkeypatch, tp._four_cycle_witness)
     glued = count_calls(monkeypatch, ops._glue_slots)
     direct = count_calls(monkeypatch, tp.is_ck_embedded)
     read_t = []
@@ -236,12 +239,14 @@ def test_classify_reads_one_cycle_characterisation(monkeypatch):
         report = ops.classify_ck(operation(name))
         assert report.k == EXPECTED_K[name]
         assert len(polyhedral) == calls
-        assert (cycles, glued) == ([], []), name
+        assert (twos, fours, glued) == ([], [], []), name
         assert (report.k, report.witness, report.localization.get("cells", [])) == wants[name]
-        assert len(cycles) == len(glued) <= 1, name
+        searches = [len(twos), len(fours)]
+        assert searches == {1: [1, 0], 2: [0, 1], 3: [0, 0]}[report.k], name
+        assert sum(searches) == len(glued), name
         read_t += [name] * len(glued)
-        cycles.clear()
-        glued.clear()
+        for calls_made in (twos, fours, glued):
+            calls_made.clear()
     assert read_t == ["pendant.lopsp", "sprout.lopsp"]
     assert direct == []
 

@@ -88,7 +88,7 @@ def test_polyhedral_and_two_cycle_read_off_g(graphs):
     assert len(graphs) == 8 * 134
     for g in graphs:
         b = barycentric(g)
-        assert tp._polyhedral(g) == (tp._short_cycles(b)[0] == 3)
+        assert tp._polyhedral(g) == (oc.short_cycles(b)[0] == 3)
         assert tp._two_cycle_of(g) == tp._two_cycle(b)
 
 

@@ -29,6 +29,18 @@ def test_plane_cycles_contractible():
         tp.is_contractible(polyhedra.tetrahedron(), [0, 1])  # two darts out of one vertex
 
 
+def test_is_contractible_rejects_darts_outside_the_graph():
+    """A dart that is not an int in 0..n-1 names no edge of g: a negative
+    one would otherwise be read as an index from the end, and a face
+    written with such darts would not bound a disc."""
+    g = polyhedra.tetrahedron()
+    face = list(g.faces()[0])
+    assert tp.is_contractible(g, face)
+    for darts in ([d - g.dart_count for d in face], [999], [1.5], face[:2] + [str(face[2])]):
+        with pytest.raises(ValueError, match="^not a simple cycle$"):
+            tp.is_contractible(g, darts)
+
+
 def test_contractibility_against_slow_oracle(corpus):
     """The side-Euler test against the bridge definition on BFS candidate
     cycles of B(K7), of B_G of the genus-2 and genus-3 tube sums, of
